@@ -70,15 +70,16 @@ def _parse_at_q(text: Optional[str]) -> Optional[Rational]:
     return rational_from_json(text)
 
 
-def _emit(payload: dict, text: str, latex: str, fmt: str) -> str:
+def _emit(result: Dict[str, object], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload)
-    if fmt == "text":
-        return text
-    return latex
+        return json.dumps(result["payload"])
+    return result[fmt]()
 
 
 # -- subcommand cores (shared by argv mode and batch mode) ----------------------
+#
+# Each returns the JSON payload plus zero-argument "text" and "latex"
+# renderers, so only the format that is written out gets rendered.
 
 
 def run_multiply(
@@ -92,14 +93,14 @@ def run_multiply(
     if at_q is None:
         return {
             "payload": element_to_json(e, d),
-            "text": render_element_text(e),
-            "latex": render_element_latex(e),
+            "text": lambda: render_element_text(e),
+            "latex": lambda: render_element_latex(e),
         }
     values = specialize(e, at_q)
     return {
         "payload": specialized_to_json(values, d, at_q),
-        "text": render_specialized_text(values),
-        "latex": render_specialized_latex(values),
+        "text": lambda: render_specialized_text(values),
+        "latex": lambda: render_specialized_latex(values),
     }
 
 
@@ -115,8 +116,8 @@ def run_shuffle(
     )
     return {
         "payload": symmetric_to_json(se),
-        "text": render_symmetric_text(se),
-        "latex": render_symmetric_latex(se),
+        "text": lambda: render_symmetric_text(se),
+        "latex": lambda: render_symmetric_latex(se),
     }
 
 
@@ -124,8 +125,8 @@ def run_phi(element) -> Dict[str, object]:
     ge = to_symmetric_element(element)
     return {
         "payload": graded_to_json(ge),
-        "text": render_graded_text(ge),
-        "latex": render_graded_latex(ge),
+        "text": lambda: render_graded_text(ge),
+        "latex": lambda: render_graded_latex(ge),
     }
 
 
@@ -140,31 +141,24 @@ def run_g(
     spec = KernelSpec(m=m, n=n, d=d, shift=shift)
     if table:
         tab = structure_constants(spec, term_cap)
-        payload = table_to_json(tab)
         from .serialization import render_qlaurent_latex, render_qlaurent_text
 
-        text_lines = []
-        latex_lines = []
-        for entry in payload["entries"]:
-            a = tuple(entry["a"])
-            b = tuple(entry["b"])
-            coeff = tab.entries[(a, b)]
-            text_lines.append(
-                "a=%r b=%r: %s" % (list(a), list(b), render_qlaurent_text(coeff))
+        def lines(template, render):
+            return "\n".join(
+                template % (list(a), list(b), render(coeff))
+                for (a, b), coeff in sorted(tab.entries.items())
             )
-            latex_lines.append(
-                "c^{%r,%r} = %s" % (list(a), list(b), render_qlaurent_latex(coeff))
-            )
+
         return {
-            "payload": payload,
-            "text": "\n".join(text_lines),
-            "latex": "\n".join(latex_lines),
+            "payload": table_to_json(tab),
+            "text": lambda: lines("a=%r b=%r: %s", render_qlaurent_text),
+            "latex": lambda: lines("c^{%r,%r} = %s", render_qlaurent_latex),
         }
     poly = kernel_polynomial(spec, term_cap)
     return {
         "payload": mpoly_to_json(poly),
-        "text": render_mpoly_text(poly),
-        "latex": render_mpoly_latex(poly),
+        "text": lambda: render_mpoly_text(poly),
+        "latex": lambda: render_mpoly_latex(poly),
     }
 
 
@@ -182,8 +176,8 @@ def run_graphs(left, right, list_orientations: bool = False) -> Dict[str, object
         ]
     return {
         "payload": payload,
-        "text": render_element_text(e),
-        "latex": render_element_latex(e),
+        "text": lambda: render_element_text(e),
+        "latex": lambda: render_element_latex(e),
     }
 
 
@@ -192,8 +186,8 @@ def run_specialize(obj, at_q: Rational) -> Dict[str, object]:
     values = specialize(element, at_q)
     return {
         "payload": specialized_to_json(values, d, at_q),
-        "text": render_specialized_text(values),
-        "latex": render_specialized_latex(values),
+        "text": lambda: render_specialized_text(values),
+        "latex": lambda: render_specialized_latex(values),
     }
 
 
@@ -248,8 +242,8 @@ def run_verify(
     text = "\n".join(lines)
     return {
         "payload": report.to_json(),
-        "text": text,
-        "latex": text,
+        "text": lambda: text,
+        "latex": lambda: text,
         "passed": report.passed,
     }
 
@@ -465,6 +459,8 @@ def run_batch(stdin, stdout) -> int:
         except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             response = {"ok": False, "error": {"code": "parse", "message": str(exc)}}
         stdout.write(json.dumps(response) + "\n")
+        # a client may wait for each reply before sending the next request
+        stdout.flush()
     return 0
 
 
@@ -479,7 +475,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return run_batch(sys.stdin, sys.stdout)
         result = _dispatch(args, sys.stdin)
         fmt = getattr(args, "format", "json")
-        sys.stdout.write(_emit(result["payload"], result["text"], result["latex"], fmt) + "\n")
+        sys.stdout.write(_emit(result, fmt) + "\n")
         if result.get("passed") is False:
             return 1
         return 0

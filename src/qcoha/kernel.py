@@ -6,20 +6,29 @@ variables and s in the second block of n variables.  An optional shift places
 the two blocks after ``shift`` unused leading variables, which is how the
 factorization identity for three blocks is expressed.
 
-Expansion folds one binomial factor at a time into a term dict, collecting
-like monomials eagerly; a configurable cap on the stored term count guards
+The structure-constant table folds the factors into integer arrays: one row
+of exponents per monomial and its signed integer weight.  Every coefficient
+of the kernel is a signed q-monomial ``N(a, b) * (-q)**|a|``, whose power is
+the row sum of the first-block exponents, so integers carry the whole table.
+``pairwise_kernel`` expands into a QLaurent term dict instead; it stays where
+the polynomial itself is under test (the factorization identity, the shuffle
+oracle and the q-substituted builds).  Both expansions collect like monomials
+after every factor, and a configurable cap on the stored term count guards
 against runaway sizes and raises ResourceLimitError.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import ResourceLimitError
 from .mpoly import Exponent, MPoly, embed
 from .partitions import distinct_permutations, sort_ascending, vec_add
-from .qlaurent import ONE, QLaurent, Rational, as_rational
+from .qlaurent import ONE, ZERO, QLaurent, Rational, as_rational
 from .reports import CheckReport
 
 DEFAULT_TERM_CAP = 5_000_000
@@ -45,6 +54,53 @@ class KernelSpec:
     @property
     def arity(self) -> int:
         return self.shift + self.m + self.n
+
+
+def _check_projected(rows: int, width: int, term_cap: int) -> None:
+    # before a factor of ``width`` terms is folded into ``rows`` stored terms
+    if rows * width > term_cap:
+        raise ResourceLimitError(
+            "projected term count %d exceeds cap %d" % (rows * width, term_cap)
+        )
+
+
+def _check_rows(rows: int, term_cap: int) -> None:
+    # after a factor is folded and like terms are collected
+    if rows > term_cap:
+        raise ResourceLimitError("term count %d exceeds cap %d" % (rows, term_cap))
+
+
+def group_rows(rows: np.ndarray, weights: np.ndarray):
+    """Sum ``weights`` over equal rows of an integer matrix.
+
+    Returns the distinct rows in lexicographic order with their sums, and
+    drops rows whose sum is zero.  Rows are compared through one packed sort
+    key: each column, less its minimum, takes the bits its range needs, first
+    column highest.  The key is int64 when those bits fit in 63 and a Python
+    int (dtype=object) otherwise, so rows of any length and size group
+    exactly.  ``weights`` may be int64 or object; the caller certifies that
+    int64 sums cannot overflow.
+    """
+    if not len(weights):
+        return rows, weights
+    # one contiguous row per column: column reductions are several times
+    # faster on it than along axis 0 of a tall matrix
+    cols = np.array(rows.T)
+    cols -= cols.min(axis=1, keepdims=True)
+    widths = [int(x).bit_length() for x in cols.max(axis=1).tolist()]
+    if sum(widths) > 63:
+        cols = cols.astype(object)
+    # the bit fields do not overlap, so this weighted sum is the packed key
+    scale = [1 << sum(widths[i + 1 :]) for i in range(len(widths))]
+    packed = np.array(scale, dtype=cols.dtype) @ cols
+    order = np.argsort(packed)
+    packed = packed[order]
+    first = np.ones(len(packed), dtype=bool)
+    first[1:] = packed[1:] != packed[:-1]
+    starts = np.flatnonzero(first)
+    sums = np.add.reduceat(weights[order], starts)
+    keep = sums != 0
+    return rows[order[starts[keep]]], sums[keep]
 
 
 def pairwise_kernel(
@@ -78,11 +134,7 @@ def pairwise_kernel(
     for s, t in pairs:
         if not (0 <= s < arity and 0 <= t < arity) or s == t:
             raise ValueError("bad variable pair (%d, %d)" % (s, t))
-        if len(acc) * (exp + 1) > term_cap:
-            raise ResourceLimitError(
-                "projected term count %d exceeds cap %d"
-                % (len(acc) * (exp + 1), term_cap)
-            )
+        _check_projected(len(acc), exp + 1, term_cap)
         nxt: Dict[Exponent, QLaurent] = {}
         for e, c in acc.items():
             base = list(e)
@@ -107,10 +159,7 @@ def pairwise_kernel(
                         del nxt[key]
             base[t] = et
             base[s] = es
-        if len(nxt) > term_cap:
-            raise ResourceLimitError(
-                "term count %d exceeds cap %d" % (len(nxt), term_cap)
-            )
+        _check_rows(len(nxt), term_cap)
         acc = nxt
     return MPoly._raw(arity, acc)
 
@@ -133,30 +182,84 @@ def kernel_polynomial(
 
 @dataclass(frozen=True, eq=False)
 class StructureConstantTable:
-    """Kernel coefficients keyed by the (first block, second block) exponent split."""
+    """The kernel's monomials as integer arrays, split at the first block.
+
+    Row r of ``exps`` is the exponent vector (a, b) of one monomial, first
+    block in the first m columns; its coefficient is ``weights[r] *
+    q**powers[r]``, where the power is the row sum of a and the weight is the
+    signed integer ``N(a, b) * (-1)**|a|``.  Rows are distinct and in
+    lexicographic order.  ``weights`` is int64 when ``2**((d-1)*m*n)``, the sum
+    of all ``|weights|``, certifies it, and dtype=object otherwise.  ``staged``
+    holds the row count after each folded factor, so a cap can be checked
+    against a cached table exactly as a cold build would check it.
+    """
 
     spec: KernelSpec
-    entries: Dict[Tuple[Exponent, Exponent], QLaurent]
+    exps: np.ndarray
+    weights: np.ndarray
+    staged: Tuple[int, ...]
+
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """The power of q of each row: the sum of its first-block exponents."""
+        return self.exps[:, : self.spec.m].sum(axis=1)
+
+    @cached_property
+    def entries(self) -> Dict[Tuple[Exponent, Exponent], QLaurent]:
+        """Coefficients keyed by (first block, second block) exponents."""
+        m = self.spec.m
+        return {
+            (tuple(e[:m]), tuple(e[m:])): QLaurent._trimmed(p, [w])
+            for e, p, w in zip(
+                self.exps.tolist(), self.powers.tolist(), self.weights.tolist()
+            )
+        }
 
     def coefficient(self, a: Sequence[int], b: Sequence[int]) -> QLaurent:
-        from .qlaurent import ZERO
-
         return self.entries.get((tuple(a), tuple(b)), ZERO)
 
+    def check_cap(self, term_cap: int) -> None:
+        """Raise the ResourceLimitError a cold build under ``term_cap`` raises."""
+        for before, after in zip(self.staged, self.staged[1:]):
+            _check_projected(before, self.spec.d, term_cap)
+            _check_rows(after, term_cap)
+
     def __len__(self):
-        return len(self.entries)
+        return len(self.weights)
 
 
 def structure_constants(
     spec: KernelSpec, term_cap: int = DEFAULT_TERM_CAP
 ) -> StructureConstantTable:
-    """Split every kernel monomial into its two exponent blocks."""
+    """Fold the kernel's m*n factors (x_s - q*x_t)**(d-1) into integer arrays.
+
+    Each factor turns a row into d rows, ``binom(d-1, i) * (-1)**i`` times the
+    row with i added to x_t and d-1-i to x_s, and the rows are then grouped.
+    """
     if spec.shift != 0:
         raise ValueError("structure constants require an unshifted kernel")
-    poly = kernel_polynomial(spec, term_cap)
-    m = spec.m
-    entries = {(e[:m], e[m:]): c for e, c in poly.terms.items()}
-    return StructureConstantTable(spec=spec, entries=entries)
+    m, n, exp = spec.m, spec.n, spec.d - 1
+    dtype = np.int64 if exp * m * n < 63 else object
+    exps = np.zeros((1, m + n), dtype=np.int64)
+    weights = np.ones(1, dtype=dtype)
+    staged = [1]
+    if exp:
+        steps = np.arange(exp + 1)
+        factor = np.array(
+            [-comb(exp, i) if i & 1 else comb(exp, i) for i in range(exp + 1)],
+            dtype=dtype,
+        )
+        for s, t in block_pairs(spec):
+            rows = len(weights)
+            _check_projected(rows, exp + 1, term_cap)
+            exps = np.repeat(exps, exp + 1, axis=0)
+            exps[:, t] += np.tile(steps, rows)
+            exps[:, s] += np.tile(exp - steps, rows)
+            weights = (weights[:, None] * factor).ravel()
+            exps, weights = group_rows(exps, weights)
+            staged.append(len(weights))
+            _check_rows(len(weights), term_cap)
+    return StructureConstantTable(spec, exps, weights, tuple(staged))
 
 
 _TABLE_CACHE: Dict[Tuple[int, int, int], StructureConstantTable] = {}
@@ -168,14 +271,17 @@ def structure_table(
     """Memoized table per (m, n, d).
 
     The cache is idempotent: a race at worst recomputes the same value, and
-    entries are never mutated after construction.  The cap only applies when
-    the table is first built; later lookups reuse the stored table for free.
+    entries are never mutated after construction.  The cap is checked on
+    every call, against the staged row counts of a cached table, so whether
+    the table was cached never changes which requests fail.
     """
     key = (m, n, d)
     hit = _TABLE_CACHE.get(key)
     if hit is None:
         hit = structure_constants(KernelSpec(m=m, n=n, d=d), term_cap)
         _TABLE_CACHE[key] = hit
+    else:
+        hit.check_cap(term_cap)
     return hit
 
 

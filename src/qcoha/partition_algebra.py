@@ -10,22 +10,28 @@ The basis product of two partitions re-keys the (m, n, d) coefficient table by
 well-defined: rearranging the entries of mu or nu permutes the summands
 without changing the sorted merge.
 
-The bilinear product of general elements has two interchangeable engines: a
-plain exact object path, and a batched path that packs coefficient vectors
-into int64 matrices and groups keys with one argsort.  The batch path runs
-only when every value involved is an integer polynomial in q and a computed
-worst-case bound certifies that no intermediate can reach int64 range, so the
-arithmetic stays exact; anything else falls back to the object path.
+There is one product engine, on integer arrays.  A basis product is memoized
+as three arrays, grouped so that each (key, power of q) appears once and
+sorted by key, then power: the sorted keys (one row each), the powers and the
+integer coefficients.  The bilinear product scales the cached arrays of every
+pair of basis keys by the coefficients of c1 * c2, concatenates them, groups
+once per key length, and only then folds rows into QLaurent values.  Those
+arrays are int64 only when a bound certifies that no sum can leave int64
+range: the sum of |coefficients| of c1 * c2 times the table's sum of
+|weights|, 2**((d-1)*m*n), summed over the pairs.  Otherwise, and for Fraction
+coefficients, the same code runs with dtype=object, so the arithmetic is
+always exact.
 """
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from .errors import ResourceLimitError
-from .kernel import DEFAULT_TERM_CAP, structure_table
+from .kernel import DEFAULT_TERM_CAP, group_rows, structure_table
 from .partitions import IntVector, Partition, sort_ascending
 from .qlaurent import ONE, QLaurent, as_rational, q_power, signed_q_power
 from .reports import CheckReport, QuasiCommReport
@@ -33,12 +39,7 @@ from .reports import CheckReport, QuasiCommReport
 VectorElement = Dict[IntVector, QLaurent]
 PartitionElement = Dict[Partition, QLaurent]
 
-# limits for the packed fast path: 6-bit parts, keys up to 10 parts,
-# coefficient bound far below int64 range
-_PACK_BITS = 6
-_PACK_MAX_PART = 63
-_PACK_MAX_LEN = 10
-_INT_GUARD = 1 << 61
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def shift_sort_product(mu: Partition, nu: Partition, d: int) -> Partition:
@@ -61,14 +62,12 @@ def product_vectors(
     if not nu:
         return {mu: ONE}
     table = structure_table(len(mu), len(nu), d, term_cap)
-    out: VectorElement = {}
-    for (a, b), coeff in table.entries.items():
-        key = tuple(x + y for x, y in zip(mu, a)) + tuple(
-            x + y for x, y in zip(nu, b)
-        )
-        cur = out.get(key)
-        out[key] = coeff if cur is None else cur + coeff
-    return out
+    keys = (table.exps + _offsets(mu + nu)).tolist()
+    # table rows are distinct, so their re-keyed vectors are too
+    return {
+        tuple(key): QLaurent._trimmed(p, [w])
+        for key, p, w in zip(keys, table.powers.tolist(), table.weights.tolist())
+    }
 
 
 def sort_merge(e: VectorElement) -> PartitionElement:
@@ -88,25 +87,53 @@ def sort_merge(e: VectorElement) -> PartitionElement:
     return out
 
 
+def _offsets(parts: IntVector) -> np.ndarray:
+    # parts this large would overflow int64 keys; keep them as Python ints
+    big = parts and max(parts) >> 62
+    return np.array(parts, dtype=object if big else np.int64)
+
+
 @lru_cache(maxsize=None)
-def _basis_product(mu: Partition, nu: Partition, d: int) -> PartitionElement:
-    """Memoized basis product; callers must not mutate the returned dict."""
-    if not mu:
-        return {nu: ONE}
-    if not nu:
-        return {mu: ONE}
-    table = structure_table(len(mu), len(nu), d)
-    out: PartitionElement = {}
-    for (a, b), coeff in table.entries.items():
-        key = tuple(
-            sorted(
-                [x + y for x, y in zip(mu, a)] + [x + y for x, y in zip(nu, b)]
-            )
+def _basis_product(mu: Partition, nu: Partition, d: int):
+    """Memoized basis product as grouped arrays (keys, powers, coeffs).
+
+    Rows are sorted by (key, power of q) and no (key, power) repeats.  Callers
+    check their own term cap first and must not mutate the returned arrays.
+    """
+    if not mu or not nu:
+        return (
+            _offsets(mu + nu).reshape(1, -1),
+            np.zeros(1, dtype=np.int64),
+            np.ones(1, dtype=np.int64),
         )
-        cur = out.get(key)
-        out[key] = coeff if cur is None else cur + coeff
-    # merged coefficients could in principle cancel; keep the dict canonical
-    return {k: c for k, c in out.items() if c}
+    table = structure_table(len(mu), len(nu), d, sys.maxsize)
+    keys = np.sort(table.exps + _offsets(mu + nu), axis=1)
+    return _group_terms(keys, table.powers, table.weights)
+
+
+def _group_terms(keys, powers, coeffs):
+    """Sum coefficients over equal (key, power) rows, sorted by key, then power."""
+    rows, sums = group_rows(np.column_stack([keys, powers]), coeffs)
+    return rows[:, :-1], rows[:, -1], sums
+
+
+def _to_element(keys, powers, coeffs) -> PartitionElement:
+    """Fold grouped rows, sorted by (key, power), into QLaurent coefficients."""
+    if not len(powers):
+        return {}
+    first = np.ones(len(powers), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    starts = np.flatnonzero(first).tolist()
+    ps = powers.tolist()
+    cs = coeffs.tolist()
+    out: PartitionElement = {}
+    for key, lo, hi in zip(keys[first].tolist(), starts, starts[1:] + [len(ps)]):
+        base = ps[lo]
+        dense = [0] * (ps[hi - 1] - base + 1)
+        for j in range(lo, hi):
+            dense[ps[j] - base] = cs[j]
+        out[tuple(key)] = QLaurent._trimmed(base, dense)
+    return out
 
 
 def product(
@@ -116,9 +143,9 @@ def product(
     mu = tuple(mu)
     nu = tuple(nu)
     if mu and nu:
-        # surface resource errors for oversized kernels before caching
+        # checks the cap against the table's staged row counts, cached or not
         structure_table(len(mu), len(nu), d, term_cap)
-    return dict(_basis_product(mu, nu, d))
+    return _to_element(*_basis_product(mu, nu, d))
 
 
 def element_add(e1, e2):
@@ -170,153 +197,42 @@ def product_elements(
     """Bilinear extension of the basis product to finite sums."""
     if not e1 or not e2:
         return {}
-    fast = _bilinear_packed(e1, e2, d, term_cap)
-    if fast is not None:
-        return fast
-    return _bilinear_object(e1, e2, d)
-
-
-def _bilinear_object(e1, e2, d) -> PartitionElement:
-    out: PartitionElement = {}
+    for m in {len(k) for k in e1}:
+        for n in {len(k) for k in e2}:
+            if m and n:
+                structure_table(m, n, d, term_cap)
+    pairs = []
+    staged = 0
+    bound = 0
+    integral = True
     for k1, c1 in e1.items():
         for k2, c2 in e2.items():
             c = c1 * c2
             if not c:
                 continue
-            for key, t in _basis_product(tuple(k1), tuple(k2), d).items():
-                prod = t * c
-                cur = out.get(key)
-                if cur is None:
-                    out[key] = prod
-                else:
-                    tot = cur + prod
-                    if tot:
-                        out[key] = tot
-                    else:
-                        del out[key]
-    return out
-
-
-def _int_poly_row(c: QLaurent) -> Optional[List[int]]:
-    # dense int list aligned at q**0, or None if not an integer polynomial
-    if c.offset < 0:
-        return None
-    for x in c.coeffs:
-        if type(x) is not int:
-            return None
-    return [0] * c.offset + list(c.coeffs)
-
-
-@lru_cache(maxsize=None)
-def _basis_batch(mu: Partition, nu: Partition, d: int):
-    """Packed form of a basis product: (packed keys, int64 matrix, width, max abs).
-
-    None when the product does not fit the packed representation.
-    """
-    bp = _basis_product(mu, nu, d)
-    keylen = len(mu) + len(nu)
-    if keylen > _PACK_MAX_LEN:
-        return None
-    rows = []
-    packed = []
-    width = 0
-    maxabs = 0
-    for key, c in bp.items():
-        if key and key[-1] > _PACK_MAX_PART:
-            return None
-        row = _int_poly_row(c)
-        if row is None:
-            return None
-        acc = 0
-        for i, p in enumerate(key):
-            acc |= p << (_PACK_BITS * i)
-        packed.append(acc)
-        rows.append(row)
-        width = max(width, len(row))
-        m = max(abs(x) for x in row)
-        maxabs = max(maxabs, m)
-    if maxabs >= _INT_GUARD:
-        return None
-    mat = np.zeros((len(rows), width), dtype=np.int64)
-    for r, row in enumerate(rows):
-        mat[r, : len(row)] = row
-    return np.asarray(packed, dtype=np.int64), mat, width, maxabs
-
-
-def _bilinear_packed(e1, e2, d, term_cap) -> Optional[PartitionElement]:
-    # stage the pair list; bail out (returning None) whenever exactness in
-    # int64 cannot be certified
-    pairs = []
-    total_rows = 0
-    bound = 0
-    for k1, c1 in e1.items():
-        r1 = _int_poly_row(c1)
-        if r1 is None:
-            return None
-        for k2, c2 in e2.items():
-            r2 = _int_poly_row(c2)
-            if r2 is None:
-                return None
-            batch = _basis_batch(tuple(k1), tuple(k2), d)
-            if batch is None:
-                return None
-            conv = _conv_int(r1, r2)
-            if not any(conv):
-                continue
-            packedk, mat, width, maxabs = batch
-            pairs.append((len(k1) + len(k2), conv, packedk, mat, width))
-            total_rows += len(packedk)
-            maxc = max(abs(x) for x in conv)
-            bound = max(bound, maxc * maxabs * len(conv))
-    if total_rows > term_cap:
+            basis = _basis_product(tuple(k1), tuple(k2), d)
+            pairs.append((basis, c))
+            # one scaled copy of the basis rows per term of c
+            staged += len(basis[1]) * sum(1 for _ in c.items())
+            if integral and all(type(x) is int for x in c.coeffs):
+                bound += sum(map(abs, c.coeffs)) << ((d - 1) * len(k1) * len(k2))
+            else:
+                integral = False
+    if staged > term_cap:
         raise ResourceLimitError(
-            "bilinear product stages %d rows, cap %d" % (total_rows, term_cap)
+            "bilinear product stages %d rows, cap %d" % (staged, term_cap)
         )
-    # scatter sums at most total_rows scaled rows into one key
-    if bound * max(total_rows, 1) >= _INT_GUARD:
-        return None
-
+    dtype = np.int64 if integral and bound <= _INT64_MAX else object
     by_len: Dict[int, List] = {}
-    for keylen, conv, packedk, mat, width in pairs:
-        length = len(conv) + width - 1
-        scaled = np.zeros((mat.shape[0], length), dtype=np.int64)
-        for i, ci in enumerate(conv):
-            if ci:
-                scaled[:, i : i + width] += mat * ci
-        by_len.setdefault(keylen, []).append((packedk, scaled))
-
+    for (keys, powers, coeffs), c in pairs:
+        chunks = by_len.setdefault(keys.shape[1], [])
+        coeffs = coeffs.astype(dtype, copy=False)
+        for power, cj in c.items():
+            chunks.append((keys, powers + power, coeffs * cj))
     out: PartitionElement = {}
-    for keylen, chunks in by_len.items():
-        length = max(s.shape[1] for _, s in chunks)
-        packs = np.concatenate([p for p, _ in chunks])
-        rows = np.zeros((len(packs), length), dtype=np.int64)
-        at = 0
-        for _, s in chunks:
-            rows[at : at + s.shape[0], : s.shape[1]] = s
-            at += s.shape[0]
-        order = np.argsort(packs, kind="stable")
-        sp = packs[order]
-        sr = rows[order]
-        starts = np.flatnonzero(np.r_[True, sp[1:] != sp[:-1]])
-        sums = np.add.reduceat(sr, starts, axis=0)
-        uniq = sp[starts]
-        mask = _PACK_MAX_PART
-        for val, row in zip(uniq.tolist(), sums):
-            cs = row.tolist()
-            coeff = QLaurent._trimmed(0, cs)
-            if not coeff:
-                continue
-            key = tuple((val >> (_PACK_BITS * i)) & mask for i in range(keylen))
-            out[key] = coeff
-    return out
-
-
-def _conv_int(a: List[int], b: List[int]) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
+    for chunks in by_len.values():
+        keys, powers, coeffs = (np.concatenate(col) for col in zip(*chunks))
+        out.update(_to_element(*_group_terms(keys, powers, coeffs)))
     return out
 
 

@@ -1,6 +1,8 @@
 """CLI behaviour: exit codes, emitted documents, determinism, batch mode."""
 import io
 import json
+import os
+import select
 import subprocess
 import sys
 from pathlib import Path
@@ -308,6 +310,42 @@ def test_batch_lines(capsys, monkeypatch):
     assert lines[4]["ok"] is False and lines[4]["error"]["code"] == "resource"
     assert lines[5]["ok"] is False and lines[5]["error"]["code"] == "parse"
     assert lines[6]["ok"] is False and lines[6]["error"]["code"] == "parse"
+
+
+def test_batch_term_cap_ignores_cached_tables(capsys, monkeypatch):
+    # d=7 is used nowhere else, so the first request meets a cold table
+    capped = {"cmd": "multiply", "d": 7, "left": [0, 1, 2], "right": [0, 1, 2], "term_cap": 10}
+    uncapped = dict(capped)
+    del uncapped["term_cap"]
+    text = "".join(json.dumps(r) + "\n" for r in (capped, uncapped, capped))
+    code, out, _ = run(capsys, ["batch"], stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 0
+    first, second, third = [json.loads(line) for line in out.splitlines()]
+    assert first["ok"] is False and first["error"]["code"] == "resource"
+    assert second["ok"] is True
+    assert third == first
+
+
+def test_batch_answers_before_stdin_closes():
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qcoha", "batch"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        proc.stdin.write(b'{"cmd": "multiply", "d": 2, "left": [0], "right": [0]}\n')
+        proc.stdin.flush()
+        ready, _, _ = select.select([proc.stdout], [], [], 10.0)
+        assert ready, "no reply while stdin is still open"
+        reply = json.loads(proc.stdout.readline())
+        assert reply["ok"] is True
+    finally:
+        proc.stdin.close()
+        proc.wait(timeout=10)
+        proc.stdout.close()
 
 
 def test_batch_stops_nothing_on_empty_input(capsys, monkeypatch):

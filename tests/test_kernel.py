@@ -1,3 +1,4 @@
+import json
 from math import comb
 
 import pytest
@@ -13,6 +14,7 @@ from qcoha.kernel import (
 )
 from qcoha.mpoly import embed
 from qcoha.qlaurent import ONE, Q, QLaurent, q_power, signed_q_power
+from qcoha.serialization import qlaurent_to_json, table_to_json
 
 
 def test_spec_validation():
@@ -156,3 +158,70 @@ def test_coefficient_identity_small(l, m, n, d):
 def test_coefficient_identity_d1_trivial():
     report = verify_coefficient_identity(1, 1, 1, 1)
     assert report.passed
+
+
+SMALL_SPECS = [(m, n, 1) for m in (1, 2, 3) for n in (1, 2, 3)] + [
+    (m, n, d)
+    for d in range(2, 20)
+    for m in range(1, 19)
+    for n in range(1, 19)
+    if (d - 1) * m * n <= 18
+]
+
+
+def test_integer_tables_match_expansion():
+    # every table small enough to expand: the arrays, split at m, are the
+    # kernel polynomial, and the weights add up to 2**((d-1)mn) in absolute value
+    for m, n, d in SMALL_SPECS:
+        spec = KernelSpec(m, n, d)
+        table = structure_constants(spec)
+        weights = table.weights.tolist()
+        got = [
+            (tuple(e), QLaurent.term(w, p))
+            for e, p, w in zip(table.exps.tolist(), table.powers.tolist(), weights)
+        ]
+        assert got == sorted(kernel_polynomial(spec).terms.items()), (m, n, d)
+        assert sum(abs(w) for w in weights) == 2 ** ((d - 1) * m * n)
+
+
+@pytest.mark.parametrize("m,n,d", [(1, 1, 70), (2, 1, 33)])
+def test_tables_past_int64_use_python_ints(m, n, d):
+    spec = KernelSpec(m, n, d)
+    table = structure_constants(spec)
+    assert table.weights.dtype == object
+    want = {(e[:m], e[m:]): c for e, c in kernel_polynomial(spec).terms.items()}
+    assert table.entries == want
+
+
+@pytest.mark.parametrize("m,n,d", [(1, 1, 1), (2, 1, 4), (2, 2, 3), (3, 3, 3)])
+def test_table_json_matches_expansion(m, n, d):
+    spec = KernelSpec(m, n, d)
+    want = {
+        "m": m,
+        "n": n,
+        "d": d,
+        "entries": [
+            {"a": list(e[:m]), "b": list(e[m:]), "coeff": qlaurent_to_json(c)}
+            for e, c in sorted(kernel_polynomial(spec).terms.items())
+        ],
+    }
+    assert json.dumps(table_to_json(structure_constants(spec))) == json.dumps(want)
+
+
+def _cap_error(build, cap):
+    try:
+        build(cap)
+    except ResourceLimitError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("m,n,d", [(3, 3, 3), (2, 2, 4), (1, 3, 5)])
+def test_cached_table_refuses_like_a_cold_build(m, n, d):
+    spec = KernelSpec(m, n, d)
+    table = structure_table(m, n, d)
+    limits = {s for s in table.staged} | {s * d for s in table.staged}
+    for cap in sorted(limits | {x - 1 for x in limits}):
+        cold = _cap_error(lambda c: kernel_polynomial(spec, c), cap)
+        assert _cap_error(lambda c: structure_constants(spec, c), cap) == cold
+        assert _cap_error(lambda c: structure_table(m, n, d, c), cap) == cold

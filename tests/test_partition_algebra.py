@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcoha.bipartite import product_via_graphs
 from qcoha.errors import ResourceLimitError
+from qcoha.kernel import structure_table
 from qcoha.partition_algebra import (
-    _bilinear_object,
     bar_element,
     check_associativity,
     element_add,
@@ -23,6 +24,7 @@ from qcoha.partition_algebra import (
 )
 from qcoha.partitions import partitions_up_to, sort_ascending
 from qcoha.qlaurent import ONE, Q, QLaurent, q_power
+from qcoha.shuffle_algebra import verify_homomorphism
 
 
 def QL(offset, *coeffs):
@@ -193,12 +195,75 @@ small_coeffs = st.builds(
 small_elements = st.dictionaries(short_partitions, small_coeffs, min_size=1, max_size=3)
 
 
+def reference_product_elements(e1, e2, d):
+    # the bilinear product as a plain fold over basis products, QLaurent only
+    out = {}
+    for k1, c1 in e1.items():
+        for k2, c2 in e2.items():
+            out = element_add(out, scale_element(product(k1, k2, d), c1 * c2))
+    return out
+
+
 @given(small_elements, small_elements, ds)
 @settings(max_examples=25)
-def test_packed_engine_matches_object_engine(e1, e2, d):
-    fast = product_elements(e1, e2, d)
-    slow = _bilinear_object(e1, e2, d)
-    assert fast == slow
+def test_bilinear_matches_reference_fold(e1, e2, d):
+    assert product_elements(e1, e2, d) == reference_product_elements(e1, e2, d)
+
+
+def test_cancelling_terms_are_dropped():
+    # at d=1 the product only merges: (0)*(1) and -(1)*(0) cancel at (0, 1)
+    e1 = {(0,): ONE, (1,): -ONE}
+    e2 = {(1,): ONE, (0,): ONE}
+    assert product_elements(e1, e2, 1) == {(0, 0): ONE, (1, 1): -ONE}
+
+
+@pytest.mark.parametrize("scale", [2**62, -(2**63) + 1, 3**80, Fraction(7, 3)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_large_and_fractional_coefficients_stay_exact(scale, d):
+    # scaled by 3 these leave int64 range, so only the object path is exact
+    e1 = {(0, 1): QLaurent(0, (scale, 1)), (2,): QLaurent(1, (-scale,))}
+    e2 = {(1,): QLaurent(0, (3, scale)), (0, 2): ONE}
+    assert product_elements(e1, e2, d) == reference_product_elements(e1, e2, d)
+    assert product_elements(e2, e1, d) == reference_product_elements(e2, e1, d)
+
+
+@pytest.mark.parametrize("c", [2**40, 2**70])
+def test_huge_parts_shift_every_key(c):
+    # adding c to every part adds c to every key; 2**70 needs Python-int keys
+    shift = lambda key: tuple(v + c for v in key)
+    for mu, nu in [((0,), (0, 1)), ((0, 2), (1, 1)), ((), (0, 3))]:
+        want = {shift(k): v for k, v in product(mu, nu, 3).items()}
+        assert product(shift(mu), shift(nu), 3) == want
+        e1 = {shift(mu): QLaurent(0, (1, 2))}
+        e2 = {shift(nu): ONE, shift((0,)): Q}
+        assert product_elements(e1, e2, 3) == reference_product_elements(e1, e2, 3)
+
+
+def test_basis_products_match_shuffle_oracle():
+    for d in (1, 2, 3, 4):
+        grid = partitions_up_to(2, 2) if d < 4 else partitions_up_to(2, 1)
+        for mu, nu in itertools.product(grid, repeat=2):
+            report = verify_homomorphism(mu, nu, d)
+            assert report.passed, report.failures
+
+
+def test_basis_products_match_orientation_sum():
+    for mu, nu in itertools.product(partitions_up_to(3, 2), repeat=2):
+        assert product(mu, nu, 2) == product_via_graphs(mu, nu), (mu, nu)
+
+
+def test_term_cap_holds_for_cached_tables():
+    # (0,1,2)*(0,1,2) at d=5 builds the (3,3,5) table; a capped request must
+    # fail the same way before and after an uncapped one caches it
+    with pytest.raises(ResourceLimitError) as cold:
+        product((0, 1, 2), (0, 1, 2), 5, term_cap=10)
+    assert product((0, 1, 2), (0, 1, 2), 5)
+    with pytest.raises(ResourceLimitError) as warm:
+        product((0, 1, 2), (0, 1, 2), 5, term_cap=10)
+    assert str(warm.value) == str(cold.value)
+    with pytest.raises(ResourceLimitError):
+        product_elements({(0, 1, 2): ONE}, {(0, 1, 2): ONE}, 5, term_cap=10)
+    assert len(structure_table(3, 3, 5)) > 10
 
 
 @given(small_elements, small_elements, ds)
