@@ -76,21 +76,28 @@ def group_rows(rows: np.ndarray, weights: np.ndarray):
     Returns the distinct rows in lexicographic order with their sums, and
     drops rows whose sum is zero.  Rows are compared through one packed sort
     key: each column, less its minimum, takes the bits its range needs, first
-    column highest.  The key is int64 when those bits fit in 63 and a Python
-    int (dtype=object) otherwise, so rows of any length and size group
-    exactly.  ``weights`` may be int64 or object; the caller certifies that
-    int64 sums cannot overflow.
+    column highest, and constant columns take none.  The key is int64 when
+    those bits fit in 63 and a Python int (dtype=object) otherwise, so rows
+    of any length and size group exactly.  ``weights`` may be int64 or
+    object; the caller certifies that int64 sums cannot overflow.
     """
     if not len(weights):
         return rows, weights
     # one contiguous row per column: column reductions are several times
     # faster on it than along axis 0 of a tall matrix
     cols = np.array(rows.T)
-    cols -= cols.min(axis=1, keepdims=True)
-    widths = [int(x).bit_length() for x in cols.max(axis=1).tolist()]
+    # spans in Python ints: an int64 column may range wider than int64
+    lows = cols.min(axis=1).tolist()
+    spans = [hi - lo for hi, lo in zip(cols.max(axis=1).tolist(), lows)]
+    live = [i for i, span in enumerate(spans) if span]
+    widths = [spans[i].bit_length() for i in live]
+    if len(live) < len(spans):
+        cols = cols[live]
     if sum(widths) > 63:
         cols = cols.astype(object)
-    # the bit fields do not overlap, so this weighted sum is the packed key
+    cols -= np.array([lows[i] for i in live], dtype=cols.dtype)[:, None]
+    # the bit fields do not overlap, so this weighted sum is the packed key;
+    # with no live column every row is equal and the key is all zeros
     scale = [1 << sum(widths[i + 1 :]) for i in range(len(widths))]
     packed = np.array(scale, dtype=cols.dtype) @ cols
     order = np.argsort(packed)

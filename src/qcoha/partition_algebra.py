@@ -228,6 +228,9 @@ def product_elements(
         chunks = by_len.setdefault(keys.shape[1], [])
         coeffs = coeffs.astype(dtype, copy=False)
         for power, cj in c.items():
+            if power >> 62 not in (-1, 0):
+                # a shift this large would overflow the int64 powers
+                powers = powers.astype(object)
             chunks.append((keys, powers + power, coeffs * cj))
     out: PartitionElement = {}
     for chunks in by_len.values():

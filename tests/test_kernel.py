@@ -1,11 +1,13 @@
 import json
 from math import comb
 
+import numpy as np
 import pytest
 
 from qcoha.errors import ResourceLimitError
 from qcoha.kernel import (
     KernelSpec,
+    group_rows,
     kernel_polynomial,
     structure_constants,
     structure_table,
@@ -182,6 +184,52 @@ def test_integer_tables_match_expansion():
         ]
         assert got == sorted(kernel_polynomial(spec).terms.items()), (m, n, d)
         assert sum(abs(w) for w in weights) == 2 ** ((d - 1) * m * n)
+
+
+def _grouped_reference(rows, weights):
+    sums = {}
+    for row, w in zip(rows, weights):
+        sums[tuple(row)] = sums.get(tuple(row), 0) + w
+    return sorted((row, w) for row, w in sums.items() if w)
+
+
+def _with_power_shift(m, n, d):
+    # (sorted key, power) rows of the product (0,)*m times (0,)*n, as they are
+    # and with the power shifted so the spans add up to exactly 63 bits
+    table = structure_constants(KernelSpec(m, n, d))
+    keys = np.sort(table.exps, axis=1)
+    bits = sum(int(x).bit_length() for x in keys.max(axis=0) - keys.min(axis=0))
+    shift = (1 << (63 - bits)) - 1 - int(table.powers.max())
+    rows = np.column_stack([keys, table.powers])
+    shifted = np.column_stack([keys, table.powers + shift])
+    return np.concatenate([rows, shifted]).tolist()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # spans 0, 2**61 and 1: 63 bits behind a constant column
+        [[0, 0, 0], [0, 2**61, 1], [0, 0, 0]],
+        # ten columns: a constant minimum part, nine 7-bit parts
+        [[1] + [0] * 9, [1] + [127] * 9, [1] + [0] * 9],
+        # one column spans all of int64's non-negative range
+        [[5, 0], [5, 2**63 - 1], [5, 0]],
+        # every entry fits in int64, the span 2**63 does not
+        [[7, -(2**62)], [7, 2**62], [7, -(2**62)]],
+        # equal rows: no column takes a bit
+        [[3, 4], [3, 4], [3, 4]],
+        # d = 2: sorted keys of a product whose minimum part never moves
+        _with_power_shift(3, 1, 2),
+        _with_power_shift(1, 4, 2),
+    ],
+)
+def test_group_rows_is_exact_at_the_int64_boundary(rows):
+    weights = [3, 5, -3, -4] * (len(rows) // 4) + [2] * (len(rows) % 4)
+    got_rows, got_weights = group_rows(
+        np.array(rows, dtype=np.int64), np.array(weights, dtype=np.int64)
+    )
+    got = list(zip(map(tuple, got_rows.tolist()), got_weights.tolist()))
+    assert got == _grouped_reference(rows, weights)
 
 
 @pytest.mark.parametrize("m,n,d", [(1, 1, 70), (2, 1, 33)])

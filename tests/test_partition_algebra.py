@@ -239,6 +239,21 @@ def test_huge_parts_shift_every_key(c):
         assert product_elements(e1, e2, 3) == reference_product_elements(e1, e2, 3)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_keys_and_powers_at_the_int64_boundary(d):
+    cases = [
+        # at d=1 both put a constant column ahead of exactly 63 bits of
+        # (key, power) columns
+        ({(0,): ONE, (2**61,): Q}, {(0,): ONE}),
+        ({(4, 4): ONE, (4, 5): q_power(2**62 - 1)}, {(4,): ONE}),
+        # powers past int64
+        ({(1,): q_power(2**70)}, {(1,): ONE, (2,): Q}),
+        ({(1,): q_power(-(2**62) - 1)}, {(1, 2): -Q}),
+    ]
+    for e1, e2 in cases:
+        assert product_elements(e1, e2, d) == reference_product_elements(e1, e2, d)
+
+
 def test_basis_products_match_shuffle_oracle():
     for d in (1, 2, 3, 4):
         grid = partitions_up_to(2, 2) if d < 4 else partitions_up_to(2, 1)
@@ -263,6 +278,15 @@ def test_term_cap_holds_for_cached_tables():
     assert str(warm.value) == str(cold.value)
     with pytest.raises(ResourceLimitError):
         product_elements({(0, 1, 2): ONE}, {(0, 1, 2): ONE}, 5, term_cap=10)
+
+
+def test_staged_row_cap_covers_every_coefficient_type():
+    # (0,1)*(0,1) at d=2 has 12 grouped rows; a coefficient of three terms
+    # stages 36, whether its coefficients are integers or fractions
+    for c in (QL(0, 1, 2, 3), QL(0, Fraction(1, 3), 2, 3)):
+        assert product_elements({(0, 1): c}, {(0, 1): ONE}, 2, term_cap=36)
+        with pytest.raises(ResourceLimitError, match="stages 36 rows, cap 35"):
+            product_elements({(0, 1): c}, {(0, 1): ONE}, 2, term_cap=35)
 
 
 @given(small_elements, small_elements, ds)
