@@ -202,6 +202,15 @@ _SUITE_KWARG_NAMES = {
     "grading": ("d_values", "max_len", "max_part"),
 }
 
+# verify option -> the suite keyword it sets
+_VERIFY_OPTIONS = {
+    "d": "d_values",
+    "max_len": "max_len",
+    "max_part": "max_part",
+    "seed": "seed",
+    "count": "random_triples",
+}
+
 
 def run_verify(
     suite: str,
@@ -215,20 +224,15 @@ def run_verify(
         raise CliError(
             "parse", "unknown suite %r (choose from %s)" % (suite, ", ".join(sorted(SUITES))), 2
         )
-    allowed = _SUITE_KWARG_NAMES[suite]
+    given = {"d": d, "max_len": max_len, "max_part": max_part, "seed": seed, "count": count}
     kwargs = {}
-    if d is not None and "d_values" in allowed:
-        kwargs["d_values"] = (d,)
-    if suite == "lemma31" and d is not None:
-        kwargs["d_values"] = (d,)
-    if max_len is not None and "max_len" in allowed:
-        kwargs["max_len"] = max_len
-    if max_part is not None and "max_part" in allowed:
-        kwargs["max_part"] = max_part
-    if seed is not None and "seed" in allowed:
-        kwargs["seed"] = seed
-    if count is not None and "random_triples" in allowed:
-        kwargs["random_triples"] = count
+    for option, value in given.items():
+        if value is None:
+            continue
+        name = _VERIFY_OPTIONS[option]
+        if name not in _SUITE_KWARG_NAMES[suite]:
+            raise CliError("parse", "suite %s does not take %s" % (suite, option), 2)
+        kwargs[name] = (value,) if option == "d" else value
     report = SUITES[suite](**kwargs)
     lines = [
         "suite: %s" % report.name,
@@ -376,7 +380,7 @@ def _batch_request(obj) -> Dict[str, object]:
             _req_partition(obj, "left"),
             _req_partition(obj, "right"),
             at_q,
-            obj.get("term_cap", DEFAULT_TERM_CAP),
+            _opt_int(obj, "term_cap", DEFAULT_TERM_CAP),
         )
     if cmd == "shuffle":
         return run_shuffle(
@@ -384,7 +388,7 @@ def _batch_request(obj) -> Dict[str, object]:
             _req_partition(obj, "left"),
             _req_partition(obj, "right"),
             at_q,
-            obj.get("term_cap", DEFAULT_TERM_CAP),
+            _opt_int(obj, "term_cap", DEFAULT_TERM_CAP),
         )
     if cmd == "phi":
         if "element" in obj:
@@ -399,15 +403,15 @@ def _batch_request(obj) -> Dict[str, object]:
             _req_int(obj, "d"),
             _req_int(obj, "m"),
             _req_int(obj, "n"),
-            obj.get("shift", 0),
-            bool(obj.get("table", False)),
-            obj.get("term_cap", DEFAULT_TERM_CAP),
+            _opt_int(obj, "shift", 0),
+            _opt_bool(obj, "table"),
+            _opt_int(obj, "term_cap", DEFAULT_TERM_CAP),
         )
     if cmd == "graphs":
         return run_graphs(
             _req_partition(obj, "left"),
             _req_partition(obj, "right"),
-            bool(obj.get("list", False)),
+            _opt_bool(obj, "list"),
         )
     if cmd == "specialize":
         if at_q is None:
@@ -416,11 +420,7 @@ def _batch_request(obj) -> Dict[str, object]:
     if cmd == "verify":
         return run_verify(
             obj["suite"],
-            obj.get("d"),
-            obj.get("max_len"),
-            obj.get("max_part"),
-            obj.get("seed"),
-            obj.get("count"),
+            **{option: _opt_int(obj, option, None) for option in _VERIFY_OPTIONS},
         )
     raise ValueError("unknown cmd %r" % (cmd,))
 
@@ -429,6 +429,19 @@ def _req_int(obj, field) -> int:
     v = obj.get(field)
     if not isinstance(v, int) or isinstance(v, bool):
         raise ValueError("field %r must be an integer" % field)
+    return v
+
+
+def _opt_int(obj, field, default):
+    if field not in obj:
+        return default
+    return _req_int(obj, field)
+
+
+def _opt_bool(obj, field) -> bool:
+    v = obj.get(field, False)
+    if not isinstance(v, bool):
+        raise ValueError("field %r must be true or false" % field)
     return v
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .mpoly import Exponent, MPoly, embed
-from .partitions import distinct_permutations, sort_ascending, vec_add
+from .partitions import distinct_permutations, sort_ascending
 from .qlaurent import ONE, ZERO, QLaurent, Rational, as_rational
 from .reports import CheckReport
 
@@ -330,6 +330,90 @@ def verify_symmetry(table: StructureConstantTable) -> CheckReport:
     )
 
 
+# rows of one table-pair convolution staged and grouped at a time
+STAGE_ROWS = 1 << 16
+
+
+def _padded(table: StructureConstantTable, offset: int, width: int, dtype):
+    """The table's rows placed at column ``offset`` of ``width``, power last."""
+    m, n = table.spec.m, table.spec.n
+    rows = np.zeros((len(table), width + 1), dtype=np.int64)
+    rows[:, offset : offset + m + n] = table.exps
+    rows[:, width] = table.powers
+    return rows, table.weights.astype(dtype)
+
+
+def _convolve(first, second):
+    """Group the sums of every row of ``first`` with every row of ``second``.
+
+    Each operand is (rows, weights); a sum's weight is the product of its
+    two weights.  The cartesian sums are staged about STAGE_ROWS at a time,
+    grouped, and the groups regrouped once at the end.
+    """
+    (rows_a, w_a), (rows_b, w_b) = sorted((first, second), key=lambda t: len(t[1]))
+    step_b = min(len(w_b), STAGE_ROWS)
+    step_a = max(1, STAGE_ROWS // step_b)
+    width = rows_a.shape[1]
+    rows, weights = [], []
+    for i in range(0, len(w_a), step_a):
+        for j in range(0, len(w_b), step_b):
+            block_a, block_b = slice(i, i + step_a), slice(j, j + step_b)
+            r, w = group_rows(
+                (rows_a[block_a, None] + rows_b[None, block_b]).reshape(-1, width),
+                (w_a[block_a, None] * w_b[None, block_b]).ravel(),
+            )
+            rows.append(r)
+            weights.append(w)
+    return group_rows(np.concatenate(rows), np.concatenate(weights))
+
+
+def _as_laurent_dict(rows: np.ndarray, weights: np.ndarray, l: int, m: int):
+    """Grouped (a, b, c, power) rows as {(a, b, c): QLaurent}."""
+    terms: Dict[Tuple[Exponent, Exponent, Exponent], Dict[int, int]] = {}
+    for row, w in zip(rows.tolist(), weights.tolist()):
+        key = (tuple(row[:l]), tuple(row[l : l + m]), tuple(row[l + m : -1]))
+        terms.setdefault(key, {})[row[-1]] = w
+    return {key: QLaurent.from_dict(t) for key, t in terms.items()}
+
+
+def _convolution_check(
+    l: int, m: int, n: int, d: int, term_cap: int
+) -> Tuple[int, List[str]]:
+    """Distinct (a, b, c) over both convolution sides, and the first mismatch.
+
+    Each table is padded to l+m+n exponent columns at its block offset plus
+    a q-power column, and the rows of each side's cartesian product are
+    summed and grouped.  Either side's sum of |weight| products is
+    2**((d-1)*(lm+ln+mn)), so the weights are int64 when that is below 2**63
+    and Python ints otherwise.
+    """
+    t_lm, t_lmn, t_l_mn, t_mn = (
+        structure_table(rows, cols, d, term_cap)
+        for rows, cols in ((l, m), (l + m, n), (l, m + n), (m, n))
+    )
+    width = l + m + n
+    dtype = np.int64 if (d - 1) * (l * m + l * n + m * n) < 63 else object
+    lhs = _convolve(_padded(t_lm, 0, width, dtype), _padded(t_lmn, 0, width, dtype))
+    rhs = _convolve(_padded(t_l_mn, 0, width, dtype), _padded(t_mn, l, width, dtype))
+    # distinct (a, b, c) over both sides: the rows less their power column
+    keys, _ = group_rows(
+        np.concatenate([lhs[0], rhs[0]])[:, :width],
+        np.ones(len(lhs[1]) + len(rhs[1]), dtype=np.int64),
+    )
+    failures: List[str] = []
+    if not (np.array_equal(lhs[0], rhs[0]) and np.array_equal(lhs[1], rhs[1])):
+        left = _as_laurent_dict(*lhs, l, m)
+        right = _as_laurent_dict(*rhs, l, m)
+        for key in sorted(set(left) | set(right)):
+            if left.get(key) != right.get(key):
+                failures.append(
+                    "convolution mismatch at (a,b,c)=%r: %r vs %r"
+                    % (key, left.get(key), right.get(key))
+                )
+                break
+    return len(keys), failures
+
+
 def verify_coefficient_identity(
     l: int, m: int, n: int, d: int, term_cap: int = DEFAULT_TERM_CAP
 ) -> CheckReport:
@@ -339,55 +423,15 @@ def verify_coefficient_identity(
     every split exponent (a, b, c),
       sum over a1+a2=a, b1+b2=b of C[l,m](a1,b1) * C[l+m,n]((a2,b2),c)
       == sum over b1+b2=b, c1+c2=c of C[l,m+n](a,(b2,c2)) * C[m,n](b1,c1).
-    Second, the underlying polynomial identity: the (l,m) kernel times the
-    (l+m,n) kernel equals the (l,m+n) kernel times the (m,n) kernel shifted
-    past the first l variables.
+    Both sides are computed on the tables' integer arrays, staged about
+    STAGE_ROWS rows at a time.  Second, the underlying polynomial identity:
+    the (l,m) kernel times the (l+m,n) kernel equals the (l,m+n) kernel times
+    the (m,n) kernel shifted past the first l variables; it is expanded from
+    the factors themselves and never reads the tables.  ``checked`` counts
+    the distinct (a, b, c) on either side, plus one for the polynomial
+    identity.
     """
-    t_lm = structure_table(l, m, d, term_cap)
-    t_lmn = structure_table(l + m, n, d, term_cap)
-    t_l_mn = structure_table(l, m + n, d, term_cap)
-    t_mn = structure_table(m, n, d, term_cap)
-
-    lhs: Dict[Tuple[Exponent, Exponent, Exponent], QLaurent] = {}
-    for (a1, b1), c1 in t_lm.entries.items():
-        for (ab2, cc), c2 in t_lmn.entries.items():
-            key = (vec_add(a1, ab2[:l]), vec_add(b1, ab2[l:]), cc)
-            prod = c1 * c2
-            cur = lhs.get(key)
-            if cur is None:
-                lhs[key] = prod
-            else:
-                tot = cur + prod
-                if tot:
-                    lhs[key] = tot
-                else:
-                    del lhs[key]
-    rhs: Dict[Tuple[Exponent, Exponent, Exponent], QLaurent] = {}
-    for (a, bc), ca in t_l_mn.entries.items():
-        for (b1, cc1), cb in t_mn.entries.items():
-            key = (a, vec_add(b1, bc[:m]), vec_add(cc1, bc[m:]))
-            prod = ca * cb
-            cur = rhs.get(key)
-            if cur is None:
-                rhs[key] = prod
-            else:
-                tot = cur + prod
-                if tot:
-                    rhs[key] = tot
-                else:
-                    del rhs[key]
-
-    failures: List[str] = []
-    checked = len(set(lhs) | set(rhs))
-    if lhs != rhs:
-        for key in sorted(set(lhs) | set(rhs)):
-            if lhs.get(key) != rhs.get(key):
-                failures.append(
-                    "convolution mismatch at (a,b,c)=%r: %r vs %r"
-                    % (key, lhs.get(key), rhs.get(key))
-                )
-                break
-
+    checked, failures = _convolution_check(l, m, n, d, term_cap)
     left_poly = embed(
         kernel_polynomial(KernelSpec(l, m, d), term_cap), l + m + n, range(l + m)
     ) * kernel_polynomial(KernelSpec(l + m, n, d), term_cap)

@@ -40,6 +40,8 @@ VectorElement = Dict[IntVector, QLaurent]
 PartitionElement = Dict[Partition, QLaurent]
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# elementwise as_rational over an object array
+_as_rational = np.frompyfunc(as_rational, 1, 1)
 
 
 def shift_sort_product(mu: Partition, nu: Partition, d: int) -> Partition:
@@ -234,8 +236,11 @@ def product_elements(
             chunks.append((keys, powers + power, coeffs * cj))
     out: PartitionElement = {}
     for chunks in by_len.values():
-        keys, powers, coeffs = (np.concatenate(col) for col in zip(*chunks))
-        out.update(_to_element(*_group_terms(keys, powers, coeffs)))
+        keys, powers, coeffs = _group_terms(*(np.concatenate(col) for col in zip(*chunks)))
+        if not integral:
+            # Fraction sums keep an integral result as Fraction(n, 1)
+            coeffs = _as_rational(coeffs)
+        out.update(_to_element(keys, powers, coeffs))
     return out
 
 

@@ -34,6 +34,16 @@ def as_rational(value: Union[int, Fraction, str]) -> Rational:
     return f.numerator if f.denominator == 1 else f
 
 
+def _integral_as_int(cs: list) -> list:
+    """Store the integral values of a list of rationals as plain ints.
+
+    Fraction arithmetic keeps an integral result as ``Fraction(n, 1)``.  The
+    arithmetic methods call this only when ``sum(cs)`` is not an int, that
+    is when some entry is a Fraction, so all-int lists are never rebuilt.
+    """
+    return [c.numerator if c.denominator == 1 else c for c in cs]
+
+
 class QLaurent:
     """Immutable Laurent polynomial in q."""
 
@@ -56,7 +66,8 @@ class QLaurent:
 
     @classmethod
     def _trimmed(cls, offset: int, cs: list) -> "QLaurent":
-        # internal fast constructor: cs entries are already exact rationals
+        # internal fast constructor: cs entries are already exact rationals,
+        # integral ones as int
         lo = 0
         hi = len(cs)
         while lo < hi and not cs[lo]:
@@ -147,11 +158,12 @@ class QLaurent:
         hi = max(self.offset + len(a), other.offset + len(b))
         out = [0] * (hi - lo)
         da = self.offset - lo
-        for i, c in enumerate(a):
-            out[da + i] = c
+        out[da : da + len(a)] = a
         db = other.offset - lo
         for i, c in enumerate(b):
             out[db + i] += c
+        if type(sum(out)) is not int:
+            out = _integral_as_int(out)
         return QLaurent._trimmed(lo, out)
 
     def __neg__(self):
@@ -165,31 +177,34 @@ class QLaurent:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, QLaurent):
+            a, b = self.coeffs, other.coeffs
+            if not a or not b:
+                return ZERO
+            offset = self.offset + other.offset
+            if len(a) == 1:
+                c = a[0]
+                out = [c * x for x in b]
+            elif len(b) == 1:
+                c = b[0]
+                out = [x * c for x in a]
+            else:
+                out = [0] * (len(a) + len(b) - 1)
+                for i, ai in enumerate(a):
+                    if ai:
+                        for j, bj in enumerate(b):
+                            out[i + j] += ai * bj
+        # a rational scalar; tested second, as the Fraction test is slow
+        elif isinstance(other, (int, Fraction)):
             if not other or not self.coeffs:
                 return ZERO
-            return QLaurent._trimmed(self.offset, [c * other for c in self.coeffs])
-        if not isinstance(other, QLaurent):
+            offset = self.offset
+            out = [c * other for c in self.coeffs]
+        else:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ZERO
-        if len(a) == 1:
-            c = a[0]
-            return QLaurent._trimmed(
-                self.offset + other.offset, [c * x for x in b]
-            )
-        if len(b) == 1:
-            c = b[0]
-            return QLaurent._trimmed(
-                self.offset + other.offset, [x * c for x in a]
-            )
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return QLaurent._trimmed(self.offset + other.offset, out)
+        if type(sum(out)) is not int:
+            out = _integral_as_int(out)
+        return QLaurent._trimmed(offset, out)
 
     __rmul__ = __mul__
 
@@ -244,6 +259,10 @@ class QLaurent:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its rational (and zero equals 0), so it hashes
+        # like it
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.offset, self.coeffs))
 
     def __repr__(self):

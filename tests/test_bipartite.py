@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcoha.bipartite as bipartite
 from qcoha import QLaurent, ResourceLimitError, product, q_power, signed_q_power
 from qcoha.bipartite import (
     GraphTerm,
@@ -12,6 +13,8 @@ from qcoha.bipartite import (
     product_via_graphs,
     verify_graph_model,
 )
+from qcoha.partitions import partitions_up_to
+from qcoha.suites import BOUNDARY_GRAPH_PAIRS
 
 
 def QL(offset, *coeffs):
@@ -83,6 +86,14 @@ def test_rejects_unsorted_input():
         product_via_graphs((2, 1), (0,))
 
 
+def test_checks_come_before_any_staging():
+    # 2**4096 orientations: refused by the budget, not by running out of memory
+    with pytest.raises(ResourceLimitError, match="4096 edges exceed the 24-bit"):
+        product_via_graphs((0,) * 64, (0,) * 64)
+    with pytest.raises(ValueError, match="weakly increasing"):
+        product_via_graphs((0,) * 64, (1, 0) * 32)
+
+
 def test_enumeration_is_exhaustive():
     mu, nu = (0, 1), (2,)
     terms = list(enumerate_graph_terms(mu, nu))
@@ -115,3 +126,38 @@ def test_term_coefficient_tracks_orientation(mask):
     assert term.coefficient.min_power() == term.coefficient.max_power() == e
     assert sum(g.left_indegrees()) == e
     assert sum(g.right_indegrees()) == 6 - e
+
+
+def folded_graph_terms(mu, nu, max_bits=bipartite.DEFAULT_BIT_BUDGET):
+    # the orientation sum one term at a time, as the reference
+    out = {}
+    for _, term in enumerate_graph_terms(mu, nu, max_bits):
+        key = term.partition
+        out[key] = out[key] + term.coefficient if key in out else term.coefficient
+    return {key: c for key, c in out.items() if c}
+
+
+def test_orientation_sum_matches_term_fold_on_suite_grid():
+    parts = partitions_up_to(3, 3)
+    pairs = [(mu, nu) for mu in parts for nu in parts] + list(BOUNDARY_GRAPH_PAIRS)
+    for mu, nu in pairs:
+        assert product_via_graphs(mu, nu) == folded_graph_terms(mu, nu), (mu, nu)
+
+
+def test_orientation_sum_across_blocks():
+    # 2**17 orientations take two blocks of 2**16
+    mu, nu = (1,), (0,) * 8 + (2,) * 9
+    assert product_via_graphs(mu, nu, max_bits=17) == product(mu, nu, 2)
+
+
+def test_orientation_sum_with_tiny_blocks(monkeypatch):
+    monkeypatch.setattr(bipartite, "BLOCK_ORIENTATIONS", 5)
+    for mu, nu in [((0, 1), (2,)), ((1, 2), (0, 2, 3)), ((0, 0, 3), (0, 1))]:
+        assert product_via_graphs(mu, nu) == folded_graph_terms(mu, nu), (mu, nu)
+
+
+@pytest.mark.parametrize("c", [2**40, 2**70])
+def test_orientation_sum_with_huge_parts(c):
+    # parts this far apart overflow an int64 packed key
+    for mu, nu in [((0, c), (1,)), ((c,), (0, 1, c)), ((0,), (c, c))]:
+        assert product_via_graphs(mu, nu) == folded_graph_terms(mu, nu), (mu, nu)

@@ -259,6 +259,123 @@ def test_unknown_suite_exits_2(capsys):
     assert json.loads(err)["error"]["code"] == "parse"
 
 
+# (suite, batch field, value); the argv flag is "--" + the field, with "-"
+UNTAKEN_VERIFY_FIELDS = [
+    ("graphs", "d", 7),
+    ("prop41", "d", 2),
+    ("prop43", "d", 2),
+    ("iso", "seed", 3),
+    ("lemma31", "count", 4),
+    ("grading", "seed", 3),
+    ("lemma31", "max_len", 2),
+    ("quasi", "count", 4),
+]
+
+
+def _refuse_to_run(monkeypatch):
+    def boom(**kwargs):
+        raise AssertionError("suite ran")
+
+    for name in cli_mod.SUITES:
+        monkeypatch.setitem(cli_mod.SUITES, name, boom)
+
+
+@pytest.mark.parametrize("suite,field,value", UNTAKEN_VERIFY_FIELDS)
+def test_verify_rejects_flags_the_suite_does_not_take(capsys, monkeypatch, suite, field, value):
+    _refuse_to_run(monkeypatch)
+    flag = "--" + field.replace("_", "-")
+    code, out, err = run(capsys, ["verify", suite, flag, str(value)])
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == {
+        "code": "parse",
+        "message": "suite %s does not take %s" % (suite, field),
+    }
+    validate(payload, "error")
+
+
+def test_verify_passes_the_flags_a_suite_takes(capsys, monkeypatch):
+    seen = {}
+
+    def record(**kwargs):
+        seen.update(kwargs)
+        return CheckReport("stub", True, 1)
+
+    monkeypatch.setitem(cli_mod.SUITES, "assoc", record)
+    argv = ["verify", "assoc", "--d", "2", "--max-len", "1", "--max-part", "3"]
+    code, _, _ = run(capsys, argv + ["--seed", "5", "--count", "4"])
+    assert code == 0
+    assert seen == {
+        "d_values": (2,), "max_len": 1, "max_part": 3, "seed": 5, "random_triples": 4
+    }
+    monkeypatch.setitem(cli_mod.SUITES, "lemma31", record)
+    seen.clear()
+    assert run(capsys, ["verify", "lemma31", "--d", "2"])[0] == 0
+    assert seen == {"d_values": (2,)}
+
+
+def test_batch_verify_rejects_fields_the_suite_does_not_take(capsys, monkeypatch):
+    _refuse_to_run(monkeypatch)
+    requests = [
+        {"cmd": "verify", "suite": suite, field: value}
+        for suite, field, value in UNTAKEN_VERIFY_FIELDS
+    ]
+    text = "".join(json.dumps(r) + "\n" for r in requests)
+    code, out, _ = run(capsys, ["batch"], stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 0
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert len(lines) == len(requests)
+    for line, (suite, field, _) in zip(lines, UNTAKEN_VERIFY_FIELDS):
+        validate(line, "batch")
+        assert line == {
+            "ok": False,
+            "error": {"code": "parse", "message": "suite %s does not take %s" % (suite, field)},
+        }
+
+
+@pytest.mark.parametrize(
+    "request_",
+    [
+        {"cmd": "g", "d": 2, "m": 1, "n": 1, "table": "false"},
+        {"cmd": "g", "d": 2, "m": 1, "n": 1, "table": 0},
+        {"cmd": "g", "d": 2, "m": 1, "n": 1, "shift": True},
+        {"cmd": "g", "d": 2, "m": 1, "n": 1, "shift": "1"},
+        {"cmd": "g", "d": 2, "m": 1, "n": 1, "term_cap": "5"},
+        {"cmd": "graphs", "left": [0], "right": [0], "list": "false"},
+        {"cmd": "graphs", "left": [0], "right": [0], "list": 1},
+        {"cmd": "verify", "suite": "prop43", "max_len": "1"},
+        {"cmd": "verify", "suite": "assoc", "seed": True},
+    ],
+)
+def test_batch_rejects_wrongly_typed_fields(capsys, monkeypatch, request_):
+    code, out, _ = run(
+        capsys, ["batch"], stdin_text=json.dumps(request_) + "\n", monkeypatch=monkeypatch
+    )
+    assert code == 0
+    line = json.loads(out)
+    validate(line, "batch")
+    assert line["ok"] is False and line["error"]["code"] == "parse"
+
+
+def test_batch_reads_typed_flags(capsys, monkeypatch):
+    requests = [
+        {"cmd": "g", "d": 2, "m": 1, "n": 1, "table": True},
+        {"cmd": "g", "d": 2, "m": 1, "n": 1, "table": False},
+        {"cmd": "g", "d": 2, "m": 1, "n": 1, "shift": 1},
+        {"cmd": "graphs", "left": [0], "right": [0], "list": True},
+        {"cmd": "graphs", "left": [0], "right": [0], "list": False},
+    ]
+    text = "".join(json.dumps(r) + "\n" for r in requests)
+    code, out, _ = run(capsys, ["batch"], stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 0
+    table, poly, shifted, listed, unlisted = [json.loads(line) for line in out.splitlines()]
+    assert all(r["ok"] for r in (table, poly, shifted, listed, unlisted))
+    assert "entries" in table["result"] and "entries" not in poly["result"]
+    assert shifted["result"]["arity"] == 3
+    assert "orientations" in listed["result"]
+    assert "orientations" not in unlisted["result"]
+
+
 def test_term_cap_exits_3(capsys):
     # d=9 is used nowhere else, so the table cache cannot satisfy this shape
     code, out, err = run(

@@ -4,9 +4,11 @@ from math import comb
 import numpy as np
 import pytest
 
+import qcoha.kernel as kernel
 from qcoha.errors import ResourceLimitError
 from qcoha.kernel import (
     KernelSpec,
+    StructureConstantTable,
     group_rows,
     kernel_polynomial,
     structure_constants,
@@ -15,6 +17,7 @@ from qcoha.kernel import (
     verify_symmetry,
 )
 from qcoha.mpoly import embed
+from qcoha.partitions import vec_add
 from qcoha.qlaurent import ONE, Q, QLaurent, q_power, signed_q_power
 from qcoha.serialization import qlaurent_to_json, table_to_json
 
@@ -160,6 +163,93 @@ def test_coefficient_identity_small(l, m, n, d):
 def test_coefficient_identity_d1_trivial():
     report = verify_coefficient_identity(1, 1, 1, 1)
     assert report.passed
+
+
+def reference_convolution(l, m, n, d):
+    """(checked, failures) of the convolution half, on QLaurent entries."""
+
+    def fold(pairs):
+        out = {}
+        for key, c in pairs:
+            out[key] = out[key] + c if key in out else c
+        return {key: c for key, c in out.items() if c}
+
+    table = kernel.structure_table
+    t_lm, t_lmn = table(l, m, d), table(l + m, n, d)
+    t_l_mn, t_mn = table(l, m + n, d), table(m, n, d)
+    lhs = fold(
+        ((vec_add(a1, ab2[:l]), vec_add(b1, ab2[l:]), c), x * y)
+        for (a1, b1), x in t_lm.entries.items()
+        for (ab2, c), y in t_lmn.entries.items()
+    )
+    rhs = fold(
+        ((a, vec_add(b1, bc[:m]), vec_add(c1, bc[m:])), x * y)
+        for (a, bc), x in t_l_mn.entries.items()
+        for (b1, c1), y in t_mn.entries.items()
+    )
+    keys = sorted(set(lhs) | set(rhs))
+    failures = [
+        "convolution mismatch at (a,b,c)=%r: %r vs %r" % (k, lhs.get(k), rhs.get(k))
+        for k in keys
+        if lhs.get(k) != rhs.get(k)
+    ]
+    return len(keys) + 1, failures[:1]
+
+
+IDENTITY_SHAPES = [(1, 1, 1, 2), (1, 2, 1, 3), (2, 1, 2, 2), (1, 1, 2, 4)]
+
+
+@pytest.mark.parametrize("l,m,n,d", IDENTITY_SHAPES)
+def test_coefficient_identity_matches_entry_convolution(l, m, n, d, monkeypatch):
+    want = reference_convolution(l, m, n, d)
+    assert want[1] == []
+    report = verify_coefficient_identity(l, m, n, d)
+    assert (report.checked, report.failures) == want
+    # staging a few rows at a time must not change the result
+    monkeypatch.setattr(kernel, "STAGE_ROWS", 7)
+    report = verify_coefficient_identity(l, m, n, d)
+    assert (report.checked, report.failures) == want
+
+
+def _flip_one_weight(monkeypatch, shape, row):
+    real = kernel.structure_table
+
+    def patched(m, n, d, term_cap=kernel.DEFAULT_TERM_CAP):
+        table = real(m, n, d, term_cap)
+        if (m, n, d) != shape:
+            return table
+        weights = table.weights.copy()
+        weights[row] = -weights[row]
+        return StructureConstantTable(table.spec, table.exps, weights, table.staged)
+
+    monkeypatch.setattr(kernel, "structure_table", patched)
+
+
+@pytest.mark.parametrize(
+    "l,m,n,d,shape,row",
+    [
+        (1, 1, 1, 2, (2, 1, 2), 0),
+        (1, 2, 1, 3, (1, 2, 3), 3),
+        (2, 1, 2, 2, (2, 3, 2), -1),
+        (1, 1, 2, 4, (1, 1, 4), 1),
+    ],
+)
+def test_flipped_weight_is_a_convolution_mismatch(l, m, n, d, shape, row, monkeypatch):
+    _flip_one_weight(monkeypatch, shape, row)
+    want = reference_convolution(l, m, n, d)
+    assert len(want[1]) == 1
+    report = verify_coefficient_identity(l, m, n, d)
+    # the polynomial identity does not read the tables and still holds
+    assert not report.passed
+    assert (report.checked, report.failures) == want
+    assert report.failures[0].startswith("convolution mismatch at (a,b,c)=")
+
+
+def test_coefficient_identity_past_int64_uses_python_ints():
+    # (d-1)*(lm+ln+mn) = 63: the weight products may leave int64 range
+    report = verify_coefficient_identity(1, 1, 1, 22)
+    assert report.passed, report.failures
+    assert report.checked == 1388
 
 
 SMALL_SPECS = [(m, n, 1) for m in (1, 2, 3) for n in (1, 2, 3)] + [

@@ -227,6 +227,19 @@ def test_large_and_fractional_coefficients_stay_exact(scale, d):
     assert product_elements(e2, e1, d) == reference_product_elements(e2, e1, d)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fraction_sums_that_are_integral_come_out_as_ints(d):
+    # (0,)*(1,) and (1,)*(0,) share keys, so 1/3 and 2/3 meet in one sum
+    e1 = {(0,): QLaurent.const(Fraction(1, 3)), (1,): QLaurent.const(Fraction(2, 3))}
+    e2 = {(0,): ONE, (1,): ONE}
+    got = product_elements(e1, e2, d)
+    assert got == reference_product_elements(e1, e2, d)
+    if d == 1:
+        assert got[(0, 1)].coeffs == (1,)
+    for f in got.values():
+        assert all(type(c) is int or c.denominator > 1 for c in f.coeffs), f
+
+
 @pytest.mark.parametrize("c", [2**40, 2**70])
 def test_huge_parts_shift_every_key(c):
     # adding c to every part adds c to every key; 2**70 needs Python-int keys

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qcoha.qlaurent import ONE, Q, ZERO, QLaurent, as_rational, q_power, signed_q_power
+from qcoha.serialization import render_qlaurent_text
 
 # small rationals; ints kept plain so both coefficient kinds get exercised
 rationals = st.one_of(
@@ -35,6 +36,38 @@ def test_integral_fractions_collapse_to_int():
     f = QLaurent(0, (Fraction(4, 2), Fraction(1, 3)))
     assert f.coeffs == (2, Fraction(1, 3))
     assert type(f.coeffs[0]) is int
+
+
+def test_integral_results_of_fraction_arithmetic_are_ints():
+    third, two_thirds = QLaurent.const(Fraction(1, 3)), QLaurent.const(Fraction(2, 3))
+    results = [
+        third + two_thirds,
+        QLaurent.const(Fraction(3, 2)) * QLaurent.const(Fraction(2, 3)),
+        third * 3,
+        QLaurent(0, (Fraction(1, 2), 1)) * QLaurent(0, (2, Fraction(1, 3))),
+        QLaurent(0, (Fraction(1, 3), 1)) - QLaurent(0, (Fraction(-2, 3), 1)),
+    ]
+    assert results[:3] == [ONE, ONE, ONE]
+    assert results[3] == QLaurent(0, (1, Fraction(13, 6), Fraction(1, 3)))
+    for f in results:
+        assert all(type(c) is int or c.denominator > 1 for c in f.coeffs), f
+    assert render_qlaurent_text(results[0]) == render_qlaurent_text(results[1]) == "1"
+
+
+@given(qlaurents, qlaurents)
+def test_arithmetic_keeps_integral_coefficients_as_ints(f, g):
+    for h in (f + g, f - g, f * g, f * Fraction(3, 2)):
+        assert all(type(c) is int or c.denominator > 1 for c in h.coeffs)
+
+
+@pytest.mark.parametrize(
+    "value", [0, 3, -7, 2**70, Fraction(1, 2), Fraction(-9, 4), Fraction(6, 3)]
+)
+def test_constants_hash_like_their_rational(value):
+    f = QLaurent.const(value)
+    assert f == value and hash(f) == hash(value)
+    assert {f: "x"}[value] == "x" and {value: "x"}[f] == "x"
+    assert len({f, value}) == 1
 
 
 def test_as_rational_rejects_floats():
