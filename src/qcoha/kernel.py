@@ -10,10 +10,13 @@ The structure-constant table folds the factors into integer arrays: one row
 of exponents per monomial and its signed integer weight.  Every coefficient
 of the kernel is a signed q-monomial ``N(a, b) * (-q)**|a|``, whose power is
 the row sum of the first-block exponents, so integers carry the whole table.
-``pairwise_kernel`` expands into a QLaurent term dict instead; it stays where
-the polynomial itself is under test (the factorization identity, the shuffle
-oracle and the q-substituted builds).  Both expansions collect like monomials
-after every factor, and a configurable cap on the stored term count guards
+``pairwise_kernel`` expands the same factors into an ``MPoly`` instead,
+multiplying one factor at a time with the polynomial module's own row
+grouping; it stays where the polynomial itself is under test (the
+factorization identity, the shuffle oracle and the q-substituted builds), so
+those checks share no grouping code with the tables they check.  Both
+expansions collect like monomials after every factor, and a configurable cap
+on the stored term count, checked before and after each factor, guards
 against runaway sizes and raises ResourceLimitError.
 """
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ResourceLimitError
-from .mpoly import Exponent, MPoly, embed
+from .mpoly import Exponent, MPoly, embed, multiply
 from .partitions import distinct_permutations, sort_ascending
 from .qlaurent import ONE, ZERO, QLaurent, Rational, as_rational
 from .reports import CheckReport
@@ -119,14 +122,16 @@ def pairwise_kernel(
 ) -> MPoly:
     """Expand the product of (x_s - q * x_t)**(d-1) over (s, t) pairs.
 
+    The factors are multiplied in one at a time as polynomials on integer
+    rows, and the term cap is checked before and after each one.
     ``q_value`` substitutes a rational constant for q in every factor, which
     is how the q = 1 and q = 0 degenerations are built independently of the
-    generic expansion.
+    generic expansion; the cap then counts the substituted terms.
     """
     exp = d - 1
-    acc: Dict[Exponent, QLaurent] = {(0,) * arity: ONE}
+    acc = MPoly.constant(arity, ONE)
     if exp == 0 or not pairs:
-        return MPoly._raw(arity, acc)
+        return acc
     # one factor: sum_i binom(exp, i) * (-q)**i * x_t**i * x_s**(exp - i)
     if q_value is None:
         factor_coeffs = [
@@ -142,33 +147,14 @@ def pairwise_kernel(
         if not (0 <= s < arity and 0 <= t < arity) or s == t:
             raise ValueError("bad variable pair (%d, %d)" % (s, t))
         _check_projected(len(acc), exp + 1, term_cap)
-        nxt: Dict[Exponent, QLaurent] = {}
-        for e, c in acc.items():
-            base = list(e)
-            et = base[t]
-            es = base[s]
-            for i in range(exp + 1):
-                fc = factor_coeffs[i]
-                if not fc:
-                    continue
-                base[t] = et + i
-                base[s] = es + exp - i
-                key = tuple(base)
-                prod = c * fc
-                cur = nxt.get(key)
-                if cur is None:
-                    nxt[key] = prod
-                else:
-                    tot = cur + prod
-                    if tot:
-                        nxt[key] = tot
-                    else:
-                        del nxt[key]
-            base[t] = et
-            base[s] = es
-        _check_rows(len(nxt), term_cap)
-        acc = nxt
-    return MPoly._raw(arity, acc)
+        factor = {}
+        for i, coeff in enumerate(factor_coeffs):
+            e = [0] * arity
+            e[t], e[s] = i, exp - i
+            factor[tuple(e)] = coeff
+        acc = multiply(acc, MPoly(arity, factor))
+        _check_rows(len(acc), term_cap)
+    return acc
 
 
 def block_pairs(spec: KernelSpec) -> List[Tuple[int, int]]:

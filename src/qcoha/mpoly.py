@@ -1,92 +1,292 @@
-"""Sparse multivariate polynomials over q-Laurent coefficients.
+"""Sparse multivariate polynomials over Z[q, q^-1], or Q[q, q^-1], as integer rows.
 
-A polynomial carries a fixed ``arity`` (its ambient variable count) and a
-``terms`` dict mapping exponent tuples of that length to nonzero QLaurent
-coefficients.  The zero polynomial has an empty dict.  Values are treated as
-immutable: every operation returns a fresh polynomial and nothing mutates
-``terms`` after construction.
+A polynomial has a fixed ``arity`` (its ambient variable count) and is stored
+as grouped rows: row r of ``rows`` is an exponent vector of length ``arity``
+followed by a power of q, and ``weights[r]`` is the rational coefficient of
+that monomial times that power.  Rows are distinct and in lexicographic order
+and no weight is zero, so equal polynomials have equal arrays.  The zero
+polynomial has no rows.  Values are immutable: every operation returns a new
+polynomial.
+
+Arithmetic acts on the columns.  A product sums every row of one factor with
+every row of the other and groups equal rows; a sum concatenates and groups;
+relabelling variables permutes the exponent columns.  Rows are grouped
+through one packed key: each column, less its lower bound, is a bit field as
+wide as the column's range needs, first column highest, so key order is row
+order, and equal keys are summed after one sort.  The bounds come from the
+operands (a product's column ranges from the sum of the factors' minima to
+the sum of their maxima), and the keys of a product are the sums of its
+factors' keys.  Products and relabelled sums are staged about STAGE_ROWS
+keys at a time, each chunk is grouped, and the chunks are regrouped before
+the rows are unpacked once, column by column.  Keys are int64 when the
+fields fit in 63 bits and Python ints otherwise.  Weights are int64 only
+while the sum of their absolute values is below 2**63, which a product keeps
+when ``sum|wa| * sum|wb|`` is, and Python ints or Fractions (dtype=object)
+otherwise; rows are int64 while every bound fits.  This module groups on its
+own and shares no code with the table engine in ``kernel``, so the
+polynomial checks stay independent of the engine they check.
+
+``terms`` is a read-only ``{exponent: QLaurent}`` view, built on first use
+for the JSON and text renderers, ``coefficient`` and failure messages.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from fractions import Fraction
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .qlaurent import ONE, QLaurent
+import numpy as np
+
+from .qlaurent import ONE, ZERO, QLaurent, as_rational
 
 Exponent = Tuple[int, ...]
 
+# keys of one staged chunk of a product or a relabelled sum
+STAGE_ROWS = 1 << 16
+
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+
+
+def _fits(lo: Sequence[int], hi: Sequence[int]) -> bool:
+    return min(lo) >= _INT64_MIN and max(hi) <= _INT64_MAX
+
+
+def _int_array(values, shape) -> np.ndarray:
+    """Python ints as an int64 array, or dtype=object past int64."""
+    try:
+        return np.array(values, dtype=np.int64).reshape(shape)
+    except OverflowError:
+        return np.array(values, dtype=object).reshape(shape)
+
+
+class _Packing:
+    """Bit-field packing of rows whose columns lie in [lo, hi].
+
+    Each column, less its lower bound, takes the bits its span needs, first
+    column highest; a column whose range holds one value takes none and
+    packs with scale 0.
+    """
+
+    def __init__(self, lo: Iterable[int], hi: Iterable[int]):
+        self.lo, self.hi = list(lo), list(hi)
+        self.widths = [(h - l).bit_length() for l, h in zip(self.lo, self.hi)]
+        self.shifts = [sum(self.widths[j + 1 :]) for j in range(len(self.widths))]
+        self.scales = [1 << k if w else 0 for k, w in zip(self.shifts, self.widths)]
+        self.dtype = np.int64 if sum(self.widths) <= 63 else object
+
+    def pack(self, rows: np.ndarray, lo: Sequence[int], scales=None) -> np.ndarray:
+        """Keys of ``rows`` less ``lo``; ``scales`` (one column per key
+        vector) defaults to the field scales."""
+        if rows.dtype == object or self.dtype == object:
+            shifted = (rows.astype(object) - np.array(lo, dtype=object)).astype(self.dtype)
+        else:
+            shifted = rows - np.array(lo, dtype=np.int64)
+        return shifted @ np.array(self.scales if scales is None else scales, dtype=self.dtype)
+
+    def unpack(self, keys: np.ndarray) -> np.ndarray:
+        """The rows of ``keys``, in column-major order."""
+        fields = keys >> np.array(self.shifts, dtype=keys.dtype)[:, None]
+        fields &= np.array([(1 << w) - 1 for w in self.widths], dtype=keys.dtype)[:, None]
+        dtype = np.int64 if _fits(self.lo, self.hi) else object
+        fields = fields.astype(dtype, copy=False)
+        fields += np.array(self.lo, dtype=dtype)[:, None]
+        return fields.T
+
+
+def _group(keys: np.ndarray, weights: np.ndarray):
+    """Distinct keys in increasing order with their weight sums, zeros dropped."""
+    if len(keys) == 0:
+        return keys, weights
+    order = keys.argsort()
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    sums = np.add.reduceat(weights[order], starts)
+    keep = (sums != 0).nonzero()[0]
+    return keys[starts[keep]], sums[keep]
+
+
+def _group_chunks(chunks: Iterable[Tuple[np.ndarray, np.ndarray]]):
+    """Group each staged (keys, weights) chunk, then regroup the results."""
+    keys, weights = [], []
+    for k, w in chunks:
+        k, w = _group(k, w)
+        keys.append(k)
+        weights.append(w)
+    if len(keys) == 1:
+        return keys[0], weights[0]
+    return _group(np.concatenate(keys), np.concatenate(weights))
+
+
+def _weight_dtype(bound):
+    """int64 when ``bound`` (None: uncertified) certifies every sum."""
+    return np.int64 if bound is not None and bound <= _INT64_MAX else object
+
 
 class MPoly:
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity", "rows", "weights", "_bounds", "_terms")
 
     def __init__(self, arity: int, terms: Mapping[Exponent, QLaurent] | None = None):
         if arity < 0:
             raise ValueError("arity must be non-negative")
-        clean: Dict[Exponent, QLaurent] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                e = tuple(exp)
-                if len(e) != arity:
-                    raise ValueError(
-                        "exponent %r does not match arity %d" % (e, arity)
-                    )
-                if any(k < 0 for k in e):
-                    raise ValueError("negative exponent in %r" % (e,))
-                if not isinstance(coeff, QLaurent):
-                    coeff = QLaurent.const(coeff)
-                if coeff:
-                    clean[e] = coeff
+        rows: List[List[int]] = []
+        weights: List = []
+        for exp, coeff in (terms or {}).items():
+            e = tuple(exp)
+            if len(e) != arity:
+                raise ValueError("exponent %r does not match arity %d" % (e, arity))
+            if any(k < 0 for k in e):
+                raise ValueError("negative exponent in %r" % (e,))
+            if not isinstance(coeff, QLaurent):
+                coeff = QLaurent.const(coeff)
+            for power, c in coeff.items():
+                rows.append(list(e) + [power])
+                weights.append(c)
+        grouped = MPoly.from_rows(arity, rows, weights)
+        self._set(arity, grouped.rows, grouped.weights, grouped._bounds)
+
+    def _set(self, arity: int, rows: np.ndarray, weights: np.ndarray, bounds):
         self.arity = arity
-        self.terms = clean
+        self.rows = rows
+        self.weights = weights
+        self._bounds = bounds
+        self._terms = None
 
     @classmethod
-    def _raw(cls, arity: int, terms: Dict[Exponent, QLaurent]) -> "MPoly":
-        # trusted constructor: terms already canonical (tuple keys, no zeros)
+    def _make(cls, arity: int, rows: np.ndarray, weights: np.ndarray, bounds=None):
+        # trusted constructor: rows already grouped and sorted, no zero
+        # weight; ``bounds`` (lo, hi) may be wider than the rows
         self = object.__new__(cls)
-        self.arity = arity
-        self.terms = terms
+        self._set(arity, rows, weights, bounds)
         return self
 
     @classmethod
+    def from_rows(cls, arity: int, rows: np.ndarray, weights: np.ndarray) -> "MPoly":
+        """Group (exponent..., power) rows, summing the weights of equal rows.
+
+        ``rows`` and ``weights`` are lists of Python ints and rationals, or
+        arrays: int64 or dtype=object rows, and weights that are int64 only
+        when the sum of their absolute values is below 2**63.
+        """
+        if not len(weights):
+            return cls.zero(arity)
+        if not isinstance(weights, np.ndarray):
+            exact = all(type(w) is int for w in weights)
+            dtype = _weight_dtype(sum(map(abs, weights)) if exact else None)
+            weights = np.array(weights, dtype=dtype)
+        if not isinstance(rows, np.ndarray):
+            rows = _int_array(rows, (len(weights), arity + 1))
+        packing = _Packing(rows.min(axis=0).tolist(), rows.max(axis=0).tolist())
+        keys, weights = _group_chunks(
+            (packing.pack(rows[i : i + STAGE_ROWS], packing.lo), weights[i : i + STAGE_ROWS])
+            for i in range(0, len(weights), STAGE_ROWS)
+        )
+        return cls._make(arity, packing.unpack(keys), weights, (packing.lo, packing.hi))
+
+    @classmethod
     def zero(cls, arity: int) -> "MPoly":
-        return cls._raw(arity, {})
+        return cls._make(
+            arity, np.zeros((0, arity + 1), dtype=np.int64), np.zeros(0, dtype=np.int64)
+        )
 
     @classmethod
     def constant(cls, arity: int, coeff) -> "MPoly":
-        if not isinstance(coeff, QLaurent):
-            coeff = QLaurent.const(coeff)
-        if not coeff:
-            return cls.zero(arity)
-        return cls._raw(arity, {(0,) * arity: coeff})
+        return cls(arity, {(0,) * arity: coeff})
 
     @classmethod
     def variable(cls, arity: int, index: int) -> "MPoly":
         if not 0 <= index < arity:
             raise ValueError("variable index out of range")
-        exp = tuple(1 if i == index else 0 for i in range(arity))
-        return cls._raw(arity, {exp: ONE})
+        return cls(arity, {tuple(1 if i == index else 0 for i in range(arity)): ONE})
 
     # -- accessors -----------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return len(self.weights) > 0
+
+    def __len__(self) -> int:
+        """The number of terms: distinct exponent vectors."""
+        if len(self.weights) < 2:
+            return len(self.weights)
+        exps = self.rows[:, :-1]
+        return 1 + int(np.any(exps[1:] != exps[:-1], axis=1).sum())
+
+    def _column_bounds(self) -> Tuple[List[int], List[int]]:
+        """Per-column (lower, upper) bounds of the rows, power column last.
+
+        They are the column minima and maxima, or the wider bounds of the
+        operation that made the rows.
+        """
+        if self._bounds is None:
+            self._bounds = (self.rows.min(axis=0).tolist(), self.rows.max(axis=0).tolist())
+        return self._bounds
+
+    def _abs_weight(self):
+        """Sum of |weights| when they are int64 (it is then below 2**63), else None."""
+        if self.weights.dtype == object:
+            return None
+        return int(np.abs(self.weights).sum())
+
+    @property
+    def terms(self) -> Mapping[Exponent, QLaurent]:
+        """Read-only {exponent: QLaurent} view, in lexicographic exponent order."""
+        if self._terms is None:
+            self._terms = MappingProxyType(self._as_terms())
+        return self._terms
+
+    def _as_terms(self) -> Dict[Exponent, QLaurent]:
+        count = len(self.weights)
+        keys = zip(*self.rows[:, :-1].T.tolist()) if self.arity else [()] * count
+        powers, weights = self.rows[:, -1], self.weights
+        if count and len(self) == count and object not in (powers.dtype, weights.dtype):
+            # one power of q per exponent, as in every kernel; a kernel has
+            # few distinct (power, weight) pairs, so each pair, packed into
+            # one integer when it fits, gets one shared QLaurent
+            p_lo, w_lo = int(powers.min()), int(weights.min())
+            radix = int(weights.max()) - w_lo + 1
+            if (int(powers.max()) - p_lo + 1) * radix <= _INT64_MAX:
+                pairs, which = np.unique(
+                    (powers - p_lo) * radix + (weights - w_lo), return_inverse=True
+                )
+                coeffs = [
+                    QLaurent._monomial(k % radix + w_lo, k // radix + p_lo)
+                    for k in pairs.tolist()
+                ]
+                return dict(zip(keys, map(coeffs.__getitem__, which.tolist())))
+        grouped: Dict[Exponent, Dict[int, object]] = {}
+        for e, p, w in zip(keys, powers.tolist(), weights.tolist()):
+            grouped.setdefault(e, {})[p] = w
+        # from_dict stores an integral Fraction sum as an int
+        return {e: QLaurent.from_dict(t) for e, t in grouped.items()}
 
     def coefficient(self, exp: Sequence[int]) -> QLaurent:
-        from .qlaurent import ZERO
-
         return self.terms.get(tuple(exp), ZERO)
 
     def sorted_terms(self):
         """Terms in lexicographic exponent order (the canonical order)."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
+        return list(self.terms.items())
+
+    def _degrees(self) -> np.ndarray:
+        exps = self.rows[:, :-1]
+        # a row sum may leave int64 even when every exponent fits
+        if self and exps.dtype != object and sum(self._column_bounds()[1][:-1]) > _INT64_MAX:
+            exps = exps.astype(object)
+        return exps.sum(axis=1)
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self:
             raise ValueError("the zero polynomial has no degree")
-        return max(sum(e) for e in self.terms)
+        return int(self._degrees().max())
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
+        return len(set(self._degrees().tolist())) <= 1
+
+    def rows_where(self, mask: np.ndarray) -> "MPoly":
+        """The polynomial made of the rows where ``mask`` holds."""
+        return MPoly._make(self.arity, self.rows[mask], self.weights[mask])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -100,21 +300,22 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check_arity(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            cur = out.get(exp)
-            if cur is None:
-                out[exp] = coeff
-            else:
-                s = cur + coeff
-                if s:
-                    out[exp] = s
-                else:
-                    del out[exp]
-        return MPoly._raw(self.arity, out)
+        if not other:
+            return self
+        if not self:
+            return other
+        (lo_a, hi_a), (lo_b, hi_b) = self._column_bounds(), other._column_bounds()
+        packing = _Packing(map(min, lo_a, lo_b), map(max, hi_a, hi_b))
+        sa, sb = self._abs_weight(), other._abs_weight()
+        dtype = _weight_dtype(None if sa is None or sb is None else sa + sb)
+        keys, weights = _group(
+            np.concatenate([packing.pack(p.rows, packing.lo) for p in (self, other)]),
+            np.concatenate([p.weights.astype(dtype) for p in (self, other)]),
+        )
+        return MPoly._make(self.arity, packing.unpack(keys), weights, (packing.lo, packing.hi))
 
     def __neg__(self):
-        return MPoly._raw(self.arity, {e: -c for e, c in self.terms.items()})
+        return MPoly._make(self.arity, self.rows, -self.weights, self._bounds)
 
     def __sub__(self, other):
         if not isinstance(other, MPoly):
@@ -126,52 +327,151 @@ class MPoly:
             return self.scale(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        self._check_arity(other)
-        out: Dict[Exponent, QLaurent] = {}
-        bitems = list(other.terms.items())
-        for e1, c1 in self.terms.items():
-            for e2, c2 in bitems:
-                key = tuple(map(int.__add__, e1, e2))
-                c = c1 * c2
-                cur = out.get(key)
-                if cur is None:
-                    out[key] = c
-                else:
-                    s = cur + c
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-        return MPoly._raw(self.arity, out)
+        return multiply(self, other)
 
     def scale(self, coeff: QLaurent) -> "MPoly":
         if not coeff:
             return MPoly.zero(self.arity)
         if coeff == ONE:
             return self
-        return MPoly._raw(
-            self.arity, {e: c * coeff for e, c in self.terms.items()}
-        )
+        return multiply(self, MPoly.constant(self.arity, coeff))
 
     def eval_q(self, value) -> Dict[Exponent, object]:
-        """Specialize q: exponent -> rational, dropping vanished terms."""
-        out = {}
-        for e, c in self.terms.items():
-            v = c.eval_at(value)
-            if v:
-                out[e] = v
-        return out
+        """Specialize q: exponent -> rational, dropping vanished terms.
+
+        Evaluation at 0 is defined only without negative powers of q.
+        """
+        v = as_rational(value)
+        powers = self.rows[:, -1]
+        if v == 0 and len(powers) and powers.min() < 0:
+            raise ValueError("cannot evaluate a negative power of q at 0")
+        # exact powers of v, one per distinct power of q
+        distinct, inverse = np.unique(powers, return_inverse=True)
+        values = np.array([Fraction(v) ** p for p in distinct.tolist()], dtype=object)
+        rows = self.rows.copy()
+        rows[:, -1] = 0
+        at_v = MPoly.from_rows(
+            self.arity, rows, self.weights.astype(object) * values[inverse.ravel()]
+        )
+        return {
+            tuple(row[:-1]): as_rational(w)
+            for row, w in zip(at_v.rows.tolist(), at_v.weights.tolist())
+        }
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
+        return (
+            self.arity == other.arity
+            and np.array_equal(self.rows, other.rows)
+            and np.array_equal(self.weights, other.weights)
+        )
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        return hash(
+            (self.arity, tuple(map(tuple, self.rows.tolist())), tuple(self.weights.tolist()))
+        )
 
     def __repr__(self):
-        return "MPoly(%d, %d terms)" % (self.arity, len(self.terms))
+        return "MPoly(%d, %d terms)" % (self.arity, len(self))
+
+
+def multiply(a: MPoly, b: MPoly) -> MPoly:
+    """The product of two polynomials of one arity.
+
+    Every row of ``a`` is summed with every row of ``b``: as packed keys, the
+    sum of the two rows' keys under the product's column bounds.
+    """
+    a._check_arity(b)
+    if not a or not b:
+        return MPoly.zero(a.arity)
+    (lo_a, hi_a), (lo_b, hi_b) = a._column_bounds(), b._column_bounds()
+    packing = _Packing(map(int.__add__, lo_a, lo_b), map(int.__add__, hi_a, hi_b))
+    sa, sb = a._abs_weight(), b._abs_weight()
+    dtype = _weight_dtype(None if sa is None or sb is None else sa * sb)
+    ka, wa = packing.pack(a.rows, lo_a), a.weights.astype(dtype)
+    kb, wb = packing.pack(b.rows, lo_b), b.weights.astype(dtype)
+    if len(ka) > len(kb):
+        ka, wa, kb, wb = kb, wb, ka, wa
+    step_b = min(len(kb), STAGE_ROWS)
+    step_a = max(1, STAGE_ROWS // step_b)
+    keys, weights = _group_chunks(
+        (
+            (ka[i : i + step_a, None] + kb[None, j : j + step_b]).ravel(),
+            (wa[i : i + step_a, None] * wb[None, j : j + step_b]).ravel(),
+        )
+        for i in range(0, len(ka), step_a)
+        for j in range(0, len(kb), step_b)
+    )
+    return MPoly._make(a.arity, packing.unpack(keys), weights, (packing.lo, packing.hi))
+
+
+def _relabelling(p: MPoly, relabellings: Sequence[Sequence[int]]):
+    """A packing under which any relabelled row of p packs, and its scales.
+
+    Column i of the scale matrix holds, in row k, the field scale of the
+    column where relabelling i sends variable k (the power stays last).  So
+    the keys of the rows relabelled by every relabelling are one matrix
+    product of the shifted rows with it.
+    """
+    perms = [tuple(perm) for perm in relabellings]
+    n = p.arity
+    for perm in perms:
+        if sorted(perm) != list(range(n)):
+            raise ValueError("%r is not a permutation of %d variables" % (perm, n))
+    lo, hi = p._column_bounds()
+    # any exponent column may land in any position
+    lo_e, hi_e = min(lo[:-1], default=0), max(hi[:-1], default=0)
+    packing = _Packing([lo_e] * n + lo[-1:], [hi_e] * n + hi[-1:])
+    scales = np.array(
+        [[packing.scales[j] for j in perm + (n,)] for perm in perms], dtype=object
+    ).T.astype(packing.dtype)
+    return packing, scales
+
+
+def relabelled_sum(p: MPoly, relabellings: Sequence[Sequence[int]]) -> MPoly:
+    """Sum of p with its variables relabelled, once per relabelling.
+
+    A relabelling sends variable k to ``perm[k]`` and must be a permutation
+    of range(arity).
+    """
+    if not p or not relabellings:
+        return MPoly.zero(p.arity)
+    packing, scales = _relabelling(p, relabellings)
+    count = scales.shape[1]
+    sw = p._abs_weight()
+    weights = p.weights.astype(_weight_dtype(None if sw is None else sw * count))
+    step = max(1, STAGE_ROWS // len(weights))
+    keys, weights = _group_chunks(
+        (
+            packing.pack(p.rows, packing.lo, scales[:, i : i + step]).ravel(),
+            np.repeat(weights, min(step, count - i)),
+        )
+        for i in range(0, count, step)
+    )
+    return MPoly._make(p.arity, packing.unpack(keys), weights, (packing.lo, packing.hi))
+
+
+def fixed_by(p: MPoly, relabellings: Sequence[Sequence[int]]) -> List[bool]:
+    """Whether p is unchanged by each relabelling of its variables.
+
+    The relabelled rows are distinct, so p is unchanged exactly when they
+    sort back into its own rows with its own weights.
+    """
+    if not relabellings:
+        return []
+    if not p:
+        return [True] * len(relabellings)
+    packing, scales = _relabelling(p, relabellings)
+    # p's rows are in order, and so are their keys
+    own = packing.pack(p.rows, packing.lo)
+    moved = packing.pack(p.rows, packing.lo, scales)
+    order = np.argsort(moved, axis=0)
+    moved = np.take_along_axis(moved, order, axis=0)
+    return [
+        np.array_equal(moved[:, i], own) and np.array_equal(p.weights[order[:, i]], p.weights)
+        for i in range(len(relabellings))
+    ]
 
 
 def embed(p: MPoly, arity: int, positions: Sequence[int]) -> MPoly:
@@ -181,17 +481,13 @@ def embed(p: MPoly, arity: int, positions: Sequence[int]) -> MPoly:
     injective.  Used to place the factors of a shuffle term on a chosen
     subset of the variables.
     """
-    pos = tuple(positions)
+    pos = list(positions)
     if len(pos) != p.arity:
         raise ValueError("positions must name every variable of p")
     if len(set(pos)) != len(pos):
         raise ValueError("positions must be distinct")
     if pos and (min(pos) < 0 or max(pos) >= arity):
         raise ValueError("position out of range for arity %d" % arity)
-    out: Dict[Exponent, QLaurent] = {}
-    for e, c in p.terms.items():
-        new = [0] * arity
-        for k, v in enumerate(e):
-            new[pos[k]] = v
-        out[tuple(new)] = c
-    return MPoly._raw(arity, out)
+    rows = np.zeros((len(p.weights), arity + 1), dtype=p.rows.dtype, order="F")
+    rows[:, pos + [arity]] = p.rows
+    return MPoly.from_rows(arity, rows, p.weights)

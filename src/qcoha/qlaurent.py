@@ -84,6 +84,15 @@ class QLaurent:
         return self
 
     @classmethod
+    def _monomial(cls, coeff, power: int) -> "QLaurent":
+        # internal fast constructor: coeff is a nonzero exact rational, an
+        # int when integral
+        self = object.__new__(cls)
+        self.offset = power
+        self.coeffs = (coeff,)
+        return self
+
+    @classmethod
     def const(cls, value) -> "QLaurent":
         """Constant polynomial."""
         return cls(0, (value,))
@@ -91,6 +100,8 @@ class QLaurent:
     @classmethod
     def term(cls, coeff, power: int) -> "QLaurent":
         """Single term coeff * q**power."""
+        if type(coeff) is int:
+            return cls._monomial(coeff, power) if coeff else ZERO
         return cls(power, (coeff,))
 
     @classmethod

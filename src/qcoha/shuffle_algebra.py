@@ -7,22 +7,30 @@ symmetric group instead of the distinct rearrangements only, so it equals
 multiplicity(lam) * m_lam; partitions embed into this picture by sending a
 basis partition to its augmented monomial.
 
-The shuffle product expands both factors, sums over every split of the
-ambient variables into a subset for each factor, multiplies in the pairwise
-kernel for the split, and reads the result back in the monomial basis.  This
-is deliberately brute force: it is the independent oracle that the structure
-constant route is verified against.
+The shuffle product sums, over every split of the ambient variables into a
+subset for each factor, the two expanded factors placed on their subsets
+times the pairwise kernel of the split, and reads the result back in the
+monomial basis.  The kernel of a split is the (n1, n2) block kernel with its
+variables relabelled, first block onto the first factor's subset and second
+block onto the rest, and so is the term.  So the product of the two factors
+with the block kernel is expanded once, as a polynomial, and its relabelled
+copies are summed over every split.  This is deliberately brute force: it is
+the independent oracle that the structure constant route is verified
+against, and it never reads the structure-constant tables.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .errors import NotSymmetricError, ResourceLimitError
 from .kernel import DEFAULT_TERM_CAP, pairwise_kernel
-from .mpoly import MPoly, embed
+from .mpoly import MPoly, embed, fixed_by, relabelled_sum
 from .partition_algebra import PartitionElement, product
 from .partitions import (
     Partition,
@@ -32,7 +40,7 @@ from .partitions import (
     sort_ascending,
     vec_add,
 )
-from .qlaurent import ONE, QLaurent, Rational, as_rational
+from .qlaurent import QLaurent, Rational, as_rational
 from .reports import CheckReport
 
 DEFAULT_MAX_SUBSETS = 10_000
@@ -82,17 +90,23 @@ class SymmetricElement:
 GradedElement = Dict[int, SymmetricElement]
 
 
+@lru_cache(maxsize=1024)
+def _rearrangements(lam: Partition, weight: int) -> MPoly:
+    # weight times x**w summed over the distinct rearrangements w of lam; an
+    # MPoly is never mutated, so the suites' many repeats share one
+    perms = distinct_permutations(lam)
+    return MPoly.from_rows(len(lam), [w + (0,) for w in perms], [weight] * len(perms))
+
+
 def monomial_symmetric(lam: Partition) -> MPoly:
     """m_lam: one monomial per distinct rearrangement of the exponents."""
-    lam = tuple(lam)
-    return MPoly._raw(len(lam), {w: ONE for w in distinct_permutations(lam)})
+    return _rearrangements(tuple(lam), 1)
 
 
 def augmented_monomial(lam: Partition) -> MPoly:
     """Sum of x**(lam permuted) over the whole symmetric group."""
     lam = tuple(lam)
-    c = QLaurent.const(multiplicity(lam))
-    return monomial_symmetric(lam).scale(c)
+    return _rearrangements(lam, multiplicity(lam))
 
 
 def expand(element: SymmetricElement) -> MPoly:
@@ -100,27 +114,55 @@ def expand(element: SymmetricElement) -> MPoly:
     for lam, coeff in element.terms.items():
         for w in distinct_permutations(lam):
             out[w] = coeff
-    return MPoly._raw(element.arity, out)
+    return MPoly(element.arity, out)
 
 
 def to_monomial_basis(p: MPoly) -> SymmetricElement:
     """Read a symmetric polynomial in the monomial basis.
 
     Symmetry is certified by checking invariance under the adjacent
-    transpositions, which generate the whole symmetric group.
+    transpositions, which generate the whole symmetric group: each swaps two
+    columns of the rows, and the re-sorted rows and weights must equal the
+    original arrays.
     """
     n = p.arity
+    swaps = []
     for i in range(n - 1):
+        swap = list(range(n))
+        swap[i], swap[i + 1] = i + 1, i
+        swaps.append(swap)
+    for i, fixed in enumerate(fixed_by(p, swaps)):
+        if fixed:
+            continue
         for e, c in p.terms.items():
-            if e[i] == e[i + 1]:
-                continue
             swapped = e[:i] + (e[i + 1], e[i]) + e[i + 2 :]
-            if p.terms.get(swapped) != c:
+            if e[i] != e[i + 1] and p.terms.get(swapped) != c:
                 raise NotSymmetricError(
                     "not symmetric: terms at %r and %r differ" % (e, swapped)
                 )
-    terms = {e: c for e, c in p.terms.items() if is_partition(e)}
-    return SymmetricElement(n, terms)
+    exps = p.rows[:, :-1]
+    sorted_rows = np.all(exps[:, 1:] >= exps[:, :-1], axis=1)
+    return SymmetricElement(n, dict(p.rows_where(sorted_rows).terms))
+
+
+def _splits(n1: int, n2: int) -> List[Tuple[int, ...]]:
+    """One relabelling of n1 + n2 variables per split into a subset of n1.
+
+    The first n1 variables go to the subset, in order, and the other n2 to
+    the rest, in order.
+    """
+    universe = range(n1 + n2)
+    out = []
+    for subset in itertools.combinations(universe, n1):
+        chosen = set(subset)
+        out.append(subset + tuple(i for i in universe if i not in chosen))
+    return out
+
+
+def _side_by_side(p1: MPoly, p2: MPoly) -> MPoly:
+    """p1 on the first variables times p2 on the ones after them."""
+    arity = p1.arity + p2.arity
+    return embed(p1, arity, range(p1.arity)) * embed(p2, arity, range(p1.arity, arity))
 
 
 def shuffle_product(
@@ -134,24 +176,16 @@ def shuffle_product(
     """Kernel-weighted sum over all splits of the ambient variables."""
     n1 = f1.arity
     n2 = f2.arity
-    total_arity = n1 + n2
-    count = comb(total_arity, n1)
+    count = comb(n1 + n2, n1)
     if count > max_subsets:
         raise ResourceLimitError(
             "%d subsets exceed the configured maximum %d" % (count, max_subsets)
         )
-    p1 = expand(f1)
-    p2 = expand(f2)
-    universe = range(total_arity)
-    total = MPoly.zero(total_arity)
-    for subset in itertools.combinations(universe, n1):
-        chosen = set(subset)
-        rest = tuple(i for i in universe if i not in chosen)
-        pairs = [(j, i) for j in rest for i in subset]
-        kern = pairwise_kernel(total_arity, pairs, d, q_value, term_cap)
-        term = embed(p1, total_arity, subset) * embed(p2, total_arity, rest)
-        total = total + term * kern
-    return to_monomial_basis(total)
+    arity = n1 + n2
+    block_pairs = [(s, t) for s in range(n1, arity) for t in range(n1)]
+    kern = pairwise_kernel(arity, block_pairs, d, q_value, term_cap)
+    term = _side_by_side(expand(f1), expand(f2)) * kern
+    return to_monomial_basis(relabelled_sum(term, _splits(n1, n2)))
 
 
 # -- product rules in the monomial basis ---------------------------------------
@@ -236,16 +270,10 @@ def verify_subset_sum_identity(lam: Partition, mu: Partition) -> CheckReport:
     """Splitting the variables between two augmented monomials concatenates them."""
     lam = tuple(lam)
     mu = tuple(mu)
-    n = len(lam)
-    total_arity = n + len(mu)
-    a_lam = augmented_monomial(lam)
-    a_mu = augmented_monomial(mu)
-    universe = range(total_arity)
-    lhs = MPoly.zero(total_arity)
-    for subset in itertools.combinations(universe, n):
-        chosen = set(subset)
-        rest = tuple(i for i in universe if i not in chosen)
-        lhs = lhs + embed(a_lam, total_arity, subset) * embed(a_mu, total_arity, rest)
+    lhs = relabelled_sum(
+        _side_by_side(augmented_monomial(lam), augmented_monomial(mu)),
+        _splits(len(lam), len(mu)),
+    )
     rhs = augmented_monomial(sort_ascending(lam + mu))
     passed = lhs == rhs
     failures = []

@@ -387,6 +387,57 @@ def test_term_cap_exits_3(capsys):
     validate(payload, "error")
 
 
+NEGATIVE_CAP_ARGV = [
+    ["multiply", "--left", "0", "--right", "0"],
+    ["shuffle", "--left", "0", "--right", "0"],
+    ["g", "--m", "1", "--n", "1"],
+]
+
+
+@pytest.mark.parametrize("d", ["1", "2"])
+@pytest.mark.parametrize("argv", NEGATIVE_CAP_ARGV)
+def test_negative_term_cap_exits_2(capsys, argv, d):
+    # at d = 1 no factor is folded, so no cap check would ever see it
+    code, out, err = run(capsys, argv + ["--d", d, "--term-cap", "-1"])
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == {
+        "code": "parse",
+        "message": "term cap must be non-negative, got -1",
+    }
+    validate(payload, "error")
+
+
+def test_batch_negative_term_cap_is_a_parse_error(capsys, monkeypatch):
+    requests = [
+        {"cmd": cmd, "d": d, "term_cap": -5, **fields}
+        for cmd, fields in (
+            ("multiply", {"left": [0], "right": [0]}),
+            ("shuffle", {"left": [0], "right": [0]}),
+            ("g", {"m": 1, "n": 1}),
+        )
+        for d in (1, 2)
+    ]
+    text = "".join(json.dumps(r) + "\n" for r in requests)
+    code, out, _ = run(capsys, ["batch"], stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 0
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert len(lines) == len(requests)
+    for line in lines:
+        validate(line, "batch")
+        assert line == {
+            "ok": False,
+            "error": {"code": "parse", "message": "term cap must be non-negative, got -5"},
+        }
+
+
+def test_zero_term_cap_is_still_a_limit(capsys):
+    code, _, err = run(capsys, ["g", "--d", "2", "--m", "1", "--n", "1", "--term-cap", "0"])
+    assert code == 3 and json.loads(err)["error"]["code"] == "resource"
+    code, out, _ = run(capsys, ["g", "--d", "1", "--m", "1", "--n", "1", "--term-cap", "0"])
+    assert code == 0 and json.loads(out)["arity"] == 2
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     stub = lambda **kw: CheckReport("grading", False, 1, failures=["boom"])
     monkeypatch.setitem(cli_mod.SUITES, "grading", stub)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -16,7 +17,7 @@ from qcoha.kernel import (
     verify_coefficient_identity,
     verify_symmetry,
 )
-from qcoha.mpoly import embed
+from qcoha.mpoly import MPoly, embed
 from qcoha.partitions import vec_add
 from qcoha.qlaurent import ONE, Q, QLaurent, q_power, signed_q_power
 from qcoha.serialization import qlaurent_to_json, table_to_json
@@ -363,3 +364,51 @@ def test_cached_table_refuses_like_a_cold_build(m, n, d):
         cold = _cap_error(lambda c: kernel_polynomial(spec, c), cap)
         assert _cap_error(lambda c: structure_constants(spec, c), cap) == cold
         assert _cap_error(lambda c: structure_table(m, n, d, c), cap) == cold
+
+
+def test_flipped_kernel_factor_fails_the_polynomial_identity(monkeypatch):
+    # (x_s + q x_t) in place of (x_s - q x_t) for the first pair of the first
+    # kernel expanded; the convolution half reads the tables and still passes
+    original = kernel.pairwise_kernel
+    calls = []
+
+    def flipped(arity, pairs, d, q_value=None, term_cap=kernel.DEFAULT_TERM_CAP):
+        calls.append(pairs)
+        if len(calls) > 1:
+            return original(arity, pairs, d, q_value, term_cap)
+        (s, t), rest = pairs[0], pairs[1:]
+        factor = MPoly.variable(arity, s) + MPoly.variable(arity, t).scale(Q)
+        flipped_factor = MPoly.constant(arity, ONE)
+        for _ in range(d - 1):
+            flipped_factor = flipped_factor * factor
+        return flipped_factor * original(arity, rest, d, q_value, term_cap)
+
+    monkeypatch.setattr(kernel, "pairwise_kernel", flipped)
+    report = verify_coefficient_identity(1, 2, 1, 3)
+    assert len(calls) == 4
+    assert not report.passed
+    assert report.failures == ["kernel factorization identity fails as polynomials"]
+    monkeypatch.setattr(kernel, "pairwise_kernel", original)
+    assert verify_coefficient_identity(1, 2, 1, 3).checked == report.checked
+
+
+@pytest.mark.parametrize("q_value", [0, 1, -2, Fraction(2, 3)])
+def test_kernel_at_q_is_the_evaluated_kernel(q_value):
+    spec = KernelSpec(2, 2, 3)
+    at_q = kernel_polynomial(spec, q_value=q_value)
+    assert not at_q.rows[:, -1].any()
+    assert at_q.weights.dtype == (object if isinstance(q_value, Fraction) else np.int64)
+    assert {e: c.constant_value() for e, c in at_q.terms.items()} == kernel_polynomial(
+        spec
+    ).eval_q(q_value)
+
+
+def test_kernel_rows_leave_int64_exactly():
+    # (d-1)*m*n = 69 factors: the weights pass 2**63 on the way
+    spec = KernelSpec(1, 1, 70)
+    g = kernel_polynomial(spec)
+    assert g.weights.dtype == object
+    assert dict(g.terms) == {
+        (i, 69 - i): QLaurent.term(-comb(69, i) if i & 1 else comb(69, i), i)
+        for i in range(70)
+    }

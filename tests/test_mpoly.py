@@ -1,8 +1,12 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoha.mpoly import MPoly, embed
+import qcoha.mpoly as mpoly_mod
+from qcoha.mpoly import MPoly, embed, relabelled_sum
 from qcoha.qlaurent import ONE, Q, ZERO, QLaurent
 
 
@@ -94,3 +98,158 @@ def test_ring_laws(a, b, c):
     assert a * b == b * a
     assert (a + b) * c == a * c + b * c
     assert (a * b) * c == a * (b * c)
+
+
+# -- the row form against a dict-of-QLaurent reference -----------------------------
+#
+# The inputs reach every dtype path: Fraction coefficients, negative powers of
+# q, weights whose sums leave int64 and exponents at 2**63 and 2**70.
+
+BIG_EXPONENTS = st.sampled_from([0, 1, 2, 5, 2**63 - 1, 2**63, 2**70])
+BIG_RATIONALS = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([2**62, -(2**62), 2**63 - 1, -(2**63), 3**50]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+BIG_COEFFS = st.builds(
+    QLaurent,
+    st.integers(min_value=-3, max_value=3),
+    st.lists(BIG_RATIONALS, max_size=3),
+)
+
+
+def ref_polys(arity):
+    return st.dictionaries(
+        st.tuples(*[BIG_EXPONENTS] * arity), BIG_COEFFS, max_size=5
+    ).map(lambda t: {e: c for e, c in t.items() if c})
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, ZERO) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out = ref_add(out, {tuple(u + v for u, v in zip(e1, e2)): c1 * c2})
+    return out
+
+
+def ref_embed(a, arity, positions):
+    out = {}
+    for e, c in a.items():
+        new = [0] * arity
+        for k, v in enumerate(e):
+            new[positions[k]] = v
+        out[tuple(new)] = c
+    return out
+
+
+def ref_eval(a, value):
+    out = {}
+    for e, c in a.items():
+        v = c.eval_at(value)
+        if v:
+            out[e] = v
+    return out
+
+
+def exact_types(values):
+    # integral values come out as int, the rest as Fraction
+    return all(
+        type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in values
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(ref_polys(2), ref_polys(2), BIG_COEFFS)
+def test_row_arithmetic_matches_dict_reference(a, b, c):
+    pa, pb = MPoly(2, a), MPoly(2, b)
+    assert dict(pa.terms) == a
+    assert dict((pa + pb).terms) == ref_add(a, b)
+    assert dict((pa - pb).terms) == ref_add(a, {e: -v for e, v in b.items()})
+    assert dict((-pa).terms) == {e: -v for e, v in a.items()}
+    assert dict((pa * pb).terms) == ref_mul(a, b)
+    assert dict(pa.scale(c).terms) == ref_mul(a, {(0, 0): c} if c else {})
+    for p in (pa, pb, pa * pb):
+        assert exact_types(w for t in p.terms.values() for _, w in t.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(ref_polys(2), st.sampled_from([(0, 2), (3, 1), (1, 0)]))
+def test_row_embed_matches_dict_reference(a, positions):
+    assert dict(embed(MPoly(2, a), 4, positions).terms) == ref_embed(a, 4, positions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ref_polys(2), st.sampled_from([0, 1, -1, 2, Fraction(2, 3), Fraction(-5, 2)]))
+def test_row_eval_q_matches_dict_reference(a, value):
+    p = MPoly(2, a)
+    try:
+        want = ref_eval(a, value)
+    except ValueError:
+        with pytest.raises(ValueError):
+            p.eval_q(value)
+        return
+    got = p.eval_q(value)
+    assert got == want
+    assert exact_types(got.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref_polys(3), st.lists(st.permutations([0, 1, 2]), min_size=1, max_size=4))
+def test_relabelled_sum_matches_dict_reference(a, perms):
+    want = {}
+    for perm in perms:
+        want = ref_add(want, ref_embed(a, 3, perm))
+    assert dict(relabelled_sum(MPoly(3, a), perms).terms) == want
+
+
+def test_weights_are_int64_only_under_the_bound():
+    a = MPoly(1, {(1,): QLaurent.const(2**31), (0,): QLaurent.const(-(2**31))})
+    assert a.weights.dtype == np.int64 and a.rows.dtype == np.int64
+    # sum|w| of each factor is 2**32: the product's bound is 2**64
+    square = a * a
+    assert square.weights.dtype == object
+    assert dict(square.terms) == {
+        (2,): QLaurent.const(2**62),
+        (1,): QLaurent.const(-(2**63)),
+        (0,): QLaurent.const(2**62),
+    }
+    half = MPoly(1, {(1,): QLaurent.const(2**30), (0,): QLaurent.const(-(2**30))})
+    assert (half * half).weights.dtype == np.int64
+    assert MPoly(1, {(0,): QLaurent.const(Fraction(1, 2))}).weights.dtype == object
+    huge = MPoly(1, {(2**63,): ONE})
+    assert huge.rows.dtype == object and huge.weights.dtype == np.int64
+    assert dict((huge * huge).terms) == {(2**64,): ONE}
+
+
+def test_products_staged_in_small_chunks(monkeypatch):
+    f = MPoly(
+        3,
+        {
+            (i, j, k): QLaurent(i - j, [k + 1, -1])
+            for i in range(4)
+            for j in range(3)
+            for k in range(2)
+        },
+    )
+    g = f * f - f
+    monkeypatch.setattr(mpoly_mod, "STAGE_ROWS", 7)
+    assert f * f - f == g
+    assert relabelled_sum(g, [(0, 1, 2), (2, 0, 1)]) == relabelled_sum(g, [(2, 0, 1)]) + g
+
+
+def test_terms_view_is_read_only():
+    p = x(2, 0) + x(2, 1)
+    with pytest.raises(TypeError):
+        p.terms[(1, 1)] = ONE
+    assert p.terms is p.terms

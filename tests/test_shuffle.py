@@ -1,4 +1,5 @@
 """Monomial basis, shuffle product, and the partition-to-symmetric map."""
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,9 @@ from qcoha import (
     verify_monomial_rule,
     verify_subset_sum_identity,
 )
-from qcoha.qlaurent import ONE
+import qcoha.kernel as kernel_mod
+from qcoha.partitions import distinct_permutations, is_partition
+from qcoha.qlaurent import ONE, Q, ZERO
 from qcoha.shuffle_algebra import expand
 
 
@@ -67,6 +70,25 @@ def test_to_monomial_basis_rejects_asymmetric():
     p = MPoly(2, {(0, 1): ONE})
     with pytest.raises(NotSymmetricError):
         to_monomial_basis(p)
+
+
+def test_to_monomial_basis_names_the_first_unmatched_term():
+    # symmetric in the first two variables, not in the last two
+    e = SymmetricElement(3, {(0, 1, 2): QL(0, 1, -1)})
+    p = expand(e) + MPoly(3, {(0, 0, 3): ONE, (0, 3, 0): Q, (3, 0, 0): Q})
+    with pytest.raises(NotSymmetricError) as info:
+        to_monomial_basis(p)
+    assert str(info.value) == "not symmetric: terms at (0, 0, 3) and (0, 3, 0) differ"
+    # a term whose swapped partner is missing
+    p = expand(e) + MPoly(3, {(0, 0, 3): ONE})
+    with pytest.raises(NotSymmetricError) as info:
+        to_monomial_basis(p)
+    assert str(info.value) == "not symmetric: terms at (0, 0, 3) and (0, 3, 0) differ"
+    # equal coefficients in the first two variables only
+    p = expand(e) + MPoly(3, {(0, 0, 3): ONE, (0, 3, 0): 2 * ONE, (3, 0, 0): 2 * ONE})
+    with pytest.raises(NotSymmetricError) as info:
+        to_monomial_basis(p)
+    assert str(info.value) == "not symmetric: terms at (0, 0, 3) and (0, 3, 0) differ"
 
 
 def test_symmetric_element_validates_keys():
@@ -255,3 +277,72 @@ def test_homomorphism_grid_small():
             for nu in parts:
                 rep = verify_homomorphism(mu, nu, d)
                 assert rep.passed, rep.failures
+
+
+# -- the relabelled-kernel sum against a per-split fold ------------------------------
+
+
+def _fold_add(out, key, coeff):
+    total = out.get(key, ZERO) + coeff
+    if total:
+        out[key] = total
+    else:
+        out.pop(key, None)
+
+
+def per_split_shuffle(mu, nu, d, q_value=None):
+    """The shuffle product split by split: the two expanded images placed on
+    the subset and the rest, times (x_j - q x_i) once per kernel factor."""
+    q = Q if q_value is None else QLaurent.const(q_value)
+    n1, arity = len(mu), len(mu) + len(nu)
+    images = [
+        {w: QLaurent.const(multiplicity(lam)) for w in distinct_permutations(lam)}
+        for lam in (mu, nu)
+    ]
+    total = {}
+    for subset in itertools.combinations(range(arity), n1):
+        rest = [i for i in range(arity) if i not in subset]
+        term = {}
+        for e1, c1 in images[0].items():
+            for e2, c2 in images[1].items():
+                e = [0] * arity
+                for k, v in zip(subset + tuple(rest), e1 + e2):
+                    e[k] = v
+                term[tuple(e)] = c1 * c2
+        for j in rest:
+            for i in subset:
+                for _ in range(d - 1):
+                    grown = {}
+                    for e, c in term.items():
+                        for var, factor in ((j, ONE), (i, -q)):
+                            bumped = list(e)
+                            bumped[var] += 1
+                            _fold_add(grown, tuple(bumped), c * factor)
+                    term = grown
+        for e, c in term.items():
+            _fold_add(total, e, c)
+    return {e: c for e, c in total.items() if is_partition(e)}
+
+
+@pytest.mark.parametrize("q_value", [None, 1, 0, Fraction(2, 3)])
+def test_shuffle_matches_per_split_fold_on_iso_grid(q_value):
+    parts = partitions_up_to(2, 2)
+    for d in (1, 2, 3):
+        for mu in parts:
+            for nu in parts:
+                got = shuffle_product(
+                    partition_image(mu), partition_image(nu), d, q_value=q_value
+                )
+                want = per_split_shuffle(mu, nu, d, q_value)
+                assert got.terms == want, (mu, nu, d, q_value)
+
+
+def test_shuffle_checks_subsets_before_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel expanded before the subset check")
+
+    monkeypatch.setattr(kernel_mod, "pairwise_kernel", refuse)
+    monkeypatch.setattr("qcoha.shuffle_algebra.pairwise_kernel", refuse)
+    f = partition_image((0, 1, 2))
+    with pytest.raises(ResourceLimitError):
+        shuffle_product(f, f, 2, max_subsets=19)
