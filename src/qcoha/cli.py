@@ -17,7 +17,13 @@ from typing import Dict, Optional, Sequence
 
 from .bipartite import enumerate_graph_terms, product_via_graphs
 from .errors import NotSymmetricError, ResourceLimitError
-from .kernel import DEFAULT_TERM_CAP, KernelSpec, kernel_polynomial, structure_constants
+from .kernel import (
+    DEFAULT_TERM_CAP,
+    KernelSpec,
+    check_term_cap,
+    kernel_polynomial,
+    structure_constants,
+)
 from .partition_algebra import product, specialize
 from .partitions import parse_partition
 from .qlaurent import Rational
@@ -82,12 +88,6 @@ def _emit(result: Dict[str, object], fmt: str) -> str:
 # renderers, so only the format that is written out gets rendered.
 
 
-def _check_term_cap(term_cap: int) -> None:
-    # a negative cap is malformed input, not a limit that every d would hit
-    if term_cap < 0:
-        raise CliError("parse", "term cap must be non-negative, got %d" % term_cap, 2)
-
-
 def run_multiply(
     d: int,
     left,
@@ -95,7 +95,7 @@ def run_multiply(
     at_q: Optional[Rational] = None,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> Dict[str, object]:
-    _check_term_cap(term_cap)
+    check_term_cap(term_cap)
     e = product(left, right, d, term_cap)
     if at_q is None:
         return {
@@ -118,7 +118,7 @@ def run_shuffle(
     at_q: Optional[Rational] = None,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> Dict[str, object]:
-    _check_term_cap(term_cap)
+    check_term_cap(term_cap)
     se = shuffle_product(
         partition_image(left), partition_image(right), d, q_value=at_q, term_cap=term_cap
     )
@@ -146,7 +146,7 @@ def run_g(
     table: bool = False,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> Dict[str, object]:
-    _check_term_cap(term_cap)
+    check_term_cap(term_cap)
     spec = KernelSpec(m=m, n=n, d=d, shift=shift)
     if table:
         tab = structure_constants(spec, term_cap)

@@ -35,6 +35,8 @@ from .qlaurent import ONE, ZERO, QLaurent, Rational, as_rational
 from .reports import CheckReport
 
 DEFAULT_TERM_CAP = 5_000_000
+_INT64_MIN = int(np.iinfo(np.int64).min)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -49,14 +51,24 @@ class KernelSpec:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("block sizes must be at least 1")
-        if self.d < 1:
-            raise ValueError("the loop count d must be at least 1")
+        check_loop_count(self.d)
         if self.shift < 0:
             raise ValueError("shift must be non-negative")
 
     @property
     def arity(self) -> int:
         return self.shift + self.m + self.n
+
+
+def check_loop_count(d: int) -> None:
+    if d < 1:
+        raise ValueError("the loop count d must be at least 1")
+
+
+def check_term_cap(term_cap: int) -> None:
+    # a negative cap is malformed input, not a limit that every d would hit
+    if term_cap < 0:
+        raise ValueError("term cap must be non-negative, got %d" % term_cap)
 
 
 def _check_projected(rows: int, width: int, term_cap: int) -> None:
@@ -73,32 +85,45 @@ def _check_rows(rows: int, term_cap: int) -> None:
         raise ResourceLimitError("term count %d exceeds cap %d" % (rows, term_cap))
 
 
-def group_rows(rows: np.ndarray, weights: np.ndarray):
+def group_rows(rows: np.ndarray, weights: np.ndarray, bounds=None):
     """Sum ``weights`` over equal rows of an integer matrix.
 
     Returns the distinct rows in lexicographic order with their sums, and
     drops rows whose sum is zero.  Rows are compared through one packed sort
-    key: each column, less its minimum, takes the bits its range needs, first
-    column highest, and constant columns take none.  The key is int64 when
-    those bits fit in 63 and a Python int (dtype=object) otherwise, so rows
-    of any length and size group exactly.  ``weights`` may be int64 or
+    key: each column, less its lower bound, takes the bits its span needs,
+    first column highest, and columns of span 0 take none.  The key is int64
+    when those bits fit in 63 and a Python int (dtype=object) otherwise, so
+    rows of any length and size group exactly.  ``weights`` may be int64 or
     object; the caller certifies that int64 sums cannot overflow.
+
+    ``bounds=(lows, spans)``, two lists of Python ints with one entry per
+    column, saves the column reductions: every entry of column c must lie in
+    [lows[c], lows[c] + spans[c]].  A bound that is too narrow makes fields
+    overlap and merges distinct rows, so pass only bounds that are proven.
+    Without it the bounds are the column minima and ranges.
     """
     if not len(weights):
         return rows, weights
-    # one contiguous row per column: column reductions are several times
-    # faster on it than along axis 0 of a tall matrix
-    cols = np.array(rows.T)
-    # spans in Python ints: an int64 column may range wider than int64
-    lows = cols.min(axis=1).tolist()
-    spans = [hi - lo for hi, lo in zip(cols.max(axis=1).tolist(), lows)]
+    if bounds is None:
+        # one contiguous row per column: column reductions are several times
+        # faster on it than along axis 0 of a tall matrix
+        cols = np.array(rows.T)
+        # spans in Python ints: an int64 column may range wider than int64
+        lows = cols.min(axis=1).tolist()
+        spans = [hi - lo for hi, lo in zip(cols.max(axis=1).tolist(), lows)]
+    else:
+        cols = rows.T
+        lows, spans = bounds
     live = [i for i, span in enumerate(spans) if span]
     widths = [spans[i].bit_length() for i in live]
-    if len(live) < len(spans):
+    if bounds is not None or len(live) < len(spans):
+        # a copy: the subtraction below must not write into ``rows``
         cols = cols[live]
-    if sum(widths) > 63:
-        cols = cols.astype(object)
-    cols -= np.array([lows[i] for i in live], dtype=cols.dtype)[:, None]
+    offsets = [lows[i] for i in live]
+    if sum(widths) > 63 or not all(_INT64_MIN <= lo <= _INT64_MAX for lo in offsets):
+        # the key, or a caller's lower bound, needs Python ints
+        cols = cols.astype(object, copy=False)
+    cols -= np.array(offsets, dtype=cols.dtype)[:, None]
     # the bit fields do not overlap, so this weighted sum is the packed key;
     # with no live column every row is equal and the key is all zeros
     scale = [1 << sum(widths[i + 1 :]) for i in range(len(widths))]
@@ -128,6 +153,8 @@ def pairwise_kernel(
     is how the q = 1 and q = 0 degenerations are built independently of the
     generic expansion; the cap then counts the substituted terms.
     """
+    check_loop_count(d)
+    check_term_cap(term_cap)
     exp = d - 1
     acc = MPoly.constant(arity, ONE)
     if exp == 0 or not pairs:
@@ -231,6 +258,7 @@ def structure_constants(
     """
     if spec.shift != 0:
         raise ValueError("structure constants require an unshifted kernel")
+    check_term_cap(term_cap)
     m, n, exp = spec.m, spec.n, spec.d - 1
     dtype = np.int64 if exp * m * n < 63 else object
     exps = np.zeros((1, m + n), dtype=np.int64)
@@ -268,6 +296,7 @@ def structure_table(
     every call, against the staged row counts of a cached table, so whether
     the table was cached never changes which requests fail.
     """
+    check_term_cap(term_cap)
     key = (m, n, d)
     hit = _TABLE_CACHE.get(key)
     if hit is None:

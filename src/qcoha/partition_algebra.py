@@ -1,26 +1,33 @@
 """Products of partitions driven by the kernel coefficient tables.
 
-Elements are plain dicts mapping basis keys (int tuples) to nonzero QLaurent
-coefficients; the empty dict is zero.  Vector-level keys are arbitrary
-non-negative int tuples, partition-level keys are weakly increasing.  All
-functions treat elements as immutable values and return fresh dicts.
+Elements are plain dicts mapping basis keys (weakly increasing int tuples) to
+nonzero QLaurent coefficients; the empty dict is zero.  All functions treat
+elements as immutable values and return fresh dicts.
 
 The basis product of two partitions re-keys the (m, n, d) coefficient table by
-(mu + a, nu + b) and, at partition level, sorts each key.  Sorting is
-well-defined: rearranging the entries of mu or nu permutes the summands
-without changing the sorted merge.
+(mu + a, nu + b) and sorts each key.  Sorting is well-defined: rearranging
+the entries of mu or nu permutes the summands without changing the sorted
+merge.
 
 There is one product engine, on integer arrays.  A basis product is memoized
-as three arrays, grouped so that each (key, power of q) appears once and
-sorted by key, then power: the sorted keys (one row each), the powers and the
-integer coefficients.  The bilinear product scales the cached arrays of every
-pair of basis keys by the coefficients of c1 * c2, concatenates them, groups
-once per key length, and only then folds rows into QLaurent values.  Those
-arrays are int64 only when a bound certifies that no sum can leave int64
-range: the sum of |coefficients| of c1 * c2 times the table's sum of
-|weights|, 2**((d-1)*m*n), summed over the pairs.  Otherwise, and for Fraction
-coefficients, the same code runs with dtype=object, so the arithmetic is
-always exact.
+as grouped rows: each row is a sorted key followed by a power of q, rows are
+distinct and in lexicographic order, and each carries one integer
+coefficient.  The bilinear core stages, for every term c * q**p of the
+coefficient of a pair of basis keys, one copy of that pair's cached rows
+with p added to the powers and c multiplied into the coefficients, and
+groups the staged rows once per key length.  ``product_elements`` is that
+core with QLaurent dicts at its edges.  ``check_associativity`` feeds it the
+rows of the cached outer product (mu * nu, or nu * w) directly, groups each
+parenthesization on its own and compares the two with ``np.array_equal``:
+grouped rows are canonical, so on the passing path no QLaurent is built.
+
+The staged arrays are int64 only when a bound certifies that no sum can
+leave int64 range: the sum of |coefficients| times the table's sum of
+|weights|, 2**((d-1)*m*n), summed over the pairs.  Otherwise, and for
+Fraction coefficients, the same code runs with dtype=object, so the
+arithmetic is always exact.  Grouping is handed certified column bounds
+where the factors give them (see ``_row_bounds``), which spares it the
+column reductions.
 """
 from __future__ import annotations
 
@@ -31,12 +38,17 @@ from typing import Dict, List
 import numpy as np
 
 from .errors import ResourceLimitError
-from .kernel import DEFAULT_TERM_CAP, group_rows, structure_table
+from .kernel import (
+    DEFAULT_TERM_CAP,
+    check_loop_count,
+    check_term_cap,
+    group_rows,
+    structure_table,
+)
 from .partitions import IntVector, Partition, sort_ascending
-from .qlaurent import ONE, QLaurent, as_rational, q_power, signed_q_power
+from .qlaurent import QLaurent, as_rational, q_power, signed_q_power
 from .reports import CheckReport, QuasiCommReport
 
-VectorElement = Dict[IntVector, QLaurent]
 PartitionElement = Dict[Partition, QLaurent]
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -53,83 +65,85 @@ def shift_sort_product(mu: Partition, nu: Partition, d: int) -> Partition:
     return sort_ascending(mu + tuple(v + shift for v in nu))
 
 
-def product_vectors(
-    mu: IntVector, nu: IntVector, d: int, term_cap: int = DEFAULT_TERM_CAP
-) -> VectorElement:
-    """Vector-level product: keys (mu + a, nu + b) weighted by the table."""
-    mu = tuple(mu)
-    nu = tuple(nu)
-    if not mu:
-        return {nu: ONE}
-    if not nu:
-        return {mu: ONE}
-    table = structure_table(len(mu), len(nu), d, term_cap)
-    keys = (table.exps + _offsets(mu + nu)).tolist()
-    # table rows are distinct, so their re-keyed vectors are too
-    return {
-        tuple(key): QLaurent._trimmed(p, [w])
-        for key, p, w in zip(keys, table.powers.tolist(), table.weights.tolist())
-    }
-
-
-def sort_merge(e: VectorElement) -> PartitionElement:
-    """Project a vector-level element to partition level by sorting keys."""
-    out: PartitionElement = {}
-    for key, coeff in e.items():
-        k = sort_ascending(key)
-        cur = out.get(k)
-        if cur is None:
-            out[k] = coeff
-        else:
-            tot = cur + coeff
-            if tot:
-                out[k] = tot
-            else:
-                del out[k]
-    return out
-
-
 def _offsets(parts: IntVector) -> np.ndarray:
     # parts this large would overflow int64 keys; keep them as Python ints
     big = parts and max(parts) >> 62
     return np.array(parts, dtype=object if big else np.int64)
 
 
+def _row_bounds(blocks, d: int):
+    """Certified (lows, spans) of the (sorted key, power) rows of a product.
+
+    ``blocks`` are the factors: two for a basis product, three for either
+    parenthesization of a triple.  A part gains at most d-1 from each part
+    outside its own block, and order statistics are monotone in every
+    entry, so column c of a sorted key lies between the c-th smallest part
+    and the c-th smallest of (part + its largest gain).  The power of q lies
+    in [0, (d-1) * the sum of the block-pair products].
+    """
+    size = sum(map(len, blocks))
+    lows = sorted(p for block in blocks for p in block)
+    tops = sorted(p + (d - 1) * (size - len(block)) for block in blocks for p in block)
+    pairs = (size * size - sum(len(block) ** 2 for block in blocks)) // 2
+    return lows + [0], [hi - lo for hi, lo in zip(tops, lows)] + [(d - 1) * pairs]
+
+
 @lru_cache(maxsize=None)
 def _basis_product(mu: Partition, nu: Partition, d: int):
-    """Memoized basis product as grouped arrays (keys, powers, coeffs).
+    """Memoized basis product as grouped arrays (rows, coeffs).
 
-    Rows are sorted by (key, power of q) and no (key, power) repeats.  Callers
-    check their own term cap first and must not mutate the returned arrays.
+    A row is a sorted key followed by a power of q; rows are distinct and in
+    lexicographic order.  Callers check their own term cap first and must
+    not mutate the returned arrays.
     """
     if not mu or not nu:
-        return (
-            _offsets(mu + nu).reshape(1, -1),
-            np.zeros(1, dtype=np.int64),
-            np.ones(1, dtype=np.int64),
-        )
+        # the other factor's key at power 0
+        return _offsets(mu + nu + (0,)).reshape(1, -1), np.ones(1, dtype=np.int64)
     table = structure_table(len(mu), len(nu), d, sys.maxsize)
     keys = np.sort(table.exps + _offsets(mu + nu), axis=1)
-    return _group_terms(keys, table.powers, table.weights)
+    return group_rows(
+        np.column_stack([keys, table.powers]), table.weights, _row_bounds((mu, nu), d)
+    )
 
 
-def _group_terms(keys, powers, coeffs):
-    """Sum coefficients over equal (key, power) rows, sorted by key, then power."""
-    rows, sums = group_rows(np.column_stack([keys, powers]), coeffs)
-    return rows[:, :-1], rows[:, -1], sums
+def _capped_basis_product(mu: Partition, nu: Partition, d: int, term_cap: int):
+    """The cached basis product, after the checks a request for it must pass."""
+    check_loop_count(d)
+    check_term_cap(term_cap)
+    if mu and nu:
+        # checks the cap against the table's staged row counts, cached or not
+        structure_table(len(mu), len(nu), d, term_cap)
+    return _basis_product(mu, nu, d)
 
 
-def _to_element(keys, powers, coeffs) -> PartitionElement:
-    """Fold grouped rows, sorted by (key, power), into QLaurent coefficients."""
-    if not len(powers):
-        return {}
-    first = np.ones(len(powers), dtype=bool)
+def _key_starts(rows):
+    """The distinct keys of grouped rows and the index of each one's first row."""
+    keys = rows[:, :-1]
+    first = np.ones(len(rows), dtype=bool)
     first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    starts = np.flatnonzero(first).tolist()
-    ps = powers.tolist()
+    return keys[first].tolist(), np.flatnonzero(first).tolist()
+
+
+def _split_keys(rows, coeffs):
+    """(key, powers, coeffs) per distinct key of grouped rows, as lists."""
+    keys, starts = _key_starts(rows)
+    ps = rows[:, -1].tolist()
+    cs = coeffs.tolist()
+    return [
+        (tuple(key), ps[lo:hi], cs[lo:hi])
+        for key, lo, hi in zip(keys, starts, starts[1:] + [len(ps)])
+    ]
+
+
+def _to_element(rows, coeffs) -> PartitionElement:
+    """Fold grouped rows into QLaurent coefficients."""
+    if not len(coeffs):
+        return {}
+    keys, starts = _key_starts(rows)
+    ps = rows[:, -1].tolist()
     cs = coeffs.tolist()
     out: PartitionElement = {}
-    for key, lo, hi in zip(keys[first].tolist(), starts, starts[1:] + [len(ps)]):
+    for key, lo, hi in zip(keys, starts, starts[1:] + [len(ps)]):
         base = ps[lo]
         dense = [0] * (ps[hi - 1] - base + 1)
         for j in range(lo, hi):
@@ -142,12 +156,7 @@ def product(
     mu: Partition, nu: Partition, d: int, term_cap: int = DEFAULT_TERM_CAP
 ) -> PartitionElement:
     """Partition-level product of two basis partitions."""
-    mu = tuple(mu)
-    nu = tuple(nu)
-    if mu and nu:
-        # checks the cap against the table's staged row counts, cached or not
-        structure_table(len(mu), len(nu), d, term_cap)
-    return _to_element(*_basis_product(mu, nu, d))
+    return _to_element(*_capped_basis_product(tuple(mu), tuple(nu), d, term_cap))
 
 
 def element_add(e1, e2):
@@ -190,6 +199,58 @@ def specialize(e, value) -> Dict[Partition, object]:
 # -- bilinear product ---------------------------------------------------------
 
 
+def _bilinear_rows(terms, d: int, term_cap: int, bounds=None):
+    """Grouped rows of a sum of scaled basis products, one entry per key length.
+
+    ``terms`` lists (k1, k2, powers, coeffs), the basis product k1 * k2 with
+    the coefficient sum_j coeffs[j] * q**powers[j], nonzero terms only.  Each
+    coefficient term stages one copy of the cached basis rows, its power
+    added and its coefficient multiplied in, and the staged rows are grouped
+    once per key length, under ``bounds`` when the caller has certified them
+    for staged rows that all share one length.  Returns {key length: (rows,
+    coeffs)}.
+    """
+    by_len: Dict[int, List] = {}
+    staged = 0
+    bound = 0
+    integral = True
+    for k1, k2, ps, cs in terms:
+        basis = _basis_product(k1, k2, d)
+        by_len.setdefault(len(k1) + len(k2), []).append((basis, ps, cs))
+        staged += len(basis[1]) * len(ps)
+        if integral and all(type(x) is int for x in cs):
+            bound += sum(map(abs, cs)) << ((d - 1) * len(k1) * len(k2))
+        else:
+            integral = False
+    if staged > term_cap:
+        raise ResourceLimitError(
+            "bilinear product stages %d rows, cap %d" % (staged, term_cap)
+        )
+    dtype = np.int64 if integral and bound <= _INT64_MAX else object
+    out = {}
+    for length, group in by_len.items():
+        rows, coeffs = [], []
+        for (basis_rows, basis_coeffs), ps, cs in group:
+            basis_coeffs = basis_coeffs.astype(dtype, copy=False)
+            for p, c in zip(ps, cs):
+                # a shift this large would overflow the int64 powers
+                big = p >> 62 not in (-1, 0)
+                shifted = basis_rows.astype(object if big else basis_rows.dtype)
+                shifted[:, -1] += p
+                rows.append(shifted)
+                coeffs.append(basis_coeffs * c)
+        copies = len(rows)
+        rows, coeffs = np.concatenate(rows), np.concatenate(coeffs)
+        if copies > 1:
+            # a single shifted and scaled copy of grouped rows is grouped already
+            rows, coeffs = group_rows(rows, coeffs, bounds)
+        if not integral:
+            # Fraction sums keep an integral result as Fraction(n, 1)
+            coeffs = _as_rational(coeffs)
+        out[length] = rows, coeffs
+    return out
+
+
 def product_elements(
     e1: PartitionElement,
     e2: PartitionElement,
@@ -197,50 +258,24 @@ def product_elements(
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> PartitionElement:
     """Bilinear extension of the basis product to finite sums."""
+    check_loop_count(d)
+    check_term_cap(term_cap)
     if not e1 or not e2:
         return {}
     for m in {len(k) for k in e1}:
         for n in {len(k) for k in e2}:
             if m and n:
                 structure_table(m, n, d, term_cap)
-    pairs = []
-    staged = 0
-    bound = 0
-    integral = True
+    terms = []
     for k1, c1 in e1.items():
         for k2, c2 in e2.items():
             c = c1 * c2
-            if not c:
-                continue
-            basis = _basis_product(tuple(k1), tuple(k2), d)
-            pairs.append((basis, c))
-            # one scaled copy of the basis rows per term of c
-            staged += len(basis[1]) * sum(1 for _ in c.items())
-            if integral and all(type(x) is int for x in c.coeffs):
-                bound += sum(map(abs, c.coeffs)) << ((d - 1) * len(k1) * len(k2))
-            else:
-                integral = False
-    if staged > term_cap:
-        raise ResourceLimitError(
-            "bilinear product stages %d rows, cap %d" % (staged, term_cap)
-        )
-    dtype = np.int64 if integral and bound <= _INT64_MAX else object
-    by_len: Dict[int, List] = {}
-    for (keys, powers, coeffs), c in pairs:
-        chunks = by_len.setdefault(keys.shape[1], [])
-        coeffs = coeffs.astype(dtype, copy=False)
-        for power, cj in c.items():
-            if power >> 62 not in (-1, 0):
-                # a shift this large would overflow the int64 powers
-                powers = powers.astype(object)
-            chunks.append((keys, powers + power, coeffs * cj))
+            if c:
+                ps, cs = zip(*c.items())
+                terms.append((tuple(k1), tuple(k2), ps, cs))
     out: PartitionElement = {}
-    for chunks in by_len.values():
-        keys, powers, coeffs = _group_terms(*(np.concatenate(col) for col in zip(*chunks)))
-        if not integral:
-            # Fraction sums keep an integral result as Fraction(n, 1)
-            coeffs = _as_rational(coeffs)
-        out.update(_to_element(keys, powers, coeffs))
+    for grouped in _bilinear_rows(terms, d, term_cap).values():
+        out.update(_to_element(*grouped))
     return out
 
 
@@ -290,15 +325,35 @@ def quasi_commutativity_report(mu: Partition, nu: Partition, d: int) -> QuasiCom
 def check_associativity(
     mu: Partition, nu: Partition, w: Partition, d: int
 ) -> CheckReport:
-    """Compare the two parenthesizations of a triple product exactly."""
+    """Compare the two parenthesizations of a triple product exactly.
+
+    Each side runs on grouped arrays: every distinct key k of the cached
+    outer product mu * nu (or nu * w) pairs with w (or mu) under the
+    coefficient its rows carry, and the bilinear core stages and groups
+    them, with the row bounds of the three blocks.  Grouped rows are
+    canonical, so the sides agree exactly when their arrays are equal, and
+    QLaurent values are built only to report the first differing key.
+    """
     mu = tuple(mu)
     nu = tuple(nu)
     w = tuple(w)
-    left = product_elements(product(mu, nu, d), {w: ONE}, d)
-    right = product_elements({mu: ONE}, product(nu, w, d), d)
-    passed = left == right
+    cap = DEFAULT_TERM_CAP
+    bounds = _row_bounds((mu, nu, w), d)
+    outer = _capped_basis_product(mu, nu, d, cap)
+    if (mu or nu) and w:
+        structure_table(len(mu) + len(nu), len(w), d, cap)
+    terms = [(k, w, ps, cs) for k, ps, cs in _split_keys(*outer)]
+    (left,) = _bilinear_rows(terms, d, cap, bounds).values()
+    outer = _capped_basis_product(nu, w, d, cap)
+    if mu and (nu or w):
+        structure_table(len(mu), len(nu) + len(w), d, cap)
+    terms = [(mu, k, ps, cs) for k, ps, cs in _split_keys(*outer)]
+    (right,) = _bilinear_rows(terms, d, cap, bounds).values()
+    passed = all(map(np.array_equal, left, right))
     failures = []
     if not passed:
+        left = _to_element(*left)
+        right = _to_element(*right)
         keys = sorted(set(left) | set(right), key=lambda k: (len(k), k))
         for key in keys:
             if left.get(key) != right.get(key):

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import NotSymmetricError, ResourceLimitError
-from .kernel import DEFAULT_TERM_CAP, pairwise_kernel
+from .kernel import DEFAULT_TERM_CAP, check_loop_count, pairwise_kernel
 from .mpoly import MPoly, embed, fixed_by, relabelled_sum
 from .partition_algebra import PartitionElement, product
 from .partitions import (
@@ -174,6 +174,7 @@ def shuffle_product(
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> SymmetricElement:
     """Kernel-weighted sum over all splits of the ambient variables."""
+    check_loop_count(d)
     n1 = f1.arity
     n2 = f2.arity
     count = comb(n1 + n2, n1)

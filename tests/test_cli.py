@@ -431,6 +431,47 @@ def test_batch_negative_term_cap_is_a_parse_error(capsys, monkeypatch):
         }
 
 
+LOOP_COUNT_ARGV = [
+    ["multiply", "--left", "0", "--right", "0"],
+    ["multiply", "--left", "", "--right", "0"],
+    ["shuffle", "--left", "0", "--right", "0"],
+    ["shuffle", "--left", "", "--right", "0"],
+]
+
+
+@pytest.mark.parametrize("d", ["0", "-1"])
+@pytest.mark.parametrize("argv", LOOP_COUNT_ARGV)
+def test_loop_count_below_one_exits_2(capsys, argv, d):
+    # with an empty factor no kernel is expanded, so nothing else would see d
+    code, out, err = run(capsys, argv + ["--d", d])
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == {
+        "code": "parse",
+        "message": "the loop count d must be at least 1",
+    }
+    validate(payload, "error")
+
+
+def test_batch_loop_count_below_one_is_a_parse_error(capsys, monkeypatch):
+    requests = [
+        {"cmd": cmd, "d": 0, "left": left, "right": [0]}
+        for cmd in ("multiply", "shuffle")
+        for left in ([0], [])
+    ]
+    text = "".join(json.dumps(r) + "\n" for r in requests)
+    code, out, _ = run(capsys, ["batch"], stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 0
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert len(lines) == len(requests)
+    for line in lines:
+        validate(line, "batch")
+        assert line == {
+            "ok": False,
+            "error": {"code": "parse", "message": "the loop count d must be at least 1"},
+        }
+
+
 def test_zero_term_cap_is_still_a_limit(capsys):
     code, _, err = run(capsys, ["g", "--d", "2", "--m", "1", "--n", "1", "--term-cap", "0"])
     assert code == 3 and json.loads(err)["error"]["code"] == "resource"

@@ -4,6 +4,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcoha.kernel as kernel
 from qcoha.errors import ResourceLimitError
@@ -12,6 +14,7 @@ from qcoha.kernel import (
     StructureConstantTable,
     group_rows,
     kernel_polynomial,
+    pairwise_kernel,
     structure_constants,
     structure_table,
     verify_coefficient_identity,
@@ -139,6 +142,28 @@ def test_shifted_kernel_is_embedding():
 def test_structure_constants_require_unshifted():
     with pytest.raises(ValueError):
         structure_constants(KernelSpec(1, 1, 2, shift=1))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_negative_term_cap_is_a_value_error(d):
+    # at d = 1 no factor is folded, so no cap check would ever see it
+    calls = [
+        lambda: pairwise_kernel(2, [(1, 0)], d, term_cap=-1),
+        lambda: kernel_polynomial(KernelSpec(1, 1, d), term_cap=-1),
+        lambda: structure_constants(KernelSpec(1, 1, d), term_cap=-1),
+        lambda: structure_table(1, 1, d, term_cap=-1),
+    ]
+    structure_table(1, 1, d)  # a cached table must not let it through
+    for call in calls:
+        with pytest.raises(ValueError, match="term cap must be non-negative, got -1"):
+            call()
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_pairwise_kernel_rejects_loop_counts_below_one(d):
+    for pairs in ([(1, 0)], []):
+        with pytest.raises(ValueError, match="the loop count d must be at least 1"):
+            pairwise_kernel(2, pairs, d)
 
 
 def test_term_cap_raises():
@@ -296,9 +321,7 @@ def _with_power_shift(m, n, d):
     return np.concatenate([rows, shifted]).tolist()
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
+BOUNDARY_ROWS = [
         # spans 0, 2**61 and 1: 63 bits behind a constant column
         [[0, 0, 0], [0, 2**61, 1], [0, 0, 0]],
         # ten columns: a constant minimum part, nine 7-bit parts
@@ -312,15 +335,69 @@ def _with_power_shift(m, n, d):
         # d = 2: sorted keys of a product whose minimum part never moves
         _with_power_shift(3, 1, 2),
         _with_power_shift(1, 4, 2),
-    ],
-)
+]
+
+
+def _boundary_weights(rows):
+    return [3, 5, -3, -4] * (len(rows) // 4) + [2] * (len(rows) % 4)
+
+
+@pytest.mark.parametrize("rows", BOUNDARY_ROWS)
 def test_group_rows_is_exact_at_the_int64_boundary(rows):
-    weights = [3, 5, -3, -4] * (len(rows) // 4) + [2] * (len(rows) % 4)
+    weights = _boundary_weights(rows)
     got_rows, got_weights = group_rows(
         np.array(rows, dtype=np.int64), np.array(weights, dtype=np.int64)
     )
     got = list(zip(map(tuple, got_rows.tolist()), got_weights.tolist()))
     assert got == _grouped_reference(rows, weights)
+
+
+def _true_bounds(rows):
+    lows = [min(col) for col in zip(*rows)]
+    return lows, [max(col) - lo for col, lo in zip(zip(*rows), lows)]
+
+
+@pytest.mark.parametrize("rows", BOUNDARY_ROWS)
+def test_group_rows_takes_true_bounds_at_the_int64_boundary(rows):
+    weights = _boundary_weights(rows)
+    matrix = np.array(rows, dtype=np.int64)
+    got_rows, got_weights = group_rows(
+        matrix, np.array(weights, dtype=np.int64), _true_bounds(rows)
+    )
+    got = list(zip(map(tuple, got_rows.tolist()), got_weights.tolist()))
+    assert got == _grouped_reference(rows, weights)
+    assert matrix.tolist() == rows
+
+
+entries = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([2**40, 2**62, 2**63 - 1, -(2**63), 2**70, -(2**70)]),
+)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda width: st.lists(st.lists(entries, min_size=width, max_size=width), min_size=1, max_size=12)
+    ),
+    st.integers(0, 2**65),
+    st.integers(0, 2**65),
+)
+@settings(max_examples=150, deadline=None)
+def test_group_rows_with_and_without_bounds_matches_reference(rows, below, above):
+    # without bounds as before; with the true bounds or wider ones, the same
+    fits = all(-(2**63) <= x < 2**63 for row in rows for x in row)
+    matrix = np.array(rows, dtype=np.int64 if fits else object)
+    weights = [(-1) ** i * (i % 3) for i in range(len(rows))]
+    want = _grouped_reference(rows, weights)
+    lows, spans = _true_bounds(rows)
+    wide = [lo - below for lo in lows], [span + below + above for span in spans]
+    for bounds in (None, (lows, spans), wide):
+        got_rows, got_weights = group_rows(
+            matrix, np.array(weights, dtype=np.int64), bounds
+        )
+        got = list(zip(map(tuple, got_rows.tolist()), got_weights.tolist()))
+        assert got == want
+        assert matrix.tolist() == rows
 
 
 @pytest.mark.parametrize("m,n,d", [(1, 1, 70), (2, 1, 33)])

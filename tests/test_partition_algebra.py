@@ -1,12 +1,15 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qcoha import partition_algebra
 from qcoha.bipartite import product_via_graphs
 from qcoha.errors import ResourceLimitError
+from qcoha.kernel import structure_table
 from qcoha.partition_algebra import (
     bar_element,
     check_associativity,
@@ -14,11 +17,9 @@ from qcoha.partition_algebra import (
     grading_failures,
     product,
     product_elements,
-    product_vectors,
     quasi_commutativity_report,
     scale_element,
     shift_sort_product,
-    sort_merge,
     specialize,
 )
 from qcoha.partitions import partitions_up_to, sort_ascending
@@ -36,9 +37,28 @@ def test_unit_laws_on_basis():
     assert product((), (), 3) == {(): ONE}
 
 
+def vector_product(u, v, d):
+    # the table's rows re-keyed by (u + a, v + b), keys left unsorted
+    if not u or not v:
+        return {u + v: ONE}
+    table = structure_table(len(u), len(v), d)
+    keys = (table.exps + np.array(u + v, dtype=object)).tolist()
+    powers = table.powers.tolist()
+    weights = table.weights.tolist()
+    return {tuple(k): QLaurent.term(w, p) for k, p, w in zip(keys, powers, weights)}
+
+
+def sort_merge(e):
+    # project a vector-level element to partition level by sorting its keys
+    out = {}
+    for key, coeff in e.items():
+        out = element_add(out, {sort_ascending(key): coeff})
+    return out
+
+
 def test_vector_product_single_parts_d2():
     # (0) * (0) at d=2: (0,1) - q (1,0)
-    got = product_vectors((0,), (0,), 2)
+    got = vector_product((0,), (0,), 2)
     assert got == {(0, 1): ONE, (1, 0): -Q}
 
 
@@ -151,8 +171,8 @@ def test_resource_limit_propagates():
         product((0, 1, 2, 3), (0, 1, 2, 3), 5, term_cap=10)
 
 
-def test_product_vectors_not_sorted_keys():
-    got = product_vectors((2,), (0,), 2)
+def test_vector_product_not_sorted_keys():
+    got = vector_product((2,), (0,), 2)
     assert (3, 0) in got or (2, 1) in got
     assert sort_merge(got) == product((2,), (0,), 2)
 
@@ -170,7 +190,7 @@ ds = st.integers(min_value=1, max_value=3)
 @settings(max_examples=40)
 def test_sorting_is_well_defined(u, v, d):
     # rearranging the inputs changes nothing after the sort-merge projection
-    got = sort_merge(product_vectors(u, v, d))
+    got = sort_merge(vector_product(u, v, d))
     want = product(sort_ascending(u), sort_ascending(v), d)
     assert got == want
 
@@ -334,3 +354,129 @@ def test_exhaustive_quasi_commutativity_small():
             odd = rep.exponent % 2 == 1
             if not odd:
                 assert rep.unsigned_matches, (mu, nu, d)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_negative_term_cap_is_a_value_error(d):
+    # an empty factor needs no table, so no table check would see the cap
+    calls = [
+        lambda: product((0,), (0,), d, term_cap=-1),
+        lambda: product((), (0,), d, term_cap=-1),
+        lambda: product_elements({(0,): ONE}, {(0,): ONE}, d, term_cap=-1),
+        lambda: product_elements({(): ONE}, {(0,): ONE}, d, term_cap=-1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="term cap must be non-negative, got -1"):
+            call()
+
+
+@pytest.mark.parametrize("d", [0, -2])
+def test_loop_counts_below_one_are_value_errors(d):
+    calls = [
+        lambda: product((), (0,), d),
+        lambda: product_elements({(): ONE}, {(0,): ONE}, d),
+        lambda: check_associativity((), (0,), (), d),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="the loop count d must be at least 1"):
+            call()
+
+
+def _spy_on_bounds(monkeypatch):
+    """Record every bounded group_rows call after checking its rows lie inside."""
+    real = partition_algebra.group_rows
+    seen = []
+
+    def spy(rows, weights, bounds=None):
+        if bounds is not None:
+            lows, spans = bounds
+            assert len(lows) == len(spans) == rows.shape[1]
+            tops = rows.max(axis=0).tolist()
+            for bottom, top, lo, span in zip(rows.min(axis=0).tolist(), tops, lows, spans):
+                assert lo <= bottom and top <= lo + span, (bottom, top, lo, span)
+            seen.append((rows.shape[1], spans[-1]))
+        return real(rows, weights, bounds)
+
+    monkeypatch.setattr(partition_algebra, "group_rows", spy)
+    # cached basis products were grouped before the spy was in place
+    partition_algebra._basis_product.cache_clear()
+    return seen
+
+
+@given(
+    short_partitions,
+    short_partitions,
+    short_partitions,
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([0, 2**40, 2**70]),
+)
+@example((), (), (), 1, 0)
+@example((0, 3), (), (1,), 2, 2**40)
+@example((0,), (0, 1), (), 3, 2**70)
+@example((2, 3), (0, 1), (1, 3), 4, 0)
+@example((1, 2), (0, 3), (2, 2), 4, 2**70)
+@settings(max_examples=50, deadline=None)
+def test_grouped_rows_lie_inside_their_bounds(mu, nu, w, d, c):
+    # a bound too narrow would merge distinct rows without an error
+    shift = lambda key: tuple(v + c for v in key)
+    mu, nu, w = shift(mu), shift(nu), shift(w)
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _spy_on_bounds(mp)
+        m, n, l = len(mu), len(nu), len(w)
+        product(mu, nu, d)
+        assert seen == ([(m + n + 1, (d - 1) * m * n)] if mu and nu else [])
+        assert check_associativity(mu, nu, w, d).passed
+        # each staged side, more than one term when d > 1, is grouped with
+        # the power span of the triple; a basis product's span is smaller
+        if d > 1 and mu and nu and w:
+            assert seen.count((m + n + l + 1, (d - 1) * (m * n + m * l + n * l))) == 2
+    partition_algebra._basis_product.cache_clear()
+
+
+def test_flipped_coefficient_fails_with_the_fold_message(monkeypatch):
+    mu, nu, w, d = (0,), (1,), (0, 1), 2
+    real = partition_algebra._basis_product
+    target = next(iter(product(mu, nu, d)))
+
+    def flipped(k1, k2, d):
+        rows, coeffs = real(k1, k2, d)
+        if (k1, k2) == (target, w):
+            coeffs = coeffs.copy()
+            coeffs[0] = -coeffs[0]
+        return rows, coeffs
+
+    monkeypatch.setattr(partition_algebra, "_basis_product", flipped)
+    # a test-local fold of the same (flipped) basis products
+    left = reference_product_elements(product(mu, nu, d), {w: ONE}, d)
+    right = reference_product_elements({mu: ONE}, product(nu, w, d), d)
+    keys = sorted(set(left) | set(right), key=lambda k: (len(k), k))
+    key = next(k for k in keys if left.get(k) != right.get(k))
+    want = "triple %r %r %r (d=%d): key %r has %r vs %r" % (
+        mu, nu, w, d, key, left.get(key), right.get(key)
+    )
+    report = check_associativity(mu, nu, w, d)
+    assert not report.passed
+    assert report.failures == [want]
+
+
+def _staged_rows(outer, inner):
+    # the rows a bilinear product stages: each term of a coefficient copies
+    # every (key, power) term of the basis product it multiplies
+    return sum(
+        sum(1 for f in inner(k).values() for _ in f.items()) * sum(1 for _ in c.items())
+        for k, c in outer.items()
+    )
+
+
+def test_associativity_staged_row_cap(monkeypatch):
+    mu, nu, w, d = (0, 1), (1,), (0,), 2
+    left = _staged_rows(product(mu, nu, d), lambda k: product(k, w, d))
+    right = _staged_rows(product(nu, w, d), lambda k: product(mu, k, d))
+    assert left != right
+    monkeypatch.setattr(partition_algebra, "DEFAULT_TERM_CAP", max(left, right))
+    assert check_associativity(mu, nu, w, d).passed
+    for cap, staged in ((max(left, right) - 1, max(left, right)), (min(left, right) - 1, left)):
+        monkeypatch.setattr(partition_algebra, "DEFAULT_TERM_CAP", cap)
+        with pytest.raises(ResourceLimitError) as err:
+            check_associativity(mu, nu, w, d)
+        assert str(err.value) == "bilinear product stages %d rows, cap %d" % (staged, cap)
