@@ -5,12 +5,23 @@ Output goes to stdout in the format picked by --format (json, text, latex);
 errors are one JSON object on stderr.  Exit codes: 0 success, 1 verification
 failure, 2 parse error, 3 resource limit.
 
+There is one request path.  A request is a dict whose ``cmd`` names an entry
+of COMMANDS; its other keys are fields, the parameter names of that command's
+``run_*`` handler, and a field is required when its parameter has no default.
+A command line parses into that dict (a flag is its field name with ``-`` for
+``_``; ``phi`` and ``specialize`` read their ``element`` from stdin), and a
+``batch`` line is that dict as JSON.  ``run_request`` checks either against
+the handler's signature, reads each field with its argv or JSON reader from
+FIELDS, and calls the handler.  A field the command does not take, a missing
+required field and a mistyped one are all parse errors.
+
 Everything is deterministic: given the same arguments (and seed, for verify
 assoc) the bytes written are identical run to run.
 """
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import Dict, Optional, Sequence
@@ -26,8 +37,9 @@ from .kernel import (
 )
 from .partition_algebra import product, specialize
 from .partitions import parse_partition
-from .qlaurent import Rational
+from .qlaurent import ONE, Rational
 from .serialization import (
+    _partition_from_json,
     element_from_json,
     element_to_json,
     graded_to_json,
@@ -40,6 +52,8 @@ from .serialization import (
     render_graded_text,
     render_mpoly_latex,
     render_mpoly_text,
+    render_qlaurent_latex,
+    render_qlaurent_text,
     render_specialized_latex,
     render_specialized_text,
     render_symmetric_latex,
@@ -49,43 +63,24 @@ from .serialization import (
     table_to_json,
 )
 from .shuffle_algebra import partition_image, shuffle_product, to_symmetric_element
-from .suites import DEFAULT_SEED, SUITES
+from .suites import SUITES
 
 FORMATS = ("json", "text", "latex")
-
-
-class CliError(Exception):
-    """Carries an error code name and the exit status for the shell."""
-
-    def __init__(self, code: str, message: str, status: int):
-        super().__init__(message)
-        self.code = code
-        self.status = status
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse prints usage and exits 2 on its own; route through the
     # JSON error contract instead
     def error(self, message):
-        raise CliError("parse", message, 2)
+        raise ValueError(message)
 
 
-def _parse_at_q(text: Optional[str]) -> Optional[Rational]:
-    if text is None:
-        return None
-    return rational_from_json(text)
-
-
-def _emit(result: Dict[str, object], fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(result["payload"])
-    return result[fmt]()
-
-
-# -- subcommand cores (shared by argv mode and batch mode) ----------------------
+# -- subcommand handlers ---------------------------------------------------------
 #
 # Each returns the JSON payload plus zero-argument "text" and "latex"
-# renderers, so only the format that is written out gets rendered.
+# renderers, so only the format that is written out gets rendered.  A
+# handler's parameters are its command's request fields, and its docstring
+# is the subcommand's help line.
 
 
 def run_multiply(
@@ -95,6 +90,7 @@ def run_multiply(
     at_q: Optional[Rational] = None,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> Dict[str, object]:
+    """product of two partitions"""
     check_term_cap(term_cap)
     e = product(left, right, d, term_cap)
     if at_q is None:
@@ -118,6 +114,7 @@ def run_shuffle(
     at_q: Optional[Rational] = None,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> Dict[str, object]:
+    """kernel-weighted product of two basis images"""
     check_term_cap(term_cap)
     se = shuffle_product(
         partition_image(left), partition_image(right), d, q_value=at_q, term_cap=term_cap
@@ -129,8 +126,13 @@ def run_shuffle(
     }
 
 
-def run_phi(element) -> Dict[str, object]:
-    ge = to_symmetric_element(element)
+def run_phi(partition=None, element=None) -> Dict[str, object]:
+    """map a partition or a JSON element to symmetric form"""
+    if (partition is None) == (element is None):
+        raise ValueError("phi takes exactly one of 'partition' and 'element'")
+    ge = to_symmetric_element(
+        {partition: ONE} if element is None else element_from_json(element)[1]
+    )
     return {
         "payload": graded_to_json(ge),
         "text": lambda: render_graded_text(ge),
@@ -146,11 +148,11 @@ def run_g(
     table: bool = False,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> Dict[str, object]:
+    """kernel polynomial or its structure constants"""
     check_term_cap(term_cap)
     spec = KernelSpec(m=m, n=n, d=d, shift=shift)
     if table:
         tab = structure_constants(spec, term_cap)
-        from .serialization import render_qlaurent_latex, render_qlaurent_text
 
         def lines(template, render):
             return "\n".join(
@@ -171,14 +173,16 @@ def run_g(
     }
 
 
-def run_graphs(left, right, list_orientations: bool = False) -> Dict[str, object]:
+def run_graphs(left, right, list: bool = False) -> Dict[str, object]:
+    """d=2 product as a sum over orientations"""
+    # the field is named "list", so the builtin is shadowed in this body
     e = product_via_graphs(left, right)
     payload = element_to_json(e, 2)
-    if list_orientations:
+    if list:
         payload["orientations"] = [
             {
                 "id": mask,
-                "partition": list(term.partition),
+                "partition": [*term.partition],
                 "coeff": qlaurent_to_json(term.coefficient),
             }
             for mask, term in enumerate_graph_terms(left, right)
@@ -190,8 +194,9 @@ def run_graphs(left, right, list_orientations: bool = False) -> Dict[str, object
     }
 
 
-def run_specialize(obj, at_q: Rational) -> Dict[str, object]:
-    d, element = element_from_json(obj)
+def run_specialize(element, at_q: Rational) -> Dict[str, object]:
+    """evaluate a JSON element at a rational q"""
+    d, element = element_from_json(element)
     values = specialize(element, at_q)
     return {
         "payload": specialized_to_json(values, d, at_q),
@@ -200,24 +205,20 @@ def run_specialize(obj, at_q: Rational) -> Dict[str, object]:
     }
 
 
-_SUITE_KWARG_NAMES = {
-    "assoc": ("d_values", "max_len", "max_part", "random_triples", "seed"),
-    "iso": ("d_values", "max_len", "max_part"),
-    "quasi": ("d_values", "max_len", "max_part"),
-    "graphs": ("max_len", "max_part"),
-    "lemma31": ("d_values",),
-    "prop41": ("max_len", "max_part"),
-    "prop43": ("max_len", "max_part"),
-    "grading": ("d_values", "max_len", "max_part"),
-}
-
-# verify option -> the suite keyword it sets
+# verify field -> the suite keyword it sets
 _VERIFY_OPTIONS = {
     "d": "d_values",
     "max_len": "max_len",
     "max_part": "max_part",
     "seed": "seed",
     "count": "random_triples",
+}
+
+# suite -> the verify fields it takes, read from its signature once, so a
+# SUITES entry later swapped for a wrapper or a stub keeps its options
+_SUITE_OPTIONS = {
+    suite: {f for f, kw in _VERIFY_OPTIONS.items() if kw in inspect.signature(fn).parameters}
+    for suite, fn in SUITES.items()
 }
 
 
@@ -229,29 +230,27 @@ def run_verify(
     seed: Optional[int] = None,
     count: Optional[int] = None,
 ) -> Dict[str, object]:
+    """run a verification suite"""
     if suite not in SUITES:
-        raise CliError(
-            "parse", "unknown suite %r (choose from %s)" % (suite, ", ".join(sorted(SUITES))), 2
-        )
+        raise ValueError("unknown suite %r (choose from %s)" % (suite, ", ".join(sorted(SUITES))))
     given = {"d": d, "max_len": max_len, "max_part": max_part, "seed": seed, "count": count}
     kwargs = {}
-    for option, value in given.items():
+    for field, value in given.items():
         if value is None:
             continue
-        name = _VERIFY_OPTIONS[option]
-        if name not in _SUITE_KWARG_NAMES[suite]:
-            raise CliError("parse", "suite %s does not take %s" % (suite, option), 2)
-        kwargs[name] = (value,) if option == "d" else value
+        if field not in _SUITE_OPTIONS[suite]:
+            raise ValueError("suite %s does not take %s" % (suite, field))
+        if value < 0 and field in ("max_len", "max_part", "count"):
+            raise ValueError("%s must be non-negative, got %d" % (field, value))
+        kwargs[_VERIFY_OPTIONS[field]] = (value,) if field == "d" else value
     report = SUITES[suite](**kwargs)
     lines = [
         "suite: %s" % report.name,
         "passed: %s" % ("yes" if report.passed else "no"),
         "checked: %d" % report.checked,
     ]
-    for item in report.instances:
-        lines.append("note: %s" % item)
-    for item in report.failures:
-        lines.append("failure: %s" % item)
+    lines += ["note: %s" % item for item in report.instances]
+    lines += ["failure: %s" % item for item in report.failures]
     text = "\n".join(lines)
     return {
         "payload": report.to_json(),
@@ -261,206 +260,144 @@ def run_verify(
     }
 
 
-# -- argv plumbing ---------------------------------------------------------------
+COMMANDS = {
+    "multiply": run_multiply,
+    "shuffle": run_shuffle,
+    "phi": run_phi,
+    "g": run_g,
+    "graphs": run_graphs,
+    "verify": run_verify,
+    "specialize": run_specialize,
+}
 
 
-def _add_common(p: argparse.ArgumentParser, with_at_q: bool = True):
-    p.add_argument("--format", choices=FORMATS, default="json")
-    p.add_argument("--term-cap", type=int, default=DEFAULT_TERM_CAP)
-    if with_at_q:
-        p.add_argument("--at-q", default=None, metavar="RATIONAL")
+# -- request fields ----------------------------------------------------------------
+#
+# Each field has a reader for its JSON value (given the field name for its
+# message) and one for its argv string.  An int field's argv reader is
+# argparse's type=, so its messages stay argparse's; bool marks a store_true
+# flag; an element has no flag, its argv value is stdin.
+
+
+def _typed(kind, noun, convert=None):
+    """A JSON reader that takes values of exactly the type ``kind`` and
+    passes them through ``convert`` when one is given."""
+
+    def read(field, value):
+        if type(value) is not kind:
+            raise ValueError("field %r must be %s" % (field, noun))
+        return value if convert is None else convert(value)
+
+    return read
+
+
+_integer = _typed(int, "an integer")
+_boolean = _typed(bool, "true or false")
+_string = _typed(str, "a string")
+_parts = _typed(list, "a list of parts", _partition_from_json)
+_rational = _typed(str, "a string", rational_from_json)
+
+
+def _element(field, value):
+    # checked here too, so that phi does not take a null element for an absent one
+    if type(value) is not dict:
+        raise ValueError("element must be {d, terms}")
+    return value
+
+
+def _load_stdin(stdin):
+    try:
+        return _element("element", json.load(stdin))
+    except json.JSONDecodeError as exc:
+        raise ValueError("bad element JSON on stdin: %s" % exc) from exc
+
+
+FIELDS = {
+    "d": (_integer, int),
+    "m": (_integer, int),
+    "n": (_integer, int),
+    "shift": (_integer, int),
+    "term_cap": (_integer, int),
+    "max_len": (_integer, int),
+    "max_part": (_integer, int),
+    "seed": (_integer, int),
+    "count": (_integer, int),
+    "left": (_parts, parse_partition),
+    "right": (_parts, parse_partition),
+    "partition": (_parts, parse_partition),
+    "at_q": (_rational, rational_from_json),
+    "table": (_boolean, bool),
+    "list": (_boolean, bool),
+    "suite": (_string, str),
+    "element": (_element, _load_stdin),
+}
+
+# command -> {field: required}, from its handler's signature
+_COMMAND_FIELDS = {
+    cmd: {name: p.default is p.empty for name, p in inspect.signature(handler).parameters.items()}
+    for cmd, handler in COMMANDS.items()
+}
+
+
+def run_request(request, argv: bool = False) -> Dict[str, object]:
+    """Check a request dict against its handler's signature and run it.
+
+    ``argv`` says the field values are argparse's, to be read by the argv
+    readers; otherwise they are JSON values.
+    """
+    if not isinstance(request, dict) or "cmd" not in request:
+        raise ValueError("request must be an object with a 'cmd' field")
+    cmd = request["cmd"]
+    if type(cmd) is not str or cmd not in COMMANDS:
+        raise ValueError("unknown cmd %r" % (cmd,))
+    fields = _COMMAND_FIELDS[cmd]
+    for field in request:
+        if field not in fields and field != "cmd":
+            raise ValueError("%s does not take %r" % (cmd, field))
+    kwargs = {}
+    for field, required in fields.items():
+        if field in request:
+            from_json, from_argv = FIELDS[field]
+            value = request[field]
+            kwargs[field] = from_argv(value) if argv else from_json(field, value)
+        elif required:
+            raise ValueError("%s needs %r" % (cmd, field))
+    return COMMANDS[cmd](**kwargs)
+
+
+def _classify(exc: Exception):
+    """The error code and exit status of a request that raised ``exc``."""
+    if isinstance(exc, ResourceLimitError):
+        return "resource", 3
+    if isinstance(exc, NotSymmetricError):
+        return "check", 1
+    return "parse", 2
+
+
+_REQUEST_ERRORS = (ResourceLimitError, ValueError, KeyError, TypeError)
+
+
+# -- argv and batch ------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qcoha", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("multiply", help="product of two partitions")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--left", required=True, metavar="PARTS")
-    p.add_argument("--right", required=True, metavar="PARTS")
-    _add_common(p)
-
-    p = sub.add_parser("shuffle", help="kernel-weighted product of two basis images")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--left", required=True, metavar="PARTS")
-    p.add_argument("--right", required=True, metavar="PARTS")
-    _add_common(p)
-
-    p = sub.add_parser("phi", help="map a partition or a JSON element to symmetric form")
-    p.add_argument("--partition", default=None, metavar="PARTS")
-    _add_common(p, with_at_q=False)
-
-    p = sub.add_parser("g", help="kernel polynomial or its structure constants")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--shift", type=int, default=0)
-    p.add_argument("--table", action="store_true")
-    _add_common(p, with_at_q=False)
-
-    p = sub.add_parser("graphs", help="d=2 product as a sum over orientations")
-    p.add_argument("--left", required=True, metavar="PARTS")
-    p.add_argument("--right", required=True, metavar="PARTS")
-    p.add_argument("--list", action="store_true", dest="list_orientations")
-    _add_common(p, with_at_q=False)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--max-part", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--count", type=int, default=None, help="random triples for assoc")
-    p.add_argument("--format", choices=FORMATS, default="json")
-
-    p = sub.add_parser("specialize", help="evaluate a JSON element at a rational q")
-    p.add_argument("--at-q", required=True, metavar="RATIONAL")
-    p.add_argument("--format", choices=FORMATS, default="json")
-
+    for cmd, handler in COMMANDS.items():
+        # an absent flag stays out of the request, so the handler's default holds
+        p = sub.add_parser(cmd, help=handler.__doc__, argument_default=argparse.SUPPRESS)
+        for field, required in _COMMAND_FIELDS[cmd].items():
+            from_argv = FIELDS[field][1]
+            flag = "--" + field.replace("_", "-")
+            if field == "suite":
+                p.add_argument("suite", choices=sorted(SUITES))
+            elif from_argv is bool:
+                p.add_argument(flag, action="store_true")
+            elif field != "element":
+                p.add_argument(flag, required=required, type=int if from_argv is int else None)
+        p.add_argument("--format", choices=FORMATS, default="json")
     sub.add_parser("batch", help="read JSON requests from stdin, one per line")
     return parser
-
-
-def _dispatch(args: argparse.Namespace, stdin) -> Dict[str, object]:
-    cmd = args.command
-    if cmd == "multiply":
-        return run_multiply(
-            args.d,
-            parse_partition(args.left),
-            parse_partition(args.right),
-            _parse_at_q(args.at_q),
-            args.term_cap,
-        )
-    if cmd == "shuffle":
-        return run_shuffle(
-            args.d,
-            parse_partition(args.left),
-            parse_partition(args.right),
-            _parse_at_q(args.at_q),
-            args.term_cap,
-        )
-    if cmd == "phi":
-        if args.partition is not None:
-            from .qlaurent import ONE
-
-            element = {parse_partition(args.partition): ONE}
-        else:
-            try:
-                obj = json.load(stdin)
-            except json.JSONDecodeError as exc:
-                raise ValueError("bad element JSON on stdin: %s" % exc) from exc
-            _, element = element_from_json(obj)
-        return run_phi(element)
-    if cmd == "g":
-        return run_g(args.d, args.m, args.n, args.shift, args.table, args.term_cap)
-    if cmd == "graphs":
-        return run_graphs(
-            parse_partition(args.left),
-            parse_partition(args.right),
-            args.list_orientations,
-        )
-    if cmd == "verify":
-        return run_verify(
-            args.suite, args.d, args.max_len, args.max_part, args.seed, args.count
-        )
-    if cmd == "specialize":
-        try:
-            obj = json.load(stdin)
-        except json.JSONDecodeError as exc:
-            raise ValueError("bad element JSON on stdin: %s" % exc) from exc
-        return run_specialize(obj, rational_from_json(args.at_q))
-    raise CliError("parse", "unknown command %r" % cmd, 2)
-
-
-# -- batch mode --------------------------------------------------------------------
-
-
-def _batch_request(obj) -> Dict[str, object]:
-    if not isinstance(obj, dict) or "cmd" not in obj:
-        raise ValueError("request must be an object with a 'cmd' field")
-    cmd = obj["cmd"]
-    at_q = obj.get("at_q")
-    if at_q is not None:
-        at_q = rational_from_json(at_q)
-    if cmd == "multiply":
-        return run_multiply(
-            _req_int(obj, "d"),
-            _req_partition(obj, "left"),
-            _req_partition(obj, "right"),
-            at_q,
-            _opt_int(obj, "term_cap", DEFAULT_TERM_CAP),
-        )
-    if cmd == "shuffle":
-        return run_shuffle(
-            _req_int(obj, "d"),
-            _req_partition(obj, "left"),
-            _req_partition(obj, "right"),
-            at_q,
-            _opt_int(obj, "term_cap", DEFAULT_TERM_CAP),
-        )
-    if cmd == "phi":
-        if "element" in obj:
-            _, element = element_from_json(obj["element"])
-        else:
-            from .qlaurent import ONE
-
-            element = {_req_partition(obj, "partition"): ONE}
-        return run_phi(element)
-    if cmd == "g":
-        return run_g(
-            _req_int(obj, "d"),
-            _req_int(obj, "m"),
-            _req_int(obj, "n"),
-            _opt_int(obj, "shift", 0),
-            _opt_bool(obj, "table"),
-            _opt_int(obj, "term_cap", DEFAULT_TERM_CAP),
-        )
-    if cmd == "graphs":
-        return run_graphs(
-            _req_partition(obj, "left"),
-            _req_partition(obj, "right"),
-            _opt_bool(obj, "list"),
-        )
-    if cmd == "specialize":
-        if at_q is None:
-            raise ValueError("specialize needs 'at_q'")
-        return run_specialize(obj.get("element"), at_q)
-    if cmd == "verify":
-        return run_verify(
-            obj["suite"],
-            **{option: _opt_int(obj, option, None) for option in _VERIFY_OPTIONS},
-        )
-    raise ValueError("unknown cmd %r" % (cmd,))
-
-
-def _req_int(obj, field) -> int:
-    v = obj.get(field)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ValueError("field %r must be an integer" % field)
-    return v
-
-
-def _opt_int(obj, field, default):
-    if field not in obj:
-        return default
-    return _req_int(obj, field)
-
-
-def _opt_bool(obj, field) -> bool:
-    v = obj.get(field, False)
-    if not isinstance(v, bool):
-        raise ValueError("field %r must be true or false" % field)
-    return v
-
-
-def _req_partition(obj, field):
-    v = obj.get(field)
-    if not isinstance(v, list):
-        raise ValueError("field %r must be a list of parts" % field)
-    from .serialization import _partition_from_json
-
-    return _partition_from_json(v)
 
 
 def run_batch(stdin, stdout) -> int:
@@ -469,58 +406,35 @@ def run_batch(stdin, stdout) -> int:
         if not line:
             continue
         try:
-            request = json.loads(line)
-            result = _batch_request(request)
+            result = run_request(json.loads(line))
             response = {"ok": True, "result": result["payload"]}
             if "passed" in result:
                 response["passed"] = result["passed"]
-        except ResourceLimitError as exc:
-            response = {"ok": False, "error": {"code": "resource", "message": str(exc)}}
-        except CliError as exc:
-            response = {"ok": False, "error": {"code": exc.code, "message": str(exc)}}
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-            response = {"ok": False, "error": {"code": "parse", "message": str(exc)}}
+        except _REQUEST_ERRORS as exc:
+            response = {"ok": False, "error": {"code": _classify(exc)[0], "message": str(exc)}}
         stdout.write(json.dumps(response) + "\n")
         # a client may wait for each reply before sending the next request
         stdout.flush()
     return 0
 
 
-# -- entry point --------------------------------------------------------------------
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "batch":
+        request = vars(build_parser().parse_args(argv))
+        request["cmd"] = request.pop("command")
+        if request["cmd"] == "batch":
             return run_batch(sys.stdin, sys.stdout)
-        result = _dispatch(args, sys.stdin)
-        fmt = getattr(args, "format", "json")
-        sys.stdout.write(_emit(result, fmt) + "\n")
-        if result.get("passed") is False:
-            return 1
-        return 0
-    except CliError as exc:
-        sys.stderr.write(
-            json.dumps({"error": {"code": exc.code, "message": str(exc)}}) + "\n"
-        )
-        return exc.status
-    except ResourceLimitError as exc:
-        sys.stderr.write(
-            json.dumps({"error": {"code": "resource", "message": str(exc)}}) + "\n"
-        )
-        return 3
-    except NotSymmetricError as exc:
-        sys.stderr.write(
-            json.dumps({"error": {"code": "check", "message": str(exc)}}) + "\n"
-        )
-        return 1
-    except ValueError as exc:
-        sys.stderr.write(
-            json.dumps({"error": {"code": "parse", "message": str(exc)}}) + "\n"
-        )
-        return 2
+        fmt = request.pop("format")
+        if "element" in _COMMAND_FIELDS[request["cmd"]] and "partition" not in request:
+            request["element"] = sys.stdin
+        result = run_request(request, argv=True)
+        out = json.dumps(result["payload"]) if fmt == "json" else result[fmt]()
+        sys.stdout.write(out + "\n")
+        return 1 if result.get("passed") is False else 0
+    except _REQUEST_ERRORS as exc:
+        code, status = _classify(exc)
+        sys.stderr.write(json.dumps({"error": {"code": code, "message": str(exc)}}) + "\n")
+        return status
 
 
 if __name__ == "__main__":

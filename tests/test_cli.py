@@ -9,6 +9,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcoha.cli as cli_mod
 from qcoha import product, specialize
@@ -333,6 +335,20 @@ def test_batch_verify_rejects_fields_the_suite_does_not_take(capsys, monkeypatch
         }
 
 
+# requests with a field their command does not take, and the message for each
+UNTAKEN_BATCH_FIELDS = [
+    ({"cmd": "multiply", "d": 2, "left": [0], "right": [0], "bogus": 1},
+     "multiply does not take 'bogus'"),
+    ({"cmd": "g", "d": 2, "m": 1, "n": 1, "at_q": "1"}, "g does not take 'at_q'"),
+    ({"cmd": "graphs", "left": [0], "right": [0], "at_q": "1"}, "graphs does not take 'at_q'"),
+    ({"cmd": "phi", "partition": [0], "at_q": "1"}, "phi does not take 'at_q'"),
+    ({"cmd": "graphs", "left": [0], "right": [0], "term_cap": 5},
+     "graphs does not take 'term_cap'"),
+    ({"cmd": "phi", "partition": [0], "element": {"d": 2, "terms": []}},
+     "phi takes exactly one of 'partition' and 'element'"),
+]
+
+
 @pytest.mark.parametrize(
     "request_",
     [
@@ -345,7 +361,8 @@ def test_batch_verify_rejects_fields_the_suite_does_not_take(capsys, monkeypatch
         {"cmd": "graphs", "left": [0], "right": [0], "list": 1},
         {"cmd": "verify", "suite": "prop43", "max_len": "1"},
         {"cmd": "verify", "suite": "assoc", "seed": True},
-    ],
+    ]
+    + [request for request, _ in UNTAKEN_BATCH_FIELDS],
 )
 def test_batch_rejects_wrongly_typed_fields(capsys, monkeypatch, request_):
     code, out, _ = run(
@@ -355,6 +372,93 @@ def test_batch_rejects_wrongly_typed_fields(capsys, monkeypatch, request_):
     line = json.loads(out)
     validate(line, "batch")
     assert line["ok"] is False and line["error"]["code"] == "parse"
+    for request, message in UNTAKEN_BATCH_FIELDS:
+        if request == request_:
+            assert line["error"]["message"] == message
+
+
+@pytest.mark.parametrize(
+    "request_,message",
+    [
+        ({"cmd": "verify"}, "verify needs 'suite'"),
+        ({"cmd": "verify", "suite": ["assoc"]}, "field 'suite' must be a string"),
+        ({"cmd": "multiply", "d": 2, "left": [0]}, "multiply needs 'right'"),
+        ({"cmd": "g", "m": 1, "n": 1}, "g needs 'd'"),
+        ({"cmd": "multiply", "d": 2, "left": "0", "right": [0]},
+         "field 'left' must be a list of parts"),
+        ({"cmd": "multiply", "d": 2, "left": [0], "right": [0], "at_q": 1},
+         "field 'at_q' must be a string"),
+        ({"cmd": "specialize", "element": {"d": 2, "terms": []}}, "specialize needs 'at_q'"),
+        ({"cmd": "specialize", "element": None, "at_q": "1"}, "element must be {d, terms}"),
+        ({"cmd": "phi", "element": None}, "element must be {d, terms}"),
+        ({"cmd": "phi"}, "phi takes exactly one of 'partition' and 'element'"),
+        ({"cmd": ["multiply"]}, "unknown cmd ['multiply']"),
+        ({"left": [0]}, "request must be an object with a 'cmd' field"),
+    ],
+)
+def test_batch_names_a_missing_or_mistyped_field(capsys, monkeypatch, request_, message):
+    _refuse_to_run(monkeypatch)
+    code, out, _ = run(
+        capsys, ["batch"], stdin_text=json.dumps(request_) + "\n", monkeypatch=monkeypatch
+    )
+    assert code == 0
+    line = json.loads(out)
+    validate(line, "batch")
+    assert line == {"ok": False, "error": {"code": "parse", "message": message}}
+
+
+@pytest.mark.parametrize(
+    "command", [["phi", "--partition", "0"], ["graphs", "--left", "0", "--right", "0"]]
+)
+@pytest.mark.parametrize("cap", ["-5", "10"])
+def test_phi_and_graphs_take_no_term_cap(capsys, command, cap):
+    code, out, err = run(capsys, command + ["--term-cap", cap])
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == {
+        "code": "parse",
+        "message": "unrecognized arguments: --term-cap %s" % cap,
+    }
+    validate(payload, "error")
+
+
+# (suite, field) pairs whose field is a bound that must not be negative
+VERIFY_BOUNDS = [
+    ("iso", "max_len"),
+    ("prop41", "max_part"),
+    ("assoc", "count"),
+    ("assoc", "max_len"),
+]
+
+
+@pytest.mark.parametrize("suite,field", VERIFY_BOUNDS)
+def test_negative_verify_bound_is_a_parse_error(capsys, monkeypatch, suite, field):
+    _refuse_to_run(monkeypatch)
+    code, out, err = run(capsys, ["verify", suite, "--" + field.replace("_", "-"), "-1"])
+    assert code == 2 and out == ""
+    error = {"code": "parse", "message": "%s must be non-negative, got -1" % field}
+    payload = json.loads(err)
+    assert payload["error"] == error
+    validate(payload, "error")
+    text = json.dumps({"cmd": "verify", "suite": suite, field: -1}) + "\n"
+    code, out, _ = run(capsys, ["batch"], stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 0 and json.loads(out) == {"ok": False, "error": error}
+
+
+def test_zero_verify_bounds_stay_valid(capsys, monkeypatch):
+    seen = []
+
+    def record(**kwargs):
+        seen.append(kwargs)
+        return CheckReport("stub", True, 0)
+
+    monkeypatch.setitem(cli_mod.SUITES, "assoc", record)
+    argv = ["verify", "assoc", "--max-len", "0", "--max-part", "0", "--count", "0"]
+    assert run(capsys, argv)[0] == 0
+    text = json.dumps({"cmd": "verify", "suite": "assoc", "max_len": 0, "max_part": 0, "count": 0})
+    code, out, _ = run(capsys, ["batch"], stdin_text=text + "\n", monkeypatch=monkeypatch)
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert seen == [{"max_len": 0, "max_part": 0, "random_triples": 0}] * 2
 
 
 def test_batch_reads_typed_flags(capsys, monkeypatch):
@@ -533,6 +637,134 @@ def test_batch_term_cap_ignores_cached_tables(capsys, monkeypatch):
     assert first["ok"] is False and first["error"]["code"] == "resource"
     assert second["ok"] is True
     assert third == first
+
+
+ELEMENT = element_to_json(product((0, 2), (1,), 4), 4)
+
+# every command, with and without its optional fields
+PARITY_REQUESTS = [
+    {"cmd": "multiply", "d": 3, "left": [0, 1], "right": [1]},
+    {"cmd": "multiply", "d": 3, "left": [0, 1], "right": [1], "at_q": "1/2"},
+    {"cmd": "shuffle", "d": 2, "left": [0], "right": [0, 1]},
+    {"cmd": "shuffle", "d": 2, "left": [0], "right": [0, 1], "at_q": "-2"},
+    {"cmd": "phi", "partition": [1, 1, 3]},
+    {"cmd": "phi", "element": ELEMENT},
+    {"cmd": "g", "d": 3, "m": 2, "n": 1},
+    {"cmd": "g", "d": 3, "m": 2, "n": 1, "table": True},
+    {"cmd": "g", "d": 3, "m": 2, "n": 1, "shift": 1},
+    {"cmd": "graphs", "left": [0, 1], "right": [1]},
+    {"cmd": "graphs", "left": [0, 1], "right": [1], "list": True},
+    {"cmd": "verify", "suite": "prop43", "max_len": 1, "max_part": 1},
+    {"cmd": "specialize", "element": ELEMENT, "at_q": "1/2"},
+]
+
+
+def _argv_twin(request):
+    """The command line and stdin for a batch request: a flag is its field
+    name with "-" for "_", the suite is positional and an element is stdin."""
+    argv, stdin = [request["cmd"]], None
+    for field, value in request.items():
+        flag = "--" + field.replace("_", "-")
+        if field == "suite":
+            argv.append(value)
+        elif field == "element":
+            stdin = json.dumps(value)
+        elif value is True:
+            argv.append(flag)
+        elif isinstance(value, list):
+            argv += [flag, ",".join(str(v) for v in value)]
+        elif field != "cmd":
+            argv += [flag, str(value)]
+    return argv, stdin
+
+
+@pytest.mark.parametrize("request_", PARITY_REQUESTS)
+def test_argv_and_batch_give_the_same_payload(capsys, monkeypatch, request_):
+    argv, stdin = _argv_twin(request_)
+    code, out, err = run(capsys, argv, stdin_text=stdin, monkeypatch=monkeypatch)
+    assert code == 0 and err == ""
+    text = json.dumps(request_) + "\n"
+    code, line, _ = run(capsys, ["batch"], stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 0
+    response = json.loads(line)
+    assert response["ok"] is True
+    assert (json.dumps(response["result"]) + "\n").encode() == out.encode()
+
+
+with open(SCHEMAS / "batch.schema.json") as fh:
+    _BATCH_SCHEMA = json.load(fh)
+_BATCH_VALIDATOR = jsonschema.validators.validator_for(_BATCH_SCHEMA)(_BATCH_SCHEMA)
+
+_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.sampled_from(["1", "-1/2", "x", "", "prop43", "assoc"]),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.just(ELEMENT),
+    st.dictionaries(st.sampled_from(["d", "terms"]), st.integers(0, 2), max_size=2),
+)
+_REQUESTS = st.builds(
+    lambda cmd, fields: {"cmd": cmd, **fields},
+    st.sampled_from([*cli_mod.COMMANDS, "batch"]) | _VALUES,
+    st.dictionaries(
+        st.sampled_from([*cli_mod.FIELDS, "bogus"]) | st.text(max_size=3), _VALUES, max_size=5
+    ),
+)
+# a well-typed value for each field, so that requests also reach the handlers
+_TYPED = {
+    **{
+        field: st.integers(-1, 3)
+        for field, (read, _) in cli_mod.FIELDS.items()
+        if read is cli_mod._integer
+    },
+    "left": st.lists(st.integers(0, 3), max_size=3).map(sorted),
+    "right": st.lists(st.integers(0, 3), max_size=3).map(sorted),
+    "partition": st.lists(st.integers(0, 3), max_size=3).map(sorted),
+    "at_q": st.sampled_from(["0", "1", "-1/2", "2"]),
+    "table": st.booleans(),
+    "list": st.booleans(),
+    "suite": st.sampled_from(sorted(cli_mod.SUITES)),
+    "element": st.just(ELEMENT),
+}
+
+
+def _typed_request(cmd):
+    fields = cli_mod._COMMAND_FIELDS[cmd]
+    return st.fixed_dictionaries(
+        {"cmd": st.just(cmd), **{f: _TYPED[f] for f, required in fields.items() if required}},
+        optional={f: _TYPED[f] for f, required in fields.items() if not required},
+    )
+
+
+_LINES = st.one_of(
+    st.sampled_from(sorted(cli_mod.COMMANDS)).flatmap(_typed_request).map(json.dumps),
+    _REQUESTS.map(json.dumps),
+    _VALUES.map(json.dumps),
+    st.text(st.characters(blacklist_characters="\r\n"), max_size=8),
+)
+
+
+def _batch(lines):
+    out = io.StringIO()
+    assert cli_mod.run_batch(io.StringIO("".join(line + "\n" for line in lines)), out) == 0
+    return out.getvalue().splitlines()
+
+
+@settings(max_examples=200)
+@given(st.lists(_LINES, min_size=1, max_size=6))
+def test_batch_fuzz_answers_every_line_once(lines):
+    stub = lambda **kwargs: CheckReport("stub", True, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in cli_mod.SUITES:
+            mp.setitem(cli_mod.SUITES, name, stub)
+        forward = _batch(lines)
+        backward = _batch(lines[::-1])
+    assert len(forward) == len([line for line in lines if line.strip()])
+    for response in forward:
+        _BATCH_VALIDATOR.validate(json.loads(response))
+    # a response depends only on its request, not on what ran before it
+    assert backward == forward[::-1]
 
 
 def test_batch_answers_before_stdin_closes():
