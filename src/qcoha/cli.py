@@ -379,6 +379,8 @@ _REQUEST_ERRORS = (ResourceLimitError, ValueError, KeyError, TypeError)
 
 # -- argv and batch ------------------------------------------------------------------
 
+_METAVARS = {parse_partition: "PARTS", rational_from_json: "RATIONAL"}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qcoha", description=__doc__)
@@ -394,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
             elif from_argv is bool:
                 p.add_argument(flag, action="store_true")
             elif field != "element":
-                p.add_argument(flag, required=required, type=int if from_argv is int else None)
+                kind = int if from_argv is int else None
+                p.add_argument(flag, required=required, type=kind, metavar=_METAVARS.get(from_argv))
         p.add_argument("--format", choices=FORMATS, default="json")
     sub.add_parser("batch", help="read JSON requests from stdin, one per line")
     return parser
