@@ -35,7 +35,7 @@ from .kernel import (
     kernel_polynomial,
     structure_constants,
 )
-from .partition_algebra import product, specialize
+from .partition_algebra import _capped_basis_product, _to_element, product, specialize
 from .partitions import parse_partition
 from .qlaurent import ONE, Rational
 from .serialization import (
@@ -43,6 +43,7 @@ from .serialization import (
     element_from_json,
     element_to_json,
     graded_to_json,
+    grouped_to_json,
     mpoly_to_json,
     qlaurent_to_json,
     rational_from_json,
@@ -92,14 +93,15 @@ def run_multiply(
 ) -> Dict[str, object]:
     """product of two partitions"""
     check_term_cap(term_cap)
-    e = product(left, right, d, term_cap)
     if at_q is None:
+        # JSON straight from the cached grouped rows; text and LaTeX fold them
+        grouped = _capped_basis_product(left, right, d, term_cap)
         return {
-            "payload": element_to_json(e, d),
-            "text": lambda: render_element_text(e),
-            "latex": lambda: render_element_latex(e),
+            "payload": grouped_to_json(*grouped, d),
+            "text": lambda: render_element_text(_to_element(*grouped)),
+            "latex": lambda: render_element_latex(_to_element(*grouped)),
         }
-    values = specialize(e, at_q)
+    values = specialize(product(left, right, d, term_cap), at_q)
     return {
         "payload": specialized_to_json(values, d, at_q),
         "text": lambda: render_specialized_text(values),
@@ -376,6 +378,10 @@ def _classify(exc: Exception):
 
 _REQUEST_ERRORS = (ResourceLimitError, ValueError, KeyError, TypeError)
 
+# every document written is a fresh acyclic tree, so the circular-reference
+# check is skipped; the bytes are those of json.dumps
+_dumps = json.JSONEncoder(check_circular=False).encode
+
 
 # -- argv and batch ------------------------------------------------------------------
 
@@ -415,7 +421,7 @@ def run_batch(stdin, stdout) -> int:
                 response["passed"] = result["passed"]
         except _REQUEST_ERRORS as exc:
             response = {"ok": False, "error": {"code": _classify(exc)[0], "message": str(exc)}}
-        stdout.write(json.dumps(response) + "\n")
+        stdout.write(_dumps(response) + "\n")
         # a client may wait for each reply before sending the next request
         stdout.flush()
     return 0
@@ -431,12 +437,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if "element" in _COMMAND_FIELDS[request["cmd"]] and "partition" not in request:
             request["element"] = sys.stdin
         result = run_request(request, argv=True)
-        out = json.dumps(result["payload"]) if fmt == "json" else result[fmt]()
+        out = _dumps(result["payload"]) if fmt == "json" else result[fmt]()
         sys.stdout.write(out + "\n")
         return 1 if result.get("passed") is False else 0
     except _REQUEST_ERRORS as exc:
         code, status = _classify(exc)
-        sys.stderr.write(json.dumps({"error": {"code": code, "message": str(exc)}}) + "\n")
+        sys.stderr.write(_dumps({"error": {"code": code, "message": str(exc)}}) + "\n")
         return status
 
 

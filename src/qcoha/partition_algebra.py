@@ -20,6 +20,9 @@ core with QLaurent dicts at its edges.  ``check_associativity`` feeds it the
 rows of the cached outer product (mu * nu, or nu * w) directly, groups each
 parenthesization on its own and compares the two with ``np.array_equal``:
 grouped rows are canonical, so on the passing path no QLaurent is built.
+The command line's JSON ``multiply`` writes the cached rows straight out
+(``serialization.grouped_to_json``); only ``product``, the text and LaTeX
+renderers and ``--at-q`` fold them into QLaurent dicts (``_to_element``).
 
 The staged arrays are int64 only when a bound certifies that no sum can
 leave int64 range: the sum of |coefficients| times the table's sum of

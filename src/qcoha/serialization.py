@@ -4,7 +4,9 @@ All JSON is canonical: rationals are strings ("p" or "p/q"), polynomial terms
 are sorted (exponent vectors lexicographically, partition keys by length then
 lexicographically), and zero is always {"offset": 0, "coeffs": []}.  Decoders
 validate shape and reject anything malformed with ValueError so the CLI can
-map it to a parse error.
+map it to a parse error.  ``grouped_to_json`` writes a basis product from its
+cached grouped rows (see ``partition_algebra``) with the same bytes as
+``element_to_json`` of its QLaurent dict, and builds no QLaurent.
 
 Renderers order a coefficient's powers of q descending and an element's keys
 by (length, lex); both orders are fixed so output is byte-identical across
@@ -15,9 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
+import numpy as np
+
 from .kernel import StructureConstantTable
 from .mpoly import MPoly
-from .partition_algebra import PartitionElement
+from .partition_algebra import PartitionElement, _key_starts
 from .partitions import Partition
 from .qlaurent import QLaurent, Rational, as_rational
 from .shuffle_algebra import GradedElement, SymmetricElement
@@ -127,6 +131,36 @@ def _partition_from_json(value) -> Partition:
 
 def element_to_json(e: PartitionElement, d: int) -> dict:
     return {"d": d, "terms": _partition_terms_to_json(e)}
+
+
+def grouped_to_json(rows, coeffs, d: int) -> dict:
+    """``element_to_json`` of a basis product given as its grouped rows.
+
+    The rows of one basis product share one key length and come in (key,
+    power) order, so the keys come out in canonical order with no sort.
+    Every key's dense coefficient vector is laid out in one array: a
+    coefficient goes to its key's offset there plus its power less the
+    key's lowest power.  Powers lie in [0, (d-1)*m*n], so that index is
+    int64 even when the keys need Python ints.
+    """
+    if not len(coeffs):
+        return {"d": d, "terms": []}
+    keys, starts = _key_starts(rows)
+    powers = rows[:, -1].astype(np.int64)
+    stops = starts[1:] + [len(powers)]
+    lows = powers[starts]
+    widths = powers[np.subtract(stops, 1)] - lows + 1
+    ends = np.cumsum(widths)
+    dense = np.zeros(ends[-1], dtype=coeffs.dtype)
+    dense[powers + np.repeat(ends - widths - lows, np.subtract(stops, starts))] = coeffs
+    text = list(map(str, dense.tolist()))
+    return {
+        "d": d,
+        "terms": [
+            {"partition": key, "coeff": {"offset": low, "coeffs": text[end - width : end]}}
+            for key, low, width, end in zip(keys, lows.tolist(), widths.tolist(), ends.tolist())
+        ],
+    }
 
 
 def element_from_json(obj) -> Tuple[int, PartitionElement]:

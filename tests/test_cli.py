@@ -1,10 +1,13 @@
 """CLI behaviour: exit codes, emitted documents, determinism, batch mode."""
+import importlib
 import io
 import json
 import os
+import re
 import select
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -13,13 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcoha.cli as cli_mod
-from qcoha import product, specialize
+from qcoha import partition_algebra, product, serialization, specialize
 from qcoha.cli import main
 from qcoha.reports import CheckReport
-from qcoha.serialization import element_to_json, graded_to_json, specialized_to_json
+from qcoha.serialization import (
+    element_to_json,
+    graded_to_json,
+    render_element_latex,
+    render_element_text,
+    specialized_to_json,
+)
 from qcoha.shuffle_algebra import to_symmetric_element
 
-SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMAS = ROOT / "docs" / "schemas"
 
 
 def validate(payload, schema_name):
@@ -637,6 +647,90 @@ def test_batch_term_cap_ignores_cached_tables(capsys, monkeypatch):
     assert first["ok"] is False and first["error"]["code"] == "resource"
     assert second["ok"] is True
     assert third == first
+
+
+def _replace_everywhere(monkeypatch, module, name, replacement):
+    """Point every reference a qcoha module holds to ``module.name`` at ``replacement``."""
+    original = getattr(module, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "qcoha" or mod_name.startswith("qcoha."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
+# (d, left, right): plain, keys past int64, and an empty factor
+GROUPED_PRODUCTS = [(3, (0, 1), (1,)), (3, (0, 2**70), (5,)), (2, (), (0, 1))]
+
+
+def _multiply_argv(d, left, right):
+    parts = lambda key: ",".join(map(str, key))
+    return ["multiply", "--d", str(d), "--left", parts(left), "--right", parts(right)]
+
+
+def test_multiply_json_folds_no_qlaurent(capsys, monkeypatch):
+    expected = [element_to_json(product(mu, nu, d), d) for d, mu, nu in GROUPED_PRODUCTS]
+
+    def forbidden(*args):
+        raise AssertionError("the JSON multiply path folded a QLaurent")
+
+    _replace_everywhere(monkeypatch, partition_algebra, "_to_element", forbidden)
+    _replace_everywhere(monkeypatch, serialization, "qlaurent_to_json", forbidden)
+    for (d, mu, nu), payload in zip(GROUPED_PRODUCTS, expected):
+        code, out, err = run(capsys, _multiply_argv(d, mu, nu))
+        assert (code, out, err) == (0, json.dumps(payload) + "\n", "")
+    text = "".join(
+        json.dumps({"cmd": "multiply", "d": d, "left": list(mu), "right": list(nu)}) + "\n"
+        for d, mu, nu in GROUPED_PRODUCTS
+    )
+    code, out, err = run(capsys, ["batch"], stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 0 and err == ""
+    assert out.splitlines() == [json.dumps({"ok": True, "result": p}) for p in expected]
+
+
+def test_multiply_text_latex_and_at_q_fold(capsys, monkeypatch):
+    d, mu, nu = GROUPED_PRODUCTS[0]
+    e = product(mu, nu, d)
+    at_q = specialized_to_json(specialize(e, Fraction(1, 2)), d, Fraction(1, 2))
+    cases = [
+        (["--format", "text"], render_element_text(e)),
+        (["--format", "latex"], render_element_latex(e)),
+        (["--at-q", "1/2"], json.dumps(at_q)),
+    ]
+    calls = []
+    real = partition_algebra._to_element
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    _replace_everywhere(monkeypatch, partition_algebra, "_to_element", spy)
+    for flags, want in cases:
+        calls.clear()
+        code, out, _ = run(capsys, _multiply_argv(d, mu, nu) + flags)
+        assert code == 0 and out == want + "\n"
+        assert len(calls) == 1
+
+
+def test_batch_matches_the_library_on_the_bench_requests(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    (job,) = workloads.batch(1)
+    # the job sends every distinct request twice; the first half is each once
+    pairs = job.pairs[: len(job.pairs) // 2]
+    assert len(set(pairs)) == len(pairs)
+    requests = [{"cmd": "multiply", "d": d, "left": list(mu), "right": list(nu)} for d, mu, nu in pairs]
+    # its table is cached by now, and the cap still holds
+    requests.append(dict(requests[0], term_cap=1))
+    out = io.StringIO()
+    lines = "".join(json.dumps(r) + "\n" for r in requests)
+    assert cli_mod.run_batch(io.StringIO(lines), out) == 0
+    *answers, capped = out.getvalue().splitlines()
+    for (d, mu, nu), answer in zip(pairs, answers):
+        assert answer == json.dumps({"ok": True, "result": element_to_json(product(mu, nu, d), d)})
+    capped = json.loads(capped)
+    assert capped["ok"] is False and capped["error"]["code"] == "resource"
+    assert re.fullmatch(r"projected term count \d+ exceeds cap 1", capped["error"]["message"])
 
 
 ELEMENT = element_to_json(product((0, 2), (1,), 4), 4)

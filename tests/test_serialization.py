@@ -4,13 +4,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcoha import MPoly, QLaurent, product, structure_table
+from qcoha.partition_algebra import _basis_product
 from qcoha.serialization import (
     element_from_json,
     element_to_json,
     graded_to_json,
+    grouped_to_json,
     mpoly_from_json,
     mpoly_to_json,
     qlaurent_from_json,
@@ -123,6 +128,38 @@ def test_element_json_round_trip_and_order():
     d, back = element_from_json(j)
     assert d == 4 and back == e
     validate(j, "element")
+
+
+short_partitions = st.lists(
+    st.integers(min_value=0, max_value=3), min_size=0, max_size=3
+).map(lambda v: tuple(sorted(v)))
+
+
+@given(
+    short_partitions,
+    short_partitions.filter(lambda nu: len(nu) < 3),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([0, 2**40, 2**70]),
+)
+@example((), (), 1, 0)
+@example((1, 3), (), 2, 2**70)
+@example((), (0, 2), 3, 2**40)
+@example((0, 1, 3), (1, 2), 4, 2**70)
+@example((0,), (0,), 71, 0)
+@settings(max_examples=60, deadline=None)
+def test_grouped_json_is_the_element_json(mu, nu, d, c):
+    mu, nu = tuple(v + c for v in mu), tuple(v + c for v in nu)
+    payload = grouped_to_json(*_basis_product(mu, nu, d), d)
+    assert json.dumps(payload) == json.dumps(element_to_json(product(mu, nu, d), d))
+    validate(payload, "element")
+
+
+def test_grouped_json_examples_reach_object_arrays():
+    # keys past int64 make the rows object arrays, weights past it the coeffs
+    rows, coeffs = _basis_product((0, 2**70), (2**70,), 2)
+    assert rows.dtype == object and coeffs.dtype == np.int64
+    rows, coeffs = _basis_product((0,), (0,), 71)
+    assert rows.dtype == np.int64 and coeffs.dtype == object
 
 
 def test_element_decode_prunes_zero_and_rejects_duplicates():
