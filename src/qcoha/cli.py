@@ -43,7 +43,7 @@ from .serialization import (
     element_from_json,
     element_to_json,
     graded_to_json,
-    grouped_to_json,
+    grouped_json_text,
     mpoly_to_json,
     qlaurent_to_json,
     rational_from_json,
@@ -78,10 +78,10 @@ class _Parser(argparse.ArgumentParser):
 
 # -- subcommand handlers ---------------------------------------------------------
 #
-# Each returns the JSON payload plus zero-argument "text" and "latex"
-# renderers, so only the format that is written out gets rendered.  A
-# handler's parameters are its command's request fields, and its docstring
-# is the subcommand's help line.
+# Each returns the JSON payload (a dict, or its JSON text already written)
+# plus zero-argument "text" and "latex" renderers, so only the format that is
+# written out gets rendered.  A handler's parameters are its command's request
+# fields, and its docstring is the subcommand's help line.
 
 
 def run_multiply(
@@ -94,10 +94,10 @@ def run_multiply(
     """product of two partitions"""
     check_term_cap(term_cap)
     if at_q is None:
-        # JSON straight from the cached grouped rows; text and LaTeX fold them
+        # JSON text straight from the cached grouped rows; text and LaTeX fold them
         grouped = _capped_basis_product(left, right, d, term_cap)
         return {
-            "payload": grouped_to_json(*grouped, d),
+            "payload": grouped_json_text(*grouped, d),
             "text": lambda: render_element_text(_to_element(*grouped)),
             "latex": lambda: render_element_latex(_to_element(*grouped)),
         }
@@ -383,6 +383,11 @@ _REQUEST_ERRORS = (ResourceLimitError, ValueError, KeyError, TypeError)
 _dumps = json.JSONEncoder(check_circular=False).encode
 
 
+def _encode(payload) -> str:
+    """A handler's payload as JSON text: text it wrote already passes through."""
+    return payload if type(payload) is str else _dumps(payload)
+
+
 # -- argv and batch ------------------------------------------------------------------
 
 _METAVARS = {parse_partition: "PARTS", rational_from_json: "RATIONAL"}
@@ -416,12 +421,14 @@ def run_batch(stdin, stdout) -> int:
             continue
         try:
             result = run_request(json.loads(line))
-            response = {"ok": True, "result": result["payload"]}
+            # the bytes of json.dumps({"ok": true, "result": ..., "passed": ...})
+            response = '{"ok": true, "result": ' + _encode(result["payload"])
             if "passed" in result:
-                response["passed"] = result["passed"]
+                response += ', "passed": ' + _dumps(result["passed"])
+            response += "}"
         except _REQUEST_ERRORS as exc:
-            response = {"ok": False, "error": {"code": _classify(exc)[0], "message": str(exc)}}
-        stdout.write(_dumps(response) + "\n")
+            response = _dumps({"ok": False, "error": {"code": _classify(exc)[0], "message": str(exc)}})
+        stdout.write(response + "\n")
         # a client may wait for each reply before sending the next request
         stdout.flush()
     return 0
@@ -437,7 +444,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if "element" in _COMMAND_FIELDS[request["cmd"]] and "partition" not in request:
             request["element"] = sys.stdin
         result = run_request(request, argv=True)
-        out = _dumps(result["payload"]) if fmt == "json" else result[fmt]()
+        out = _encode(result["payload"]) if fmt == "json" else result[fmt]()
         sys.stdout.write(out + "\n")
         return 1 if result.get("passed") is False else 0
     except _REQUEST_ERRORS as exc:

@@ -283,27 +283,35 @@ def structure_constants(
     return StructureConstantTable(spec, exps, weights, tuple(staged))
 
 
+# twice the 50 tables ``verify assoc`` builds at its defaults, its largest
+# working set, so a long batch stays bounded without evicting a suite's tables
+TABLE_CACHE_SIZE = 128
 _TABLE_CACHE: Dict[Tuple[int, int, int], StructureConstantTable] = {}
 
 
 def structure_table(
     m: int, n: int, d: int, term_cap: int = DEFAULT_TERM_CAP
 ) -> StructureConstantTable:
-    """Memoized table per (m, n, d).
+    """Memoized table per (m, n, d), least recently used first out.
 
     The cache is idempotent: a race at worst recomputes the same value, and
     entries are never mutated after construction.  The cap is checked on
     every call, against the staged row counts of a cached table, so whether
-    the table was cached never changes which requests fail.
+    the table was cached (or evicted) never changes which requests fail.
     """
     check_term_cap(term_cap)
     key = (m, n, d)
     hit = _TABLE_CACHE.get(key)
     if hit is None:
         hit = structure_constants(KernelSpec(m=m, n=n, d=d), term_cap)
-        _TABLE_CACHE[key] = hit
     else:
         hit.check_cap(term_cap)
+        del _TABLE_CACHE[key]
+    # a dict keeps insertion order: re-inserted, the key is the most recently
+    # used, and the first key is the least
+    _TABLE_CACHE[key] = hit
+    while len(_TABLE_CACHE) > TABLE_CACHE_SIZE:
+        del _TABLE_CACHE[next(iter(_TABLE_CACHE))]
     return hit
 
 

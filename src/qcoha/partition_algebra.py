@@ -20,9 +20,12 @@ core with QLaurent dicts at its edges.  ``check_associativity`` feeds it the
 rows of the cached outer product (mu * nu, or nu * w) directly, groups each
 parenthesization on its own and compares the two with ``np.array_equal``:
 grouped rows are canonical, so on the passing path no QLaurent is built.
-The command line's JSON ``multiply`` writes the cached rows straight out
-(``serialization.grouped_to_json``); only ``product``, the text and LaTeX
-renderers and ``--at-q`` fold them into QLaurent dicts (``_to_element``).
+The command line's JSON ``multiply`` writes the cached rows straight out as
+text (``serialization.grouped_json_text``); only ``product``, the text and
+LaTeX renderers and ``--at-q`` fold them into QLaurent dicts
+(``_to_element``).  The basis-product cache and the table cache are bounded,
+least recently used out, at twice the largest working set of a default
+suite, so a long ``batch`` holds a bounded number of them.
 
 The staged arrays are int64 only when a bound certifies that no sum can
 leave int64 range: the sum of |coefficients| times the table's sum of
@@ -91,7 +94,12 @@ def _row_bounds(blocks, d: int):
     return lows + [0], [hi - lo for hi, lo in zip(tops, lows)] + [(d - 1) * pairs]
 
 
-@lru_cache(maxsize=None)
+# twice the 6 285 basis products ``verify assoc`` computes at its defaults,
+# its largest working set, so a long batch stays bounded without evicting them
+BASIS_CACHE_SIZE = 1 << 14
+
+
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _basis_product(mu: Partition, nu: Partition, d: int):
     """Memoized basis product as grouped arrays (rows, coeffs).
 
@@ -124,12 +132,12 @@ def _key_starts(rows):
     keys = rows[:, :-1]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    return keys[first].tolist(), np.flatnonzero(first).tolist()
+    return keys[first], np.flatnonzero(first)
 
 
 def _split_keys(rows, coeffs):
     """(key, powers, coeffs) per distinct key of grouped rows, as lists."""
-    keys, starts = _key_starts(rows)
+    keys, starts = (a.tolist() for a in _key_starts(rows))
     ps = rows[:, -1].tolist()
     cs = coeffs.tolist()
     return [
@@ -142,7 +150,7 @@ def _to_element(rows, coeffs) -> PartitionElement:
     """Fold grouped rows into QLaurent coefficients."""
     if not len(coeffs):
         return {}
-    keys, starts = _key_starts(rows)
+    keys, starts = (a.tolist() for a in _key_starts(rows))
     ps = rows[:, -1].tolist()
     cs = coeffs.tolist()
     out: PartitionElement = {}

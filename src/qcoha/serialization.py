@@ -4,9 +4,10 @@ All JSON is canonical: rationals are strings ("p" or "p/q"), polynomial terms
 are sorted (exponent vectors lexicographically, partition keys by length then
 lexicographically), and zero is always {"offset": 0, "coeffs": []}.  Decoders
 validate shape and reject anything malformed with ValueError so the CLI can
-map it to a parse error.  ``grouped_to_json`` writes a basis product from its
-cached grouped rows (see ``partition_algebra``) with the same bytes as
-``element_to_json`` of its QLaurent dict, and builds no QLaurent.
+map it to a parse error.  ``grouped_json_text`` writes a basis product's
+JSON text straight from its cached grouped rows (see ``partition_algebra``):
+the bytes of ``json.dumps(element_to_json(...))`` of its QLaurent dict, with
+no QLaurent, no dict tree and no encoder pass.
 
 Renderers order a coefficient's powers of q descending and an element's keys
 by (length, lex); both orders are fixed so output is byte-identical across
@@ -133,34 +134,40 @@ def element_to_json(e: PartitionElement, d: int) -> dict:
     return {"d": d, "terms": _partition_terms_to_json(e)}
 
 
-def grouped_to_json(rows, coeffs, d: int) -> dict:
-    """``element_to_json`` of a basis product given as its grouped rows.
+def grouped_json_text(rows, coeffs, d: int) -> str:
+    """``json.dumps(element_to_json(e, d))`` for the basis product e given
+    as its grouped rows.
 
     The rows of one basis product share one key length and come in (key,
     power) order, so the keys come out in canonical order with no sort.
     Every key's dense coefficient vector is laid out in one array: a
     coefficient goes to its key's offset there plus its power less the
     key's lowest power.  Powers lie in [0, (d-1)*m*n], so that index is
-    int64 even when the keys need Python ints.
+    int64 even when the keys need Python ints.  Every term is then written
+    by one template, in one format call for the whole element; a key's
+    first and last coefficients are nonzero, so its list is never empty.
     """
     if not len(coeffs):
-        return {"d": d, "terms": []}
+        return '{"d": %d, "terms": []}' % d
     keys, starts = _key_starts(rows)
     powers = rows[:, -1].astype(np.int64)
-    stops = starts[1:] + [len(powers)]
+    stops = np.append(starts[1:], len(powers))
     lows = powers[starts]
-    widths = powers[np.subtract(stops, 1)] - lows + 1
+    widths = powers[stops - 1] - lows + 1
     ends = np.cumsum(widths)
     dense = np.zeros(ends[-1], dtype=coeffs.dtype)
-    dense[powers + np.repeat(ends - widths - lows, np.subtract(stops, starts))] = coeffs
+    dense[powers + np.repeat(ends - widths - lows, stops - starts)] = coeffs
     text = list(map(str, dense.tolist()))
-    return {
-        "d": d,
-        "terms": [
-            {"partition": key, "coeff": {"offset": low, "coeffs": text[end - width : end]}}
-            for key, low, width, end in zip(keys, lows.tolist(), widths.tolist(), ends.tolist())
-        ],
-    }
+    cells = map(text.__getitem__, map(slice, (ends - widths).tolist(), ends.tolist()))
+    # the template's arguments, term by term: the parts, the offset, the coefficients
+    n, k = keys.shape
+    args = [None] * (n * (k + 2))
+    for j, column in enumerate(keys.T.tolist()):
+        args[j :: k + 2] = column
+    args[k :: k + 2] = lows.tolist()
+    args[k + 1 :: k + 2] = map('", "'.join, cells)
+    term = '{"partition": [' + ", ".join(["%d"] * k) + '], "coeff": {"offset": %d, "coeffs": ["%s"]}}'
+    return ('{"d": %d, "terms": [' % d + ", ".join([term] * n) + "]}") % tuple(args)
 
 
 def element_from_json(obj) -> Tuple[int, PartitionElement]:

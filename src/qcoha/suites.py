@@ -10,15 +10,20 @@ Structure-constant tables grow steeply with the block sizes, so each sampled
 triple is admitted only when a lattice-point count predicts that all four
 tables it needs stay within a fixed cost limit; rejected draws are skipped
 deterministically and the sampling continues from the same seeded stream.
+
+Every other suite predicts the work of its whole grid from its bounds alone,
+before it computes anything, and raises ResourceLimitError when the
+prediction passes GRID_WORK_LIMIT (see ``_check_grid``).
 """
 from __future__ import annotations
 
 import random
+from math import comb
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .bipartite import product_via_graphs
 from .errors import ResourceLimitError
-from .kernel import verify_coefficient_identity
+from .kernel import check_loop_count, verify_coefficient_identity
 from .partition_algebra import (
     PartitionElement,
     check_associativity,
@@ -41,6 +46,13 @@ from .shuffle_algebra import (
 
 DEFAULT_SEED = 1729
 DEFAULT_COST_LIMIT = 30_000
+
+# The most work a suite's grid may be predicted to take, in the units of
+# ``_check_grid``.  No default grid predicts more than 8 % of it (prop41 at
+# its defaults), and the slowest grids just under it take about 20 s.
+GRID_WORK_LIMIT = 500_000_000
+# the fixed work of one check (its Python calls), in the same units
+CHECK_WORK = 10_000
 
 
 def _table_points(m: int, n: int, d: int) -> int:
@@ -74,6 +86,57 @@ def triple_cost(p: int, r: int, s: int, d: int) -> int:
         + _table_points(p + r, s, d)
         + _table_points(p, r + s, d)
     )
+
+
+def _kernel_terms(m: int, n: int, d: int) -> int:
+    """Upper bound on the monomials of the (m, n) kernel, in constant time.
+
+    A first-block exponent lies in [0, n(d-1)] and a second-block one in
+    [0, m(d-1)], and the total degree m*n*(d-1) fixes the last of them.
+    """
+    if m == 0 or n == 0 or d <= 1:
+        return 1
+    return (n * (d - 1) + 1) ** (m - 1) * (m * (d - 1) + 1) ** n
+
+
+def _lengths(max_len: int, max_part: int):
+    """(length, partitions, their rearrangements) for each length of a grid."""
+    for n in range(max_len + 1):
+        yield n, comb(n + max_part, n), (max_part + 1) ** n
+
+
+def _length_pairs(max_len: int, max_part: int):
+    """(m, n, pairs, rearrangement pairs) for the grid pairs of lengths (m, n)."""
+    for m, pm, wm in _lengths(max_len, max_part):
+        for n, pn, wn in _lengths(max_len, max_part):
+            yield m, n, pm * pn, wm * wn
+
+
+def _check_grid(suite: str, work: Iterable[int], d_values: Sequence[int] = ()) -> None:
+    """Raise ResourceLimitError, before any check runs, if a grid is too large.
+
+    ``work`` yields the predicted work of the grid's checks, a group at a
+    time: each check counts CHECK_WORK plus, for each term its polynomials
+    or orientations stage, one unit per column.  Each group is at least
+    CHECK_WORK, so the running sum passes the limit after a bounded number
+    of groups however large the bounds are.  A loop count below 1 is
+    reported first, as the checks themselves would.
+    """
+    for d in d_values:
+        check_loop_count(d)
+    total = 0
+    for units in work:
+        total += units
+        if total > GRID_WORK_LIMIT:
+            raise ResourceLimitError(
+                "verify %s: the grid is predicted to exceed the work limit %d"
+                % (suite, GRID_WORK_LIMIT)
+            )
+
+
+def _product_work(m: int, n: int, d: int) -> int:
+    """Predicted work of one product of partitions of lengths m and n."""
+    return CHECK_WORK + _kernel_terms(m, n, d) * (m + n + 1)
 
 
 def _graded_product(
@@ -163,6 +226,17 @@ def suite_iso(
     d_values: Sequence[int] = (1, 2, 3), max_len: int = 2, max_part: int = 2
 ) -> CheckReport:
     """Image of every table product equals the brute-force shuffle product."""
+    _check_grid(
+        "iso",
+        (
+            # the shuffle stages every rearrangement pair with the kernel, once per split
+            pairs * _product_work(m, n, d)
+            + comb(m + n, m) * words * _kernel_terms(m, n, d) * (m + n + 1)
+            for d in d_values
+            for m, n, pairs, words in _length_pairs(max_len, max_part)
+        ),
+        d_values,
+    )
     parts = partitions_up_to(max_len, max_part)
     failures: List[str] = []
     grading: List[str] = []
@@ -192,6 +266,16 @@ def suite_quasi(
     exactly the pairs whose exponent (d-1)|mu||nu| is odd, and every such
     pair is listed in the report's instances.
     """
+    _check_grid(
+        "quasi",
+        (
+            # mu * nu and nu * mu
+            2 * pairs * _product_work(m, n, d)
+            for d in d_values
+            for m, n, pairs, _ in _length_pairs(max_len, max_part)
+        ),
+        d_values,
+    )
     parts = partitions_up_to(max_len, max_part)
     failures: List[str] = []
     grading: List[str] = []
@@ -253,6 +337,14 @@ def suite_graphs(
     boundary pairs push the edge count to the 12-bit limit of the default
     orientation budget.
     """
+    _check_grid(
+        "graphs",
+        (
+            # one orientation per subset of the m*n edges, and the table product
+            pairs * (_product_work(m, n, 2) + 2 ** (m * n) * (m + n + 1))
+            for m, n, pairs, _ in _length_pairs(max_len, max_part)
+        ),
+    )
     parts = partitions_up_to(max_len, max_part)
     failures: List[str] = []
     grading: List[str] = []
@@ -278,6 +370,20 @@ def suite_kernel_identity(
     block_range: Sequence[int] = (1, 2), d_values: Sequence[int] = (2, 3)
 ) -> CheckReport:
     """Structure-constant convolution identity over all small block triples."""
+    k = _kernel_terms
+    _check_grid(
+        "lemma31",
+        (
+            # each side convolves two tables, once as arrays and once as polynomials
+            CHECK_WORK
+            + 2 * (k(l, m, d) * k(l + m, n, d) + k(l, m + n, d) * k(m, n, d)) * (l + m + n + 1)
+            for d in d_values
+            for l in block_range
+            for m in block_range
+            for n in block_range
+        ),
+        d_values,
+    )
     failures: List[str] = []
     checked = 0
     for d in d_values:
@@ -302,6 +408,15 @@ def suite_augmented_rule(max_len: int = 4, max_part: int = 3) -> CheckReport:
     Covers the augmented-times-monomial rule and the rational monomial rule
     on every equal-length pair up to the bounds.
     """
+    _check_grid(
+        "prop41",
+        (
+            # two rules per pair, each multiplying the rearrangements of both
+            # and reading the product back through n - 1 transpositions
+            2 * (count * count * CHECK_WORK + words * words * (n + 1) * n)
+            for n, count, words in _lengths(max_len, max_part)
+        ),
+    )
     failures: List[str] = []
     checked = 0
     by_len: Dict[int, List[Partition]] = {}
@@ -325,6 +440,14 @@ def suite_augmented_rule(max_len: int = 4, max_part: int = 3) -> CheckReport:
 
 def suite_subset_sum(max_len: int = 3, max_part: int = 3) -> CheckReport:
     """The variable-splitting identity on every pair up to the bounds."""
+    _check_grid(
+        "prop43",
+        (
+            # the rearrangement pairs, once per split of the variables
+            pairs * CHECK_WORK + comb(m + n, m) * words * (m + n + 1)
+            for m, n, pairs, words in _length_pairs(max_len, max_part)
+        ),
+    )
     failures: List[str] = []
     checked = 0
     parts = partitions_up_to(max_len, max_part)
@@ -343,6 +466,15 @@ def suite_grading(
     d_values: Sequence[int] = (1, 2, 3), max_len: int = 2, max_part: int = 2
 ) -> CheckReport:
     """Length and weight grading of every term of every grid product."""
+    _check_grid(
+        "grading",
+        (
+            pairs * _product_work(m, n, d)
+            for d in d_values
+            for m, n, pairs, _ in _length_pairs(max_len, max_part)
+        ),
+        d_values,
+    )
     parts = partitions_up_to(max_len, max_part)
     failures: List[str] = []
     checked = 0

@@ -7,7 +7,9 @@ import re
 import select
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import jsonschema
@@ -16,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcoha.cli as cli_mod
-from qcoha import partition_algebra, product, serialization, specialize
+from qcoha import kernel, partition_algebra, product, serialization, specialize, suites
 from qcoha.cli import main
+from qcoha.errors import NotSymmetricError
 from qcoha.reports import CheckReport
 from qcoha.serialization import (
     element_to_json,
@@ -731,6 +734,115 @@ def test_batch_matches_the_library_on_the_bench_requests(monkeypatch):
     capped = json.loads(capped)
     assert capped["ok"] is False and capped["error"]["code"] == "resource"
     assert re.fullmatch(r"projected term count \d+ exceeds cap 1", capped["error"]["message"])
+
+
+# int64 rows, keys past int64, an empty factor, and coefficients past int64
+CANONICAL_PRODUCTS = GROUPED_PRODUCTS + [(71, (0,), (0,))]
+
+
+def _is_canonical(line):
+    return line == json.dumps(json.loads(line))
+
+
+def test_argv_multiply_json_is_canonical(capsys):
+    for d, mu, nu in CANONICAL_PRODUCTS:
+        code, out, err = run(capsys, _multiply_argv(d, mu, nu))
+        assert (code, err) == (0, "") and out.endswith("\n")
+        assert _is_canonical(out[:-1])
+        assert out[:-1] == json.dumps(element_to_json(product(mu, nu, d), d))
+
+
+def test_batch_lines_are_canonical_json(capsys, monkeypatch):
+    def report(passed):
+        return lambda **kw: CheckReport("stub", passed, 1, failures=[] if passed else ["boom"])
+
+    def not_symmetric(**kw):
+        raise NotSymmetricError("not symmetric: stub")
+
+    monkeypatch.setitem(cli_mod.SUITES, "grading", report(True))
+    monkeypatch.setitem(cli_mod.SUITES, "quasi", report(False))
+    monkeypatch.setitem(cli_mod.SUITES, "prop43", not_symmetric)
+    products = [
+        {"cmd": "multiply", "d": d, "left": list(mu), "right": list(nu)}
+        for d, mu, nu in CANONICAL_PRODUCTS
+    ]
+    others = [
+        {"cmd": "verify", "suite": "grading"},
+        {"cmd": "verify", "suite": "quasi"},
+        {"cmd": "nonsense"},
+        {"cmd": "multiply", "d": 3, "left": [0, 1], "right": [1], "term_cap": 1},
+        {"cmd": "verify", "suite": "prop43"},
+    ]
+    text = "".join(json.dumps(r) + "\n" for r in products + others)
+    code, out, err = run(capsys, ["batch"], stdin_text=text, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == len(products) + len(others)
+    assert all(map(_is_canonical, lines))
+    for (d, mu, nu), line in zip(CANONICAL_PRODUCTS, lines):
+        assert line == json.dumps({"ok": True, "result": element_to_json(product(mu, nu, d), d)})
+    passed, failed, *errors = lines[len(products) :]
+    for line, verdict in ((passed, True), (failed, False)):
+        result = CheckReport("stub", verdict, 1, failures=[] if verdict else ["boom"]).to_json()
+        assert line == json.dumps({"ok": True, "result": result, "passed": verdict})
+    assert [json.loads(line)["error"]["code"] for line in errors] == ["parse", "resource", "check"]
+
+
+# grids the work budget refuses: each ran past 20 s before it
+OVERSIZED_GRIDS = [("iso", 4, 4), ("prop41", 7, 7)]
+
+
+@pytest.mark.parametrize("suite,max_len,max_part", OVERSIZED_GRIDS)
+def test_oversized_verify_grid_is_a_resource_error(capsys, monkeypatch, suite, max_len, max_part):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid started")
+
+    monkeypatch.setattr(suites, "partitions_up_to", refuse)
+    message = "verify %s: the grid is predicted to exceed the work limit %d" % (
+        suite,
+        suites.GRID_WORK_LIMIT,
+    )
+    start = time.monotonic()
+    argv = ["verify", suite, "--max-len", str(max_len), "--max-part", str(max_part)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": {"code": "resource", "message": message}}
+    request = {"cmd": "verify", "suite": suite, "max_len": max_len, "max_part": max_part}
+    code, out, _ = run(capsys, ["batch"], stdin_text=json.dumps(request), monkeypatch=monkeypatch)
+    assert code == 0
+    assert json.loads(out) == {"ok": False, "error": {"code": "resource", "message": message}}
+    assert time.monotonic() - start < 5
+
+
+def _fresh_caches(monkeypatch, basis_size, table_size):
+    """Empty product caches holding at most the given numbers of entries."""
+    build = partition_algebra._basis_product.__wrapped__
+    monkeypatch.setattr(partition_algebra, "_basis_product", lru_cache(maxsize=basis_size)(build))
+    monkeypatch.setattr(kernel, "_TABLE_CACHE", {})
+    monkeypatch.setattr(kernel, "TABLE_CACHE_SIZE", table_size)
+
+
+def test_bounded_caches_answer_like_unbounded_ones(monkeypatch):
+    shapes = [(3, (0, 1), (1,)), (2, (0,), (0, 2)), (3, (1,), (0, 0)), (4, (0,), (1,))]
+    requests = [{"cmd": "multiply", "d": d, "left": list(mu), "right": list(nu)} for d, mu, nu in shapes]
+    # every product twice, then each under caps that fail at its first or a
+    # later factor, or pass, each after its table has been evicted
+    requests += requests + [dict(r, term_cap=cap) for cap in (1, 5, 10**6) for r in requests]
+    text = "".join(json.dumps(r) + "\n" for r in requests)
+    answers = []
+    for basis_size, table_size in ((None, sys.maxsize), (1, 1)):
+        _fresh_caches(monkeypatch, basis_size, table_size)
+        out = io.StringIO()
+        assert cli_mod.run_batch(io.StringIO(text), out) == 0
+        answers.append(out.getvalue())
+    unbounded, bounded = answers
+    assert bounded == unbounded
+    assert len(kernel._TABLE_CACHE) == 1
+    info = partition_algebra._basis_product.cache_info()
+    assert info.currsize == 1 and info.misses > len(shapes)
+    errors = [json.loads(line).get("error", {}) for line in bounded.splitlines()]
+    messages = {e["message"] for e in errors if e.get("code") == "resource"}
+    assert {m.split()[-1] for m in messages} == {"1", "5"}
 
 
 ELEMENT = element_to_json(product((0, 2), (1,), 4), 4)

@@ -1,4 +1,10 @@
-"""Verification suite drivers: small-bound runs, determinism, the cost gate."""
+"""Verification suite drivers: small-bound runs, determinism, the cost gates."""
+import pytest
+
+from qcoha import suites
+from qcoha.errors import ResourceLimitError
+from qcoha.kernel import structure_table
+from qcoha.partitions import distinct_permutations, partitions_up_to
 from qcoha.suites import (
     SUITES,
     _table_points,
@@ -111,3 +117,67 @@ def test_subset_sum_suite_small():
     rep = suite_subset_sum(max_len=2, max_part=2)
     assert rep.passed, rep.failures
     assert rep.checked == 100
+
+
+# -- the grid work budget ------------------------------------------------------
+
+GRID_SUITES = sorted(name for name in SUITES if name != "assoc")
+
+
+class _Predicted(Exception):
+    pass
+
+
+def _predicted_work(monkeypatch, name, **kwargs):
+    """The work a suite's grid predicts, with nothing run and no limit applied."""
+    seen = []
+
+    def record(suite, work, d_values=()):
+        seen.append(sum(work))
+        raise _Predicted
+
+    monkeypatch.setattr(suites, "_check_grid", record)
+    with pytest.raises(_Predicted):
+        SUITES[name](**kwargs)
+    return seen[0]
+
+
+@pytest.mark.parametrize("name", GRID_SUITES)
+def test_grid_suites_refuse_before_any_work(monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid ran past its work limit")
+
+    monkeypatch.setattr(suites, "partitions_up_to", refuse)
+    monkeypatch.setattr(suites, "verify_coefficient_identity", refuse)
+    monkeypatch.setattr(suites, "GRID_WORK_LIMIT", 0)
+    with pytest.raises(ResourceLimitError, match="verify %s: .* work limit 0$" % name):
+        SUITES[name]()
+
+
+@pytest.mark.parametrize("name", GRID_SUITES)
+def test_default_grids_predict_well_under_the_limit(monkeypatch, name):
+    assert _predicted_work(monkeypatch, name) < suites.GRID_WORK_LIMIT / 10
+
+
+@pytest.mark.parametrize("name", ["iso", "grading", "lemma31", "quasi"])
+def test_a_loop_count_below_one_is_still_a_parse_error(monkeypatch, name):
+    # even on a grid far past the limit, as before the budget
+    monkeypatch.setattr(suites, "GRID_WORK_LIMIT", 0)
+    with pytest.raises(ValueError, match="loop count"):
+        SUITES[name](d_values=(0,))
+
+
+@pytest.mark.parametrize("max_len,max_part", [(0, 0), (3, 0), (2, 3), (4, 2)])
+def test_grid_lengths_count_the_partitions_and_their_rearrangements(max_len, max_part):
+    parts = partitions_up_to(max_len, max_part)
+    for n, count, words in suites._lengths(max_len, max_part):
+        of_length = [p for p in parts if len(p) == n]
+        assert count == len(of_length)
+        assert words == sum(len(distinct_permutations(p)) for p in of_length)
+
+
+@pytest.mark.parametrize(
+    "m,n,d", [(1, 1, 2), (1, 2, 3), (2, 1, 3), (2, 2, 2), (2, 2, 3), (3, 2, 2), (1, 3, 4), (2, 2, 1)]
+)
+def test_kernel_terms_bound_the_table(m, n, d):
+    assert len(structure_table(m, n, d)) <= suites._kernel_terms(m, n, d)
