@@ -93,6 +93,8 @@ def _kernel_terms(m: int, n: int, d: int) -> int:
 
     A first-block exponent lies in [0, n(d-1)] and a second-block one in
     [0, m(d-1)], and the total degree m*n*(d-1) fixes the last of them.
+    ``_table_points`` counts them exactly, but its work grows with d, and a
+    prediction must stay cheap for any d a request sends.
     """
     if m == 0 or n == 0 or d <= 1:
         return 1
