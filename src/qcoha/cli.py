@@ -178,7 +178,7 @@ def run_g(
 def run_graphs(left, right, list: bool = False) -> Dict[str, object]:
     """d=2 product as a sum over orientations"""
     # the field is named "list", so the builtin is shadowed in this body
-    e = product_via_graphs(left, right)
+    e = _to_element(*product_via_graphs(left, right))
     payload = element_to_json(e, 2)
     if list:
         payload["orientations"] = [

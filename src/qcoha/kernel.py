@@ -15,9 +15,9 @@ multiplying one factor at a time with the polynomial module's own row
 grouping; it stays where the polynomial itself is under test (the
 factorization identity, the shuffle oracle and the q-substituted builds), so
 those checks share no grouping code with the tables they check.  Both
-expansions collect like monomials after every factor, and a configurable cap
-on the stored term count, checked before and after each factor, guards
-against runaway sizes and raises ResourceLimitError.
+expansions collect like monomials after every factor, which never leaves more
+than the stored terms times the factor's, and a configurable cap on that
+product, checked before each factor, raises ResourceLimitError.
 """
 from __future__ import annotations
 
@@ -77,12 +77,6 @@ def _check_projected(rows: int, width: int, term_cap: int) -> None:
         raise ResourceLimitError(
             "projected term count %d exceeds cap %d" % (rows * width, term_cap)
         )
-
-
-def _check_rows(rows: int, term_cap: int) -> None:
-    # after a factor is folded and like terms are collected
-    if rows > term_cap:
-        raise ResourceLimitError("term count %d exceeds cap %d" % (rows, term_cap))
 
 
 def group_rows(rows: np.ndarray, weights: np.ndarray, bounds=None):
@@ -148,7 +142,7 @@ def pairwise_kernel(
     """Expand the product of (x_s - q * x_t)**(d-1) over (s, t) pairs.
 
     The factors are multiplied in one at a time as polynomials on integer
-    rows, and the term cap is checked before and after each one.
+    rows, and the term cap is checked before each one.
     ``q_value`` substitutes a rational constant for q in every factor, which
     is how the q = 1 and q = 0 degenerations are built independently of the
     generic expansion; the cap then counts the substituted terms.
@@ -180,7 +174,6 @@ def pairwise_kernel(
             e[t], e[s] = i, exp - i
             factor[tuple(e)] = coeff
         acc = multiply(acc, MPoly(arity, factor))
-        _check_rows(len(acc), term_cap)
     return acc
 
 
@@ -240,9 +233,8 @@ class StructureConstantTable:
 
     def check_cap(self, term_cap: int) -> None:
         """Raise the ResourceLimitError a cold build under ``term_cap`` raises."""
-        for before, after in zip(self.staged, self.staged[1:]):
+        for before in self.staged[:-1]:
             _check_projected(before, self.spec.d, term_cap)
-            _check_rows(after, term_cap)
 
     def __len__(self):
         return len(self.weights)
@@ -279,7 +271,6 @@ def structure_constants(
             weights = (weights[:, None] * factor).ravel()
             exps, weights = group_rows(exps, weights)
             staged.append(len(weights))
-            _check_rows(len(weights), term_cap)
     return StructureConstantTable(spec, exps, weights, tuple(staged))
 
 

@@ -20,12 +20,12 @@ core with QLaurent dicts at its edges.  ``check_associativity`` feeds it the
 rows of the cached outer product (mu * nu, or nu * w) directly, groups each
 parenthesization on its own and compares the two with ``np.array_equal``:
 grouped rows are canonical, so on the passing path no QLaurent is built.
-The command line's JSON ``multiply`` writes the cached rows straight out as
-text (``serialization.grouped_json_text``); only ``product``, the text and
-LaTeX renderers and ``--at-q`` fold them into QLaurent dicts
-(``_to_element``).  The basis-product cache and the table cache are bounded,
-least recently used out, at twice the largest working set of a default
-suite, so a long ``batch`` holds a bounded number of them.
+So do ``quasi_commutativity_report``, ``bipartite.verify_graph_model``,
+``shuffle_algebra.verify_homomorphism`` and the suites' grading check, and
+JSON ``multiply`` writes the cached rows as text.  Only ``product`` (and
+``product_elements`` at its edges), the text and LaTeX renderers and
+``--at-q`` fold them into QLaurent dicts (``_to_element``).  Both caches are
+bounded, least recently used out, at twice a default suite's working set.
 
 The staged arrays are int64 only when a bound certifies that no sum can
 leave int64 range: the sum of |coefficients| times the table's sum of
@@ -52,7 +52,7 @@ from .kernel import (
     structure_table,
 )
 from .partitions import IntVector, Partition, sort_ascending
-from .qlaurent import QLaurent, as_rational, q_power, signed_q_power
+from .qlaurent import QLaurent, as_rational
 from .reports import CheckReport, QuasiCommReport
 
 PartitionElement = Dict[Partition, QLaurent]
@@ -293,20 +293,27 @@ def product_elements(
 # -- verification -------------------------------------------------------------
 
 
-def grading_failures(
-    mu: Partition, nu: Partition, d: int, element: PartitionElement
-) -> List[str]:
-    """Check length additivity and the weight rule on every term of a product."""
-    fails = []
+def grading_failures(mu: Partition, nu: Partition, d: int, rows: np.ndarray) -> List[str]:
+    """Check length additivity and the weight rule on the grouped rows of a
+    product, as row sums; only the keys of failing rows are read back."""
+    keys = rows[:, :-1]
     want_len = len(mu) + len(nu)
     want_sum = sum(mu) + sum(nu) + (d - 1) * len(mu) * len(nu)
-    for key in element:
+    if keys.shape[1] != want_len:
+        bad = keys
+    else:
+        # int64 row sums only while the largest entry keeps them in range
+        if keys.dtype != object and keys.size and np.abs(keys).max() > _INT64_MAX // want_len:
+            keys = keys.astype(object)
+        bad = keys[keys.sum(axis=1) != want_sum]
+    fails = []
+    for key in dict.fromkeys(map(tuple, bad.tolist())):
         if len(key) != want_len:
             fails.append(
                 "term %r of %r * %r (d=%d) has length %d, want %d"
                 % (key, mu, nu, d, len(key), want_len)
             )
-        elif sum(key) != want_sum:
+        else:
             fails.append(
                 "term %r of %r * %r (d=%d) has weight %d, want %d"
                 % (key, mu, nu, d, sum(key), want_sum)
@@ -315,21 +322,26 @@ def grading_failures(
 
 
 def quasi_commutativity_report(mu: Partition, nu: Partition, d: int) -> QuasiCommReport:
-    """Compare mu * nu with both q**e and (-q)**e times bar(nu * mu)."""
+    """Compare mu * nu with both q**e and (-q)**e times bar(nu * mu).
+
+    On the cached rows of nu * mu, bar then q**e maps a power p to e - p,
+    within the same row bounds; (-q)**e also multiplies in (-1)**e.
+    """
     mu = tuple(mu)
     nu = tuple(nu)
     e = (d - 1) * len(mu) * len(nu)
-    left = product(mu, nu, d)
-    flipped = bar_element(product(nu, mu, d))
-    unsigned = scale_element(flipped, q_power(e))
-    signed = scale_element(flipped, signed_q_power(e))
+    left = _capped_basis_product(mu, nu, d, DEFAULT_TERM_CAP)
+    rows, coeffs = _capped_basis_product(nu, mu, d, DEFAULT_TERM_CAP)
+    flipped = rows.copy()
+    flipped[:, -1] = e - rows[:, -1]
+    rows, coeffs = group_rows(flipped, coeffs, _row_bounds((nu, mu), d))
     return QuasiCommReport(
         mu=mu,
         nu=nu,
         d=d,
         exponent=e,
-        unsigned_matches=left == unsigned,
-        signed_matches=left == signed,
+        unsigned_matches=all(map(np.array_equal, left, (rows, coeffs))),
+        signed_matches=all(map(np.array_equal, left, (rows, -coeffs if e & 1 else coeffs))),
     )
 
 

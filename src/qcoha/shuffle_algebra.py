@@ -14,9 +14,10 @@ monomial basis.  The kernel of a split is the (n1, n2) block kernel with its
 variables relabelled, first block onto the first factor's subset and second
 block onto the rest, and so is the term.  So the product of the two factors
 with the block kernel is expanded once, as a polynomial, and its relabelled
-copies are summed over every split.  This is deliberately brute force: it is
-the independent oracle that the structure constant route is verified
-against, and it never reads the structure-constant tables.
+copies are summed over every split; the block kernel depends on (n1, n2, d)
+only, and is built once per shape and cached.  This is deliberately brute
+force: it is the independent oracle that the structure constant route is
+verified against, and it never reads the structure-constant tables.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import NotSymmetricError, ResourceLimitError
 from .kernel import DEFAULT_TERM_CAP, check_loop_count, pairwise_kernel
 from .mpoly import MPoly, embed, fixed_by, relabelled_sum
-from .partition_algebra import PartitionElement, product
+from .partition_algebra import PartitionElement, _capped_basis_product, _to_element
 from .partitions import (
     Partition,
     distinct_permutations,
@@ -117,8 +118,8 @@ def expand(element: SymmetricElement) -> MPoly:
     return MPoly(element.arity, out)
 
 
-def to_monomial_basis(p: MPoly) -> SymmetricElement:
-    """Read a symmetric polynomial in the monomial basis.
+def _sorted_rows(p: MPoly) -> MPoly:
+    """The rows of a symmetric polynomial whose exponents weakly increase.
 
     Symmetry is certified by checking invariance under the adjacent
     transpositions, which generate the whole symmetric group: each swaps two
@@ -141,8 +142,12 @@ def to_monomial_basis(p: MPoly) -> SymmetricElement:
                     "not symmetric: terms at %r and %r differ" % (e, swapped)
                 )
     exps = p.rows[:, :-1]
-    sorted_rows = np.all(exps[:, 1:] >= exps[:, :-1], axis=1)
-    return SymmetricElement(n, dict(p.rows_where(sorted_rows).terms))
+    return p.rows_where(np.all(exps[:, 1:] >= exps[:, :-1], axis=1))
+
+
+def to_monomial_basis(p: MPoly) -> SymmetricElement:
+    """Read a symmetric polynomial in the monomial basis."""
+    return SymmetricElement(p.arity, dict(_sorted_rows(p).terms))
 
 
 def _splits(n1: int, n2: int) -> List[Tuple[int, ...]]:
@@ -165,6 +170,29 @@ def _side_by_side(p1: MPoly, p2: MPoly) -> MPoly:
     return embed(p1, arity, range(p1.arity)) * embed(p2, arity, range(p1.arity, arity))
 
 
+def _shuffle_rows(p1: MPoly, p2: MPoly, d: int, q_value, max_subsets, term_cap) -> MPoly:
+    """The shuffle product of two expanded factors, as its sorted rows."""
+    check_loop_count(d)
+    n1 = p1.arity
+    n2 = p2.arity
+    count = comb(n1 + n2, n1)
+    if count > max_subsets:
+        raise ResourceLimitError(
+            "%d subsets exceed the configured maximum %d" % (count, max_subsets)
+        )
+    q_value = None if q_value is None else as_rational(q_value)
+    term = _side_by_side(p1, p2) * _block_kernel(n1, n2, d, q_value, term_cap)
+    return _sorted_rows(relabelled_sum(term, _splits(n1, n2)))
+
+
+@lru_cache(maxsize=64)
+def _block_kernel(n1: int, n2: int, d: int, q_value, term_cap: int) -> MPoly:
+    # shared by every product of one shape, as an MPoly is never mutated; 64
+    # is twice the 27 shapes of ``verify iso`` at its defaults
+    pairs = [(s, t) for s in range(n1, n1 + n2) for t in range(n1)]
+    return pairwise_kernel(n1 + n2, pairs, d, q_value, term_cap)
+
+
 def shuffle_product(
     f1: SymmetricElement,
     f2: SymmetricElement,
@@ -174,19 +202,8 @@ def shuffle_product(
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> SymmetricElement:
     """Kernel-weighted sum over all splits of the ambient variables."""
-    check_loop_count(d)
-    n1 = f1.arity
-    n2 = f2.arity
-    count = comb(n1 + n2, n1)
-    if count > max_subsets:
-        raise ResourceLimitError(
-            "%d subsets exceed the configured maximum %d" % (count, max_subsets)
-        )
-    arity = n1 + n2
-    block_pairs = [(s, t) for s in range(n1, arity) for t in range(n1)]
-    kern = pairwise_kernel(arity, block_pairs, d, q_value, term_cap)
-    term = _side_by_side(expand(f1), expand(f2)) * kern
-    return to_monomial_basis(relabelled_sum(term, _splits(n1, n2)))
+    rows = _shuffle_rows(expand(f1), expand(f2), d, q_value, max_subsets, term_cap)
+    return SymmetricElement(rows.arity, dict(rows.terms))
 
 
 # -- product rules in the monomial basis ---------------------------------------
@@ -306,19 +323,26 @@ def to_symmetric_element(e: PartitionElement) -> GradedElement:
 
 
 def verify_homomorphism(mu: Partition, nu: Partition, d: int) -> CheckReport:
-    """Image of the table-driven product vs the brute-force shuffle product."""
+    """Image of the table-driven product vs the brute-force shuffle product.
+
+    The image is the cached basis product with each coefficient times the
+    multiplicity of its key, and the shuffle product of the augmented
+    monomials keeps its rows with sorted exponents: both are (sorted key,
+    power) rows in order, so they agree exactly when their arrays are equal.
+    """
     mu = tuple(mu)
     nu = tuple(nu)
-    image = to_symmetric_element(product(mu, nu, d))
-    direct = shuffle_product(partition_image(mu), partition_image(nu), d)
-    n = len(mu) + len(nu)
-    passed = set(image) == {n} and image[n] == direct
+    rows, coeffs = _capped_basis_product(mu, nu, d, DEFAULT_TERM_CAP)
+    mults = np.array([multiplicity(key) for key in rows[:, :-1].tolist()], dtype=object)
+    factors = augmented_monomial(mu), augmented_monomial(nu)
+    direct = _shuffle_rows(*factors, d, None, DEFAULT_MAX_SUBSETS, DEFAULT_TERM_CAP)
+    passed = np.array_equal(rows, direct.rows) and np.array_equal(coeffs * mults, direct.weights)
     failures = []
     if not passed:
-        got = image.get(n)
+        image = to_symmetric_element(_to_element(rows, coeffs)).get(len(mu) + len(nu))
         failures.append(
             "homomorphism fails for mu=%r nu=%r d=%d: %r vs %r"
-            % (mu, nu, d, got.terms if got else None, direct.terms)
+            % (mu, nu, d, image.terms if image else None, dict(direct.terms))
         )
     return CheckReport(
         name="homomorphism %r %r d=%d" % (mu, nu, d),

@@ -1,4 +1,5 @@
 """Orientation model for the d = 2 product."""
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 import qcoha.bipartite as bipartite
 from qcoha import QLaurent, ResourceLimitError, product, q_power, signed_q_power
 from qcoha.bipartite import (
+    BLOCK_ORIENTATIONS,
     GraphTerm,
     OrientedBipartiteGraph,
     enumerate_graph_terms,
@@ -13,12 +15,27 @@ from qcoha.bipartite import (
     product_via_graphs,
     verify_graph_model,
 )
+from qcoha.partition_algebra import _basis_product
 from qcoha.partitions import partitions_up_to
 from qcoha.suites import BOUNDARY_GRAPH_PAIRS
 
 
 def QL(offset, *coeffs):
     return QLaurent(offset, list(coeffs))
+
+
+def fold_rows(rows, coeffs):
+    # grouped (key, power) rows as {key: QLaurent}, this module's own fold
+    terms = {}
+    for row, c in zip(rows.tolist(), coeffs.tolist()):
+        terms.setdefault(tuple(row[:-1]), {})[row[-1]] = c
+    return {key: QLaurent.from_dict(t) for key, t in terms.items()}
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want) == 2
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b), (a, b)
 
 
 def test_orientation_bit_layout():
@@ -60,13 +77,20 @@ def test_h_of_graph_dimension_mismatch():
 
 
 def test_smallest_product():
-    assert product_via_graphs((0,), (0,)) == {(0, 1): QL(0, 1, -1)}
+    # the sorted key, then the power; the coefficient counts with (-1)**power
+    rows, coeffs = product_via_graphs((0,), (0,))
+    assert rows.tolist() == [[0, 1, 0], [0, 1, 1]]
+    assert coeffs.tolist() == [1, -1]
+    assert fold_rows(rows, coeffs) == {(0, 1): QL(0, 1, -1)}
 
 
 def test_empty_factor():
-    assert product_via_graphs((), (1, 2)) == {(1, 2): QLaurent.const(1)}
-    assert product_via_graphs((1, 2), ()) == {(1, 2): QLaurent.const(1)}
-    assert product_via_graphs((), ()) == {(): QLaurent.const(1)}
+    for mu, nu in [((), (1, 2)), ((1, 2), ()), ((), ())]:
+        rows, coeffs = product_via_graphs(mu, nu)
+        # one orientation, of no edges: the other factor's key at power 0
+        assert rows.tolist() == [[*mu, *nu, 0]]
+        assert coeffs.tolist() == [1]
+        assert_same_arrays((rows, coeffs), _basis_product(mu, nu, 2))
 
 
 def test_worked_product_matches_table():
@@ -78,7 +102,7 @@ def test_bit_budget():
     with pytest.raises(ResourceLimitError):
         product_via_graphs((0,) * 5, (0,) * 5)
     # a custom budget admits the same shape
-    assert product_via_graphs((0,), (0,), max_bits=1)
+    assert len(product_via_graphs((0,), (0,), max_bits=1)[1]) == 2
 
 
 def test_rejects_unsorted_input():
@@ -137,27 +161,52 @@ def folded_graph_terms(mu, nu, max_bits=bipartite.DEFAULT_BIT_BUDGET):
     return {key: c for key, c in out.items() if c}
 
 
+SUITE_GRID_PAIRS = [
+    (mu, nu) for mu in partitions_up_to(3, 3) for nu in partitions_up_to(3, 3)
+] + list(BOUNDARY_GRAPH_PAIRS)
+
+
 def test_orientation_sum_matches_term_fold_on_suite_grid():
-    parts = partitions_up_to(3, 3)
-    pairs = [(mu, nu) for mu in parts for nu in parts] + list(BOUNDARY_GRAPH_PAIRS)
-    for mu, nu in pairs:
-        assert product_via_graphs(mu, nu) == folded_graph_terms(mu, nu), (mu, nu)
+    for mu, nu in SUITE_GRID_PAIRS:
+        got = fold_rows(*product_via_graphs(mu, nu))
+        assert got == folded_graph_terms(mu, nu), (mu, nu)
+
+
+def test_rows_equal_the_basis_product_on_the_suite_grid():
+    for mu, nu in SUITE_GRID_PAIRS:
+        assert_same_arrays(product_via_graphs(mu, nu), _basis_product(mu, nu, 2))
 
 
 def test_orientation_sum_across_blocks():
     # 2**17 orientations take two blocks of 2**16
     mu, nu = (1,), (0,) * 8 + (2,) * 9
-    assert product_via_graphs(mu, nu, max_bits=17) == product(mu, nu, 2)
+    got = product_via_graphs(mu, nu, max_bits=17)
+    assert_same_arrays(got, _basis_product(mu, nu, 2))
+    assert fold_rows(*got) == product(mu, nu, 2)
+
+
+def test_blocks_of_64_give_the_arrays_of_one_block(monkeypatch):
+    pairs = [((0, 1), (2, 2, 3, 3)), ((1, 2, 2), (0, 2, 3)), ((0, 0, 3), (0, 1, 1, 2)), ((0,) * 12, (3,))]
+    # each pair fits one default block, and takes more than one block of 64
+    assert all(64 < 2 ** (len(mu) * len(nu)) <= BLOCK_ORIENTATIONS for mu, nu in pairs)
+    whole = [product_via_graphs(mu, nu) for mu, nu in pairs]
+    monkeypatch.setattr(bipartite, "BLOCK_ORIENTATIONS", 64)
+    for (mu, nu), want in zip(pairs, whole):
+        assert_same_arrays(product_via_graphs(mu, nu), want)
 
 
 def test_orientation_sum_with_tiny_blocks(monkeypatch):
     monkeypatch.setattr(bipartite, "BLOCK_ORIENTATIONS", 5)
     for mu, nu in [((0, 1), (2,)), ((1, 2), (0, 2, 3)), ((0, 0, 3), (0, 1))]:
-        assert product_via_graphs(mu, nu) == folded_graph_terms(mu, nu), (mu, nu)
+        got = fold_rows(*product_via_graphs(mu, nu))
+        assert got == folded_graph_terms(mu, nu), (mu, nu)
 
 
-@pytest.mark.parametrize("c", [2**40, 2**70])
+@pytest.mark.parametrize("c", [2**40, 2**63 - 1, 2**70])
 def test_orientation_sum_with_huge_parts(c):
-    # parts this far apart overflow an int64 packed key
-    for mu, nu in [((0, c), (1,)), ((c,), (0, 1, c)), ((0,), (c, c))]:
-        assert product_via_graphs(mu, nu) == folded_graph_terms(mu, nu), (mu, nu)
+    # parts this far apart overflow an int64 packed key; huge parts close
+    # together pack small but grow out of int64 once the smallest is added back
+    for mu, nu in [((0, c), (1,)), ((c,), (0, 1, c)), ((0,), (c, c)), ((c,), (c,)), ((), (c,))]:
+        got = product_via_graphs(mu, nu)
+        assert fold_rows(*got) == folded_graph_terms(mu, nu), (mu, nu)
+        assert_same_arrays(got, _basis_product(mu, nu, 2))

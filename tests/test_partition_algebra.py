@@ -11,6 +11,7 @@ from qcoha.bipartite import product_via_graphs
 from qcoha.errors import ResourceLimitError
 from qcoha.kernel import structure_table
 from qcoha.partition_algebra import (
+    _basis_product,
     bar_element,
     check_associativity,
     element_add,
@@ -157,13 +158,21 @@ def test_associativity_samples():
 def test_grading_failures_empty_on_products():
     for d in (1, 2, 3):
         for mu, nu in [((0, 1), (2,)), ((1,), (1,)), ((0, 2), (0, 1))]:
-            assert grading_failures(mu, nu, d, product(mu, nu, d)) == []
+            assert grading_failures(mu, nu, d, _basis_product(mu, nu, d)[0]) == []
 
 
 def test_grading_failures_detects_bad_terms():
-    bad = {(0, 0): ONE}
-    assert grading_failures((0,), (0,), 2, bad)
-    assert grading_failures((0, 1), (), 2, {(0, 1, 2): ONE})
+    # rows are (key, power); each failing key is worded once
+    bad = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+    assert grading_failures((0,), (0,), 2, bad) == [
+        "term (0, 0) of (0,) * (0,) (d=2) has weight 0, want 1"
+    ]
+    assert grading_failures((0, 1), (), 2, np.array([[0, 1, 2, 0]])) == [
+        "term (0, 1, 2) of (0, 1) * () (d=2) has length 3, want 2"
+    ]
+    huge = np.array([[2**62, 2**62, 0]])
+    assert grading_failures((2**62,), (2**62 - 1,), 3, huge)
+    assert grading_failures((2**62,), (2**62,), 1, huge) == []
 
 
 def test_resource_limit_propagates():
@@ -297,7 +306,12 @@ def test_basis_products_match_shuffle_oracle():
 
 def test_basis_products_match_orientation_sum():
     for mu, nu in itertools.product(partitions_up_to(3, 2), repeat=2):
-        assert product(mu, nu, 2) == product_via_graphs(mu, nu), (mu, nu)
+        rows, coeffs = product_via_graphs(mu, nu)
+        via_graphs = {}
+        for row, c in zip(rows.tolist(), coeffs.tolist()):
+            via_graphs.setdefault(tuple(row[:-1]), {})[row[-1]] = c
+        via_graphs = {key: QLaurent.from_dict(t) for key, t in via_graphs.items()}
+        assert product(mu, nu, 2) == via_graphs, (mu, nu)
 
 
 def test_term_cap_holds_for_cached_tables():
@@ -343,7 +357,7 @@ def test_products_have_polynomial_coefficients(mu, nu, d):
     for coeff in e.values():
         assert coeff.is_polynomial()
         assert coeff.max_power() <= bound
-    assert grading_failures(mu, nu, d, e) == []
+    assert grading_failures(mu, nu, d, _basis_product(mu, nu, d)[0]) == []
 
 
 def test_exhaustive_quasi_commutativity_small():

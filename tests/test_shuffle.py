@@ -346,3 +346,16 @@ def test_shuffle_checks_subsets_before_any_work(monkeypatch):
     f = partition_image((0, 1, 2))
     with pytest.raises(ResourceLimitError):
         shuffle_product(f, f, 2, max_subsets=19)
+
+
+def test_cached_block_kernels_answer_like_fresh_ones():
+    f, g = partition_image((0, 1)), partition_image((2,))
+    want = per_split_shuffle((0, 1), (2,), 3, None)
+    for _ in range(2):
+        assert shuffle_product(f, g, 3).terms == want
+    # the cap and the value of q are part of the cached kernel's key
+    with pytest.raises(ResourceLimitError, match="projected term count 3 exceeds cap 1"):
+        shuffle_product(f, g, 3, term_cap=1)
+    assert shuffle_product(f, g, 3, q_value=1).terms == per_split_shuffle((0, 1), (2,), 3, 1)
+    with pytest.raises(TypeError, match="floating-point"):
+        shuffle_product(f, g, 3, q_value=1.0)

@@ -1,10 +1,16 @@
 """Verification suite drivers: small-bound runs, determinism, the cost gates."""
+import sys
+
 import pytest
 
-from qcoha import suites
-from qcoha.errors import ResourceLimitError
-from qcoha.kernel import structure_table
+from qcoha import cli, partition_algebra, shuffle_algebra, suites
+from qcoha.bipartite import verify_graph_model
+from qcoha.errors import NotSymmetricError, ResourceLimitError
+from qcoha.kernel import DEFAULT_TERM_CAP, structure_table
+from qcoha.mpoly import MPoly
 from qcoha.partitions import distinct_permutations, partitions_up_to
+from qcoha.qlaurent import ONE
+from qcoha.shuffle_algebra import DEFAULT_MAX_SUBSETS, _shuffle_rows, verify_homomorphism
 from qcoha.suites import (
     SUITES,
     _table_points,
@@ -181,3 +187,127 @@ def test_grid_lengths_count_the_partitions_and_their_rearrangements(max_len, max
 )
 def test_kernel_terms_bound_the_table(m, n, d):
     assert len(structure_table(m, n, d)) <= suites._kernel_terms(m, n, d)
+
+
+# -- a corrupted basis product fails every oracle ---------------------------------
+
+# (mu, nu, d) of the one product corrupted below; every small grid reaches it
+BROKEN = ((0,), (1,), 2)
+SMALL_GRIDS = {
+    "assoc": dict(d_values=(2,), max_len=1, max_part=1, random_triples=0),
+    "iso": dict(d_values=(2,), max_len=1, max_part=1),
+    "quasi": dict(d_values=(2,), max_len=1, max_part=1),
+    "graphs": dict(max_len=1, max_part=1, boundary_pairs=False),
+    "grading": dict(d_values=(2,), max_len=1, max_part=1),
+}
+
+
+def _corrupt(monkeypatch, how):
+    """Make the cached basis product of BROKEN come back corrupted.
+
+    ``flip`` negates the coefficient of its first row, ``drop`` drops that
+    row, and ``shift`` adds 1 to the row's first part, so that the key has
+    the wrong weight.
+    """
+    real = partition_algebra._basis_product
+
+    def corrupted(mu, nu, d):
+        rows, coeffs = real(mu, nu, d)
+        if (mu, nu, d) != BROKEN:
+            return rows, coeffs
+        if how == "flip":
+            coeffs = coeffs.copy()
+            coeffs[0] = -coeffs[0]
+        elif how == "drop":
+            rows, coeffs = rows[1:], coeffs[1:]
+        else:
+            rows = rows.copy()
+            rows[0, 0] += 1
+        return rows, coeffs
+
+    monkeypatch.setattr(partition_algebra, "_basis_product", corrupted)
+
+
+@pytest.mark.parametrize("how", ["flip", "drop"])
+def test_a_corrupted_product_fails_the_library_oracles(monkeypatch, how):
+    _corrupt(monkeypatch, how)
+    rep = verify_graph_model((0,), (1,))
+    assert not rep.passed
+    (failure,) = rep.failures
+    assert failure.startswith("graph model disagrees for mu=(0,) nu=(1,): {(0, 2): ")
+    rep = verify_homomorphism((0,), (1,), 2)
+    assert not rep.passed
+    (failure,) = rep.failures
+    assert failure.startswith("homomorphism fails for mu=(0,) nu=(1,) d=2: ")
+    # the other products are left as they were
+    assert verify_graph_model((1,), (0,)).passed
+    assert verify_homomorphism((0,), (1,), 3).passed
+
+
+@pytest.mark.parametrize(
+    "name,how,failure",
+    [
+        ("graphs", "flip", "graph model disagrees for mu=(0,) nu=(1,): "),
+        ("graphs", "drop", "graph model disagrees for mu=(0,) nu=(1,): "),
+        ("iso", "flip", "homomorphism fails for mu=(0,) nu=(1,) d=2: "),
+        ("iso", "drop", "homomorphism fails for mu=(0,) nu=(1,) d=2: "),
+        ("quasi", "flip", "signed relation fails for (0,) (1,) d=2"),
+        ("quasi", "drop", "signed relation fails for (1,) (0,) d=2"),
+        ("assoc", "flip", "q=0 of (0,) * (1,) (d=2) is {(0, 2): -1}, want {(0, 2): 1}"),
+        ("assoc", "drop", "q=0 of (0,) * (1,) (d=2) is {}, want {(0, 2): 1}"),
+        # the grading reads keys only, so only a wrong key can fail it
+        ("grading", "shift", "term (1, 2) of (0,) * (1,) (d=2) has weight 3, want 2"),
+    ],
+)
+def test_a_corrupted_product_fails_the_suite(monkeypatch, name, how, failure):
+    _corrupt(monkeypatch, how)
+    rep = SUITES[name](**SMALL_GRIDS[name])
+    assert not rep.passed
+    assert any(f.startswith(failure) for f in rep.failures), rep.failures
+
+
+def test_a_failing_suite_says_so_on_the_command_line(monkeypatch, capsys):
+    _corrupt(monkeypatch, "flip")
+    code = cli.main(["verify", "graphs", "--max-len", "1", "--max-part", "1", "--format", "text"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out[:2] == ["suite: graphs", "passed: no"]
+    assert any(line.startswith("failure: graph model disagrees for mu=(0,) nu=(1,)") for line in out)
+
+
+def test_the_shuffle_oracle_still_certifies_symmetry(monkeypatch):
+    # x_2 alone is not symmetric, and the one split of (2, 0) variables keeps it
+    asymmetric = MPoly(2, {(0, 1): ONE})
+    with pytest.raises(NotSymmetricError):
+        _shuffle_rows(asymmetric, MPoly(0, {(): ONE}), 2, None, DEFAULT_MAX_SUBSETS, DEFAULT_TERM_CAP)
+    monkeypatch.setattr(shuffle_algebra, "augmented_monomial", lambda lam: asymmetric)
+    with pytest.raises(NotSymmetricError):
+        verify_homomorphism((0, 1), (), 2)
+
+
+# -- no suite folds a product into QLaurent on its passing path ---------------------
+
+GUARD_GRIDS = dict(
+    SMALL_GRIDS,
+    assoc=dict(d_values=(1, 2), max_len=1, max_part=1, random_triples=2, random_max_len=2, random_max_part=2),
+    graphs=dict(max_len=1, max_part=1),
+    lemma31=dict(block_range=(1,), d_values=(2,)),
+    prop41=dict(max_len=2, max_part=1),
+    prop43=dict(max_len=2, max_part=1),
+)
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_no_suite_folds_a_product(monkeypatch, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a suite folded a product into QLaurent values")
+
+    for attr in ("product", "_to_element"):
+        original = getattr(partition_algebra, attr)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "qcoha" or mod_name.startswith("qcoha."):
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, forbidden)
+    rep = SUITES[name](**GUARD_GRIDS[name])
+    assert rep.passed, rep.failures
