@@ -7,88 +7,26 @@ sorted concatenation, and the coefficient is (-q) to the number of edges
 pointing left.  Summing over all 2**(n*k) orientations reproduces the d = 2
 partition-algebra product, which gives a fully independent oracle for it.
 
-``product_via_graphs`` runs that sum on integer arrays, 2**16 orientations
-at a time, counting equal (key, edges toward the left) pairs through its own
-packed integer key, into grouped rows in the layout of a basis product; it
-shares no grouping code with the table engine it checks.
-``enumerate_graph_terms`` and ``h_of_graph`` walk the same sum one
-orientation at a time, for listing orientations and as a reference.
+Orientations are taken 2**16 at a time from a bit matrix (``_orientations``).
+``product_via_graphs`` counts equal (key, edges toward the left) pairs of
+each block through its own packed integer key, into grouped rows in the
+layout of a basis product; it shares no grouping code with the table engine
+it checks.  ``list_orientations`` returns the terms of one block as they are,
+one per orientation, for ``graphs --list``.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Tuple
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .kernel import DEFAULT_TERM_CAP
-from .partition_algebra import _capped_basis_product, _to_element
-from .partitions import Partition, is_partition, sort_ascending, vec_add
-from .qlaurent import QLaurent, signed_q_power
+from .partition_algebra import _capped_basis_product, _offsets, _to_element
+from .partitions import Partition, is_partition
 from .reports import CheckReport
 
 DEFAULT_BIT_BUDGET = 24
-# orientations staged at once by product_via_graphs
+# orientations staged at once by product_via_graphs, and the most listed
 BLOCK_ORIENTATIONS = 1 << 16
-
-
-@dataclass(frozen=True)
-class OrientedBipartiteGraph:
-    """One orientation of the complete bipartite graph on n + k nodes.
-
-    Bit i*k + j of ``mask`` is set exactly when the edge between left node i
-    and right node j points toward the left node.
-    """
-
-    n: int
-    k: int
-    mask: int
-
-    def __post_init__(self):
-        if self.n < 0 or self.k < 0:
-            raise ValueError("node counts must be non-negative")
-        if not 0 <= self.mask < 1 << (self.n * self.k):
-            raise ValueError(
-                "mask %d out of range for a %d x %d graph" % (self.mask, self.n, self.k)
-            )
-
-    def points_left(self, i: int, j: int) -> bool:
-        return bool(self.mask >> (i * self.k + j) & 1)
-
-    def left_indegrees(self) -> Tuple[int, ...]:
-        row = (1 << self.k) - 1
-        return tuple(
-            ((self.mask >> (i * self.k)) & row).bit_count() for i in range(self.n)
-        )
-
-    def right_indegrees(self) -> Tuple[int, ...]:
-        return tuple(
-            sum(1 for i in range(self.n) if not self.points_left(i, j))
-            for j in range(self.k)
-        )
-
-    def edges_toward_left(self) -> int:
-        return self.mask.bit_count()
-
-
-class GraphTerm(NamedTuple):
-    partition: Partition
-    coefficient: QLaurent
-
-
-def h_of_graph(mu: Partition, nu: Partition, graph: OrientedBipartiteGraph) -> GraphTerm:
-    """The single term an orientation contributes to mu * nu."""
-    mu = tuple(mu)
-    nu = tuple(nu)
-    if len(mu) != graph.n or len(nu) != graph.k:
-        raise ValueError(
-            "graph is %d x %d but partitions have lengths %d and %d"
-            % (graph.n, graph.k, len(mu), len(nu))
-        )
-    a = vec_add(mu, graph.left_indegrees())
-    b = vec_add(nu, graph.right_indegrees())
-    return GraphTerm(sort_ascending(a + b), signed_q_power(graph.edges_toward_left()))
 
 
 def _check_factors(mu: Partition, nu: Partition, max_bits: int) -> int:
@@ -103,17 +41,21 @@ def _check_factors(mu: Partition, nu: Partition, max_bits: int) -> int:
     return bits
 
 
-def enumerate_graph_terms(
-    mu: Partition, nu: Partition, max_bits: int = DEFAULT_BIT_BUDGET
-) -> Iterator[Tuple[int, GraphTerm]]:
-    """All (orientation id, term) pairs, ids counting up from 0."""
-    mu = tuple(mu)
-    nu = tuple(nu)
-    bits = _check_factors(mu, nu, max_bits)
-    n = len(mu)
-    k = len(nu)
-    for mask in range(1 << bits):
-        yield mask, h_of_graph(mu, nu, OrientedBipartiteGraph(n, k, mask))
+def _orientations(parts: np.ndarray, n: int, k: int, start: int, stop: int):
+    """Sorted grown keys and left-edge counts of orientations start..stop-1.
+
+    Orientation ``mask`` is row ``mask - start`` of a bit matrix of shape
+    (orientations, n, k), with entry (i, j) set when edge i-j points left (bit
+    i*k + j of the mask), so the left indegrees are its row sums and the
+    right indegrees are n less its column sums.  ``parts`` holds mu then nu,
+    in the dtype the keys take.
+    """
+    masks = np.arange(start, stop, dtype=np.int64)
+    edges = ((masks[:, None] >> np.arange(n * k)) & 1).reshape(len(masks), n, k)
+    left = edges.sum(axis=2)
+    keys = np.concatenate([left, n - edges.sum(axis=1)], axis=1) + parts
+    keys.sort(axis=1)
+    return keys, left.sum(axis=1)
 
 
 def product_via_graphs(mu: Partition, nu: Partition, max_bits: int = DEFAULT_BIT_BUDGET):
@@ -121,12 +63,10 @@ def product_via_graphs(mu: Partition, nu: Partition, max_bits: int = DEFAULT_BIT
 
     Returns grouped (rows, coeffs) in the layout of a basis product (sorted
     key, then power of q; rows in order), a row's coefficient being its
-    orientation count times (-1)**power.  Orientation ``mask`` is row
-    ``mask`` of a bit matrix of shape (orientations, n, k), with entry (i, j)
-    set when edge i-j points left, so the left indegrees are its row sums and
-    the right indegrees are n less its column sums.  Each block packs its
-    sorted keys and its left-edge counts into one integer per orientation, in
-    row order, and counts them; the blocks' counts are summed per packed key.
+    orientation count times (-1)**power.  Each block of orientations packs
+    its sorted keys and its left-edge counts into one integer per
+    orientation, in row order, and counts them; the blocks' counts are
+    summed per packed key.
     """
     mu = tuple(mu)
     nu = tuple(nu)
@@ -147,16 +87,10 @@ def product_via_graphs(mu: Partition, nu: Partition, max_bits: int = DEFAULT_BIT
         [1 << (width * (n + k - 1 - i) + power_width) for i in range(n + k)],
         dtype=dtype,
     )
-    shifts = np.arange(bits, dtype=np.int64)
     packed, rows, counts = [], [], []
     total = 1 << bits
     for start in range(0, total, BLOCK_ORIENTATIONS):
-        masks = np.arange(start, min(start + BLOCK_ORIENTATIONS, total), dtype=np.int64)
-        edges = ((masks[:, None] >> shifts) & 1).reshape(len(masks), n, k)
-        left = edges.sum(axis=2)
-        keys = np.concatenate([left, n - edges.sum(axis=1)], axis=1) + parts
-        keys.sort(axis=1)
-        powers = left.sum(axis=1)
+        keys, powers = _orientations(parts, n, k, start, min(start + BLOCK_ORIENTATIONS, total))
         distinct, first, found = np.unique(
             keys @ scale + powers, return_index=True, return_counts=True
         )
@@ -173,6 +107,24 @@ def product_via_graphs(mu: Partition, nu: Partition, max_bits: int = DEFAULT_BIT
         np.add.at(summed, where, np.concatenate(counts))
         rows = np.concatenate(rows)[first]
     return rows, np.where(rows[:, -1] & 1, -summed, summed)
+
+
+def list_orientations(mu: Partition, nu: Partition):
+    """Every orientation's sorted key and edges toward the left, in mask order.
+
+    Orientation ``mask`` contributes its key times (-q)**edges.  A listing
+    holds one block at most: past BLOCK_ORIENTATIONS orientations it raises
+    ResourceLimitError before any is built.
+    """
+    mu, nu = tuple(mu), tuple(nu)
+    bits = _check_factors(mu, nu, DEFAULT_BIT_BUDGET)
+    if 1 << bits > BLOCK_ORIENTATIONS:
+        raise ResourceLimitError(
+            "listing 2**%d orientations exceeds the limit of %d"
+            % (bits, BLOCK_ORIENTATIONS)
+        )
+    # a part below 2**62 stays in int64 when it grows by at most 16
+    return _orientations(_offsets(mu + nu), len(mu), len(nu), 0, 1 << bits)
 
 
 def verify_graph_model(mu: Partition, nu: Partition) -> CheckReport:

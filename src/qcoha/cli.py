@@ -26,7 +26,7 @@ import json
 import sys
 from typing import Dict, Optional, Sequence
 
-from .bipartite import enumerate_graph_terms, product_via_graphs
+from .bipartite import list_orientations, product_via_graphs
 from .errors import NotSymmetricError, ResourceLimitError
 from .kernel import (
     DEFAULT_TERM_CAP,
@@ -37,15 +37,15 @@ from .kernel import (
 )
 from .partition_algebra import _capped_basis_product, _to_element, product, specialize
 from .partitions import parse_partition
-from .qlaurent import ONE, Rational
+from .qlaurent import ONE, QLaurent, Rational
 from .serialization import (
     _partition_from_json,
+    _table_rows,
     element_from_json,
     element_to_json,
     graded_to_json,
     grouped_json_text,
     mpoly_to_json,
-    qlaurent_to_json,
     rational_from_json,
     render_element_latex,
     render_element_text,
@@ -158,8 +158,7 @@ def run_g(
 
         def lines(template, render):
             return "\n".join(
-                template % (list(a), list(b), render(coeff))
-                for (a, b), coeff in sorted(tab.entries.items())
+                template % (a, b, render(QLaurent.term(w, p))) for a, b, p, w in _table_rows(tab)
             )
 
         return {
@@ -177,17 +176,17 @@ def run_g(
 
 def run_graphs(left, right, list: bool = False) -> Dict[str, object]:
     """d=2 product as a sum over orientations"""
-    # the field is named "list", so the builtin is shadowed in this body
+    # the field is named "list", so the builtin is shadowed in this body;
+    # the listing is refused past one block before any work is done
+    listed = list_orientations(left, right) if list else None
     e = _to_element(*product_via_graphs(left, right))
     payload = element_to_json(e, 2)
-    if list:
+    if listed is not None:
+        # orientation mask contributes its key times (-q)**p
+        keys, powers = (a.tolist() for a in listed)
         payload["orientations"] = [
-            {
-                "id": mask,
-                "partition": [*term.partition],
-                "coeff": qlaurent_to_json(term.coefficient),
-            }
-            for mask, term in enumerate_graph_terms(left, right)
+            {"id": mask, "partition": key, "coeff": {"offset": p, "coeffs": [("1", "-1")[p & 1]]}}
+            for mask, (key, p) in enumerate(zip(keys, powers))
         ]
     return {
         "payload": payload,

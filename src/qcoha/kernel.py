@@ -9,7 +9,9 @@ factorization identity for three blocks is expressed.
 The structure-constant table folds the factors into integer arrays: one row
 of exponents per monomial and its signed integer weight.  Every coefficient
 of the kernel is a signed q-monomial ``N(a, b) * (-q)**|a|``, whose power is
-the row sum of the first-block exponents, so integers carry the whole table.
+the row sum of the first-block exponents, so integers carry the whole table,
+and every reader (the basis products, the convolution identity, the symmetry
+check and ``g --table``) reads the arrays; the table has no QLaurent view.
 ``pairwise_kernel`` expands the same factors into an ``MPoly`` instead,
 multiplying one factor at a time with the polynomial module's own row
 grouping; it stays where the polynomial itself is under test (the
@@ -23,15 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .mpoly import Exponent, MPoly, embed, multiply
-from .partitions import distinct_permutations, sort_ascending
-from .qlaurent import ONE, ZERO, QLaurent, Rational, as_rational
+from .partitions import multiplicity
+from .qlaurent import ONE, QLaurent, Rational, as_rational
 from .reports import CheckReport
 
 DEFAULT_TERM_CAP = 5_000_000
@@ -200,8 +202,9 @@ class StructureConstantTable:
     Row r of ``exps`` is the exponent vector (a, b) of one monomial, first
     block in the first m columns; its coefficient is ``weights[r] *
     q**powers[r]``, where the power is the row sum of a and the weight is the
-    signed integer ``N(a, b) * (-1)**|a|``.  Rows are distinct and in
-    lexicographic order.  ``weights`` is int64 when ``2**((d-1)*m*n)``, the sum
+    signed integer ``N(a, b) * (-1)**|a|``, never zero.  Rows are distinct and
+    in lexicographic order, which is the (a, b) order since every a has
+    length m.  ``weights`` is int64 when ``2**((d-1)*m*n)``, the sum
     of all ``|weights|``, certifies it, and dtype=object otherwise.  ``staged``
     holds the row count after each folded factor, so a cap can be checked
     against a cached table exactly as a cold build would check it.
@@ -216,20 +219,6 @@ class StructureConstantTable:
     def powers(self) -> np.ndarray:
         """The power of q of each row: the sum of its first-block exponents."""
         return self.exps[:, : self.spec.m].sum(axis=1)
-
-    @cached_property
-    def entries(self) -> Dict[Tuple[Exponent, Exponent], QLaurent]:
-        """Coefficients keyed by (first block, second block) exponents."""
-        m = self.spec.m
-        return {
-            (tuple(e[:m]), tuple(e[m:])): QLaurent._trimmed(p, [w])
-            for e, p, w in zip(
-                self.exps.tolist(), self.powers.tolist(), self.weights.tolist()
-            )
-        }
-
-    def coefficient(self, a: Sequence[int], b: Sequence[int]) -> QLaurent:
-        return self.entries.get((tuple(a), tuple(b)), ZERO)
 
     def check_cap(self, term_cap: int) -> None:
         """Raise the ResourceLimitError a cold build under ``term_cap`` raises."""
@@ -310,36 +299,42 @@ def verify_symmetry(table: StructureConstantTable) -> CheckReport:
     """Check invariance under permuting within each block.
 
     Every monomial whose block parts are a rearrangement of another's must
-    carry the same coefficient, and all rearrangements must be present.
+    carry the same coefficient, and all rearrangements must be present.  On
+    the arrays: sorting each block of a row gives its orbit, and each orbit
+    must hold m!/multiplicity(a) * n!/multiplicity(b) rows and one weight
+    (the power, the row sum of a, is the same across an orbit).  Only a
+    failing orbit is looked up row by row, to word the failure.
     """
-    groups: Dict[Tuple[Exponent, Exponent], List] = {}
-    for (a, b), c in table.entries.items():
-        key = (sort_ascending(a), sort_ascending(b))
-        groups.setdefault(key, []).append(((a, b), c))
+    m, n = table.spec.m, table.spec.n
+    exps = table.exps
+    orbits = np.concatenate([np.sort(exps[:, :m], axis=1), np.sort(exps[:, m:], axis=1)], axis=1)
+    ones = np.ones(len(exps), dtype=np.int64)
+    keys, sizes = group_rows(orbits, ones)
+    # the distinct weights of each orbit: its distinct (orbit, weight) rows
+    pairs, _ = group_rows(np.column_stack([orbits, table.weights]), ones)
+    _, weight_counts = group_rows(pairs[:, :-1], ones[: len(pairs)])
+    split = lambda row: (tuple(row[:m]), tuple(row[m:]))
     failures: List[str] = []
-    checked = 0
-    for (ka, kb), members in sorted(groups.items()):
-        expected = len(distinct_permutations(ka)) * len(distinct_permutations(kb))
-        checked += len(members)
-        if len(members) != expected:
+    for key, size, count in zip(keys.tolist(), sizes.tolist(), weight_counts.tolist()):
+        ka, kb = split(key)
+        expected = factorial(m) // multiplicity(ka) * (factorial(n) // multiplicity(kb))
+        if size != expected:
             failures.append(
-                "orbit of a=%r b=%r has %d of %d rearrangements"
-                % (ka, kb, len(members), expected)
+                "orbit of a=%r b=%r has %d of %d rearrangements" % (ka, kb, size, expected)
             )
-            continue
-        ref = members[0][1]
-        for (a, b), c in members[1:]:
-            if c != ref:
-                failures.append(
-                    "coefficient at a=%r b=%r differs from a=%r b=%r"
-                    % (a, b, members[0][0][0], members[0][0][1])
-                )
-                break
+        elif count > 1:
+            # the orbit's rows in stored order: the first that differs from the first
+            rows = np.flatnonzero((orbits == key).all(axis=1))
+            weights = table.weights[rows]
+            differs = rows[np.flatnonzero(weights != weights[0])[0]]
+            failures.append(
+                "coefficient at a=%r b=%r differs from a=%r b=%r"
+                % (split(exps[differs].tolist()) + split(exps[rows[0]].tolist()))
+            )
     return CheckReport(
-        name="kernel-symmetry m=%d n=%d d=%d"
-        % (table.spec.m, table.spec.n, table.spec.d),
+        name="kernel-symmetry m=%d n=%d d=%d" % (m, n, table.spec.d),
         passed=not failures,
-        checked=checked,
+        checked=len(exps),
         failures=failures,
     )
 

@@ -265,10 +265,6 @@ class MPoly:
     def coefficient(self, exp: Sequence[int]) -> QLaurent:
         return self.terms.get(tuple(exp), ZERO)
 
-    def sorted_terms(self):
-        """Terms in lexicographic exponent order (the canonical order)."""
-        return list(self.terms.items())
-
     def _degrees(self) -> np.ndarray:
         exps = self.rows[:, :-1]
         # a row sum may leave int64 even when every exponent fits

@@ -22,10 +22,11 @@ parenthesization on its own and compares the two with ``np.array_equal``:
 grouped rows are canonical, so on the passing path no QLaurent is built.
 So do ``quasi_commutativity_report``, ``bipartite.verify_graph_model``,
 ``shuffle_algebra.verify_homomorphism`` and the suites' grading check, and
-JSON ``multiply`` writes the cached rows as text.  Only ``product`` (and
-``product_elements`` at its edges), the text and LaTeX renderers and
-``--at-q`` fold them into QLaurent dicts (``_to_element``).  Both caches are
-bounded, least recently used out, at twice a default suite's working set.
+JSON ``multiply`` writes the cached rows as text.  ``_split_keys`` splits
+grouped rows by key; only ``product`` (and ``product_elements`` at its
+edges), the text and LaTeX renderers and ``--at-q`` fold the split rows into
+QLaurent dicts (``_to_element``).  Both caches are bounded, least recently
+used out, at twice a default suite's working set.
 
 The staged arrays are int64 only when a bound certifies that no sum can
 leave int64 range: the sum of |coefficients| times the table's sum of
@@ -148,18 +149,13 @@ def _split_keys(rows, coeffs):
 
 def _to_element(rows, coeffs) -> PartitionElement:
     """Fold grouped rows into QLaurent coefficients."""
-    if not len(coeffs):
-        return {}
-    keys, starts = (a.tolist() for a in _key_starts(rows))
-    ps = rows[:, -1].tolist()
-    cs = coeffs.tolist()
     out: PartitionElement = {}
-    for key, lo, hi in zip(keys, starts, starts[1:] + [len(ps)]):
-        base = ps[lo]
-        dense = [0] * (ps[hi - 1] - base + 1)
-        for j in range(lo, hi):
-            dense[ps[j] - base] = cs[j]
-        out[tuple(key)] = QLaurent._trimmed(base, dense)
+    for key, ps, cs in _split_keys(rows, coeffs):
+        base = ps[0]
+        dense = [0] * (ps[-1] - base + 1)
+        for p, c in zip(ps, cs):
+            dense[p - base] = c
+        out[key] = QLaurent._trimmed(base, dense)
     return out
 
 
@@ -168,32 +164,6 @@ def product(
 ) -> PartitionElement:
     """Partition-level product of two basis partitions."""
     return _to_element(*_capped_basis_product(tuple(mu), tuple(nu), d, term_cap))
-
-
-def element_add(e1, e2):
-    out = dict(e1)
-    for k, c in e2.items():
-        cur = out.get(k)
-        if cur is None:
-            out[k] = c
-        else:
-            tot = cur + c
-            if tot:
-                out[k] = tot
-            else:
-                del out[k]
-    return out
-
-
-def scale_element(e, coeff: QLaurent):
-    if not coeff:
-        return {}
-    return {k: c * coeff for k, c in e.items()}
-
-
-def bar_element(e):
-    """Apply the bar involution q -> q**-1 to every coefficient."""
-    return {k: c.bar() for k, c in e.items()}
 
 
 def specialize(e, value) -> Dict[Partition, object]:

@@ -133,11 +133,6 @@ class QLaurent:
             return self.coeffs[0]
         raise ValueError("not a constant: %r" % (self,))
 
-    def min_power(self) -> int:
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no support")
-        return self.offset
-
     def max_power(self) -> int:
         if not self.coeffs:
             raise ValueError("the zero polynomial has no support")

@@ -30,24 +30,14 @@ class CheckReport:
         }
 
 
-def merge_reports(name: str, reports: List[CheckReport]) -> CheckReport:
-    """Combine sub-reports into one, concatenating instances and failures."""
-    out = CheckReport(name=name, passed=all(r.passed for r in reports), checked=0)
-    for r in reports:
-        out.checked += r.checked
-        out.failures.extend(r.failures)
-        out.instances.extend(r.instances)
-    return out
-
-
 @dataclass
 class QuasiCommReport:
     """Both commutation candidates for a pair of partitions.
 
     ``unsigned_matches`` reports q**e * bar(nu * mu) == mu * nu and
     ``signed_matches`` reports (-q)**e * bar(nu * mu) == mu * nu, where
-    e = (d-1) * len(mu) * len(nu).  The check passes when the signed form
-    holds; the unsigned flag records where the two forms genuinely differ.
+    e = (d-1) * len(mu) * len(nu).  The quasi suite requires the signed form
+    and reads the unsigned flag for where the two forms genuinely differ.
     """
 
     mu: tuple
@@ -56,18 +46,3 @@ class QuasiCommReport:
     exponent: int
     unsigned_matches: bool
     signed_matches: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.signed_matches
-
-    def to_json(self) -> dict:
-        return {
-            "mu": list(self.mu),
-            "nu": list(self.nu),
-            "d": self.d,
-            "exponent": self.exponent,
-            "unsigned_matches": self.unsigned_matches,
-            "signed_matches": self.signed_matches,
-            "passed": self.passed,
-        }

@@ -88,27 +88,6 @@ def mpoly_to_json(p: MPoly) -> dict:
     }
 
 
-def mpoly_from_json(obj) -> MPoly:
-    if not isinstance(obj, dict) or set(obj) != {"arity", "terms"}:
-        raise ValueError("polynomial must be {arity, terms}")
-    arity = obj["arity"]
-    if not isinstance(arity, int) or isinstance(arity, bool) or arity < 0:
-        raise ValueError("arity must be a non-negative integer")
-    terms = {}
-    if not isinstance(obj["terms"], list):
-        raise ValueError("terms must be a list")
-    for entry in obj["terms"]:
-        if not isinstance(entry, dict) or set(entry) != {"exp", "coeff"}:
-            raise ValueError("polynomial term must be {exp, coeff}")
-        exp = entry["exp"]
-        if not isinstance(exp, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in exp
-        ):
-            raise ValueError("exponent vector must be non-negative integers")
-        terms[tuple(exp)] = qlaurent_from_json(entry["coeff"])
-    return MPoly(arity, terms)
-
-
 # -- partition-keyed elements -------------------------------------------------------
 
 
@@ -216,11 +195,19 @@ def graded_to_json(ge: GradedElement) -> dict:
 # -- structure-constant tables ---------------------------------------------------------
 
 
+def _table_rows(table: StructureConstantTable):
+    # (a, b, power, weight) per row, in stored order: the sorted (a, b) order
+    m = table.spec.m
+    rows = zip(table.exps.tolist(), table.powers.tolist(), table.weights.tolist())
+    return [(e[:m], e[m:], p, w) for e, p, w in rows]
+
+
 def table_to_json(table: StructureConstantTable) -> dict:
+    # every weight is nonzero: a coefficient is the one term weight * q**power
     spec = table.spec
     entries = [
-        {"a": list(a), "b": list(b), "coeff": qlaurent_to_json(c)}
-        for (a, b), c in sorted(table.entries.items())
+        {"a": a, "b": b, "coeff": {"offset": p, "coeffs": [str(w)]}}
+        for a, b, p, w in _table_rows(table)
     ]
     return {"m": spec.m, "n": spec.n, "d": spec.d, "entries": entries}
 

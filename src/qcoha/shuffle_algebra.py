@@ -82,11 +82,6 @@ class SymmetricElement:
     def __repr__(self):
         return "SymmetricElement(%d, %d terms)" % (self.arity, len(self.terms))
 
-    def coefficient(self, key) -> QLaurent:
-        from .qlaurent import ZERO
-
-        return self.terms.get(tuple(key), ZERO)
-
 
 GradedElement = Dict[int, SymmetricElement]
 

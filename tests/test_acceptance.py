@@ -9,12 +9,8 @@ import time
 import pytest
 
 from qcoha import (
-    GraphTerm,
-    OrientedBipartiteGraph,
     QLaurent,
     augmented_times_monomial,
-    enumerate_graph_terms,
-    h_of_graph,
     partitions_up_to,
     product,
     product_via_graphs,
@@ -24,6 +20,8 @@ from qcoha import (
     verify_coefficient_identity,
     verify_monomial_rule,
 )
+from qcoha.cli import run_request
+from qcoha.serialization import qlaurent_from_json
 from qcoha.suites import (
     suite_assoc,
     suite_grading,
@@ -110,15 +108,17 @@ def test_criterion_02_augmented_rule_example(capsys):
 
 def test_criterion_03_orientation_model(capsys):
     def run():
-        graph = OrientedBipartiteGraph(n=2, k=3, mask=53)
-        one = h_of_graph((1, 2), (0, 2, 3), graph)
-        count = sum(1 for _ in enumerate_graph_terms((1, 2), (0, 2, 3)))
+        request = {"cmd": "graphs", "left": [1, 2], "right": [0, 2, 3], "list": True}
+        listed = run_request(request)["payload"]["orientations"]
+        one = listed[53]
         via_graphs = fold_rows(*product_via_graphs((1, 2), (0, 2, 3)))
-        return one, count, via_graphs
+        return one, len(listed), via_graphs
 
     (one, count, via_graphs), dt = timed(run)
     ok = (
-        one == GraphTerm((1, 3, 3, 3, 4), QL(4, 1))
+        one["id"] == 53
+        and tuple(one["partition"]) == (1, 3, 3, 3, 4)
+        and qlaurent_from_json(one["coeff"]) == QL(4, 1)
         and count == 64
         and via_graphs == product((1, 2), (0, 2, 3), 2)
         and dt < 1.0

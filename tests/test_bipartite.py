@@ -1,22 +1,23 @@
 """Orientation model for the d = 2 product."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcoha.bipartite as bipartite
-from qcoha import QLaurent, ResourceLimitError, product, q_power, signed_q_power
+from qcoha import QLaurent, ResourceLimitError, product, signed_q_power
 from qcoha.bipartite import (
     BLOCK_ORIENTATIONS,
-    GraphTerm,
-    OrientedBipartiteGraph,
-    enumerate_graph_terms,
-    h_of_graph,
+    list_orientations,
     product_via_graphs,
     verify_graph_model,
 )
+from qcoha.cli import main
 from qcoha.partition_algebra import _basis_product
 from qcoha.partitions import partitions_up_to
+from qcoha.serialization import element_to_json, qlaurent_to_json
 from qcoha.suites import BOUNDARY_GRAPH_PAIRS
 
 
@@ -38,42 +39,56 @@ def assert_same_arrays(got, want):
         assert a.shape == b.shape and np.array_equal(a, b), (a, b)
 
 
+def orientation_term(mu, nu, mask):
+    # the term of one orientation, edge by edge: bit i*k + j set means edge
+    # i-j points left, so left node i grows; the coefficient is (-q)**edges
+    k = len(nu)
+    a, b = list(mu), list(nu)
+    for i in range(len(mu)):
+        for j in range(k):
+            if mask >> (i * k + j) & 1:
+                a[i] += 1
+            else:
+                b[j] += 1
+    return tuple(sorted(a + b)), mask.bit_count()
+
+
+def all_reference_terms(mu, nu):
+    return [orientation_term(mu, nu, mask) for mask in range(1 << (len(mu) * len(nu)))]
+
+
+def all_listed_terms(mu, nu):
+    keys, powers = list_orientations(mu, nu)
+    return list(zip(map(tuple, keys.tolist()), powers.tolist()))
+
+
+def listed_term(mu, nu, mask):
+    keys, powers = list_orientations(mu, nu)
+    return tuple(keys[mask].tolist()), int(powers[mask])
+
+
 def test_orientation_bit_layout():
-    g = OrientedBipartiteGraph(2, 3, 53)
-    assert [g.points_left(0, j) for j in range(3)] == [True, False, True]
-    assert [g.points_left(1, j) for j in range(3)] == [False, True, True]
-    assert g.left_indegrees() == (2, 2)
-    assert g.right_indegrees() == (1, 1, 0)
-    assert g.edges_toward_left() == 4
-
-
-def test_orientation_validates_mask():
-    with pytest.raises(ValueError):
-        OrientedBipartiteGraph(1, 1, 2)
-    with pytest.raises(ValueError):
-        OrientedBipartiteGraph(-1, 1, 0)
+    # parts far apart show each node's indegree: 53 = 0b110101, so left node
+    # 0 takes edges 0 and 2, left node 1 edges 1 and 2, and right nodes 0, 1
+    # and 2 take one, one and none
+    mu, nu = (0, 10), (20, 30, 40)
+    want = ((2, 12, 21, 31, 40), 4)
+    assert orientation_term(mu, nu, 53) == want
+    assert listed_term(mu, nu, 53) == want
 
 
 def test_h_of_graph_worked_orientation():
-    term = h_of_graph((1, 2), (0, 2, 3), OrientedBipartiteGraph(2, 3, 53))
-    assert term == GraphTerm((1, 3, 3, 3, 4), q_power(4))
+    assert listed_term((1, 2), (0, 2, 3), 53) == orientation_term((1, 2), (0, 2, 3), 53)
+    assert listed_term((1, 2), (0, 2, 3), 53) == ((1, 3, 3, 3, 4), 4)
 
 
 def test_h_of_graph_all_edges_right():
-    term = h_of_graph((1, 2), (0, 2, 3), OrientedBipartiteGraph(2, 3, 0))
-    assert term.coefficient == QLaurent.const(1)
-    assert term.partition == (1, 2, 2, 4, 5)
+    assert listed_term((1, 2), (0, 2, 3), 0) == ((1, 2, 2, 4, 5), 0)
 
 
 def test_h_of_graph_single_edge_left():
-    term = h_of_graph((2,), (0,), OrientedBipartiteGraph(1, 1, 1))
-    assert term == GraphTerm((0, 3), signed_q_power(1))
-    assert term.coefficient == QL(1, -1)
-
-
-def test_h_of_graph_dimension_mismatch():
-    with pytest.raises(ValueError):
-        h_of_graph((1, 2), (0,), OrientedBipartiteGraph(1, 1, 0))
+    assert listed_term((2,), (0,), 1) == ((0, 3), 1)
+    assert signed_q_power(1) == QL(1, -1)
 
 
 def test_smallest_product():
@@ -120,12 +135,13 @@ def test_checks_come_before_any_staging():
 
 def test_enumeration_is_exhaustive():
     mu, nu = (0, 1), (2,)
-    terms = list(enumerate_graph_terms(mu, nu))
-    assert [mask for mask, _ in terms] == list(range(4))
+    keys, powers = list_orientations(mu, nu)
+    assert len(keys) == len(powers) == 4
     weight = sum(mu) + sum(nu) + len(mu) * len(nu)
-    for mask, term in terms:
-        assert sum(term.partition) == weight
-        assert term.coefficient == signed_q_power(mask.bit_count())
+    for mask, (key, power) in enumerate(zip(keys.tolist(), powers.tolist())):
+        assert sum(key) == weight
+        assert (tuple(key), power) == orientation_term(mu, nu, mask)
+        assert power == mask.bit_count()
 
 
 small_parts = st.builds(
@@ -144,20 +160,23 @@ def test_graph_model_matches_table_product(mu, nu):
 @given(st.integers(min_value=0, max_value=63))
 @settings(max_examples=30)
 def test_term_coefficient_tracks_orientation(mask):
-    g = OrientedBipartiteGraph(2, 3, mask)
-    term = h_of_graph((1, 2), (0, 2, 3), g)
-    e = mask.bit_count()
-    assert term.coefficient.min_power() == term.coefficient.max_power() == e
-    assert sum(g.left_indegrees()) == e
-    assert sum(g.right_indegrees()) == 6 - e
+    key, e = listed_term((1, 2), (0, 2, 3), mask)
+    assert (key, e) == orientation_term((1, 2), (0, 2, 3), mask)
+    assert e == mask.bit_count()
+    # with the factors far apart the left parts stay first: they grow by e
+    # in all, and the right parts by the other 6 - e
+    key, _ = listed_term((0, 10), (20, 30, 40), mask)
+    assert sum(key[:2]) - 10 == e
+    assert sum(key[2:]) - 90 == 6 - e
 
 
-def folded_graph_terms(mu, nu, max_bits=bipartite.DEFAULT_BIT_BUDGET):
+def folded_graph_terms(mu, nu):
     # the orientation sum one term at a time, as the reference
     out = {}
-    for _, term in enumerate_graph_terms(mu, nu, max_bits):
-        key = term.partition
-        out[key] = out[key] + term.coefficient if key in out else term.coefficient
+    for mask in range(1 << (len(mu) * len(nu))):
+        key, edges = orientation_term(mu, nu, mask)
+        c = signed_q_power(edges)
+        out[key] = out[key] + c if key in out else c
     return {key: c for key, c in out.items() if c}
 
 
@@ -210,3 +229,47 @@ def test_orientation_sum_with_huge_parts(c):
         got = product_via_graphs(mu, nu)
         assert fold_rows(*got) == folded_graph_terms(mu, nu), (mu, nu)
         assert_same_arrays(got, _basis_product(mu, nu, 2))
+        assert all_listed_terms(mu, nu) == all_reference_terms(mu, nu), (mu, nu)
+
+
+def test_listing_stops_past_one_block(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("orientations were built")
+
+    # 16 edges: one whole block
+    keys, powers = list_orientations((0,) * 4, (1,) * 4)
+    assert len(keys) == len(powers) == BLOCK_ORIENTATIONS
+    monkeypatch.setattr(bipartite, "_orientations", refuse)
+    message = r"listing 2\*\*17 orientations exceeds the limit of 65536"
+    with pytest.raises(ResourceLimitError, match=message):
+        list_orientations((0,), (0,) * 17)
+    # past the 24-bit budget the budget's own message comes first
+    with pytest.raises(ResourceLimitError, match="25 edges exceed the 24-bit"):
+        list_orientations((0,) * 5, (0,) * 5)
+
+
+@pytest.mark.parametrize(
+    "mu,nu",
+    [
+        ((), ()),
+        ((), (1, 2)),
+        ((1, 2), ()),
+        ((0,), (0,)),
+        ((2**70,), (0, 1, 2**70)),
+        ((1, 2), (0, 2, 3)),
+        ((0, 0, 3), (0, 1, 1, 2)),
+        ((0, 1, 2, 3), (0, 0, 1, 1)),
+    ],
+)
+def test_graphs_list_json_matches_the_reference(capsys, mu, nu):
+    # the bytes of graphs --list: the product, then every orientation's term
+    # in mask order
+    assert all_listed_terms(mu, nu) == all_reference_terms(mu, nu)
+    want = element_to_json(product(mu, nu, 2), 2)
+    want["orientations"] = [
+        {"id": mask, "partition": list(key), "coeff": qlaurent_to_json(signed_q_power(edges))}
+        for mask, (key, edges) in enumerate(all_reference_terms(mu, nu))
+    ]
+    argv = ["graphs", "--left", ",".join(map(str, mu)), "--right", ",".join(map(str, nu))]
+    assert main(argv + ["--list"]) == 0
+    assert capsys.readouterr().out == json.dumps(want) + "\n"

@@ -814,6 +814,24 @@ def test_oversized_verify_grid_is_a_resource_error(capsys, monkeypatch, suite, m
     assert time.monotonic() - start < 5
 
 
+def test_graphs_list_is_refused_past_one_block(capsys, monkeypatch):
+    # 20 edges: 2**20 orientations, refused before any is built or summed
+    message = "listing 2**20 orientations exceeds the limit of 65536"
+    start = time.monotonic()
+    code, out, err = run(capsys, ["graphs", "--left", "0,0,0,0", "--right", "0,0,0,0,0", "--list"])
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": {"code": "resource", "message": message}}
+    request = {"cmd": "graphs", "left": [0] * 4, "right": [0] * 5, "list": True}
+    code, out, _ = run(capsys, ["batch"], stdin_text=json.dumps(request), monkeypatch=monkeypatch)
+    assert code == 0
+    assert json.loads(out) == {"ok": False, "error": {"code": "resource", "message": message}}
+    assert time.monotonic() - start < 5
+    # 16 edges: one whole block is listed
+    code, out, _ = run(capsys, ["graphs", "--left", "0,0,0,0", "--right", "0,0,0,0", "--list"])
+    assert code == 0
+    assert [o["id"] for o in json.loads(out)["orientations"]] == list(range(65536))
+
+
 def _fresh_caches(monkeypatch, basis_size, table_size):
     """Empty product caches holding at most the given numbers of entries."""
     build = partition_algebra._basis_product.__wrapped__

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcoha.kernel as kernel
+from qcoha.cli import main
 from qcoha.errors import ResourceLimitError
 from qcoha.kernel import (
     KernelSpec,
@@ -21,9 +22,27 @@ from qcoha.kernel import (
     verify_symmetry,
 )
 from qcoha.mpoly import MPoly, embed
-from qcoha.partitions import vec_add
-from qcoha.qlaurent import ONE, Q, QLaurent, q_power, signed_q_power
-from qcoha.serialization import qlaurent_to_json, table_to_json
+from qcoha.partitions import distinct_permutations, vec_add
+from qcoha.qlaurent import ONE, Q, ZERO, QLaurent, q_power, signed_q_power
+from qcoha.serialization import (
+    qlaurent_to_json,
+    render_qlaurent_latex,
+    render_qlaurent_text,
+    table_to_json,
+)
+
+
+def table_entries(table):
+    # the table's rows as {(a, b): weight * q**power}, this module's own view
+    m = table.spec.m
+    rows = zip(table.exps.tolist(), table.powers.tolist(), table.weights.tolist())
+    out = {(tuple(e[:m]), tuple(e[m:])): QLaurent.term(w, p) for e, p, w in rows}
+    assert len(out) == len(table)
+    return out
+
+
+def coefficient(table, a, b):
+    return table_entries(table).get((tuple(a), tuple(b)), ZERO)
 
 
 def test_spec_validation():
@@ -69,16 +88,16 @@ def test_closed_form_m2_n1():
         for a2 in range(e + 1):
             coeff = comb(e, a1) * comb(e, a2)
             expected[((a1, a2), (2 * e - a1 - a2,))] = signed_q_power(a1 + a2) * coeff
-    assert table.entries == expected
+    assert table_entries(table) == expected
 
 
 def test_frozen_coefficients_m2_n1_d4():
     table = structure_constants(KernelSpec(2, 1, 4))
-    assert table.coefficient((0, 0), (6,)) == ONE
-    assert table.coefficient((1, 0), (5,)) == -3 * Q
-    assert table.coefficient((3, 3), (0,)) == q_power(6)
-    assert table.coefficient((1, 3), (2,)) == 3 * q_power(4)
-    assert table.coefficient((4, 0), (2,)) == 0
+    assert coefficient(table, (0, 0), (6,)) == ONE
+    assert coefficient(table, (1, 0), (5,)) == -3 * Q
+    assert coefficient(table, (3, 3), (0,)) == q_power(6)
+    assert coefficient(table, (1, 3), (2,)) == 3 * q_power(4)
+    assert coefficient(table, (4, 0), (2,)) == 0
     # raw kernel monomial x1**3 x2**1 x3**2
     g = kernel_polynomial(KernelSpec(2, 1, 4))
     assert g.coefficient((3, 1, 2)) == 3 * q_power(4)
@@ -97,9 +116,9 @@ def test_extreme_coefficients_and_qdegree(m, n, d):
     table = structure_constants(KernelSpec(m, n, d))
     e = (d - 1) * m
     # pure second-block monomial has coefficient 1
-    assert table.coefficient((0,) * m, (e,) * n) == ONE
+    assert coefficient(table, (0,) * m, (e,) * n) == ONE
     bound = (d - 1) * m * n
-    for coeff in table.entries.values():
+    for coeff in table_entries(table).values():
         assert coeff.is_polynomial()
         assert coeff.max_power() <= bound
 
@@ -205,13 +224,13 @@ def reference_convolution(l, m, n, d):
     t_l_mn, t_mn = table(l, m + n, d), table(m, n, d)
     lhs = fold(
         ((vec_add(a1, ab2[:l]), vec_add(b1, ab2[l:]), c), x * y)
-        for (a1, b1), x in t_lm.entries.items()
-        for (ab2, c), y in t_lmn.entries.items()
+        for (a1, b1), x in table_entries(t_lm).items()
+        for (ab2, c), y in table_entries(t_lmn).items()
     )
     rhs = fold(
         ((a, vec_add(b1, bc[:m]), vec_add(c1, bc[m:])), x * y)
-        for (a, bc), x in t_l_mn.entries.items()
-        for (b1, c1), y in t_mn.entries.items()
+        for (a, bc), x in table_entries(t_l_mn).items()
+        for (b1, c1), y in table_entries(t_mn).items()
     )
     keys = sorted(set(lhs) | set(rhs))
     failures = [
@@ -288,18 +307,96 @@ SMALL_SPECS = [(m, n, 1) for m in (1, 2, 3) for n in (1, 2, 3)] + [
 
 
 def test_integer_tables_match_expansion():
-    # every table small enough to expand: the arrays, split at m, are the
-    # kernel polynomial, and the weights add up to 2**((d-1)mn) in absolute value
+    # every table small enough to expand: the arrays, each row's power after
+    # its exponents, are the kernel polynomial's rows, and the weights add up
+    # to 2**((d-1)mn) in absolute value
     for m, n, d in SMALL_SPECS:
         spec = KernelSpec(m, n, d)
         table = structure_constants(spec)
-        weights = table.weights.tolist()
-        got = [
-            (tuple(e), QLaurent.term(w, p))
-            for e, p, w in zip(table.exps.tolist(), table.powers.tolist(), weights)
+        g = kernel_polynomial(spec)
+        assert np.array_equal(g.rows, np.column_stack([table.exps, table.powers])), (m, n, d)
+        assert np.array_equal(g.weights, table.weights), (m, n, d)
+        assert sum(abs(w) for w in table.weights.tolist()) == 2 ** ((d - 1) * m * n)
+
+
+def symmetry_reference(table):
+    # (checked, failures) of the dict algorithm the array check replaced
+    groups = {}
+    for (a, b), c in table_entries(table).items():
+        groups.setdefault((tuple(sorted(a)), tuple(sorted(b))), []).append(((a, b), c))
+    failures = []
+    checked = 0
+    for (ka, kb), members in sorted(groups.items()):
+        expected = len(distinct_permutations(ka)) * len(distinct_permutations(kb))
+        checked += len(members)
+        if len(members) != expected:
+            failures.append(
+                "orbit of a=%r b=%r has %d of %d rearrangements"
+                % (ka, kb, len(members), expected)
+            )
+            continue
+        for (a, b), c in members[1:]:
+            if c != members[0][1]:
+                failures.append(
+                    "coefficient at a=%r b=%r differs from a=%r b=%r"
+                    % (a, b, members[0][0][0], members[0][0][1])
+                )
+                break
+    return checked, failures
+
+
+def _altered(table, flip=None, drop=None):
+    # a copy of the table with the weight of row ``flip`` negated, or row ``drop`` left out
+    exps, weights = table.exps, table.weights.copy()
+    if flip is not None:
+        weights[flip] = -weights[flip]
+    if drop is not None:
+        keep = np.arange(len(weights)) != drop
+        exps, weights = exps[keep], weights[keep]
+    return StructureConstantTable(table.spec, exps, weights, table.staged)
+
+
+def test_symmetry_holds_on_every_small_table():
+    for m, n, d in SMALL_SPECS:
+        report = verify_symmetry(structure_table(m, n, d))
+        assert report.passed, (m, n, d, report.failures)
+        assert report.checked == len(structure_table(m, n, d))
+
+
+def test_symmetry_failures_keep_their_wording():
+    table = structure_table(2, 2, 2)
+    # rows 1, 2, 4 and 5 are the orbit of a=(0, 1) b=(1, 2), in that order
+    orbit = [table.exps[i].tolist() for i in (1, 2, 4, 5)]
+    assert orbit == [[0, 1, 1, 2], [0, 1, 2, 1], [1, 0, 1, 2], [1, 0, 2, 1]]
+    for row, a, b in ((2, (0, 1), (2, 1)), (5, (1, 0), (2, 1))):
+        flipped = verify_symmetry(_altered(table, flip=row))
+        assert not flipped.passed
+        assert flipped.checked == len(table)
+        assert flipped.failures == [
+            "coefficient at a=%r b=%r differs from a=(0, 1) b=(1, 2)" % (a, b)
         ]
-        assert got == sorted(kernel_polynomial(spec).terms.items()), (m, n, d)
-        assert sum(abs(w) for w in weights) == 2 ** ((d - 1) * m * n)
+    dropped = verify_symmetry(_altered(table, drop=1))
+    assert not dropped.passed
+    assert dropped.checked == len(table) - 1
+    assert dropped.failures == ["orbit of a=(0, 1) b=(1, 2) has 3 of 4 rearrangements"]
+
+
+def test_symmetry_verdicts_match_the_dict_algorithm():
+    # the tables of SMALL_SPECS up to 2000 rows, 100 of its 140: the dict
+    # algorithm alone takes 11 s on the twenty past 20 000 rows
+    for m, n, d in SMALL_SPECS:
+        table = structure_table(m, n, d)
+        last = len(table) - 1
+        if last >= 2000:
+            continue
+        variants = [table, _altered(table, flip=last // 2)]
+        if last:
+            variants.append(_altered(table, drop=last // 3))
+        for variant in variants:
+            report = verify_symmetry(variant)
+            want = symmetry_reference(variant)
+            assert (report.checked, report.failures) == want, (m, n, d)
+            assert report.passed == (not want[1])
 
 
 def _grouped_reference(rows, weights):
@@ -406,7 +503,7 @@ def test_tables_past_int64_use_python_ints(m, n, d):
     table = structure_constants(spec)
     assert table.weights.dtype == object
     want = {(e[:m], e[m:]): c for e, c in kernel_polynomial(spec).terms.items()}
-    assert table.entries == want
+    assert table_entries(table) == want
 
 
 @pytest.mark.parametrize("m,n,d", [(1, 1, 1), (2, 1, 4), (2, 2, 3), (3, 3, 3)])
@@ -489,3 +586,27 @@ def test_kernel_rows_leave_int64_exactly():
         (i, 69 - i): QLaurent.term(-comb(69, i) if i & 1 else comb(69, i), i)
         for i in range(70)
     }
+
+
+@pytest.mark.parametrize("m,n,d", [(1, 1, 1), (2, 1, 4), (2, 2, 3), (1, 1, 70)])
+def test_g_table_output_matches_the_folded_rows(capsys, m, n, d):
+    # the bytes of g --table in each format, from the rows folded to QLaurent
+    entries = sorted(table_entries(structure_constants(KernelSpec(m, n, d))).items())
+    doc = {
+        "m": m,
+        "n": n,
+        "d": d,
+        "entries": [
+            {"a": list(a), "b": list(b), "coeff": qlaurent_to_json(c)} for (a, b), c in entries
+        ],
+    }
+    text = "\n".join(
+        "a=%r b=%r: %s" % (list(a), list(b), render_qlaurent_text(c)) for (a, b), c in entries
+    )
+    latex = "\n".join(
+        "c^{%r,%r} = %s" % (list(a), list(b), render_qlaurent_latex(c)) for (a, b), c in entries
+    )
+    argv = ["g", "--d", str(d), "--m", str(m), "--n", str(n), "--table", "--format"]
+    for fmt, want in (("json", json.dumps(doc)), ("text", text), ("latex", latex)):
+        assert main(argv + [fmt]) == 0
+        assert capsys.readouterr().out == want + "\n", fmt

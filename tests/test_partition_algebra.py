@@ -12,14 +12,11 @@ from qcoha.errors import ResourceLimitError
 from qcoha.kernel import structure_table
 from qcoha.partition_algebra import (
     _basis_product,
-    bar_element,
     check_associativity,
-    element_add,
     grading_failures,
     product,
     product_elements,
     quasi_commutativity_report,
-    scale_element,
     shift_sort_product,
     specialize,
 )
@@ -30,6 +27,22 @@ from qcoha.shuffle_algebra import verify_homomorphism
 
 def QL(offset, *coeffs):
     return QLaurent(offset, coeffs)
+
+
+def element_add(e1, e2):
+    # the sum of two elements, keys whose coefficients cancel dropped
+    out = dict(e1)
+    for key, c in e2.items():
+        total = out[key] + c if key in out else c
+        if total:
+            out[key] = total
+        else:
+            out.pop(key, None)
+    return out
+
+
+def scale_element(e, coeff):
+    return {key: c * coeff for key, c in e.items()} if coeff else {}
 
 
 def test_unit_laws_on_basis():
@@ -114,6 +127,7 @@ def test_specialize_at_one():
 
 
 def test_element_helpers():
+    # the references below fold with these helpers
     e = {(0, 1): ONE}
     f = {(0, 1): -ONE, (2,): Q}
     assert element_add(e, f) == {(2,): Q}
@@ -123,9 +137,11 @@ def test_element_helpers():
 
 
 def test_bar_element():
+    # bar, q -> q**-1, on every coefficient of an element is an involution
+    bar = lambda e: {key: c.bar() for key, c in e.items()}
     e = {(0, 1): QL(0, 1, -1)}  # (1 - q)
-    assert bar_element(e) == {(0, 1): QL(-1, -1, 1)}
-    assert bar_element(bar_element(e)) == e
+    assert bar(e) == {(0, 1): QL(-1, -1, 1)}
+    assert bar(bar(e)) == e
 
 
 def test_quasi_commutativity_odd_exponent():
