@@ -20,12 +20,21 @@ those checks share no grouping code with the tables they check.  Both
 expansions collect like monomials after every factor, which never leaves more
 than the stored terms times the factor's, and a configurable cap on that
 product, checked before each factor, raises ResourceLimitError.
+
+Integer rows group in one place: ``RowLayout`` packs each row within
+certified column bounds into one 1-D sort key, ``pack_rows`` stages blocks
+of rows as keys (one copy per power shift), and ``group_keys`` sums weights
+over equal keys.  ``group_rows`` is that core on a matrix, returning the
+first row of each group; the basis products and the bilinear core of
+``partition_algebra`` run the same core and unpack only the surviving keys.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import comb, factorial
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,22 +90,113 @@ def _check_projected(rows: int, width: int, term_cap: int) -> None:
         )
 
 
+class RowLayout:
+    """The packed sort key of integer rows whose columns lie within bounds.
+
+    ``lows`` and ``spans`` are two lists of Python ints, one entry per
+    column: every entry of column c lies in [lows[c], lows[c] + spans[c]].
+    Each column, less its low, takes the bits its span needs, first column
+    highest, and a column of span 0 takes none, so the key of a row is the
+    row times ``scale`` less ``base``, and it orders rows lexicographically.
+    The key is int64 when those bits fit in 63 and every low fits in int64,
+    and a Python int (dtype=object) otherwise.  An int64 key is packed on
+    uint64 words: a partial sum may wrap modulo 2**64, the key itself is
+    below 2**63 and exact.  A bound that is too narrow makes fields overlap
+    and merges distinct rows, so pass only bounds that are proven.
+    """
+
+    def __init__(self, lows: List[int], spans: List[int]):
+        self.lows = lows
+        self.spans = spans
+        self.widths = [span.bit_length() for span in spans]
+        self.shifts = list(accumulate(self.widths[:0:-1], initial=0))[::-1]
+        bits = self.shifts[0] + self.widths[0]
+        fits = bits <= 63 and _INT64_MIN <= min(lows) and max(lows) <= _INT64_MAX
+        self.dtype = np.int64 if fits else object
+        scale = [1 << shift if width else 0 for shift, width in zip(self.shifts, self.widths)]
+        self.base = sum(map(mul, lows, scale))
+        self.step = scale[-1]
+        self.scale = np.array(scale, dtype=np.uint64 if fits else object)
+        self._fields = None
+
+    def words(self, values: np.ndarray) -> np.ndarray:
+        """Integers as the key's words: uint64 modulo 2**64, or Python ints."""
+        if self.dtype is object:
+            return values.astype(object, copy=False)
+        if values.dtype == object:
+            return (values % (1 << 64)).astype(np.uint64)
+        return values.view(np.uint64)
+
+    def unpack(self, keys: np.ndarray, dtype) -> np.ndarray:
+        """The rows, of the given dtype, whose packed keys are ``keys``."""
+        if self._fields is None:
+            masks = [(1 << width) - 1 for width in self.widths]
+            self._fields = [np.array(a, dtype=self.dtype) for a in (self.shifts, masks, self.lows)]
+        shifts, masks, lows = self._fields
+        rows = keys[:, None] >> shifts
+        rows &= masks
+        if rows.dtype == dtype:
+            rows += lows
+            return rows
+        # rows past int64 are summed as Python ints
+        return (rows.astype(object) + lows.astype(object)).astype(dtype, copy=False)
+
+
+def pack_rows(layout: RowLayout, blocks) -> np.ndarray:
+    """Stage blocks of rows as packed keys, concatenated in order.
+
+    A block (parts, powers, shifts) holds the rows whose last column is
+    ``powers`` and whose other columns are ``parts``; with ``powers`` None,
+    ``parts`` holds the whole rows.  Each block is packed once, and each s
+    in ``shifts`` stages one copy of its keys: those of its rows with s
+    added to every power.  Every staged row must lie within the layout's
+    bounds.
+    """
+    scale, step, base = layout.scale, layout.step, layout.base
+    fixed = layout.dtype is not object
+    keys = []
+    for parts, powers, shifts in blocks:
+        if powers is None:
+            core = layout.words(parts) @ scale
+        else:
+            core = layout.words(parts) @ scale[:-1] + layout.words(powers) * scale[-1]
+        for s in shifts:
+            offset = s * step - base
+            keys.append(core + (np.uint64(offset % (1 << 64)) if fixed else offset))
+    keys = np.concatenate(keys) if len(keys) > 1 else keys[0]
+    return keys.view(np.int64) if fixed else keys
+
+
+def group_keys(keys: np.ndarray, weights: np.ndarray):
+    """Sum ``weights`` over equal packed keys.
+
+    Returns the index in ``keys`` of the first of each distinct key, in
+    increasing key order, with its sum, and drops keys whose sum is zero.
+    ``weights`` may be int64 or object; the caller certifies that int64
+    sums cannot overflow.
+    """
+    order = keys.argsort()
+    ordered = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    sums = np.add.reduceat(weights[order], starts)
+    keep = sums != 0
+    return order[starts[keep]], sums[keep]
+
+
 def group_rows(rows: np.ndarray, weights: np.ndarray, bounds=None):
     """Sum ``weights`` over equal rows of an integer matrix.
 
     Returns the distinct rows in lexicographic order with their sums, and
-    drops rows whose sum is zero.  Rows are compared through one packed sort
-    key: each column, less its lower bound, takes the bits its span needs,
-    first column highest, and columns of span 0 take none.  The key is int64
-    when those bits fit in 63 and a Python int (dtype=object) otherwise, so
-    rows of any length and size group exactly.  ``weights`` may be int64 or
-    object; the caller certifies that int64 sums cannot overflow.
-
-    ``bounds=(lows, spans)``, two lists of Python ints with one entry per
-    column, saves the column reductions: every entry of column c must lie in
-    [lows[c], lows[c] + spans[c]].  A bound that is too narrow makes fields
-    overlap and merges distinct rows, so pass only bounds that are proven.
-    Without it the bounds are the column minima and ranges.
+    drops rows whose sum is zero.  It is the packing core on whole rows:
+    each row is packed into one 1-D key (``RowLayout``, ``pack_rows``), the
+    keys are grouped (``group_keys``), and the first row of each group is
+    returned, so rows of any length and size group exactly.
+    ``bounds=(lows, spans)`` are the layout's column bounds, which saves the
+    column reductions; without it the bounds are the column minima and
+    ranges.
     """
     if not len(weights):
         return rows, weights
@@ -106,32 +206,10 @@ def group_rows(rows: np.ndarray, weights: np.ndarray, bounds=None):
         cols = np.array(rows.T)
         # spans in Python ints: an int64 column may range wider than int64
         lows = cols.min(axis=1).tolist()
-        spans = [hi - lo for hi, lo in zip(cols.max(axis=1).tolist(), lows)]
-    else:
-        cols = rows.T
-        lows, spans = bounds
-    live = [i for i, span in enumerate(spans) if span]
-    widths = [spans[i].bit_length() for i in live]
-    if bounds is not None or len(live) < len(spans):
-        # a copy: the subtraction below must not write into ``rows``
-        cols = cols[live]
-    offsets = [lows[i] for i in live]
-    if sum(widths) > 63 or not all(_INT64_MIN <= lo <= _INT64_MAX for lo in offsets):
-        # the key, or a caller's lower bound, needs Python ints
-        cols = cols.astype(object, copy=False)
-    cols -= np.array(offsets, dtype=cols.dtype)[:, None]
-    # the bit fields do not overlap, so this weighted sum is the packed key;
-    # with no live column every row is equal and the key is all zeros
-    scale = [1 << sum(widths[i + 1 :]) for i in range(len(widths))]
-    packed = np.array(scale, dtype=cols.dtype) @ cols
-    order = np.argsort(packed)
-    packed = packed[order]
-    first = np.ones(len(packed), dtype=bool)
-    first[1:] = packed[1:] != packed[:-1]
-    starts = np.flatnonzero(first)
-    sums = np.add.reduceat(weights[order], starts)
-    keep = sums != 0
-    return rows[order[starts[keep]]], sums[keep]
+        bounds = lows, [hi - lo for hi, lo in zip(cols.max(axis=1).tolist(), lows)]
+    keys = pack_rows(RowLayout(*bounds), [(rows, None, (0,))])
+    index, sums = group_keys(keys, weights)
+    return rows[index], sums
 
 
 def pairwise_kernel(

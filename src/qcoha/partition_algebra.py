@@ -12,29 +12,38 @@ merge.
 There is one product engine, on integer arrays.  A basis product is memoized
 as grouped rows: each row is a sorted key followed by a power of q, rows are
 distinct and in lexicographic order, and each carries one integer
-coefficient.  The bilinear core stages, for every term c * q**p of the
-coefficient of a pair of basis keys, one copy of that pair's cached rows
-with p added to the powers and c multiplied into the coefficients, and
-groups the staged rows once per key length.  ``product_elements`` is that
-core with QLaurent dicts at its edges.  ``check_associativity`` feeds it the
-rows of the cached outer product (mu * nu, or nu * w) directly, groups each
-parenthesization on its own and compares the two with ``np.array_equal``:
-grouped rows are canonical, so on the passing path no QLaurent is built.
-So do ``quasi_commutativity_report``, ``bipartite.verify_graph_model``,
-``shuffle_algebra.verify_homomorphism`` and the suites' grading check, and
-JSON ``multiply`` writes the cached rows as text.  ``_split_keys`` splits
-grouped rows by key; only ``product`` (and ``product_elements`` at its
-edges), the text and LaTeX renderers and ``--at-q`` fold the split rows into
-QLaurent dicts (``_to_element``).  Both caches are bounded, least recently
-used out, at twice a default suite's working set.
+coefficient.  Rows are grouped on packed 1-D keys (``kernel.RowLayout``,
+``kernel.pack_rows`` and ``kernel.group_keys``): a basis build packs its
+sorted keys and the table's powers straight into one key per row, and only
+the distinct keys that survive grouping are unpacked into rows.  The
+bilinear core packs each cached basis product it needs once; for every term
+c * q**p of the coefficient of a pair of basis keys it adds p to one copy of
+that pair's keys and multiplies c into one copy of its coefficients, and it
+groups the staged keys once per key length.  No 2-D copy of the rows is
+staged.  ``product_elements`` is that core, unpacked, with QLaurent dicts at
+its edges.  ``check_associativity`` feeds it the rows of the cached outer
+product (mu * nu, or nu * w) directly, packs both parenthesizations under
+the one layout of the triple's certified bounds, and compares their grouped
+keys and coefficients with ``np.array_equal``: grouped keys are canonical,
+so on the passing path no row is unpacked and no QLaurent is built.  So do
+``quasi_commutativity_report``, ``bipartite.verify_graph_model``,
+``shuffle_algebra.verify_homomorphism`` and the suites' grading check on
+rows, and JSON ``multiply`` writes the cached rows as text.  ``_split_keys``
+splits grouped rows by key; only ``product`` (and ``product_elements`` at
+its edges), the text and LaTeX renderers and ``--at-q`` fold the split rows
+into QLaurent dicts (``_to_element``).  Both caches are bounded, least
+recently used out, at twice a default suite's working set.  The checks a
+product of a given shape must pass run once per shape (``_check_shape``).
 
-The staged arrays are int64 only when a bound certifies that no sum can
-leave int64 range: the sum of |coefficients| times the table's sum of
+The staged coefficients are int64 only when a bound certifies that no sum
+can leave int64 range: the sum of |coefficients| times the table's sum of
 |weights|, 2**((d-1)*m*n), summed over the pairs.  Otherwise, and for
 Fraction coefficients, the same code runs with dtype=object, so the
-arithmetic is always exact.  Grouping is handed certified column bounds
-where the factors give them (see ``_row_bounds``), which spares it the
-column reductions.
+arithmetic is always exact.  Keys follow the layout's own rule, int64 or
+Python ints, and so do the rows they unpack to.  Packing is handed
+certified column bounds where the factors give them (see ``_row_bounds``);
+``product_elements`` takes them from each basis product's column extremes
+and its range of power shifts.
 """
 from __future__ import annotations
 
@@ -47,9 +56,11 @@ import numpy as np
 from .errors import ResourceLimitError
 from .kernel import (
     DEFAULT_TERM_CAP,
+    RowLayout,
     check_loop_count,
     check_term_cap,
-    group_rows,
+    group_keys,
+    pack_rows,
     structure_table,
 )
 from .partitions import IntVector, Partition, sort_ascending
@@ -95,6 +106,13 @@ def _row_bounds(blocks, d: int):
     return lows + [0], [hi - lo for hi, lo in zip(tops, lows)] + [(d - 1) * pairs]
 
 
+def _grouped(layout: RowLayout, keys: np.ndarray, weights: np.ndarray, dtype):
+    """Grouped rows of ``dtype`` from packed keys: only the distinct keys
+    that survive grouping are unpacked into rows."""
+    index, sums = group_keys(keys, weights)
+    return layout.unpack(keys[index], dtype), sums
+
+
 # twice the 6 285 basis products ``verify assoc`` computes at its defaults,
 # its largest working set, so a long batch stays bounded without evicting them
 BASIS_CACHE_SIZE = 1 << 14
@@ -112,28 +130,48 @@ def _basis_product(mu: Partition, nu: Partition, d: int):
         # the other factor's key at power 0
         return _offsets(mu + nu + (0,)).reshape(1, -1), np.ones(1, dtype=np.int64)
     table = structure_table(len(mu), len(nu), d, sys.maxsize)
-    keys = np.sort(table.exps + _offsets(mu + nu), axis=1)
-    return group_rows(
-        np.column_stack([keys, table.powers]), table.weights, _row_bounds((mu, nu), d)
-    )
+    keys = table.exps + _offsets(mu + nu)
+    keys.sort(axis=1)
+    layout = RowLayout(*_row_bounds((mu, nu), d))
+    packed = pack_rows(layout, [(keys, table.powers, (0,))])
+    return _grouped(layout, packed, table.weights, keys.dtype)
+
+
+@lru_cache(maxsize=256)
+def _check_shape(m: int, n: int, d: int, term_cap: int) -> None:
+    """Run the checks a product of lengths m and n must pass, once per shape.
+
+    They read nothing but the shape, and a check that fails raises and is
+    not cached, so whether a request fails never depends on what is cached.
+    """
+    check_loop_count(d)
+    check_term_cap(term_cap)
+    if m and n:
+        # checks the cap against the table's staged row counts, cached or not
+        structure_table(m, n, d, term_cap)
+
+
+@lru_cache(maxsize=256)
+def _table_rows(m: int, n: int, d: int) -> int:
+    """The rows a basis product of lengths m and n re-keys, sorts and groups
+    when it is built: its table's rows, or one for an empty factor."""
+    return len(structure_table(m, n, d, sys.maxsize)) if m and n else 1
 
 
 def _capped_basis_product(mu: Partition, nu: Partition, d: int, term_cap: int):
     """The cached basis product, after the checks a request for it must pass."""
-    check_loop_count(d)
-    check_term_cap(term_cap)
-    if mu and nu:
-        # checks the cap against the table's staged row counts, cached or not
-        structure_table(len(mu), len(nu), d, term_cap)
+    _check_shape(len(mu), len(nu), d, term_cap)
     return _basis_product(mu, nu, d)
 
 
 def _key_starts(rows):
     """The distinct keys of grouped rows and the index of each one's first row."""
     keys = rows[:, :-1]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    return keys[first], np.flatnonzero(first)
+    first = np.empty(len(rows), dtype=bool)
+    first[:1] = True
+    (keys[1:] != keys[:-1]).any(axis=1, out=first[1:])
+    starts = first.nonzero()[0]
+    return keys[starts], starts
 
 
 def _split_keys(rows, coeffs):
@@ -180,25 +218,58 @@ def specialize(e, value) -> Dict[Partition, object]:
 # -- bilinear product ---------------------------------------------------------
 
 
-def _bilinear_rows(terms, d: int, term_cap: int, bounds=None):
-    """Grouped rows of a sum of scaled basis products, one entry per key length.
+def _big(p: int) -> bool:
+    # a power shift this large would overflow int64 powers
+    return p >> 62 not in (-1, 0)
+
+
+def _staged_bounds(group):
+    """Column minima and spans of the rows a group of basis products stages.
+
+    Read from each basis product's column extremes and its range of power
+    shifts, once per basis product rather than once per staged copy.
+    """
+    lows = highs = None
+    for (rows, _), ps, _ in group:
+        lo, hi = rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
+        lo[-1] += min(ps)
+        hi[-1] += max(ps)
+        lows = lo if lows is None else list(map(min, lows, lo))
+        highs = hi if highs is None else list(map(max, highs, hi))
+    return lows, [hi - lo for hi, lo in zip(highs, lows)]
+
+
+def _bilinear_keys(terms, d: int, term_cap: int, layout=None, budget=None):
+    """Grouped packed keys of a sum of scaled basis products, per key length.
 
     ``terms`` lists (k1, k2, powers, coeffs), the basis product k1 * k2 with
     the coefficient sum_j coeffs[j] * q**powers[j], nonzero terms only.  Each
-    coefficient term stages one copy of the cached basis rows, its power
-    added and its coefficient multiplied in, and the staged rows are grouped
-    once per key length, under ``bounds`` when the caller has certified them
-    for staged rows that all share one length.  Returns {key length: (rows,
-    coeffs)}.
+    cached basis product is packed into 1-D keys once, and each coefficient
+    term stages one copy of those keys, its power added, and of the basis
+    coefficients, its coefficient multiplied in.  The keys are grouped once
+    per key length, under ``layout`` when the caller has certified its
+    bounds for staged rows that all share one length, and otherwise under
+    the column extremes of the staged rows.  ``budget``, if given, is
+    charged, in rows times their width, the rows of every basis product's
+    build before any is fetched, cached or not, and then the staged rows
+    before anything is staged.  Returns {key length: (layout, keys, coeffs,
+    row dtype)}; the row dtype is the one the rows unpack to.
     """
+    if budget is not None:
+        shapes = [(len(k1), len(k2)) for k1, k2, _, _ in terms]
+        budget(sum(_table_rows(m, n, d) * (m + n + 1) for m, n in shapes))
     by_len: Dict[int, List] = {}
     staged = 0
+    work = 0
     bound = 0
     integral = True
     for k1, k2, ps, cs in terms:
         basis = _basis_product(k1, k2, d)
-        by_len.setdefault(len(k1) + len(k2), []).append((basis, ps, cs))
-        staged += len(basis[1]) * len(ps)
+        length = len(k1) + len(k2)
+        by_len.setdefault(length, []).append((basis, ps, cs))
+        rows = len(basis[1]) * len(ps)
+        staged += rows
+        work += rows * (length + 1)
         if integral and all(type(x) is int for x in cs):
             bound += sum(map(abs, cs)) << ((d - 1) * len(k1) * len(k2))
         else:
@@ -207,28 +278,32 @@ def _bilinear_rows(terms, d: int, term_cap: int, bounds=None):
         raise ResourceLimitError(
             "bilinear product stages %d rows, cap %d" % (staged, term_cap)
         )
+    if budget is not None:
+        budget(work)
     dtype = np.int64 if integral and bound <= _INT64_MAX else object
     out = {}
     for length, group in by_len.items():
-        rows, coeffs = [], []
+        blocks, coeffs = [], []
+        # the rows are Python ints when a basis product's are, or when a
+        # power shift, its largest or its smallest, would overflow int64
+        wide = False
         for (basis_rows, basis_coeffs), ps, cs in group:
+            blocks.append((basis_rows, None, ps))
             basis_coeffs = basis_coeffs.astype(dtype, copy=False)
-            for p, c in zip(ps, cs):
-                # a shift this large would overflow the int64 powers
-                big = p >> 62 not in (-1, 0)
-                shifted = basis_rows.astype(object if big else basis_rows.dtype)
-                shifted[:, -1] += p
-                rows.append(shifted)
-                coeffs.append(basis_coeffs * c)
-        copies = len(rows)
-        rows, coeffs = np.concatenate(rows), np.concatenate(coeffs)
-        if copies > 1:
+            coeffs += [basis_coeffs * c for c in cs]
+            wide = wide or basis_rows.dtype == object or _big(max(ps)) or _big(min(ps))
+        staging = RowLayout(*_staged_bounds(group)) if layout is None else layout
+        keys = pack_rows(staging, blocks)
+        if len(coeffs) > 1:
+            index, coeffs = group_keys(keys, np.concatenate(coeffs))
+            keys = keys[index]
+        else:
             # a single shifted and scaled copy of grouped rows is grouped already
-            rows, coeffs = group_rows(rows, coeffs, bounds)
+            (coeffs,) = coeffs
         if not integral:
             # Fraction sums keep an integral result as Fraction(n, 1)
             coeffs = _as_rational(coeffs)
-        out[length] = rows, coeffs
+        out[length] = staging, keys, coeffs, object if wide else np.int64
     return out
 
 
@@ -245,8 +320,7 @@ def product_elements(
         return {}
     for m in {len(k) for k in e1}:
         for n in {len(k) for k in e2}:
-            if m and n:
-                structure_table(m, n, d, term_cap)
+            _check_shape(m, n, d, term_cap)
     terms = []
     for k1, c1 in e1.items():
         for k2, c2 in e2.items():
@@ -255,8 +329,8 @@ def product_elements(
                 ps, cs = zip(*c.items())
                 terms.append((tuple(k1), tuple(k2), ps, cs))
     out: PartitionElement = {}
-    for grouped in _bilinear_rows(terms, d, term_cap).values():
-        out.update(_to_element(*grouped))
+    for layout, keys, coeffs, dtype in _bilinear_keys(terms, d, term_cap).values():
+        out.update(_to_element(layout.unpack(keys, dtype), coeffs))
     return out
 
 
@@ -302,9 +376,9 @@ def quasi_commutativity_report(mu: Partition, nu: Partition, d: int) -> QuasiCom
     e = (d - 1) * len(mu) * len(nu)
     left = _capped_basis_product(mu, nu, d, DEFAULT_TERM_CAP)
     rows, coeffs = _capped_basis_product(nu, mu, d, DEFAULT_TERM_CAP)
-    flipped = rows.copy()
-    flipped[:, -1] = e - rows[:, -1]
-    rows, coeffs = group_rows(flipped, coeffs, _row_bounds((nu, mu), d))
+    layout = RowLayout(*_row_bounds((nu, mu), d))
+    keys = pack_rows(layout, [(rows[:, :-1], e - rows[:, -1], (0,))])
+    rows, coeffs = _grouped(layout, keys, coeffs, rows.dtype)
     return QuasiCommReport(
         mu=mu,
         nu=nu,
@@ -316,37 +390,40 @@ def quasi_commutativity_report(mu: Partition, nu: Partition, d: int) -> QuasiCom
 
 
 def check_associativity(
-    mu: Partition, nu: Partition, w: Partition, d: int
+    mu: Partition, nu: Partition, w: Partition, d: int, budget=None
 ) -> CheckReport:
     """Compare the two parenthesizations of a triple product exactly.
 
-    Each side runs on grouped arrays: every distinct key k of the cached
-    outer product mu * nu (or nu * w) pairs with w (or mu) under the
-    coefficient its rows carry, and the bilinear core stages and groups
-    them, with the row bounds of the three blocks.  Grouped rows are
-    canonical, so the sides agree exactly when their arrays are equal, and
-    QLaurent values are built only to report the first differing key.
+    Each side runs on packed keys: every distinct key k of the cached outer
+    product mu * nu (or nu * w) pairs with w (or mu) under the coefficient
+    its rows carry, and the bilinear core stages and groups them, both
+    sides under the one layout of the row bounds of the three blocks.
+    Grouped keys are canonical, so the sides agree exactly when their keys
+    and coefficients are equal, and rows and QLaurent values are built only
+    to report the first differing key.  ``budget``, if given, is charged
+    each side's work before it runs (see ``_bilinear_keys``).
     """
     mu = tuple(mu)
     nu = tuple(nu)
     w = tuple(w)
     cap = DEFAULT_TERM_CAP
-    bounds = _row_bounds((mu, nu, w), d)
+    layout = RowLayout(*_row_bounds((mu, nu, w), d))
     outer = _capped_basis_product(mu, nu, d, cap)
-    if (mu or nu) and w:
-        structure_table(len(mu) + len(nu), len(w), d, cap)
+    _check_shape(len(mu) + len(nu), len(w), d, cap)
     terms = [(k, w, ps, cs) for k, ps, cs in _split_keys(*outer)]
-    (left,) = _bilinear_rows(terms, d, cap, bounds).values()
+    (left,) = _bilinear_keys(terms, d, cap, layout, budget).values()
     outer = _capped_basis_product(nu, w, d, cap)
-    if mu and (nu or w):
-        structure_table(len(mu), len(nu) + len(w), d, cap)
+    _check_shape(len(mu), len(nu) + len(w), d, cap)
     terms = [(mu, k, ps, cs) for k, ps, cs in _split_keys(*outer)]
-    (right,) = _bilinear_rows(terms, d, cap, bounds).values()
-    passed = all(map(np.array_equal, left, right))
+    (right,) = _bilinear_keys(terms, d, cap, layout, budget).values()
+    # one layout packs both sides, so equal keys stand for equal rows
+    passed = all(map(np.array_equal, left[1:3], right[1:3]))
     failures = []
     if not passed:
-        left = _to_element(*left)
-        right = _to_element(*right)
+        left, right = (
+            _to_element(layout.unpack(keys, dtype), coeffs)
+            for _, keys, coeffs, dtype in (left, right)
+        )
         keys = sorted(set(left) | set(right), key=lambda k: (len(k), k))
         for key in keys:
             if left.get(key) != right.get(key):

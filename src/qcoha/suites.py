@@ -12,13 +12,17 @@ triple is admitted only when a lattice-point count predicts that all four
 tables it needs stay within a fixed cost limit; rejected draws are skipped
 deterministically and the sampling continues from the same seeded stream.
 
-Every other suite predicts the work of its whole grid from its bounds alone,
+Every suite predicts the work of its whole grid from its bounds alone,
 before it computes anything, and raises ResourceLimitError when the
-prediction passes GRID_WORK_LIMIT (see ``_check_grid``).
+prediction passes GRID_WORK_LIMIT (see ``_check_grid``).  The rows an
+associativity check stages are not known from its lengths, so that suite
+also charges them to a budget of the same limit as it runs (see
+``suite_assoc``).
 """
 from __future__ import annotations
 
 import random
+from itertools import chain
 from math import comb
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -133,6 +137,28 @@ def _check_grid(suite: str, work: Iterable[int], d_values: Sequence[int] = ()) -
             )
 
 
+class _WorkBudget:
+    """The work one suite call may still do, in the units of ``_check_grid``.
+
+    Called with the units of the next piece of work, before that work runs,
+    it raises ResourceLimitError once the running total passes
+    GRID_WORK_LIMIT.  Each suite call makes its own, so a batch response
+    depends only on its own request.
+    """
+
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.left = GRID_WORK_LIMIT
+
+    def __call__(self, units: int) -> None:
+        self.left -= units
+        if self.left < 0:
+            raise ResourceLimitError(
+                "verify %s: the checks exceed the work limit %d"
+                % (self.suite, GRID_WORK_LIMIT)
+            )
+
+
 def _product_work(m: int, n: int, d: int) -> int:
     """Predicted work of one product of partitions of lengths m and n."""
     return CHECK_WORK + _kernel_terms(m, n, d) * (m + n + 1)
@@ -165,7 +191,35 @@ def suite_assoc(
     Also confirms, on the same grid, that setting q = 0 in each pairwise
     product collapses it to the single shift-and-sort term: its power-0 rows
     must be that one key with coefficient 1.
+
+    The rows a triple stages cannot be told from its lengths alone, so the
+    work is limited twice.  Before any check, the random triples at
+    CHECK_WORK each, and the grid's pairs and triples, each triple with the
+    kernel terms of the two tables its sides build from, must stay within
+    GRID_WORK_LIMIT.  Then, as the checks run, every check spends CHECK_WORK,
+    and every side of a triple the rows its basis products are built from
+    and the rows it stages, times their width, from one budget of
+    GRID_WORK_LIMIT, each charged before that work runs (see
+    ``_bilinear_keys``).
     """
+    k = _kernel_terms
+    lengths = list(_lengths(max_len, max_part))
+
+    def grid_work(d: int):
+        for l, pl, _ in lengths:
+            for m, pm, _ in lengths:
+                # the q = 0 checks of the pairs, then the triples
+                yield pl * pm * CHECK_WORK
+                for n, pn, _ in lengths:
+                    tables = k(l + m, n, d) + k(l, m + n, d)
+                    yield pl * pm * pn * (CHECK_WORK + tables * (l + m + n + 1))
+
+    _check_grid(
+        "assoc",
+        chain([random_triples * CHECK_WORK], *map(grid_work, d_values)),
+        d_values,
+    )
+    budget = _WorkBudget("assoc")
     parts = partitions_up_to(max_len, max_part)
     failures: List[str] = []
     grading: List[str] = []
@@ -173,6 +227,7 @@ def suite_assoc(
     for d in d_values:
         for mu in parts:
             for nu in parts:
+                budget(CHECK_WORK)
                 rows, coeffs = _graded_rows(mu, nu, d, grading)
                 zero = rows[:, -1] == 0
                 at_zero = dict(zip(map(tuple, rows[zero, :-1].tolist()), coeffs[zero].tolist()))
@@ -184,7 +239,8 @@ def suite_assoc(
                     )
                 checked += 1
                 for w in parts:
-                    rep = check_associativity(mu, nu, w, d)
+                    budget(CHECK_WORK)
+                    rep = check_associativity(mu, nu, w, d, budget)
                     checked += 1
                     if not rep.passed:
                         failures.extend(rep.failures)
@@ -207,8 +263,9 @@ def suite_assoc(
             continue
         accepted += 1
         sampled.append("random d=%d %r %r %r" % (d, mu, nu, w))
+        budget(CHECK_WORK)
         _graded_rows(mu, nu, d, grading)
-        rep = check_associativity(mu, nu, w, d)
+        rep = check_associativity(mu, nu, w, d, budget)
         checked += 1
         if not rep.passed:
             failures.extend(rep.failures)

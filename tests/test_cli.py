@@ -814,6 +814,33 @@ def test_oversized_verify_grid_is_a_resource_error(capsys, monkeypatch, suite, m
     assert time.monotonic() - start < 5
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--max-len", "3", "--count", "0"], "the grid is predicted to exceed"),
+        (["--count", str(10**12)], "the grid is predicted to exceed"),
+        (["--max-len", "2", "--max-part", "3", "--count", "0"], "the checks exceed"),
+    ],
+)
+def test_oversized_verify_assoc_is_a_resource_error(capsys, monkeypatch, flags, message):
+    # the first two are refused before any check, the last as the checks
+    # run: it took 11 s before the budget
+    message = "verify assoc: %s the work limit %d" % (message, suites.GRID_WORK_LIMIT)
+    start = time.monotonic()
+    code, out, err = run(capsys, ["verify", "assoc"] + flags)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": {"code": "resource", "message": message}}
+    assert time.monotonic() - start < 5
+    names = {"--max-len": "max_len", "--max-part": "max_part", "--count": "count"}
+    request = {"cmd": "verify", "suite": "assoc"}
+    request.update({names[f]: int(v) for f, v in zip(flags[::2], flags[1::2])})
+    start = time.monotonic()
+    code, out, _ = run(capsys, ["batch"], stdin_text=json.dumps(request), monkeypatch=monkeypatch)
+    assert code == 0
+    assert json.loads(out) == {"ok": False, "error": {"code": "resource", "message": message}}
+    assert time.monotonic() - start < 5
+
+
 def test_graphs_list_is_refused_past_one_block(capsys, monkeypatch):
     # 20 edges: 2**20 orientations, refused before any is built or summed
     message = "listing 2**20 orientations exceeds the limit of 65536"

@@ -1,0 +1,277 @@
+"""The packed-key core against a reference of the 2-D row staging it replaced.
+
+The reference keeps, in this file only, the grouping that stages one 2-D copy
+of a basis product's rows per coefficient term and groups the concatenated
+rows by a key packed from their columns.  The packed core must return the
+same rows and coefficients, dtypes included.
+"""
+import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from qcoha.kernel import RowLayout, group_rows, pack_rows, structure_table
+from qcoha.partition_algebra import (
+    _basis_product,
+    _bilinear_keys,
+    _offsets,
+    _row_bounds,
+    _split_keys,
+    check_associativity,
+    product_elements,
+)
+from qcoha.qlaurent import ONE, QLaurent, as_rational, q_power
+
+_INT64_MIN = -(2**63)
+_INT64_MAX = 2**63 - 1
+
+
+def reference_group_rows(rows, weights, bounds=None):
+    # the 2-D grouping: live columns less their lows, packed by a matmul
+    if not len(weights):
+        return rows, weights
+    if bounds is None:
+        cols = np.array(rows.T)
+        lows = cols.min(axis=1).tolist()
+        spans = [hi - lo for hi, lo in zip(cols.max(axis=1).tolist(), lows)]
+    else:
+        cols = rows.T
+        lows, spans = bounds
+    live = [i for i, span in enumerate(spans) if span]
+    widths = [spans[i].bit_length() for i in live]
+    cols = cols[live]
+    offsets = [lows[i] for i in live]
+    if sum(widths) > 63 or not all(_INT64_MIN <= lo <= _INT64_MAX for lo in offsets):
+        cols = cols.astype(object, copy=False)
+    cols -= np.array(offsets, dtype=cols.dtype)[:, None]
+    scale = [1 << sum(widths[i + 1 :]) for i in range(len(widths))]
+    packed = np.array(scale, dtype=cols.dtype) @ cols
+    order = np.argsort(packed)
+    packed = packed[order]
+    first = np.ones(len(packed), dtype=bool)
+    first[1:] = packed[1:] != packed[:-1]
+    starts = np.flatnonzero(first)
+    sums = np.add.reduceat(weights[order], starts)
+    keep = sums != 0
+    return rows[order[starts[keep]]], sums[keep]
+
+
+def reference_basis_product(mu, nu, d):
+    if not mu or not nu:
+        return _offsets(mu + nu + (0,)).reshape(1, -1), np.ones(1, dtype=np.int64)
+    table = structure_table(len(mu), len(nu), d, sys.maxsize)
+    keys = np.sort(table.exps + _offsets(mu + nu), axis=1)
+    rows = np.column_stack([keys, table.powers])
+    return reference_group_rows(rows, table.weights, _row_bounds((mu, nu), d))
+
+
+def reference_bilinear_rows(terms, d, bounds=None):
+    # one 2-D copy of the basis rows per coefficient term, grouped per length
+    by_len = {}
+    bound = 0
+    integral = True
+    for k1, k2, ps, cs in terms:
+        basis = reference_basis_product(k1, k2, d)
+        by_len.setdefault(len(k1) + len(k2), []).append((basis, ps, cs))
+        if integral and all(type(x) is int for x in cs):
+            bound += sum(map(abs, cs)) << ((d - 1) * len(k1) * len(k2))
+        else:
+            integral = False
+    dtype = np.int64 if integral and bound <= _INT64_MAX else object
+    out = {}
+    for length, group in by_len.items():
+        rows, coeffs = [], []
+        for (basis_rows, basis_coeffs), ps, cs in group:
+            basis_coeffs = basis_coeffs.astype(dtype, copy=False)
+            for p, c in zip(ps, cs):
+                big = p >> 62 not in (-1, 0)
+                shifted = basis_rows.astype(object if big else basis_rows.dtype)
+                shifted[:, -1] += p
+                rows.append(shifted)
+                coeffs.append(basis_coeffs * c)
+        copies = len(rows)
+        rows, coeffs = np.concatenate(rows), np.concatenate(coeffs)
+        if copies > 1:
+            rows, coeffs = reference_group_rows(rows, coeffs, bounds)
+        if not integral:
+            coeffs = np.frompyfunc(as_rational, 1, 1)(coeffs)
+        out[length] = rows, coeffs
+    return out
+
+
+def bilinear_rows(terms, d):
+    # the packed core of product_elements, unpacked per key length
+    return {
+        length: (layout.unpack(keys, dtype), coeffs)
+        for length, (layout, keys, coeffs, dtype) in _bilinear_keys(terms, d, sys.maxsize).items()
+    }
+
+
+def assert_same(got, want):
+    # equal arrays of equal dtypes, and equal entry types in object arrays
+    assert len(got) == len(want) == 2
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype, (a.dtype, b.dtype)
+        assert a.shape == b.shape and np.array_equal(a, b), (a, b)
+        if a.dtype == object:
+            assert [type(x) for x in a.ravel()] == [type(x) for x in b.ravel()]
+
+
+def element_terms(e1, e2):
+    # the (k1, k2, powers, coeffs) terms product_elements stages
+    terms = []
+    for k1, c1 in e1.items():
+        for k2, c2 in e2.items():
+            c = c1 * c2
+            if c:
+                ps, cs = zip(*c.items())
+                terms.append((tuple(k1), tuple(k2), ps, cs))
+    return terms
+
+
+def assert_sides_match_reference(mu, nu, w, d):
+    # both parenthesizations, staged under the triple's certified layout
+    bounds = _row_bounds((mu, nu, w), d)
+    layout = RowLayout(*bounds)
+    for outer, pair in (
+        (_basis_product(mu, nu, d), lambda k: (k, w)),
+        (_basis_product(nu, w, d), lambda k: (mu, k)),
+    ):
+        terms = [pair(k) + (ps, cs) for k, ps, cs in _split_keys(*outer)]
+        (side,) = _bilinear_keys(terms, d, sys.maxsize, layout).values()
+        _, keys, coeffs, dtype = side
+        (want,) = reference_bilinear_rows(terms, d, bounds).values()
+        assert_same((layout.unpack(keys, dtype), coeffs), want)
+
+
+@pytest.mark.parametrize("c", [2**63 - 1, 2**70])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_basis_products_with_huge_parts_match_the_reference(c, d):
+    # parts this large make the rows, and at 2**70 the keys, Python ints
+    for mu, nu in [((c,), (c,)), ((0, c), (c,)), ((c, c), (0, 1)), ((), (c,)), ((c,), ())]:
+        assert_same(_basis_product(mu, nu, d), reference_basis_product(mu, nu, d))
+
+
+@pytest.mark.parametrize("c", [0, 2**63 - 1, 2**70])
+def test_assoc_sides_match_the_reference(c):
+    shift = lambda key: tuple(v + c for v in key)
+    for mu, nu, w, d in [
+        ((0, 1), (1,), (0, 2), 3),
+        ((0,), (1, 2), (0,), 2),
+        ((1, 2), (0, 2), (0, 1), 3),
+        ((0,), (0,), (0,), 1),
+    ]:
+        assert_sides_match_reference(shift(mu), shift(nu), shift(w), d)
+        assert check_associativity(shift(mu), shift(nu), shift(w), d).passed
+
+
+def test_a_layout_wider_than_63_bits_packs_small_parts_as_python_ints():
+    # a power spread near 2**62 takes 62 bits on its own, so with the parts
+    # the key is a Python int while every part and the rows stay int64
+    e1 = {(0, 1): q_power(0), (1, 1): q_power(2**62 - 4), (1,): ONE}
+    e2 = {(2,): q_power(1) - q_power(3)}
+    terms = element_terms(e1, e2)
+    got = bilinear_rows(terms, 2)
+    want = reference_bilinear_rows(terms, 2)
+    assert got.keys() == want.keys()
+    for length in got:
+        assert got[length][0].dtype == np.int64
+        assert_same(got[length], want[length])
+    # the certified bounds of a triple, loosened past 63 bits
+    mu, nu, w, d = (0, 1), (1,), (0, 2), 3
+    lows, spans = _row_bounds((mu, nu, w), d)
+    loose = RowLayout(lows, [span + 2**40 for span in spans])
+    assert loose.dtype is object
+    terms = [(k, w, ps, cs) for k, ps, cs in _split_keys(*_basis_product(mu, nu, d))]
+    (side,) = _bilinear_keys(terms, d, sys.maxsize, loose).values()
+    (want,) = reference_bilinear_rows(terms, d).values()
+    assert_same((loose.unpack(side[1], side[3]), side[2]), want)
+    rows, weights = want[0], np.ones(len(want[0]), dtype=np.int64)
+    bounds = (lows, [span + 2**40 for span in spans])
+    assert_same(group_rows(rows, weights, bounds), reference_group_rows(rows, weights, bounds))
+
+
+def test_fractions_and_negative_powers_match_the_reference():
+    half = QLaurent(-1, (Fraction(1, 2), 0, Fraction(-3, 4)))
+    e1 = {(0, 1): half, (2,): q_power(-2), (): ONE}
+    e2 = {(1,): QLaurent(-3, (1, 2)), (0, 0): half}
+    terms = element_terms(e1, e2)
+    got = bilinear_rows(terms, 3)
+    want = reference_bilinear_rows(terms, 3)
+    assert got.keys() == want.keys()
+    for length in got:
+        assert_same(got[length], want[length])
+    assert product_elements(e1, e2, 3)
+
+
+@pytest.mark.parametrize("p", [2**62, 2**62 + 5, -(2**62) - 1, 2**70])
+def test_power_shifts_past_int64_rows_match_the_reference(p):
+    # a shift this large makes the rows Python ints
+    e1 = {(0, 1): q_power(p) + q_power(p + 1), (3,): q_power(p)}
+    e2 = {(1,): ONE, (0, 2): q_power(-1)}
+    terms = element_terms(e1, e2)
+    got = bilinear_rows(terms, 3)
+    want = reference_bilinear_rows(terms, 3)
+    assert got.keys() == want.keys()
+    for length in got:
+        assert got[length][0].dtype == object
+        assert_same(got[length], want[length])
+
+
+@pytest.mark.parametrize("p", [0, 7, -3, 2**62])
+def test_a_single_copy_side_matches_the_reference(p):
+    # one term of one coefficient: the copy is grouped already
+    for mu, nu, d in [((0, 1), (1,), 3), ((0,), (0,), 1), ((2,), (0, 1, 1), 2)]:
+        terms = [(mu, nu, (p,), (-5,))]
+        (got,) = bilinear_rows(terms, d).values()
+        (want,) = reference_bilinear_rows(terms, d).values()
+        assert_same(got, want)
+
+
+def test_empty_factors_match_the_reference():
+    assert product_elements({}, {(0,): ONE}, 2) == {}
+    assert product_elements({(1,): ONE}, {}, 2) == {}
+    for mu, nu in [((), ()), ((), (0, 2)), ((3,), ()), ((), (2**70,))]:
+        assert_same(_basis_product(mu, nu, 3), reference_basis_product(mu, nu, 3))
+    terms = element_terms({(): q_power(2), (1,): ONE}, {(): ONE, (0, 2): q_power(-1)})
+    got = bilinear_rows(terms, 2)
+    want = reference_bilinear_rows(terms, 2)
+    assert got.keys() == want.keys()
+    for length in got:
+        assert_same(got[length], want[length])
+
+
+def test_group_rows_matches_the_reference_on_random_rows():
+    rng = np.random.default_rng(13)
+    for trial in range(60):
+        k, n = int(rng.integers(1, 7)), int(rng.integers(1, 120))
+        kind = trial % 4
+        if kind == 0:
+            rows = rng.integers(-4, 4, size=(n, k))
+        elif kind == 1:
+            rows = rng.integers(-(2**62), 2**62, size=(n, k))
+        elif kind == 2:
+            rows = rng.integers(0, 3, size=(n, k)).astype(object) * (2**63 - 1)
+        else:
+            rows = rng.integers(0, 4, size=(n, k)).astype(object) + 2**70
+        rows = rows[rng.integers(0, n, size=n)]
+        weights = rng.integers(-2, 3, size=n)
+        assert_same(group_rows(rows, weights), reference_group_rows(rows, weights))
+
+
+def test_pack_rows_stages_one_copy_per_shift():
+    mu, nu, w, d = (0, 1), (1,), (0, 2), 3
+    layout = RowLayout(*_row_bounds((mu, nu, w), d))
+    key = _split_keys(*_basis_product(mu, nu, d))[0][0]
+    rows, _ = _basis_product(key, w, d)
+    shifts = (0, 1, 3)
+    keys = pack_rows(layout, [(rows, None, shifts)])
+    want = []
+    for s in shifts:
+        shifted = rows.copy()
+        shifted[:, -1] += s
+        want.append(pack_rows(layout, [(shifted[:, :-1], shifted[:, -1], (0,))]))
+    assert keys.dtype == np.int64
+    assert np.array_equal(keys, np.concatenate(want))
+    assert np.array_equal(layout.unpack(keys[: len(rows)], np.int64), rows)

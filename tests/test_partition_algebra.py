@@ -413,22 +413,27 @@ def test_loop_counts_below_one_are_value_errors(d):
 
 
 def _spy_on_bounds(monkeypatch):
-    """Record every bounded group_rows call after checking its rows lie inside."""
-    real = partition_algebra.group_rows
+    """Record every pack of rows after checking each staged row lies inside
+    the layout's bounds, with every power shift of its block applied."""
+    real = partition_algebra.pack_rows
     seen = []
 
-    def spy(rows, weights, bounds=None):
-        if bounds is not None:
-            lows, spans = bounds
-            assert len(lows) == len(spans) == rows.shape[1]
-            tops = rows.max(axis=0).tolist()
-            for bottom, top, lo, span in zip(rows.min(axis=0).tolist(), tops, lows, spans):
+    def spy(layout, blocks):
+        lows, spans = layout.lows, layout.spans
+        for parts, powers, shifts in blocks:
+            if powers is None:
+                parts, powers = parts[:, :-1], parts[:, -1]
+            assert len(lows) == len(spans) == parts.shape[1] + 1
+            assert len(parts) == len(powers) > 0 and len(shifts) > 0
+            bottoms = parts.min(axis=0).tolist() + [min(powers.tolist()) + min(shifts)]
+            tops = parts.max(axis=0).tolist() + [max(powers.tolist()) + max(shifts)]
+            for bottom, top, lo, span in zip(bottoms, tops, lows, spans):
                 assert lo <= bottom and top <= lo + span, (bottom, top, lo, span)
-            seen.append((rows.shape[1], spans[-1]))
-        return real(rows, weights, bounds)
+        seen.append((len(lows), spans[-1]))
+        return real(layout, blocks)
 
-    monkeypatch.setattr(partition_algebra, "group_rows", spy)
-    # cached basis products were grouped before the spy was in place
+    monkeypatch.setattr(partition_algebra, "pack_rows", spy)
+    # cached basis products were packed before the spy was in place
     partition_algebra._basis_product.cache_clear()
     return seen
 
@@ -456,7 +461,7 @@ def test_grouped_rows_lie_inside_their_bounds(mu, nu, w, d, c):
         product(mu, nu, d)
         assert seen == ([(m + n + 1, (d - 1) * m * n)] if mu and nu else [])
         assert check_associativity(mu, nu, w, d).passed
-        # each staged side, more than one term when d > 1, is grouped with
+        # each staged side, more than one term when d > 1, is packed with
         # the power span of the triple; a basis product's span is smaller
         if d > 1 and mu and nu and w:
             assert seen.count((m + n + l + 1, (d - 1) * (m * n + m * l + n * l))) == 2

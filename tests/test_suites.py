@@ -165,6 +165,100 @@ def test_default_grids_predict_well_under_the_limit(monkeypatch, name):
     assert _predicted_work(monkeypatch, name) < suites.GRID_WORK_LIMIT / 10
 
 
+def _recording_budgets(monkeypatch):
+    """Replace the suites' budget by one that records what each call spends."""
+    spent = []
+
+    class Recording(suites._WorkBudget):
+        def __init__(self, suite):
+            super().__init__(suite)
+            spent.append(0)
+
+        def __call__(self, units):
+            spent[-1] += units
+            super().__call__(units)
+
+    monkeypatch.setattr(suites, "_WorkBudget", Recording)
+    return spent
+
+
+def test_default_assoc_spends_well_under_the_limit(monkeypatch):
+    spent = _recording_budgets(monkeypatch)
+    rep = suite_assoc()
+    assert rep.passed and rep.checked == 3350
+    assert len(spent) == 1 and spent[0] < suites.GRID_WORK_LIMIT / 2
+    # the grid's prediction, before any check, is smaller still
+    assert _predicted_work(monkeypatch, "assoc") < spent[0]
+
+
+def test_assoc_budget_refuses_once_the_checks_pass_the_limit(monkeypatch):
+    kwargs = dict(d_values=(2, 3), max_len=2, max_part=1, random_triples=3)
+    spent = _recording_budgets(monkeypatch)
+    want = suite_assoc(**kwargs)
+    (total,) = spent
+    with pytest.MonkeyPatch.context() as mp:
+        assert _predicted_work(mp, "assoc", **kwargs) < total - 1
+    monkeypatch.setattr(suites, "GRID_WORK_LIMIT", total)
+    assert suite_assoc(**kwargs) == want
+    monkeypatch.setattr(suites, "GRID_WORK_LIMIT", total - 1)
+    message = "^verify assoc: the checks exceed the work limit %d$" % (total - 1)
+    with pytest.raises(ResourceLimitError, match=message):
+        suite_assoc(**kwargs)
+    # each suite call has its own budget
+    monkeypatch.setattr(suites, "GRID_WORK_LIMIT", total)
+    assert suite_assoc(**kwargs) == want
+    assert suite_assoc(**kwargs) == want
+
+
+def test_a_budget_of_zero_refuses_before_the_first_side_is_staged(monkeypatch):
+    mu, nu, w, d = (0, 1), (1,), (0, 2), 3
+    assert partition_algebra.check_associativity(mu, nu, w, d).passed
+    staged, fetched = [], []
+    pack, basis = partition_algebra.pack_rows, partition_algebra._basis_product
+    monkeypatch.setattr(partition_algebra, "pack_rows", lambda *a: staged.append(a) or pack(*a))
+    monkeypatch.setattr(partition_algebra, "_basis_product", lambda *a: fetched.append(a) or basis(*a))
+    monkeypatch.setattr(suites, "GRID_WORK_LIMIT", 0)
+    budget = suites._WorkBudget("assoc")
+    message = "^verify assoc: the checks exceed the work limit 0$"
+    with pytest.raises(ResourceLimitError, match=message):
+        partition_algebra.check_associativity(mu, nu, w, d, budget)
+    # the outer product was fetched, and no product of a side
+    assert fetched == [(mu, nu, d)] and staged == []
+
+
+@pytest.mark.parametrize("count", [10**6, 10**30])
+def test_a_huge_random_count_is_refused_before_any_work(monkeypatch, count):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid started")
+
+    monkeypatch.setattr(suites, "partitions_up_to", refuse)
+    monkeypatch.setattr(suites, "_random_partition", refuse)
+    limit = suites.GRID_WORK_LIMIT
+    message = "^verify assoc: the grid is predicted to exceed the work limit %d$" % limit
+    with pytest.raises(ResourceLimitError, match=message):
+        suite_assoc(random_triples=count)
+
+
+def test_each_product_shape_is_checked_once(monkeypatch):
+    # the cap replay runs once per shape and cap, not on every cache hit
+    calls = []
+    real = partition_algebra.structure_table
+    monkeypatch.setattr(
+        partition_algebra, "structure_table", lambda *a: calls.append(a) or real(*a)
+    )
+    partition_algebra._check_shape.cache_clear()
+    partition_algebra._table_rows.cache_clear()
+    for suite in ("assoc", "iso", "quasi", "graphs", "grading"):
+        SUITES[suite](**SMALL_GRIDS[suite])
+        SUITES[suite](**SMALL_GRIDS[suite])
+    capped = [a for a in calls if a[3] != sys.maxsize]
+    assert capped and len(capped) == len(set(capped))
+    # a failing check is not remembered: it fails on every request
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError):
+            partition_algebra.product((0, 1), (1, 2), 3, term_cap=1)
+
+
 @pytest.mark.parametrize("name", ["iso", "grading", "lemma31", "quasi"])
 def test_a_loop_count_below_one_is_still_a_parse_error(monkeypatch, name):
     # even on a grid far past the limit, as before the budget
