@@ -42,10 +42,10 @@ from .serialization import (
     _partition_from_json,
     _table_rows,
     element_from_json,
-    element_to_json,
     graded_to_json,
     grouped_json_text,
     mpoly_to_json,
+    orientations_json_text,
     rational_from_json,
     render_element_latex,
     render_element_text,
@@ -179,19 +179,15 @@ def run_graphs(left, right, list: bool = False) -> Dict[str, object]:
     # the field is named "list", so the builtin is shadowed in this body;
     # the listing is refused past one block before any work is done
     listed = list_orientations(left, right) if list else None
-    e = _to_element(*product_via_graphs(left, right))
-    payload = element_to_json(e, 2)
+    grouped = product_via_graphs(left, right)
+    # JSON text from the grouped rows, the listing spliced in before the close
+    payload = grouped_json_text(*grouped, 2)
     if listed is not None:
-        # orientation mask contributes its key times (-q)**p
-        keys, powers = (a.tolist() for a in listed)
-        payload["orientations"] = [
-            {"id": mask, "partition": key, "coeff": {"offset": p, "coeffs": [("1", "-1")[p & 1]]}}
-            for mask, (key, p) in enumerate(zip(keys, powers))
-        ]
+        payload = payload[:-1] + ', "orientations": ' + orientations_json_text(*listed) + "}"
     return {
         "payload": payload,
-        "text": lambda: render_element_text(e),
-        "latex": lambda: render_element_latex(e),
+        "text": lambda: render_element_text(_to_element(*grouped)),
+        "latex": lambda: render_element_latex(_to_element(*grouped)),
     }
 
 

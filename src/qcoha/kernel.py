@@ -125,10 +125,18 @@ class RowLayout:
             return values.astype(object, copy=False)
         if values.dtype == object:
             return (values % (1 << 64)).astype(np.uint64)
-        return values.view(np.uint64)
+        if values.dtype == np.int64:
+            return values.view(np.uint64)
+        # a narrower integer is widened, not reinterpreted: a view would read
+        # several of its entries as one word
+        return values.astype(np.uint64)
 
     def unpack(self, keys: np.ndarray, dtype) -> np.ndarray:
-        """The rows, of the given dtype, whose packed keys are ``keys``."""
+        """The rows, of the given dtype, whose packed keys are ``keys``.
+
+        The caller certifies that ``dtype`` holds every row; an integer dtype
+        narrower than the key's is written straight from its fields.
+        """
         if self._fields is None:
             masks = [(1 << width) - 1 for width in self.widths]
             self._fields = [np.array(a, dtype=self.dtype) for a in (self.shifts, masks, self.lows)]
@@ -138,6 +146,8 @@ class RowLayout:
         if rows.dtype == dtype:
             rows += lows
             return rows
+        if dtype != object and rows.dtype != object:
+            return np.add(rows, lows, out=np.empty(rows.shape, dtype), casting="unsafe")
         # rows past int64 are summed as Python ints
         return (rows.astype(object) + lows.astype(object)).astype(dtype, copy=False)
 

@@ -29,21 +29,29 @@ so on the passing path no row is unpacked and no QLaurent is built.  So do
 ``quasi_commutativity_report``, ``bipartite.verify_graph_model``,
 ``shuffle_algebra.verify_homomorphism`` and the suites' grading check on
 rows, and JSON ``multiply`` writes the cached rows as text.  ``_split_keys``
-splits grouped rows by key; only ``product`` (and ``product_elements`` at
+splits grouped rows by key, and ``_split_product`` keeps the last few
+splits of cached products; only ``product`` (and ``product_elements`` at
 its edges), the text and LaTeX renderers and ``--at-q`` fold the split rows
-into QLaurent dicts (``_to_element``).  Both caches are bounded, least
-recently used out, at twice a default suite's working set.  The checks a
-product of a given shape must pass run once per shape (``_check_shape``).
+into QLaurent dicts (``_to_element``).  The caches of basis products and
+tables are bounded, least recently used out, at twice a default suite's
+working set.  The checks a product of a given shape must pass run once per
+shape (``_check_shape``).
 
 The staged coefficients are int64 only when a bound certifies that no sum
 can leave int64 range: the sum of |coefficients| times the table's sum of
 |weights|, 2**((d-1)*m*n), summed over the pairs.  Otherwise, and for
 Fraction coefficients, the same code runs with dtype=object, so the
 arithmetic is always exact.  Keys follow the layout's own rule, int64 or
-Python ints, and so do the rows they unpack to.  Packing is handed
-certified column bounds where the factors give them (see ``_row_bounds``);
-``product_elements`` takes them from each basis product's column extremes
-and its range of power shifts.
+Python ints.  A cached basis product is stored in the narrowest of int8,
+int16, int32 and int64 that its certified bounds allow (``_narrowest``):
+its rows within the column bounds of ``_row_bounds``, its coefficients within
+the table's sum of |weights|; a build writes its surviving rows straight
+into that dtype.  Readers widen before arithmetic that could leave it: the
+bilinear core casts each basis product's coefficients to the staging dtype
+once, and staged rows unpack to int64, or to Python ints past it.
+Packing is handed certified column bounds where the factors give them (see
+``_row_bounds``); ``product_elements`` takes them from each basis product's
+column extremes and its range of power shifts.
 """
 from __future__ import annotations
 
@@ -113,8 +121,23 @@ def _grouped(layout: RowLayout, keys: np.ndarray, weights: np.ndarray, dtype):
     return layout.unpack(keys[index], dtype), sums
 
 
+# the integer dtypes a cached basis product may take, narrowest first
+_INT_RANGES = [
+    (int(np.iinfo(t).min), int(np.iinfo(t).max), t) for t in (np.int8, np.int16, np.int32, np.int64)
+]
+
+
+def _narrowest(lo: int, hi: int):
+    """The narrowest integer dtype that holds [lo, hi], or object past int64."""
+    for low, high, dtype in _INT_RANGES:
+        if low <= lo and hi <= high:
+            return dtype
+    return object
+
+
 # twice the 6 285 basis products ``verify assoc`` computes at its defaults,
-# its largest working set, so a long batch stays bounded without evicting them
+# its largest working set, so a long batch stays bounded without evicting
+# them; at the defaults those entries hold 11.8 MB of arrays (70.8 MB in int64)
 BASIS_CACHE_SIZE = 1 << 14
 
 
@@ -123,18 +146,27 @@ def _basis_product(mu: Partition, nu: Partition, d: int):
     """Memoized basis product as grouped arrays (rows, coeffs).
 
     A row is a sorted key followed by a power of q; rows are distinct and in
-    lexicographic order.  Callers check their own term cap first and must
-    not mutate the returned arrays.
+    lexicographic order.  Each array is stored in the narrowest integer
+    dtype its certified bounds allow, or as Python ints past int64: the rows
+    within the column bounds of ``_row_bounds``, the coefficients within
+    +-2**((d-1)*m*n), the table's sum of |weights|.  Readers widen before
+    any arithmetic that could leave that dtype.  Callers check their own
+    term cap first and must not mutate the returned arrays.
     """
+    lows, spans = _row_bounds((mu, nu), d)
+    row_dtype = _narrowest(min(lows), max(lo + span for lo, span in zip(lows, spans)))
+    weights = 1 << ((d - 1) * len(mu) * len(nu))
+    coeff_dtype = _narrowest(-weights, weights)
     if not mu or not nu:
         # the other factor's key at power 0
-        return _offsets(mu + nu + (0,)).reshape(1, -1), np.ones(1, dtype=np.int64)
+        return np.array([mu + nu + (0,)], dtype=row_dtype), np.ones(1, dtype=coeff_dtype)
     table = structure_table(len(mu), len(nu), d, sys.maxsize)
     keys = table.exps + _offsets(mu + nu)
     keys.sort(axis=1)
-    layout = RowLayout(*_row_bounds((mu, nu), d))
+    layout = RowLayout(lows, spans)
     packed = pack_rows(layout, [(keys, table.powers, (0,))])
-    return _grouped(layout, packed, table.weights, keys.dtype)
+    rows, coeffs = _grouped(layout, packed, table.weights, row_dtype)
+    return rows, coeffs.astype(coeff_dtype, copy=False)
 
 
 @lru_cache(maxsize=256)
@@ -162,6 +194,16 @@ def _capped_basis_product(mu: Partition, nu: Partition, d: int, term_cap: int):
     """The cached basis product, after the checks a request for it must pass."""
     _check_shape(len(mu), len(nu), d, term_cap)
     return _basis_product(mu, nu, d)
+
+
+@lru_cache(maxsize=16)
+def _split_product(mu: Partition, nu: Partition, d: int):
+    """The cached basis product mu * nu split by key (``_split_keys``).
+
+    A run of triples that share an outer product splits it once.  Callers
+    check the product first and must not mutate the returned list.
+    """
+    return _split_keys(*_basis_product(mu, nu, d))
 
 
 def _key_starts(rows):
@@ -289,6 +331,8 @@ def _bilinear_keys(terms, d: int, term_cap: int, layout=None, budget=None):
         wide = False
         for (basis_rows, basis_coeffs), ps, cs in group:
             blocks.append((basis_rows, None, ps))
+            # widened once per basis product: a product in its narrow cached
+            # dtype would wrap silently
             basis_coeffs = basis_coeffs.astype(dtype, copy=False)
             coeffs += [basis_coeffs * c for c in cs]
             wide = wide or basis_rows.dtype == object or _big(max(ps)) or _big(min(ps))
@@ -377,7 +421,8 @@ def quasi_commutativity_report(mu: Partition, nu: Partition, d: int) -> QuasiCom
     left = _capped_basis_product(mu, nu, d, DEFAULT_TERM_CAP)
     rows, coeffs = _capped_basis_product(nu, mu, d, DEFAULT_TERM_CAP)
     layout = RowLayout(*_row_bounds((nu, mu), d))
-    keys = pack_rows(layout, [(rows[:, :-1], e - rows[:, -1], (0,))])
+    # in int64: the subtraction must not wrap in the rows' narrow dtype
+    keys = pack_rows(layout, [(rows[:, :-1], e - rows[:, -1].astype(np.int64), (0,))])
     rows, coeffs = _grouped(layout, keys, coeffs, rows.dtype)
     return QuasiCommReport(
         mu=mu,
@@ -408,13 +453,15 @@ def check_associativity(
     w = tuple(w)
     cap = DEFAULT_TERM_CAP
     layout = RowLayout(*_row_bounds((mu, nu, w), d))
-    outer = _capped_basis_product(mu, nu, d, cap)
+    # each outer product is checked and fetched, then split once per run of
+    # triples that share it
+    _capped_basis_product(mu, nu, d, cap)
     _check_shape(len(mu) + len(nu), len(w), d, cap)
-    terms = [(k, w, ps, cs) for k, ps, cs in _split_keys(*outer)]
+    terms = [(k, w, ps, cs) for k, ps, cs in _split_product(mu, nu, d)]
     (left,) = _bilinear_keys(terms, d, cap, layout, budget).values()
-    outer = _capped_basis_product(nu, w, d, cap)
+    _capped_basis_product(nu, w, d, cap)
     _check_shape(len(mu), len(nu) + len(w), d, cap)
-    terms = [(mu, k, ps, cs) for k, ps, cs in _split_keys(*outer)]
+    terms = [(mu, k, ps, cs) for k, ps, cs in _split_product(nu, w, d)]
     (right,) = _bilinear_keys(terms, d, cap, layout, budget).values()
     # one layout packs both sides, so equal keys stand for equal rows
     passed = all(map(np.array_equal, left[1:3], right[1:3]))

@@ -7,7 +7,8 @@ validate shape and reject anything malformed with ValueError so the CLI can
 map it to a parse error.  ``grouped_json_text`` writes a basis product's
 JSON text straight from its cached grouped rows (see ``partition_algebra``):
 the bytes of ``json.dumps(element_to_json(...))`` of its QLaurent dict, with
-no QLaurent, no dict tree and no encoder pass.
+no QLaurent, no dict tree and no encoder pass; ``orientations_json_text``
+writes the orientation listing of ``graphs --list`` the same way.
 
 Renderers order a coefficient's powers of q descending and an element's keys
 by (length, lex); both orders are fixed so output is byte-identical across
@@ -147,6 +148,25 @@ def grouped_json_text(rows, coeffs, d: int) -> str:
     args[k + 1 :: k + 2] = map('", "'.join, cells)
     term = '{"partition": [' + ", ".join(["%d"] * k) + '], "coeff": {"offset": %d, "coeffs": ["%s"]}}'
     return ('{"d": %d, "terms": [' % d + ", ".join([term] * n) + "]}") % tuple(args)
+
+
+def orientations_json_text(keys, powers) -> str:
+    """The JSON list of ``graphs --list`` from the arrays of its orientations.
+
+    Orientation ``id`` contributes its sorted key times (-q)**power, whose
+    coefficient is written ``{"offset": power, "coeffs": ["1"]}``, or
+    ``["-1"]`` for an odd power.  Every orientation is written by one
+    template, in one format call, as in ``grouped_json_text``.
+    """
+    n, k = keys.shape
+    args = [None] * (n * (k + 3))
+    args[:: k + 3] = range(n)
+    for j, column in enumerate(keys.T.tolist()):
+        args[j + 1 :: k + 3] = column
+    args[k + 1 :: k + 3] = powers.tolist()
+    args[k + 2 :: k + 3] = map(("1", "-1").__getitem__, (powers & 1).tolist())
+    term = '{"id": %d, "partition": [' + ", ".join(["%d"] * k) + '], "coeff": {"offset": %d, "coeffs": ["%s"]}}'
+    return ("[" + ", ".join([term] * n) + "]") % tuple(args)
 
 
 def element_from_json(obj) -> Tuple[int, PartitionElement]:

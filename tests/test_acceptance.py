@@ -4,6 +4,7 @@ Run with -s to see the lines.  Every check is exact; the time bounds are the
 contract limits, not expectations (typical runtimes are far below them).
 """
 import itertools
+import json
 import time
 
 import pytest
@@ -109,7 +110,8 @@ def test_criterion_02_augmented_rule_example(capsys):
 def test_criterion_03_orientation_model(capsys):
     def run():
         request = {"cmd": "graphs", "left": [1, 2], "right": [0, 2, 3], "list": True}
-        listed = run_request(request)["payload"]["orientations"]
+        # the payload is the command's JSON text
+        listed = json.loads(run_request(request)["payload"])["orientations"]
         one = listed[53]
         via_graphs = fold_rows(*product_via_graphs((1, 2), (0, 2, 3)))
         return one, len(listed), via_graphs

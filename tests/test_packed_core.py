@@ -3,7 +3,9 @@
 The reference keeps, in this file only, the grouping that stages one 2-D copy
 of a basis product's rows per coefficient term and groups the concatenated
 rows by a key packed from their columns.  The packed core must return the
-same rows and coefficients, dtypes included.
+same rows and coefficients, dtypes included.  A cached basis product is
+stored in the narrowest integer dtype its bounds allow, and the reference
+states that rule apart from the program (``cached_dtypes``).
 """
 import sys
 from fractions import Fraction
@@ -11,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qcoha import partition_algebra
 from qcoha.kernel import RowLayout, group_rows, pack_rows, structure_table
 from qcoha.partition_algebra import (
     _basis_product,
@@ -20,8 +23,10 @@ from qcoha.partition_algebra import (
     _split_keys,
     check_associativity,
     product_elements,
+    quasi_commutativity_report,
 )
 from qcoha.qlaurent import ONE, QLaurent, as_rational, q_power
+from qcoha.suites import suite_assoc
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -57,13 +62,31 @@ def reference_group_rows(rows, weights, bounds=None):
     return rows[order[starts[keep]]], sums[keep]
 
 
+def narrowest(lo, hi):
+    # the first of int8, int16, int32, int64 that holds [lo, hi], else object
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(object)
+
+
+def cached_dtypes(mu, nu, d):
+    # a part grows by at most d-1 per part of the other factor, a power lies
+    # in [0, (d-1)*m*n], and |coefficient| is at most 2**((d-1)*m*n)
+    e = (d - 1) * len(mu) * len(nu)
+    hi = max([p + (d - 1) * len(nu) for p in mu] + [p + (d - 1) * len(mu) for p in nu] + [e])
+    return narrowest(min(mu + nu + (0,)), hi), narrowest(-(2**e), 2**e)
+
+
 def reference_basis_product(mu, nu, d):
+    row_dtype, coeff_dtype = cached_dtypes(mu, nu, d)
     if not mu or not nu:
-        return _offsets(mu + nu + (0,)).reshape(1, -1), np.ones(1, dtype=np.int64)
+        return np.array([mu + nu + (0,)], dtype=row_dtype), np.ones(1, dtype=coeff_dtype)
     table = structure_table(len(mu), len(nu), d, sys.maxsize)
     keys = np.sort(table.exps + _offsets(mu + nu), axis=1)
     rows = np.column_stack([keys, table.powers])
-    return reference_group_rows(rows, table.weights, _row_bounds((mu, nu), d))
+    rows, coeffs = reference_group_rows(rows, table.weights, _row_bounds((mu, nu), d))
+    return rows.astype(row_dtype), coeffs.astype(coeff_dtype)
 
 
 def reference_bilinear_rows(terms, d, bounds=None):
@@ -85,8 +108,10 @@ def reference_bilinear_rows(terms, d, bounds=None):
         for (basis_rows, basis_coeffs), ps, cs in group:
             basis_coeffs = basis_coeffs.astype(dtype, copy=False)
             for p, c in zip(ps, cs):
-                big = p >> 62 not in (-1, 0)
-                shifted = basis_rows.astype(object if big else basis_rows.dtype)
+                # staged rows are int64, or Python ints when a basis product's
+                # are or when the shift could leave int64
+                big = p >> 62 not in (-1, 0) or basis_rows.dtype == object
+                shifted = basis_rows.astype(object if big else np.int64)
                 shifted[:, -1] += p
                 rows.append(shifted)
                 coeffs.append(basis_coeffs * c)
@@ -275,3 +300,123 @@ def test_pack_rows_stages_one_copy_per_shift():
     assert keys.dtype == np.int64
     assert np.array_equal(keys, np.concatenate(want))
     assert np.array_equal(layout.unpack(keys[: len(rows)], np.int64), rows)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+@pytest.mark.parametrize("width", [1, 3, 8])
+def test_narrow_rows_pack_like_int64_rows(dtype, width):
+    # a cached basis product's rows may be any integer dtype; packed, they
+    # must give the keys of the same rows in int64, at every row width
+    rng = np.random.default_rng(width)
+    top = int(np.iinfo(dtype).max)
+    rows = rng.integers(-3, 13, size=(40, width))
+    # the dtype's extremes in the first column, within 63 bits at any width
+    rows[:2, 0] = top, -top - 1
+    cols = rows.T
+    lows = cols.min(axis=1).tolist()
+    spans = [hi - lo for hi, lo in zip(cols.max(axis=1).tolist(), lows)]
+    layout = RowLayout(lows[:-1] + [lows[-1] - 3], spans[:-1] + [spans[-1] + 10])
+    assert layout.dtype == np.int64
+    narrow = rows.astype(dtype)
+    for blocks in (
+        lambda r: [(r, None, (0, 7, -3))],
+        lambda r: [(r[:, :-1], r[:, -1], (0, 2))],
+    ):
+        want = pack_rows(layout, blocks(rows))
+        assert np.array_equal(pack_rows(layout, blocks(narrow)), want)
+    keys = pack_rows(layout, [(narrow, None, (0,))])
+    unpacked = layout.unpack(keys, dtype)
+    assert unpacked.dtype == dtype and np.array_equal(unpacked, rows)
+
+
+@pytest.mark.parametrize("c", [10**6, -(3**40)])
+def test_products_that_leave_the_cached_dtype_stay_exact(c):
+    # basis coefficients stored as int16 and int32, times terms whose
+    # products leave both, must widen before they are multiplied
+    for mu, nu, d, dtype in [((0, 1), (1, 2), 3, np.int16), ((0, 1), (1, 2), 5, np.int32)]:
+        assert _basis_product(mu, nu, d)[1].dtype == dtype
+        e1 = {mu: QLaurent(0, (c, 1)), (0,): q_power(2)}
+        e2 = {nu: QLaurent(-1, (c, 0, -c)), (1,): ONE}
+        terms = element_terms(e1, e2)
+        got = bilinear_rows(terms, d)
+        want = reference_bilinear_rows(terms, d)
+        assert got.keys() == want.keys()
+        assert np.abs(want[len(mu) + len(nu)][1]).max() > np.iinfo(np.int32).max
+        for length in got:
+            assert_same(got[length], want[length])
+        fold = {}
+        for rows, coeffs in want.values():
+            for row, coeff in zip(rows.tolist(), coeffs.tolist()):
+                fold.setdefault(tuple(row[:-1]), {})[row[-1]] = coeff
+        assert product_elements(e1, e2, d) == {
+            key: QLaurent.from_dict(by_power) for key, by_power in fold.items()
+        }
+
+
+def test_assoc_sides_that_leave_the_cached_dtype_match_the_reference():
+    # the outer product's coefficients times int16 and int32 basis
+    # coefficients leave int16 on either side
+    for mu, nu, w, d in [((0, 1), (1, 2), (0, 2), 3), ((0, 1, 1), (0, 2), (1, 2), 3)]:
+        dtypes = {_basis_product(mu, nu, d)[1].dtype, _basis_product(nu, w, d)[1].dtype}
+        assert dtypes <= {np.dtype(np.int16), np.dtype(np.int32)}
+        terms = [(k, w, ps, cs) for k, ps, cs in _split_keys(*_basis_product(mu, nu, d))]
+        (want,) = reference_bilinear_rows(terms, d).values()
+        assert np.abs(want[1]).max() > np.iinfo(np.int16).max
+        assert_sides_match_reference(mu, nu, w, d)
+        assert check_associativity(mu, nu, w, d).passed
+
+
+def test_a_default_assoc_suite_caches_narrow_products(monkeypatch):
+    # every basis product the default suite reads is in the narrowest dtype
+    # of the rule, and together they hold at most 16 MiB of arrays (about
+    # 11 MiB, against 67.5 MiB in int64)
+    entries = {}
+    basis_product = partition_algebra._basis_product
+
+    def spy(mu, nu, d):
+        entries[mu, nu, d] = basis_product(mu, nu, d)
+        return entries[mu, nu, d]
+
+    monkeypatch.setattr(partition_algebra, "_basis_product", spy)
+    assert suite_assoc().passed
+    assert len(entries) > 6000
+    held = 0
+    for (mu, nu, d), (rows, coeffs) in entries.items():
+        assert (rows.dtype, coeffs.dtype) == cached_dtypes(mu, nu, d), (mu, nu, d)
+        held += rows.nbytes + coeffs.nbytes
+    assert held <= 16 * 2**20
+
+
+def test_a_run_of_triples_splits_its_outer_product_once(monkeypatch):
+    # the triples (mu, nu, w) for a run of w share the outer product mu * nu
+    splits = []
+    split_keys = partition_algebra._split_keys
+    monkeypatch.setattr(
+        partition_algebra, "_split_keys", lambda *a: splits.append(len(a[1])) or split_keys(*a)
+    )
+    partition_algebra._split_product.cache_clear()
+    mu, nu, d = (0, 3), (1, 2), 3
+    ws = [(0,), (1,), (0, 1), (2, 2)]
+    for w in ws:
+        assert check_associativity(mu, nu, w, d).passed
+    # one split of mu * nu, and one of nu * w for every w
+    assert len(splits) == 1 + len(ws)
+    assert splits[0] == len(_basis_product(mu, nu, d)[1])
+
+
+@pytest.mark.parametrize("c", [2**62, 2**63 - 2, 2**63 - 1, 2**70])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_quasi_commutativity_holds_for_rows_past_int64(c, d):
+    # rows near 2**63 are Python ints under a layout whose keys are int64,
+    # so they unpack through Python ints whether the dtype is given as a
+    # type or as a dtype
+    for mu, nu in [((c,), (0,)), ((0, c), (1,)), ((c,), (c, c))]:
+        e = (d - 1) * len(mu) * len(nu)
+        rep = quasi_commutativity_report(mu, nu, d)
+        assert rep.signed_matches and rep.unsigned_matches == (e % 2 == 0)
+    layout = RowLayout([0, 2**63 - 1, 0], [2, 2, 2])
+    assert layout.dtype == np.int64
+    rows = np.array([[0, 2**63 + 1, 2], [2, 2**63 - 1, 0]], dtype=object)
+    keys = pack_rows(layout, [(rows, None, (0,))])
+    for dtype in (object, np.dtype(object)):
+        assert_same((layout.unpack(keys, dtype), keys), (rows, keys))
