@@ -116,7 +116,7 @@ def element_to_json(e: PartitionElement, d: int) -> dict:
 
 def grouped_json_text(rows, coeffs, d: int) -> str:
     """``json.dumps(element_to_json(e, d))`` for the basis product e given
-    as its grouped rows.
+    as its grouped rows, or for the orientation sum, in the same layout.
 
     The rows of one basis product share one key length and come in (key,
     power) order, so the keys come out in canonical order with no sort.
