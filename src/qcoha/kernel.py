@@ -3,20 +3,19 @@
 For block sizes (m, n) and loop count d the kernel is the product of
 ``(x_s - q * x_t) ** (d - 1)`` over every pair with t in the first block of m
 variables and s in the second block of n variables.  An optional shift places
-the two blocks after ``shift`` unused leading variables, which is how the
-factorization identity for three blocks is expressed.
+the two blocks after ``shift`` unused leading variables (``g --shift``).
 
 The structure-constant table folds the factors into integer arrays: one row
 of exponents per monomial and its signed integer weight.  Every coefficient
 of the kernel is a signed q-monomial ``N(a, b) * (-q)**|a|``, whose power is
 the row sum of the first-block exponents, so integers carry the whole table,
-and every reader (the basis products, the convolution identity, the symmetry
-check and ``g --table``) reads the arrays; the table has no QLaurent view.
+and ``coefficient_bound`` sizes them here and in ``partition_algebra``.  The
+basis products, the symmetry check and ``g --table`` read the arrays.
 ``pairwise_kernel`` expands the same factors into an ``MPoly`` instead,
 multiplying one factor at a time with the polynomial module's own row
-grouping; it stays where the polynomial itself is under test (the
-factorization identity, the shuffle oracle and the q-substituted builds), so
-those checks share no grouping code with the tables they check.  Both
+grouping.  The factorization identity multiplies those expansions, and the
+convolution identity runs the same product on the four tables lifted into
+``MPoly``, so no check of the tables shares grouping code with them.  Both
 expansions collect like monomials after every factor, which never leaves more
 than the stored terms times the factor's, and a configurable cap on that
 product, checked before each factor, raises ResourceLimitError.
@@ -40,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ResourceLimitError
-from .mpoly import Exponent, MPoly, embed, multiply
+from .mpoly import MPoly, embed, multiply
 from .partitions import multiplicity
 from .qlaurent import ONE, QLaurent, Rational, as_rational
 from .reports import CheckReport
@@ -196,28 +195,25 @@ def group_keys(keys: np.ndarray, weights: np.ndarray):
     return order[starts[keep]], sums[keep]
 
 
-def group_rows(rows: np.ndarray, weights: np.ndarray, bounds=None):
+def group_rows(rows: np.ndarray, weights: np.ndarray):
     """Sum ``weights`` over equal rows of an integer matrix.
 
     Returns the distinct rows in lexicographic order with their sums, and
     drops rows whose sum is zero.  It is the packing core on whole rows:
-    each row is packed into one 1-D key (``RowLayout``, ``pack_rows``), the
-    keys are grouped (``group_keys``), and the first row of each group is
-    returned, so rows of any length and size group exactly.
-    ``bounds=(lows, spans)`` are the layout's column bounds, which saves the
-    column reductions; without it the bounds are the column minima and
-    ranges.
+    each row is packed into one 1-D key (``RowLayout``, ``pack_rows``) under
+    the column minima and ranges, the keys are grouped (``group_keys``), and
+    the first row of each group is returned, so rows of any length and size
+    group exactly.
     """
     if not len(weights):
         return rows, weights
-    if bounds is None:
-        # one contiguous row per column: column reductions are several times
-        # faster on it than along axis 0 of a tall matrix
-        cols = np.array(rows.T)
-        # spans in Python ints: an int64 column may range wider than int64
-        lows = cols.min(axis=1).tolist()
-        bounds = lows, [hi - lo for hi, lo in zip(cols.max(axis=1).tolist(), lows)]
-    keys = pack_rows(RowLayout(*bounds), [(rows, None, (0,))])
+    # one contiguous row per column: column reductions are several times
+    # faster on it than along axis 0 of a tall matrix
+    cols = np.array(rows.T)
+    # spans in Python ints: an int64 column may range wider than int64
+    lows = cols.min(axis=1).tolist()
+    spans = [hi - lo for hi, lo in zip(cols.max(axis=1).tolist(), lows)]
+    keys = pack_rows(RowLayout(lows, spans), [(rows, None, (0,))])
     index, sums = group_keys(keys, weights)
     return rows[index], sums
 
@@ -283,6 +279,24 @@ def kernel_polynomial(
     return pairwise_kernel(spec.arity, block_pairs(spec), spec.d, q_value, term_cap)
 
 
+def coefficient_bound(e: int) -> int:
+    """The largest |coefficient| of a kernel with ``e`` linear factors.
+
+    A kernel with m*n pairs and loop count d is the product of
+    e = (d-1)*m*n linear factors ``x_s - q * x_t``.  Each monomial of the
+    expansion picks one term from every factor, and a pick with p factors
+    of ``-q * x_t`` carries ``(-q)**p``.  So every weight of power p has the
+    sign ``(-1)**p``, terms of one power never cancel, and setting every
+    variable to 1 leaves ``(1 - q)**e``: the |weights| of power p sum to
+    ``binom(e, p)``.  Any sum of weights that share one power, a weight
+    itself or the coefficient of a basis product that merges several, is
+    therefore at most ``binom(e, p) <= binom(e, e // 2)`` in absolute value.
+    The bound grows with e, so it also covers every partial fold of fewer
+    factors.
+    """
+    return comb(e, e // 2)
+
+
 @dataclass(frozen=True, eq=False)
 class StructureConstantTable:
     """The kernel's monomials as integer arrays, split at the first block.
@@ -292,10 +306,10 @@ class StructureConstantTable:
     q**powers[r]``, where the power is the row sum of a and the weight is the
     signed integer ``N(a, b) * (-1)**|a|``, never zero.  Rows are distinct and
     in lexicographic order, which is the (a, b) order since every a has
-    length m.  ``weights`` is int64 when ``2**((d-1)*m*n)``, the sum
-    of all ``|weights|``, certifies it, and dtype=object otherwise.  ``staged``
-    holds the row count after each folded factor, so a cap can be checked
-    against a cached table exactly as a cold build would check it.
+    length m.  ``weights`` is int64 when ``coefficient_bound((d-1)*m*n)``
+    fits it, and dtype=object otherwise.  ``staged`` holds the row count
+    after each folded factor, so a cap can be checked against a cached table
+    exactly as a cold build would check it.
     """
 
     spec: KernelSpec
@@ -324,12 +338,14 @@ def structure_constants(
 
     Each factor turns a row into d rows, ``binom(d-1, i) * (-1)**i`` times the
     row with i added to x_t and d-1-i to x_s, and the rows are then grouped.
+    A staged weight and every partial sum of its group share one sign and
+    stay within the group's sum, so ``coefficient_bound`` certifies them all.
     """
     if spec.shift != 0:
         raise ValueError("structure constants require an unshifted kernel")
     check_term_cap(term_cap)
     m, n, exp = spec.m, spec.n, spec.d - 1
-    dtype = np.int64 if exp * m * n < 63 else object
+    dtype = np.int64 if coefficient_bound(exp * m * n) <= _INT64_MAX else object
     exps = np.zeros((1, m + n), dtype=np.int64)
     weights = np.ones(1, dtype=dtype)
     staged = [1]
@@ -427,50 +443,25 @@ def verify_symmetry(table: StructureConstantTable) -> CheckReport:
     )
 
 
-# rows of one table-pair convolution staged and grouped at a time
-STAGE_ROWS = 1 << 16
+def _factorization_sides(kernel, l: int, m: int, n: int) -> Tuple[MPoly, MPoly]:
+    """Both sides of ``K_lm * K_{l+m,n} == K_{l,m+n} * K_mn`` for blocks (l, m, n).
 
-
-def _padded(table: StructureConstantTable, offset: int, width: int, dtype):
-    """The table's rows placed at column ``offset`` of ``width``, power last."""
-    m, n = table.spec.m, table.spec.n
-    rows = np.zeros((len(table), width + 1), dtype=np.int64)
-    rows[:, offset : offset + m + n] = table.exps
-    rows[:, width] = table.powers
-    return rows, table.weights.astype(dtype)
-
-
-def _convolve(first, second):
-    """Group the sums of every row of ``first`` with every row of ``second``.
-
-    Each operand is (rows, weights); a sum's weight is the product of its
-    two weights.  The cartesian sums are staged about STAGE_ROWS at a time,
-    grouped, and the groups regrouped once at the end.
+    ``kernel(rows, cols)`` is that K on its own blocks' variables; K_lm is
+    placed on the first l+m of the l+m+n variables and K_mn on the last m+n.
     """
-    (rows_a, w_a), (rows_b, w_b) = sorted((first, second), key=lambda t: len(t[1]))
-    step_b = min(len(w_b), STAGE_ROWS)
-    step_a = max(1, STAGE_ROWS // step_b)
-    width = rows_a.shape[1]
-    rows, weights = [], []
-    for i in range(0, len(w_a), step_a):
-        for j in range(0, len(w_b), step_b):
-            block_a, block_b = slice(i, i + step_a), slice(j, j + step_b)
-            r, w = group_rows(
-                (rows_a[block_a, None] + rows_b[None, block_b]).reshape(-1, width),
-                (w_a[block_a, None] * w_b[None, block_b]).ravel(),
-            )
-            rows.append(r)
-            weights.append(w)
-    return group_rows(np.concatenate(rows), np.concatenate(weights))
+    lm, lmn, l_mn, mn = (kernel(*shape) for shape in ((l, m), (l + m, n), (l, m + n), (m, n)))
+    arity = l + m + n
+    return embed(lm, arity, range(l + m)) * lmn, l_mn * embed(mn, arity, range(l, arity))
 
 
-def _as_laurent_dict(rows: np.ndarray, weights: np.ndarray, l: int, m: int):
-    """Grouped (a, b, c, power) rows as {(a, b, c): QLaurent}."""
-    terms: Dict[Tuple[Exponent, Exponent, Exponent], Dict[int, int]] = {}
-    for row, w in zip(rows.tolist(), weights.tolist()):
-        key = (tuple(row[:l]), tuple(row[l : l + m]), tuple(row[l + m : -1]))
-        terms.setdefault(key, {})[row[-1]] = w
-    return {key: QLaurent.from_dict(t) for key, t in terms.items()}
+def _as_mpoly(table: StructureConstantTable) -> MPoly:
+    """The table as a polynomial on its m+n variables.
+
+    The weights go in as Python ints, so that ``MPoly.from_rows`` sizes them
+    by their own sum of |weights|, which passes int64 before any weight does.
+    """
+    rows = np.column_stack([table.exps, table.powers])
+    return MPoly.from_rows(table.spec.m + table.spec.n, rows, table.weights.tolist())
 
 
 def _convolution_check(
@@ -478,37 +469,23 @@ def _convolution_check(
 ) -> Tuple[int, List[str]]:
     """Distinct (a, b, c) over both convolution sides, and the first mismatch.
 
-    Each table is padded to l+m+n exponent columns at its block offset plus
-    a q-power column, and the rows of each side's cartesian product are
-    summed and grouped.  Either side's sum of |weight| products is
-    2**((d-1)*(lm+ln+mn)), so the weights are int64 when that is below 2**63
-    and Python ints otherwise.
+    The four tables are lifted into ``MPoly`` and multiplied as in the
+    factorization identity: the coefficient of x**(a, b, c) on either side
+    is that side of the convolution identity.
     """
-    t_lm, t_lmn, t_l_mn, t_mn = (
-        structure_table(rows, cols, d, term_cap)
-        for rows, cols in ((l, m), (l + m, n), (l, m + n), (m, n))
+    left, right = _factorization_sides(
+        lambda rows, cols: _as_mpoly(structure_table(rows, cols, d, term_cap)), l, m, n
     )
-    width = l + m + n
-    dtype = np.int64 if (d - 1) * (l * m + l * n + m * n) < 63 else object
-    lhs = _convolve(_padded(t_lm, 0, width, dtype), _padded(t_lmn, 0, width, dtype))
-    rhs = _convolve(_padded(t_l_mn, 0, width, dtype), _padded(t_mn, l, width, dtype))
-    # distinct (a, b, c) over both sides: the rows less their power column
-    keys, _ = group_rows(
-        np.concatenate([lhs[0], rhs[0]])[:, :width],
-        np.ones(len(lhs[1]) + len(rhs[1]), dtype=np.int64),
-    )
-    failures: List[str] = []
-    if not (np.array_equal(lhs[0], rhs[0]) and np.array_equal(lhs[1], rhs[1])):
-        left = _as_laurent_dict(*lhs, l, m)
-        right = _as_laurent_dict(*rhs, l, m)
-        for key in sorted(set(left) | set(right)):
-            if left.get(key) != right.get(key):
-                failures.append(
-                    "convolution mismatch at (a,b,c)=%r: %r vs %r"
-                    % (key, left.get(key), right.get(key))
-                )
-                break
-    return len(keys), failures
+    if left == right:
+        return len(left), []
+    # grouped rows are canonical: unequal sides differ at some (a, b, c)
+    left, right = left.terms, right.terms
+    keys = sorted(set(left) | set(right))
+    key = next(k for k in keys if left.get(k) != right.get(k))
+    split = key[:l], key[l : l + m], key[l + m :]
+    return len(keys), [
+        "convolution mismatch at (a,b,c)=%r: %r vs %r" % (split, left.get(key), right.get(key))
+    ]
 
 
 def verify_coefficient_identity(
@@ -520,20 +497,18 @@ def verify_coefficient_identity(
     every split exponent (a, b, c),
       sum over a1+a2=a, b1+b2=b of C[l,m](a1,b1) * C[l+m,n]((a2,b2),c)
       == sum over b1+b2=b, c1+c2=c of C[l,m+n](a,(b2,c2)) * C[m,n](b1,c1).
-    Both sides are computed on the tables' integer arrays, staged about
-    STAGE_ROWS rows at a time.  Second, the underlying polynomial identity:
-    the (l,m) kernel times the (l+m,n) kernel equals the (l,m+n) kernel times
-    the (m,n) kernel shifted past the first l variables; it is expanded from
-    the factors themselves and never reads the tables.  ``checked`` counts
-    the distinct (a, b, c) on either side, plus one for the polynomial
-    identity.
+    Both sides are the coefficients of the product below, run on the four
+    tables lifted into ``MPoly``, which certifies each product's weights
+    from the actual sums of its factors' |weights|.  Second, the underlying
+    polynomial identity: the (l,m) kernel times the (l+m,n) kernel equals
+    the (l,m+n) kernel times the (m,n) kernel shifted past the first l
+    variables; it is expanded from the factors themselves and never reads
+    the tables.  ``checked`` counts the distinct (a, b, c) on either side,
+    plus one for the polynomial identity.
     """
     checked, failures = _convolution_check(l, m, n, d, term_cap)
-    left_poly = embed(
-        kernel_polynomial(KernelSpec(l, m, d), term_cap), l + m + n, range(l + m)
-    ) * kernel_polynomial(KernelSpec(l + m, n, d), term_cap)
-    right_poly = kernel_polynomial(KernelSpec(l, m + n, d), term_cap) * kernel_polynomial(
-        KernelSpec(m, n, d, shift=l), term_cap
+    left_poly, right_poly = _factorization_sides(
+        lambda rows, cols: kernel_polynomial(KernelSpec(rows, cols, d), term_cap), l, m, n
     )
     checked += 1
     if left_poly != right_poly:

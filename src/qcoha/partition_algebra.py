@@ -37,16 +37,18 @@ tables are bounded, least recently used out, at twice a default suite's
 working set.  The checks a product of a given shape must pass run once per
 shape (``_check_shape``).
 
-The staged coefficients are int64 only when a bound certifies that no sum
-can leave int64 range: the sum of |coefficients| times the table's sum of
-|weights|, 2**((d-1)*m*n), summed over the pairs.  Otherwise, and for
+Every coefficient bound comes from ``kernel.coefficient_bound``: a basis
+product of lengths m and n has no |coefficient| above
+``coefficient_bound((d-1)*m*n)``.  The staged coefficients are int64 only
+when a bound certifies that no sum can leave int64 range: the sum of
+|coefficients| times that bound, summed over the pairs.  Otherwise, and for
 Fraction coefficients, the same code runs with dtype=object, so the
 arithmetic is always exact.  Keys follow the layout's own rule, int64 or
 Python ints.  A cached basis product is stored in the narrowest of int8,
 int16, int32 and int64 that its certified bounds allow (``_narrowest``):
 its rows within the column bounds of ``_row_bounds``, its coefficients within
-the table's sum of |weights|; a build writes its surviving rows straight
-into that dtype.  Readers widen before arithmetic that could leave it: the
+``coefficient_bound``; a build writes its surviving rows straight into that
+dtype.  Readers widen before arithmetic that could leave it: the
 bilinear core casts each basis product's coefficients to the staging dtype
 once, and staged rows unpack to int64, or to Python ints past it.
 Packing is handed certified column bounds where the factors give them (see
@@ -67,6 +69,7 @@ from .kernel import (
     RowLayout,
     check_loop_count,
     check_term_cap,
+    coefficient_bound,
     group_keys,
     pack_rows,
     structure_table,
@@ -137,7 +140,7 @@ def _narrowest(lo: int, hi: int):
 
 # twice the 6 285 basis products ``verify assoc`` computes at its defaults,
 # its largest working set, so a long batch stays bounded without evicting
-# them; at the defaults those entries hold 11.8 MB of arrays (70.8 MB in int64)
+# them; at the defaults those entries hold 9.9 MB of arrays (70.8 MB in int64)
 BASIS_CACHE_SIZE = 1 << 14
 
 
@@ -149,14 +152,14 @@ def _basis_product(mu: Partition, nu: Partition, d: int):
     lexicographic order.  Each array is stored in the narrowest integer
     dtype its certified bounds allow, or as Python ints past int64: the rows
     within the column bounds of ``_row_bounds``, the coefficients within
-    +-2**((d-1)*m*n), the table's sum of |weights|.  Readers widen before
+    +-``coefficient_bound((d-1)*m*n)``.  Readers widen before
     any arithmetic that could leave that dtype.  Callers check their own
     term cap first and must not mutate the returned arrays.
     """
     lows, spans = _row_bounds((mu, nu), d)
     row_dtype = _narrowest(min(lows), max(lo + span for lo, span in zip(lows, spans)))
-    weights = 1 << ((d - 1) * len(mu) * len(nu))
-    coeff_dtype = _narrowest(-weights, weights)
+    bound = coefficient_bound((d - 1) * len(mu) * len(nu))
+    coeff_dtype = _narrowest(-bound, bound)
     if not mu or not nu:
         # the other factor's key at power 0
         return np.array([mu + nu + (0,)], dtype=row_dtype), np.ones(1, dtype=coeff_dtype)
@@ -200,8 +203,9 @@ def _capped_basis_product(mu: Partition, nu: Partition, d: int, term_cap: int):
 def _split_product(mu: Partition, nu: Partition, d: int):
     """The cached basis product mu * nu split by key (``_split_keys``).
 
-    A run of triples that share an outer product splits it once.  Callers
-    check the product first and must not mutate the returned list.
+    A run of triples that share an outer product fetches and splits it
+    once.  Callers run the product's checks first (``_check_shape``) and
+    must not mutate the returned list.
     """
     return _split_keys(*_basis_product(mu, nu, d))
 
@@ -294,8 +298,11 @@ def _bilinear_keys(terms, d: int, term_cap: int, layout=None, budget=None):
     the column extremes of the staged rows.  ``budget``, if given, is
     charged, in rows times their width, the rows of every basis product's
     build before any is fetched, cached or not, and then the staged rows
-    before anything is staged.  Returns {key length: (layout, keys, coeffs,
-    row dtype)}; the row dtype is the one the rows unpack to.
+    before anything is staged.  A staged key takes at most one basis
+    coefficient per coefficient term, so the coefficients are int64 when
+    the sum over the terms of ``sum|coeffs| * coefficient_bound((d-1)*m*n)``
+    fits it, and Python ints otherwise.  Returns {key length: (layout, keys,
+    coeffs, row dtype)}; the row dtype is the one the rows unpack to.
     """
     if budget is not None:
         shapes = [(len(k1), len(k2)) for k1, k2, _, _ in terms]
@@ -313,7 +320,7 @@ def _bilinear_keys(terms, d: int, term_cap: int, layout=None, budget=None):
         staged += rows
         work += rows * (length + 1)
         if integral and all(type(x) is int for x in cs):
-            bound += sum(map(abs, cs)) << ((d - 1) * len(k1) * len(k2))
+            bound += sum(map(abs, cs)) * coefficient_bound((d - 1) * len(k1) * len(k2))
         else:
             integral = False
     if staged > term_cap:
@@ -453,13 +460,13 @@ def check_associativity(
     w = tuple(w)
     cap = DEFAULT_TERM_CAP
     layout = RowLayout(*_row_bounds((mu, nu, w), d))
-    # each outer product is checked and fetched, then split once per run of
+    # each outer product is checked, then fetched and split once per run of
     # triples that share it
-    _capped_basis_product(mu, nu, d, cap)
+    _check_shape(len(mu), len(nu), d, cap)
     _check_shape(len(mu) + len(nu), len(w), d, cap)
     terms = [(k, w, ps, cs) for k, ps, cs in _split_product(mu, nu, d)]
     (left,) = _bilinear_keys(terms, d, cap, layout, budget).values()
-    _capped_basis_product(nu, w, d, cap)
+    _check_shape(len(nu), len(w), d, cap)
     _check_shape(len(mu), len(nu) + len(w), d, cap)
     terms = [(mu, k, ps, cs) for k, ps, cs in _split_product(nu, w, d)]
     (right,) = _bilinear_keys(terms, d, cap, layout, budget).values()

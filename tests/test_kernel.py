@@ -8,13 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcoha.kernel as kernel
+import qcoha.mpoly as mpoly_mod
 from qcoha.cli import main
 from qcoha.errors import ResourceLimitError
 from qcoha.kernel import (
     KernelSpec,
+    RowLayout,
     StructureConstantTable,
+    group_keys,
     group_rows,
     kernel_polynomial,
+    pack_rows,
     pairwise_kernel,
     structure_constants,
     structure_table,
@@ -251,7 +255,7 @@ def test_coefficient_identity_matches_entry_convolution(l, m, n, d, monkeypatch)
     report = verify_coefficient_identity(l, m, n, d)
     assert (report.checked, report.failures) == want
     # staging a few rows at a time must not change the result
-    monkeypatch.setattr(kernel, "STAGE_ROWS", 7)
+    monkeypatch.setattr(mpoly_mod, "STAGE_ROWS", 7)
     report = verify_coefficient_identity(l, m, n, d)
     assert (report.checked, report.failures) == want
 
@@ -297,6 +301,22 @@ def test_coefficient_identity_past_int64_uses_python_ints():
     assert report.checked == 1388
 
 
+def test_coefficient_identity_on_int64_tables_whose_sums_pass_int64(monkeypatch):
+    # at d = 33 the (2, 1) table is int64, but its |weights| sum to 2**64:
+    # sized from the arrays, the products would wrap modulo 2**64
+    table = structure_table(2, 1, 33)
+    assert table.weights.dtype == np.int64
+    assert sum(abs(w) for w in table.weights.tolist()) == 2**64
+    for flip in (False, True):
+        if flip:
+            _flip_one_weight(monkeypatch, (2, 1, 33), int(np.abs(table.weights).argmax()))
+        want = reference_convolution(1, 1, 1, 33)
+        assert len(want[1]) == flip
+        report = verify_coefficient_identity(1, 1, 1, 33)
+        assert report.passed == (not flip)
+        assert (report.checked, report.failures) == want
+
+
 SMALL_SPECS = [(m, n, 1) for m in (1, 2, 3) for n in (1, 2, 3)] + [
     (m, n, d)
     for d in range(2, 20)
@@ -309,14 +329,21 @@ SMALL_SPECS = [(m, n, 1) for m in (1, 2, 3) for n in (1, 2, 3)] + [
 def test_integer_tables_match_expansion():
     # every table small enough to expand: the arrays, each row's power after
     # its exponents, are the kernel polynomial's rows, and the weights add up
-    # to 2**((d-1)mn) in absolute value
+    # to 2**((d-1)mn) in absolute value; those of power p have the sign
+    # (-1)**p and add up to binom((d-1)mn, p), the coefficients of (1 - q)**e
     for m, n, d in SMALL_SPECS:
         spec = KernelSpec(m, n, d)
         table = structure_constants(spec)
         g = kernel_polynomial(spec)
         assert np.array_equal(g.rows, np.column_stack([table.exps, table.powers])), (m, n, d)
         assert np.array_equal(g.weights, table.weights), (m, n, d)
-        assert sum(abs(w) for w in table.weights.tolist()) == 2 ** ((d - 1) * m * n)
+        e = (d - 1) * m * n
+        assert sum(abs(w) for w in table.weights.tolist()) == 2**e
+        by_power = [0] * (e + 1)
+        for p, w in zip(table.powers.tolist(), table.weights.tolist()):
+            assert (w < 0) == (p % 2 == 1), (m, n, d, p, w)
+            by_power[p] += abs(w)
+        assert by_power == [comb(e, p) for p in range(e + 1)], (m, n, d)
 
 
 def symmetry_reference(table):
@@ -454,12 +481,19 @@ def _true_bounds(rows):
     return lows, [max(col) - lo for col, lo in zip(zip(*rows), lows)]
 
 
+def _group_under(bounds, rows, weights):
+    # the packing core under given column bounds: one key per row, grouped
+    keys = pack_rows(RowLayout(*bounds), [(rows, None, (0,))])
+    index, sums = group_keys(keys, weights)
+    return rows[index], sums
+
+
 @pytest.mark.parametrize("rows", BOUNDARY_ROWS)
 def test_group_rows_takes_true_bounds_at_the_int64_boundary(rows):
     weights = _boundary_weights(rows)
     matrix = np.array(rows, dtype=np.int64)
-    got_rows, got_weights = group_rows(
-        matrix, np.array(weights, dtype=np.int64), _true_bounds(rows)
+    got_rows, got_weights = _group_under(
+        _true_bounds(rows), matrix, np.array(weights, dtype=np.int64)
     )
     got = list(zip(map(tuple, got_rows.tolist()), got_weights.tolist()))
     assert got == _grouped_reference(rows, weights)
@@ -489,15 +523,29 @@ def test_group_rows_with_and_without_bounds_matches_reference(rows, below, above
     lows, spans = _true_bounds(rows)
     wide = [lo - below for lo in lows], [span + below + above for span in spans]
     for bounds in (None, (lows, spans), wide):
-        got_rows, got_weights = group_rows(
-            matrix, np.array(weights, dtype=np.int64), bounds
-        )
+        group = group_rows if bounds is None else lambda *a: _group_under(bounds, *a)
+        got_rows, got_weights = group(matrix, np.array(weights, dtype=np.int64))
         got = list(zip(map(tuple, got_rows.tolist()), got_weights.tolist()))
         assert got == want
         assert matrix.tolist() == rows
 
 
-@pytest.mark.parametrize("m,n,d", [(1, 1, 70), (2, 1, 33)])
+@pytest.mark.parametrize(
+    "m,n,d,dtype",
+    # e = 66 and 64 are the last with binom(e, e // 2) in int64
+    [(1, 1, 67, np.int64), (2, 1, 33, np.int64), (1, 1, 68, object), (2, 1, 35, object)],
+)
+def test_tables_at_the_int64_edge(m, n, d, dtype):
+    spec = KernelSpec(m, n, d)
+    table = structure_constants(spec)
+    assert table.weights.dtype == dtype
+    e = (d - 1) * m * n
+    assert (comb(e, e // 2) <= 2**63 - 1) == (dtype is np.int64)
+    want = {(x[:m], x[m:]): c for x, c in kernel_polynomial(spec).terms.items()}
+    assert table_entries(table) == want
+
+
+@pytest.mark.parametrize("m,n,d", [(1, 1, 70), (2, 1, 35)])
 def test_tables_past_int64_use_python_ints(m, n, d):
     spec = KernelSpec(m, n, d)
     table = structure_constants(spec)
@@ -588,7 +636,7 @@ def test_kernel_rows_leave_int64_exactly():
     }
 
 
-@pytest.mark.parametrize("m,n,d", [(1, 1, 1), (2, 1, 4), (2, 2, 3), (1, 1, 70)])
+@pytest.mark.parametrize("m,n,d", [(1, 1, 1), (2, 1, 4), (2, 2, 3), (1, 1, 67), (1, 1, 70)])
 def test_g_table_output_matches_the_folded_rows(capsys, m, n, d):
     # the bytes of g --table in each format, from the rows folded to QLaurent
     entries = sorted(table_entries(structure_constants(KernelSpec(m, n, d))).items())

@@ -9,12 +9,14 @@ states that rule apart from the program (``cached_dtypes``).
 """
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import numpy as np
 import pytest
 
 from qcoha import partition_algebra
-from qcoha.kernel import RowLayout, group_rows, pack_rows, structure_table
+from qcoha.kernel import RowLayout, group_keys, group_rows, pack_rows, structure_table
 from qcoha.partition_algebra import (
     _basis_product,
     _bilinear_keys,
@@ -72,10 +74,12 @@ def narrowest(lo, hi):
 
 def cached_dtypes(mu, nu, d):
     # a part grows by at most d-1 per part of the other factor, a power lies
-    # in [0, (d-1)*m*n], and |coefficient| is at most 2**((d-1)*m*n)
+    # in [0, (d-1)*m*n], and |coefficient| is at most binom(e, e // 2) with
+    # e = (d-1)*m*n: the weights of one power share a sign and sum to
+    # binom(e, power) in absolute value
     e = (d - 1) * len(mu) * len(nu)
     hi = max([p + (d - 1) * len(nu) for p in mu] + [p + (d - 1) * len(mu) for p in nu] + [e])
-    return narrowest(min(mu + nu + (0,)), hi), narrowest(-(2**e), 2**e)
+    return narrowest(min(mu + nu + (0,)), hi), narrowest(-comb(e, e // 2), comb(e, e // 2))
 
 
 def reference_basis_product(mu, nu, d):
@@ -98,7 +102,9 @@ def reference_bilinear_rows(terms, d, bounds=None):
         basis = reference_basis_product(k1, k2, d)
         by_len.setdefault(len(k1) + len(k2), []).append((basis, ps, cs))
         if integral and all(type(x) is int for x in cs):
-            bound += sum(map(abs, cs)) << ((d - 1) * len(k1) * len(k2))
+            # a staged row takes at most one basis coefficient per term of cs
+            e = (d - 1) * len(k1) * len(k2)
+            bound += sum(map(abs, cs)) * comb(e, e // 2)
         else:
             integral = False
     dtype = np.int64 if integral and bound <= _INT64_MAX else object
@@ -214,7 +220,8 @@ def test_a_layout_wider_than_63_bits_packs_small_parts_as_python_ints():
     assert_same((loose.unpack(side[1], side[3]), side[2]), want)
     rows, weights = want[0], np.ones(len(want[0]), dtype=np.int64)
     bounds = (lows, [span + 2**40 for span in spans])
-    assert_same(group_rows(rows, weights, bounds), reference_group_rows(rows, weights, bounds))
+    index, sums = group_keys(pack_rows(RowLayout(*bounds), [(rows, None, (0,))]), weights)
+    assert_same((rows[index], sums), reference_group_rows(rows, weights, bounds))
 
 
 def test_fractions_and_negative_powers_match_the_reference():
@@ -333,7 +340,7 @@ def test_narrow_rows_pack_like_int64_rows(dtype, width):
 def test_products_that_leave_the_cached_dtype_stay_exact(c):
     # basis coefficients stored as int16 and int32, times terms whose
     # products leave both, must widen before they are multiplied
-    for mu, nu, d, dtype in [((0, 1), (1, 2), 3, np.int16), ((0, 1), (1, 2), 5, np.int32)]:
+    for mu, nu, d, dtype in [((0, 1), (1, 2), 4, np.int16), ((0, 1), (1, 2), 6, np.int32)]:
         assert _basis_product(mu, nu, d)[1].dtype == dtype
         e1 = {mu: QLaurent(0, (c, 1)), (0,): q_power(2)}
         e2 = {nu: QLaurent(-1, (c, 0, -c)), (1,): ONE}
@@ -356,7 +363,7 @@ def test_products_that_leave_the_cached_dtype_stay_exact(c):
 def test_assoc_sides_that_leave_the_cached_dtype_match_the_reference():
     # the outer product's coefficients times int16 and int32 basis
     # coefficients leave int16 on either side
-    for mu, nu, w, d in [((0, 1), (1, 2), (0, 2), 3), ((0, 1, 1), (0, 2), (1, 2), 3)]:
+    for mu, nu, w, d in [((0, 1), (1, 2), (0, 2), 4), ((0, 1), (1, 2), (0,), 6)]:
         dtypes = {_basis_product(mu, nu, d)[1].dtype, _basis_product(nu, w, d)[1].dtype}
         assert dtypes <= {np.dtype(np.int16), np.dtype(np.int32)}
         terms = [(k, w, ps, cs) for k, ps, cs in _split_keys(*_basis_product(mu, nu, d))]
@@ -369,17 +376,26 @@ def test_assoc_sides_that_leave_the_cached_dtype_match_the_reference():
 def test_a_default_assoc_suite_caches_narrow_products(monkeypatch):
     # every basis product the default suite reads is in the narrowest dtype
     # of the rule, and together they hold at most 16 MiB of arrays (about
-    # 11 MiB, against 67.5 MiB in int64)
+    # 9.4 MiB, against 67.5 MiB in int64); from empty caches, an outer
+    # product is fetched only when it is split, so every hit is a reuse
     entries = {}
-    basis_product = partition_algebra._basis_product
+    cached = lru_cache(maxsize=partition_algebra.BASIS_CACHE_SIZE)(
+        partition_algebra._basis_product.__wrapped__
+    )
 
     def spy(mu, nu, d):
-        entries[mu, nu, d] = basis_product(mu, nu, d)
+        entries[mu, nu, d] = cached(mu, nu, d)
         return entries[mu, nu, d]
 
     monkeypatch.setattr(partition_algebra, "_basis_product", spy)
+    partition_algebra._split_product.cache_clear()
     assert suite_assoc().passed
-    assert len(entries) > 6000
+    info = cached.cache_info()
+    assert (info.hits, info.misses) == (20243, 6285)
+    # 6 100 outer products, 3 280 of them fetched and split
+    splits = partition_algebra._split_product.cache_info()
+    assert (splits.hits, splits.misses) == (2820, 3280)
+    assert len(entries) == 6285
     held = 0
     for (mu, nu, d), (rows, coeffs) in entries.items():
         assert (rows.dtype, coeffs.dtype) == cached_dtypes(mu, nu, d), (mu, nu, d)

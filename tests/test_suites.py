@@ -218,6 +218,8 @@ def test_a_budget_of_zero_refuses_before_the_first_side_is_staged(monkeypatch):
     monkeypatch.setattr(partition_algebra, "pack_rows", lambda *a: staged.append(a) or pack(*a))
     monkeypatch.setattr(partition_algebra, "_basis_product", lambda *a: fetched.append(a) or basis(*a))
     monkeypatch.setattr(suites, "GRID_WORK_LIMIT", 0)
+    # the outer product is fetched where it is split, so not from a warm split
+    partition_algebra._split_product.cache_clear()
     budget = suites._WorkBudget("assoc")
     message = "^verify assoc: the checks exceed the work limit 0$"
     with pytest.raises(ResourceLimitError, match=message):
