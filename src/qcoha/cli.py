@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import re
 import sys
 from typing import Dict, Optional, Sequence
 
@@ -37,28 +38,22 @@ from .kernel import (
 )
 from .partition_algebra import _capped_basis_product, _to_element, product, specialize
 from .partitions import parse_partition
-from .qlaurent import ONE, QLaurent, Rational
+from .qlaurent import ONE, Rational
 from .serialization import (
+    STYLES,
     _partition_from_json,
-    _table_rows,
     element_from_json,
     graded_to_json,
     grouped_json_text,
     mpoly_to_json,
     orientations_json_text,
     rational_from_json,
-    render_element_latex,
-    render_element_text,
-    render_graded_latex,
-    render_graded_text,
-    render_mpoly_latex,
-    render_mpoly_text,
-    render_qlaurent_latex,
-    render_qlaurent_text,
-    render_specialized_latex,
-    render_specialized_text,
-    render_symmetric_latex,
-    render_symmetric_text,
+    render_element,
+    render_graded,
+    render_mpoly,
+    render_specialized,
+    render_symmetric,
+    render_table,
     specialized_to_json,
     symmetric_to_json,
     table_to_json,
@@ -66,7 +61,7 @@ from .serialization import (
 from .shuffle_algebra import partition_image, shuffle_product, to_symmetric_element
 from .suites import SUITES
 
-FORMATS = ("json", "text", "latex")
+FORMATS = ("json", *STYLES)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,9 +74,9 @@ class _Parser(argparse.ArgumentParser):
 # -- subcommand handlers ---------------------------------------------------------
 #
 # Each returns the JSON payload (a dict, or its JSON text already written)
-# plus zero-argument "text" and "latex" renderers, so only the format that is
-# written out gets rendered.  A handler's parameters are its command's request
-# fields, and its docstring is the subcommand's help line.
+# plus one "render" that takes a text or LaTeX style from STYLES, so only the
+# format that is written out gets rendered.  A handler's parameters are its
+# command's request fields, and its docstring is the subcommand's help line.
 
 
 def run_multiply(
@@ -98,14 +93,12 @@ def run_multiply(
         grouped = _capped_basis_product(left, right, d, term_cap)
         return {
             "payload": grouped_json_text(*grouped, d),
-            "text": lambda: render_element_text(_to_element(*grouped)),
-            "latex": lambda: render_element_latex(_to_element(*grouped)),
+            "render": lambda style: render_element(_to_element(*grouped), style),
         }
     values = specialize(product(left, right, d, term_cap), at_q)
     return {
         "payload": specialized_to_json(values, d, at_q),
-        "text": lambda: render_specialized_text(values),
-        "latex": lambda: render_specialized_latex(values),
+        "render": lambda style: render_specialized(values, style),
     }
 
 
@@ -123,8 +116,7 @@ def run_shuffle(
     )
     return {
         "payload": symmetric_to_json(se),
-        "text": lambda: render_symmetric_text(se),
-        "latex": lambda: render_symmetric_latex(se),
+        "render": lambda style: render_symmetric(se, style),
     }
 
 
@@ -137,8 +129,7 @@ def run_phi(partition=None, element=None) -> Dict[str, object]:
     )
     return {
         "payload": graded_to_json(ge),
-        "text": lambda: render_graded_text(ge),
-        "latex": lambda: render_graded_latex(ge),
+        "render": lambda style: render_graded(ge, style),
     }
 
 
@@ -155,22 +146,14 @@ def run_g(
     spec = KernelSpec(m=m, n=n, d=d, shift=shift)
     if table:
         tab = structure_constants(spec, term_cap)
-
-        def lines(template, render):
-            return "\n".join(
-                template % (a, b, render(QLaurent.term(w, p))) for a, b, p, w in _table_rows(tab)
-            )
-
         return {
             "payload": table_to_json(tab),
-            "text": lambda: lines("a=%r b=%r: %s", render_qlaurent_text),
-            "latex": lambda: lines("c^{%r,%r} = %s", render_qlaurent_latex),
+            "render": lambda style: render_table(tab, style),
         }
     poly = kernel_polynomial(spec, term_cap)
     return {
         "payload": mpoly_to_json(poly),
-        "text": lambda: render_mpoly_text(poly),
-        "latex": lambda: render_mpoly_latex(poly),
+        "render": lambda style: render_mpoly(poly, style),
     }
 
 
@@ -186,8 +169,7 @@ def run_graphs(left, right, list: bool = False) -> Dict[str, object]:
         payload = payload[:-1] + ', "orientations": ' + orientations_json_text(*listed) + "}"
     return {
         "payload": payload,
-        "text": lambda: render_element_text(_to_element(*grouped)),
-        "latex": lambda: render_element_latex(_to_element(*grouped)),
+        "render": lambda style: render_element(_to_element(*grouped), style),
     }
 
 
@@ -197,8 +179,7 @@ def run_specialize(element, at_q: Rational) -> Dict[str, object]:
     values = specialize(element, at_q)
     return {
         "payload": specialized_to_json(values, d, at_q),
-        "text": lambda: render_specialized_text(values),
-        "latex": lambda: render_specialized_latex(values),
+        "render": lambda style: render_specialized(values, style),
     }
 
 
@@ -251,8 +232,7 @@ def run_verify(
     text = "\n".join(lines)
     return {
         "payload": report.to_json(),
-        "text": lambda: text,
-        "latex": lambda: text,
+        "render": lambda style: text,
         "passed": report.passed,
     }
 
@@ -429,8 +409,21 @@ def run_batch(stdin, stdout) -> int:
     return 0
 
 
+def _attach_negative_rationals(argv: Sequence[str]):
+    """``--at-q -1/2`` as ``--at-q=-1/2``: argparse takes a token that starts
+    with "-" for a flag unless it is a plain negative number."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--at-q" and re.match(r"-\d", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
+        argv = _attach_negative_rationals(sys.argv[1:] if argv is None else argv)
         request = vars(build_parser().parse_args(argv))
         request["cmd"] = request.pop("command")
         if request["cmd"] == "batch":
@@ -439,7 +432,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if "element" in _COMMAND_FIELDS[request["cmd"]] and "partition" not in request:
             request["element"] = sys.stdin
         result = run_request(request, argv=True)
-        out = _encode(result["payload"]) if fmt == "json" else result[fmt]()
+        out = _encode(result["payload"]) if fmt == "json" else result["render"](STYLES[fmt])
         sys.stdout.write(out + "\n")
         return 1 if result.get("passed") is False else 0
     except _REQUEST_ERRORS as exc:

@@ -457,11 +457,11 @@ def _factorization_sides(kernel, l: int, m: int, n: int) -> Tuple[MPoly, MPoly]:
 def _as_mpoly(table: StructureConstantTable) -> MPoly:
     """The table as a polynomial on its m+n variables.
 
-    The weights go in as Python ints, so that ``MPoly.from_rows`` sizes them
-    by their own sum of |weights|, which passes int64 before any weight does.
+    ``MPoly.from_rows`` sizes the weights by their own sum of |weights|,
+    which passes int64 before any weight does.
     """
     rows = np.column_stack([table.exps, table.powers])
-    return MPoly.from_rows(table.spec.m + table.spec.n, rows, table.weights.tolist())
+    return MPoly.from_rows(table.spec.m + table.spec.n, rows, table.weights)
 
 
 def _convolution_check(

@@ -31,13 +31,12 @@ for the JSON and text renderers, ``coefficient`` and failure messages.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .qlaurent import ONE, ZERO, QLaurent, as_rational
+from .qlaurent import ONE, ZERO, QLaurent
 
 Exponent = Tuple[int, ...]
 
@@ -126,6 +125,19 @@ def _weight_dtype(bound):
     return np.int64 if bound is not None and bound <= _INT64_MAX else object
 
 
+def _certified(weights: np.ndarray) -> np.ndarray:
+    """Int64 ``weights`` as they are when their |weights| sum below 2**63,
+    else as dtype=object.
+
+    The cheap bound max|w| * len is tried first; only when it fails is the
+    exact sum taken, in Python ints.
+    """
+    top = max(int(weights.max()), -int(weights.min()))
+    if top * len(weights) <= _INT64_MAX or sum(map(abs, weights.tolist())) <= _INT64_MAX:
+        return weights
+    return weights.astype(object)
+
+
 class MPoly:
     __slots__ = ("arity", "rows", "weights", "_bounds", "_terms")
 
@@ -168,8 +180,9 @@ class MPoly:
         """Group (exponent..., power) rows, summing the weights of equal rows.
 
         ``rows`` and ``weights`` are lists of Python ints and rationals, or
-        arrays: int64 or dtype=object rows, and weights that are int64 only
-        when the sum of their absolute values is below 2**63.
+        arrays: int64 or dtype=object rows and weights.  Int64 weights stay
+        int64 only while the sum of their absolute values is below 2**63, as
+        every operation on them assumes.
         """
         if not len(weights):
             return cls.zero(arity)
@@ -177,6 +190,8 @@ class MPoly:
             exact = all(type(w) is int for w in weights)
             dtype = _weight_dtype(sum(map(abs, weights)) if exact else None)
             weights = np.array(weights, dtype=dtype)
+        elif weights.dtype != object:
+            weights = _certified(weights)
         if not isinstance(rows, np.ndarray):
             rows = _int_array(rows, (len(weights), arity + 1))
         packing = _Packing(rows.min(axis=0).tolist(), rows.max(axis=0).tolist())
@@ -265,21 +280,6 @@ class MPoly:
     def coefficient(self, exp: Sequence[int]) -> QLaurent:
         return self.terms.get(tuple(exp), ZERO)
 
-    def _degrees(self) -> np.ndarray:
-        exps = self.rows[:, :-1]
-        # a row sum may leave int64 even when every exponent fits
-        if self and exps.dtype != object and sum(self._column_bounds()[1][:-1]) > _INT64_MAX:
-            exps = exps.astype(object)
-        return exps.sum(axis=1)
-
-    def total_degree(self) -> int:
-        if not self:
-            raise ValueError("the zero polynomial has no degree")
-        return int(self._degrees().max())
-
-    def is_homogeneous(self) -> bool:
-        return len(set(self._degrees().tolist())) <= 1
-
     def rows_where(self, mask: np.ndarray) -> "MPoly":
         """The polynomial made of the rows where ``mask`` holds."""
         return MPoly._make(self.arity, self.rows[mask], self.weights[mask])
@@ -331,28 +331,6 @@ class MPoly:
         if coeff == ONE:
             return self
         return multiply(self, MPoly.constant(self.arity, coeff))
-
-    def eval_q(self, value) -> Dict[Exponent, object]:
-        """Specialize q: exponent -> rational, dropping vanished terms.
-
-        Evaluation at 0 is defined only without negative powers of q.
-        """
-        v = as_rational(value)
-        powers = self.rows[:, -1]
-        if v == 0 and len(powers) and powers.min() < 0:
-            raise ValueError("cannot evaluate a negative power of q at 0")
-        # exact powers of v, one per distinct power of q
-        distinct, inverse = np.unique(powers, return_inverse=True)
-        values = np.array([Fraction(v) ** p for p in distinct.tolist()], dtype=object)
-        rows = self.rows.copy()
-        rows[:, -1] = 0
-        at_v = MPoly.from_rows(
-            self.arity, rows, self.weights.astype(object) * values[inverse.ravel()]
-        )
-        return {
-            tuple(row[:-1]): as_rational(w)
-            for row, w in zip(at_v.rows.tolist(), at_v.weights.tolist())
-        }
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):

@@ -119,10 +119,6 @@ class QLaurent:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def is_polynomial(self) -> bool:
-        """True when no negative power of q occurs (the zero value counts)."""
-        return self.offset >= 0 or not self.coeffs
-
     def is_constant(self) -> bool:
         return not self.coeffs or (self.offset == 0 and len(self.coeffs) == 1)
 
@@ -132,11 +128,6 @@ class QLaurent:
         if self.offset == 0 and len(self.coeffs) == 1:
             return self.coeffs[0]
         raise ValueError("not a constant: %r" % (self,))
-
-    def max_power(self) -> int:
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no support")
-        return self.offset + len(self.coeffs) - 1
 
     def coefficient(self, power: int) -> Rational:
         i = power - self.offset

@@ -1,4 +1,4 @@
-"""JSON wire formats plus text and LaTeX renderers.
+"""JSON wire formats plus the text and LaTeX renderer.
 
 All JSON is canonical: rationals are strings ("p" or "p/q"), polynomial terms
 are sorted (exponent vectors lexicographically, partition keys by length then
@@ -10,12 +10,16 @@ the bytes of ``json.dumps(element_to_json(...))`` of its QLaurent dict, with
 no QLaurent, no dict tree and no encoder pass; ``orientations_json_text``
 writes the orientation listing of ``graphs --list`` the same way.
 
-Renderers order a coefficient's powers of q descending and an element's keys
-by (length, lex); both orders are fixed so output is byte-identical across
-runs.
+Text and LaTeX come from one renderer per kind of value (``render_qlaurent``,
+``render_element`` and so on), each given a ``Style``: the spellings of one
+format, such as its fraction, its power of q and its times sign.  ``STYLES``
+holds one style per format, keyed by its ``--format`` name.  Renderers order a
+coefficient's powers of q descending and an element's keys by (length, lex);
+both orders are fixed so output is byte-identical across runs.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -235,195 +239,130 @@ def table_to_json(table: StructureConstantTable) -> dict:
 # -- text and LaTeX rendering -----------------------------------------------------------
 
 
-def _rational_text(value: Rational) -> str:
+@dataclass(frozen=True)
+class Style:
+    """How one output format spells what the renderers write.
+
+    ``fraction`` takes (numerator, denominator) and ``power`` an exponent of
+    q other than 0 and 1; ``times`` goes between a coefficient and its key.
+    ``symmetric`` and ``exponent`` wrap the ``(a, b, ...)`` key of a
+    symmetric term and of a polynomial term.  ``table_line`` takes (a, b,
+    coefficient) of one ``g --table`` entry, ``component`` the mapping
+    {"arity", "body"} of one graded component, and ``joiner`` goes between
+    graded components.
+    """
+
+    fraction: str
+    power: str
+    times: str
+    symmetric: str
+    exponent: str
+    table_line: str
+    component: str
+    joiner: str
+
+
+STYLES = {
+    "text": Style(
+        fraction="%d/%d",
+        power="q^%d",
+        times="·",
+        symmetric="m%s",
+        exponent="x^%s",
+        table_line="a=%r b=%r: %s",
+        component="arity %(arity)d: %(body)s",
+        joiner="\n",
+    ),
+    "latex": Style(
+        fraction="\\frac{%d}{%d}",
+        power="q^{%d}",
+        times="\\cdot ",
+        symmetric="m_{%s}",
+        exponent="x^{%s}",
+        table_line="c^{%r,%r} = %s",
+        component="%(body)s",
+        joiner=" \\oplus ",
+    ),
+}
+
+
+def _rational(value: Rational, style: Style) -> str:
     if isinstance(value, Fraction):
-        return "%d/%d" % (value.numerator, value.denominator)
+        return style.fraction % (value.numerator, value.denominator)
     return str(value)
 
 
-def _rational_latex(value: Rational) -> str:
-    if isinstance(value, Fraction):
-        return "\\frac{%d}{%d}" % (value.numerator, value.denominator)
-    return str(value)
-
-
-def _power_text(k: int) -> str:
-    if k == 0:
-        return ""
-    if k == 1:
-        return "q"
-    return "q^%d" % k
-
-
-def _power_latex(k: int) -> str:
-    if k == 0:
-        return ""
-    if k == 1:
-        return "q"
-    return "q^{%d}" % k
-
-
-def _render_qlaurent(f: QLaurent, power, rational) -> str:
-    if not f:
-        return "0"
+def render_qlaurent(f: QLaurent, style: Style) -> str:
     pieces: List[str] = []
     for k, c in sorted(f.items(), reverse=True):
-        qpart = power(k)
-        if not qpart:
-            body = rational(c if c > 0 else -c)
-        elif c == 1 or c == -1:
-            body = qpart
-        else:
-            body = rational(c if c > 0 else -c) + qpart
-        if not pieces:
-            pieces.append(body if c > 0 else "-" + body)
-        else:
-            pieces.append(("+" if c > 0 else "-") + body)
-    return "".join(pieces)
+        qpart = "" if k == 0 else "q" if k == 1 else style.power % k
+        body = qpart if qpart and abs(c) == 1 else _rational(abs(c), style) + qpart
+        pieces.append(("-" if c < 0 else "+" if pieces else "") + body)
+    return "".join(pieces) or "0"
 
 
-def render_qlaurent_text(f: QLaurent) -> str:
-    return _render_qlaurent(f, _power_text, _rational_text)
+def _tuple_text(key: Sequence[int]) -> str:
+    return "(" + ", ".join(map(str, key)) + ")"
 
 
-def render_qlaurent_latex(f: QLaurent) -> str:
-    return _render_qlaurent(f, _power_latex, _rational_latex)
-
-
-def _term_count(f: QLaurent) -> int:
-    return sum(1 for _ in f.items())
-
-
-def _partition_text(key: Partition) -> str:
-    if len(key) == 1:
-        return "(%d)" % key[0]
-    return "(" + ", ".join(str(v) for v in key) + ")"
-
-
-def _render_terms(
-    keyed: Iterable[Tuple[str, str, bool]],
-) -> str:
-    """Join (coefficient string, key string, needs paren) triples."""
+def _render_terms(pieces: Iterable[Tuple[str, str, bool]], style: Style) -> str:
+    """Join (coefficient, key, needs parentheses) triples into a sum."""
     out: List[str] = []
-    for coeff, key, paren in keyed:
+    for coeff, key, paren in pieces:
         if coeff == "1":
             piece = key
         elif coeff == "-1":
             piece = "-" + key
         else:
-            body = "(%s)" % coeff if paren else coeff
-            piece = body + "·" + key
+            piece = ("(%s)" % coeff if paren else coeff) + style.times + key
         if not out:
             out.append(piece)
         elif piece.startswith("-"):
             out.append(" - " + piece[1:])
         else:
             out.append(" + " + piece)
-    return "".join(out)
+    return "".join(out) or "0"
 
 
-def _element_pieces(terms: Mapping[Partition, QLaurent], render) -> List[Tuple[str, str, bool]]:
+def _render_keyed(terms: Mapping, keys: Iterable, wrap: str, style: Style) -> str:
+    """The sum of ``terms[key]`` times each key wrapped by ``wrap``, in ``keys`` order."""
     pieces = []
-    for key in sorted(terms, key=partition_sort_key):
-        f = terms[key]
-        pieces.append((render(f), _partition_text(key), _term_count(f) > 1))
-    return pieces
+    for k in keys:
+        f = terms[k]
+        several = sum(1 for _ in f.items()) > 1
+        pieces.append((render_qlaurent(f, style), wrap % _tuple_text(k), several))
+    return _render_terms(pieces, style)
 
 
-def render_element_text(e: PartitionElement) -> str:
-    if not e:
-        return "0"
-    return _render_terms(_element_pieces(e, render_qlaurent_text))
+def render_element(e: PartitionElement, style: Style) -> str:
+    return _render_keyed(e, sorted(e, key=partition_sort_key), "%s", style)
 
 
-def render_element_latex(e: PartitionElement) -> str:
-    if not e:
-        return "0"
-    out = _render_terms(_element_pieces(e, render_qlaurent_latex))
-    return out.replace("·", "\\cdot ")
+def render_symmetric(se: SymmetricElement, style: Style) -> str:
+    return _render_keyed(se.terms, sorted(se.terms, key=partition_sort_key), style.symmetric, style)
 
 
-def render_specialized_text(values: Mapping[Partition, Rational]) -> str:
-    if not values:
-        return "0"
-    pieces = []
-    for key in sorted(values, key=partition_sort_key):
-        v = values[key]
-        pieces.append((_rational_text(v), _partition_text(key), False))
-    return _render_terms(pieces)
+def render_mpoly(p: MPoly, style: Style) -> str:
+    return _render_keyed(p.terms, sorted(p.terms), style.exponent, style)
 
 
-def render_specialized_latex(values: Mapping[Partition, Rational]) -> str:
-    if not values:
-        return "0"
-    pieces = []
-    for key in sorted(values, key=partition_sort_key):
-        v = values[key]
-        pieces.append((_rational_latex(v), _partition_text(key), False))
-    return _render_terms(pieces).replace("·", "\\cdot ")
+def render_specialized(values: Mapping[Partition, Rational], style: Style) -> str:
+    keys = sorted(values, key=partition_sort_key)
+    pieces = [(_rational(values[k], style), _tuple_text(k), False) for k in keys]
+    return _render_terms(pieces, style)
 
 
-def _exp_text(exp: Sequence[int]) -> str:
-    if len(exp) == 1:
-        return "(%d)" % exp[0]
-    return "(" + ", ".join(str(v) for v in exp) + ")"
-
-
-def render_mpoly_text(p: MPoly) -> str:
-    if not p.terms:
-        return "0"
-    pieces = []
-    for exp in sorted(p.terms):
-        f = p.terms[exp]
-        pieces.append((render_qlaurent_text(f), "x^" + _exp_text(exp), _term_count(f) > 1))
-    return _render_terms(pieces)
-
-
-def render_mpoly_latex(p: MPoly) -> str:
-    if not p.terms:
-        return "0"
-    pieces = []
-    for exp in sorted(p.terms):
-        f = p.terms[exp]
-        pieces.append(
-            (render_qlaurent_latex(f), "x^{%s}" % _exp_text(exp), _term_count(f) > 1)
-        )
-    return _render_terms(pieces).replace("·", "\\cdot ")
-
-
-def _symmetric_pieces(se: SymmetricElement, render, key_format) -> List[Tuple[str, str, bool]]:
-    pieces = []
-    for key in sorted(se.terms, key=partition_sort_key):
-        f = se.terms[key]
-        pieces.append((render(f), key_format(key), _term_count(f) > 1))
-    return pieces
-
-
-def render_symmetric_text(se: SymmetricElement) -> str:
-    if not se.terms:
-        return "0"
-    fmt = lambda key: "m" + _partition_text(key)
-    return _render_terms(_symmetric_pieces(se, render_qlaurent_text, fmt))
-
-
-def render_symmetric_latex(se: SymmetricElement) -> str:
-    if not se.terms:
-        return "0"
-    fmt = lambda key: "m_{%s}" % _partition_text(key)
-    out = _render_terms(_symmetric_pieces(se, render_qlaurent_latex, fmt))
-    return out.replace("·", "\\cdot ")
-
-
-def render_graded_text(ge: GradedElement) -> str:
+def render_graded(ge: GradedElement, style: Style) -> str:
     if not ge:
         return "0"
-    lines = []
-    for n in sorted(ge):
-        lines.append("arity %d: %s" % (n, render_symmetric_text(ge[n])))
-    return "\n".join(lines)
+    return style.joiner.join(
+        style.component % {"arity": n, "body": render_symmetric(ge[n], style)} for n in sorted(ge)
+    )
 
 
-def render_graded_latex(ge: GradedElement) -> str:
-    if not ge:
-        return "0"
-    return " \\oplus ".join(render_symmetric_latex(ge[n]) for n in sorted(ge))
+def render_table(table: StructureConstantTable, style: Style) -> str:
+    """``g --table``: one line per entry, in stored order."""
+    return "\n".join(
+        style.table_line % (a, b, render_qlaurent(QLaurent.term(w, p), style))
+        for a, b, p, w in _table_rows(table)
+    )

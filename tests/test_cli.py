@@ -23,16 +23,17 @@ from qcoha.cli import main
 from qcoha.errors import NotSymmetricError
 from qcoha.reports import CheckReport
 from qcoha.serialization import (
+    STYLES,
     element_to_json,
     graded_to_json,
-    render_element_latex,
-    render_element_text,
+    render_element,
     specialized_to_json,
 )
 from qcoha.shuffle_algebra import to_symmetric_element
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMAS = ROOT / "docs" / "schemas"
+TEXT, LATEX = STYLES["text"], STYLES["latex"]
 
 
 def validate(payload, schema_name):
@@ -198,6 +199,28 @@ def test_specialize_pipe(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload == specialized_to_json(specialize(e, 1), 4, 1)
     validate(payload, "specialized")
+
+
+NEGATIVE_AT_Q = [
+    (["multiply", "--d", "2", "--left", "0,1", "--right", "1"], None),
+    (["shuffle", "--d", "3", "--left", "0", "--right", "1"], None),
+    (["specialize"], json.dumps(element_to_json(product((0, 2), (1,), 4), 4))),
+]
+
+
+@pytest.mark.parametrize("argv,stdin_text", NEGATIVE_AT_Q)
+def test_negative_fraction_at_q_in_argv(capsys, monkeypatch, argv, stdin_text):
+    # argparse alone would take "-1/2" for a flag
+    outs = []
+    for at_q in (["--at-q", "-1/2"], ["--at-q=-1/2"]):
+        code, out, err = run(capsys, argv + at_q, stdin_text, monkeypatch)
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["terms"]
+    code, out, err = run(capsys, argv + ["--at-q", "-1/x"], stdin_text, monkeypatch)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {"code": "parse", "message": "bad rational '-1/x'"}}
 
 
 def test_verify_passes(capsys):
@@ -696,8 +719,8 @@ def test_multiply_text_latex_and_at_q_fold(capsys, monkeypatch):
     e = product(mu, nu, d)
     at_q = specialized_to_json(specialize(e, Fraction(1, 2)), d, Fraction(1, 2))
     cases = [
-        (["--format", "text"], render_element_text(e)),
-        (["--format", "latex"], render_element_latex(e)),
+        (["--format", "text"], render_element(e, TEXT)),
+        (["--format", "latex"], render_element(e, LATEX)),
         (["--at-q", "1/2"], json.dumps(at_q)),
     ]
     calls = []

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcoha.mpoly as mpoly_mod
+from qcoha.kernel import structure_table
 from qcoha.mpoly import MPoly, embed, relabelled_sum
 from qcoha.qlaurent import ONE, Q, ZERO, QLaurent
 
@@ -57,14 +58,6 @@ def test_embed_places_variables():
         embed(p, 4, (1, 1))
     with pytest.raises(ValueError):
         embed(p, 4, (0, 4))
-
-
-def test_constant_and_homogeneous():
-    c = MPoly.constant(3, QLaurent.const(5))
-    assert c.total_degree() == 0
-    p = x(3, 0) + x(3, 1) * x(3, 2)
-    assert not p.is_homogeneous()
-    assert (x(3, 0) * x(3, 1)).is_homogeneous()
 
 
 exponents = st.tuples(
@@ -154,15 +147,6 @@ def ref_embed(a, arity, positions):
     return out
 
 
-def ref_eval(a, value):
-    out = {}
-    for e, c in a.items():
-        v = c.eval_at(value)
-        if v:
-            out[e] = v
-    return out
-
-
 def exact_types(values):
     # integral values come out as int, the rest as Fraction
     return all(
@@ -188,21 +172,6 @@ def test_row_arithmetic_matches_dict_reference(a, b, c):
 @given(ref_polys(2), st.sampled_from([(0, 2), (3, 1), (1, 0)]))
 def test_row_embed_matches_dict_reference(a, positions):
     assert dict(embed(MPoly(2, a), 4, positions).terms) == ref_embed(a, 4, positions)
-
-
-@settings(max_examples=100, deadline=None)
-@given(ref_polys(2), st.sampled_from([0, 1, -1, 2, Fraction(2, 3), Fraction(-5, 2)]))
-def test_row_eval_q_matches_dict_reference(a, value):
-    p = MPoly(2, a)
-    try:
-        want = ref_eval(a, value)
-    except ValueError:
-        with pytest.raises(ValueError):
-            p.eval_q(value)
-        return
-    got = p.eval_q(value)
-    assert got == want
-    assert exact_types(got.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -231,6 +200,38 @@ def test_weights_are_int64_only_under_the_bound():
     huge = MPoly(1, {(2**63,): ONE})
     assert huge.rows.dtype == object and huge.weights.dtype == np.int64
     assert dict((huge * huge).terms) == {(2**64,): ONE}
+
+
+@pytest.mark.parametrize(
+    "weights,dtype",
+    [
+        ([3, -4], np.int64),
+        # max|w| * len passes 2**63, the exact sum of |w| does not
+        ([2**62, 1, -1], np.int64),
+        ([2**62, 2**62], object),
+        ([-(2**63)], object),
+    ],
+)
+def test_from_rows_keeps_int64_weight_arrays_only_below_2_63(weights, dtype):
+    rows = np.array([[i, 0] for i in range(len(weights))], dtype=np.int64)
+    p = MPoly.from_rows(1, rows, np.array(weights, dtype=np.int64))
+    assert p.weights.dtype == dtype
+    assert p.weights.tolist() == weights
+
+
+def test_from_rows_on_int64_table_arrays_whose_sum_passes_int64():
+    # the (2, 1) kernel table at d = 33 is int64, but its |weights| sum to 2**64
+    table = structure_table(2, 1, 33)
+    rows = np.column_stack([table.exps, table.powers])
+    assert table.weights.dtype == np.int64
+    lifted = MPoly.from_rows(3, rows, table.weights)
+    exact = MPoly.from_rows(3, rows.tolist(), table.weights.tolist())
+    assert lifted.weights.dtype == object
+    assert lifted == exact
+    # 32 times the largest |weight| leaves int64: a wrapped product would differ
+    factor = MPoly(3, {(1, 0, 0): QLaurent.const(32), (0, 0, 1): QLaurent.term(-3, 1)})
+    assert lifted * factor == exact * factor
+    assert max(map(abs, (lifted * factor).weights.tolist())) > 2**63
 
 
 def test_products_staged_in_small_chunks(monkeypatch):

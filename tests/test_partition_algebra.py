@@ -371,8 +371,8 @@ def test_products_have_polynomial_coefficients(mu, nu, d):
     e = product(mu, nu, d)
     bound = (d - 1) * len(mu) * len(nu)
     for coeff in e.values():
-        assert coeff.is_polynomial()
-        assert coeff.max_power() <= bound
+        assert min(k for k, _ in coeff.items()) >= 0
+        assert max(k for k, _ in coeff.items()) <= bound
     assert grading_failures(mu, nu, d, _basis_product(mu, nu, d)[0]) == []
 
 

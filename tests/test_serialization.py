@@ -21,15 +21,13 @@ from qcoha.serialization import (
     qlaurent_to_json,
     rational_from_json,
     rational_to_json,
-    render_element_latex,
-    render_element_text,
-    render_graded_text,
-    render_mpoly_text,
-    render_qlaurent_latex,
-    render_qlaurent_text,
-    render_specialized_text,
-    render_symmetric_latex,
-    render_symmetric_text,
+    STYLES,
+    render_element,
+    render_graded,
+    render_mpoly,
+    render_qlaurent,
+    render_specialized,
+    render_symmetric,
     specialized_to_json,
     symmetric_to_json,
     table_to_json,
@@ -37,6 +35,7 @@ from qcoha.serialization import (
 from qcoha.shuffle_algebra import SymmetricElement, to_symmetric_element
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+TEXT, LATEX = STYLES["text"], STYLES["latex"]
 
 
 def validate(payload, schema_name):
@@ -211,44 +210,44 @@ def test_table_json_sorted():
 
 
 def test_qlaurent_render_basics():
-    assert render_qlaurent_text(QLaurent(0, [])) == "0"
-    assert render_qlaurent_text(QL(0, 1)) == "1"
-    assert render_qlaurent_text(QL(0, -1)) == "-1"
-    assert render_qlaurent_text(QL(1, 1)) == "q"
-    assert render_qlaurent_text(QL(1, -1)) == "-q"
-    assert render_qlaurent_text(QL(-1, 1)) == "q^-1"
-    assert render_qlaurent_text(QL(0, 1, -1)) == "-q+1"
-    assert render_qlaurent_text(QL(2, Fraction(3, 2))) == "3/2q^2"
-    assert render_qlaurent_latex(QL(-1, 1)) == "q^{-1}"
-    assert render_qlaurent_latex(QL(2, 3, 0, 1)) == "q^{4}+3q^{2}"
-    assert render_qlaurent_latex(QL(0, Fraction(-1, 3))) == "-\\frac{1}{3}"
+    assert render_qlaurent(QLaurent(0, []), TEXT) == "0"
+    assert render_qlaurent(QL(0, 1), TEXT) == "1"
+    assert render_qlaurent(QL(0, -1), TEXT) == "-1"
+    assert render_qlaurent(QL(1, 1), TEXT) == "q"
+    assert render_qlaurent(QL(1, -1), TEXT) == "-q"
+    assert render_qlaurent(QL(-1, 1), TEXT) == "q^-1"
+    assert render_qlaurent(QL(0, 1, -1), TEXT) == "-q+1"
+    assert render_qlaurent(QL(2, Fraction(3, 2)), TEXT) == "3/2q^2"
+    assert render_qlaurent(QL(-1, 1), LATEX) == "q^{-1}"
+    assert render_qlaurent(QL(2, 3, 0, 1), LATEX) == "q^{4}+3q^{2}"
+    assert render_qlaurent(QL(0, Fraction(-1, 3)), LATEX) == "-\\frac{1}{3}"
 
 
 def test_element_render_golden():
     e = product((0, 2), (1,), 4)
-    assert render_element_latex(e) == (
+    assert render_element(e, LATEX) == (
         "(0, 2, 7) - 3q\\cdot (0, 3, 6) + (-q^{3}+3q^{2})\\cdot (0, 4, 5)"
         " - 3q\\cdot (1, 2, 6) + (q^{6}+3q^{4}+9q^{2})\\cdot (1, 3, 5)"
         " - 9q^{3}\\cdot (1, 4, 4) + (-3q^{5}+3q^{2})\\cdot (2, 2, 5)"
         " + (-3q^{5}+9q^{4}-10q^{3})\\cdot (2, 3, 4) + 3q^{4}\\cdot (3, 3, 3)"
     )
-    assert render_element_text(product((0,), (0,), 2)) == "(-q+1)·(0, 1)"
-    assert render_element_text({}) == "0"
-    assert render_element_text(product((), (), 3)) == "()"
+    assert render_element(product((0,), (0,), 2), TEXT) == "(-q+1)·(0, 1)"
+    assert render_element({}, TEXT) == "0"
+    assert render_element(product((), (), 3), TEXT) == "()"
 
 
 def test_symmetric_render():
     se = SymmetricElement(2, {(0, 1): QL(0, 1, -1), (1, 1): QL(0, 2)})
-    assert render_symmetric_text(se) == "(-q+1)·m(0, 1) + 2·m(1, 1)"
-    assert render_symmetric_latex(se) == "(-q+1)\\cdot m_{(0, 1)} + 2\\cdot m_{(1, 1)}"
+    assert render_symmetric(se, TEXT) == "(-q+1)·m(0, 1) + 2·m(1, 1)"
+    assert render_symmetric(se, LATEX) == "(-q+1)\\cdot m_{(0, 1)} + 2\\cdot m_{(1, 1)}"
 
 
 def test_graded_and_specialized_render():
     ge = to_symmetric_element({(1,): QL(0, 1), (0, 1): QL(0, -1)})
-    assert render_graded_text(ge) == "arity 1: m(1)\narity 2: -m(0, 1)"
-    assert render_specialized_text({(0, 1): Fraction(1, 2), (1, 1): -2}) == (
+    assert render_graded(ge, TEXT) == "arity 1: m(1)\narity 2: -m(0, 1)"
+    assert render_specialized({(0, 1): Fraction(1, 2), (1, 1): -2}, TEXT) == (
         "1/2·(0, 1) - 2·(1, 1)"
     )
-    assert render_mpoly_text(MPoly(2, {(0, 1): QL(0, 1), (1, 0): QL(1, -1)})) == (
+    assert render_mpoly(MPoly(2, {(0, 1): QL(0, 1), (1, 0): QL(1, -1)}), TEXT) == (
         "x^(0, 1) - q·x^(1, 0)"
     )
