@@ -19,9 +19,8 @@ both orders are fixed so output is byte-identical across runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -239,8 +238,7 @@ def table_to_json(table: StructureConstantTable) -> dict:
 # -- text and LaTeX rendering -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Style:
+class Style(NamedTuple):
     """How one output format spells what the renderers write.
 
     ``fraction`` takes (numerator, denominator) and ``power`` an exponent of
