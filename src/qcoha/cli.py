@@ -410,11 +410,13 @@ def run_batch(stdin, stdout) -> int:
 
 
 def _attach_negative_rationals(argv: Sequence[str]):
-    """``--at-q -1/2`` as ``--at-q=-1/2``: argparse takes a token that starts
-    with "-" for a flag unless it is a plain negative number."""
+    """``--at-q -1/2`` as ``--at-q=-1/2``, and so for an abbreviation such as
+    ``--at``: argparse takes a token that starts with "-" for a flag unless it
+    is a plain negative number."""
     out = []
     for token in argv:
-        if out and out[-1] == "--at-q" and re.match(r"-\d", token):
+        flag = out[-1] if out else ""
+        if len(flag) > 2 and "--at-q".startswith(flag) and re.match(r"-\d", token):
             out[-1] += "=" + token
         else:
             out.append(token)

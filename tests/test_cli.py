@@ -212,11 +212,11 @@ NEGATIVE_AT_Q = [
 def test_negative_fraction_at_q_in_argv(capsys, monkeypatch, argv, stdin_text):
     # argparse alone would take "-1/2" for a flag
     outs = []
-    for at_q in (["--at-q", "-1/2"], ["--at-q=-1/2"]):
+    for at_q in (["--at-q=-1/2"], ["--at-q", "-1/2"], ["--at", "-1/2"]):
         code, out, err = run(capsys, argv + at_q, stdin_text, monkeypatch)
         assert code == 0 and err == ""
         outs.append(out)
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
     assert json.loads(outs[0])["terms"]
     code, out, err = run(capsys, argv + ["--at-q", "-1/x"], stdin_text, monkeypatch)
     assert (code, out) == (2, "")
