@@ -6,7 +6,10 @@ variables and s in the second block of n variables.  An optional shift places
 the two blocks after ``shift`` unused leading variables (``g --shift``).
 
 The structure-constant table folds the factors into integer arrays: one row
-of exponents per monomial and its signed integer weight.  Every coefficient
+of exponents per monomial and its signed integer weight.  The fold runs on
+packed 1-D keys under one certified ``RowLayout``, since a factor adds the
+same key offset to every row, and the exponents are unpacked once, at the
+end, into the narrowest integer dtype that holds them.  Every coefficient
 of the kernel is a signed q-monomial ``N(a, b) * (-q)**|a|``, whose power is
 the row sum of the first-block exponents, so integers carry the whole table,
 and ``coefficient_bound`` sizes them here and in ``partition_algebra``.  The
@@ -23,9 +26,10 @@ product, checked before each factor, raises ResourceLimitError.
 Integer rows group in one place: ``RowLayout`` packs each row within
 certified column bounds into one 1-D sort key, ``pack_rows`` stages blocks
 of rows as keys (one copy per power shift), and ``group_keys`` sums weights
-over equal keys.  ``group_rows`` is that core on a matrix, returning the
-first row of each group; the basis products and the bilinear core of
-``partition_algebra`` run the same core and unpack only the surviving keys.
+over equal keys.  The table fold, the basis products and the bilinear core
+of ``partition_algebra`` run that core and unpack only the surviving keys.
+``group_rows`` is the core on a matrix under the column extremes, returning
+the first row of each group; only ``verify_symmetry`` uses it.
 """
 from __future__ import annotations
 
@@ -279,6 +283,20 @@ def kernel_polynomial(
     return pairwise_kernel(spec.arity, block_pairs(spec), spec.d, q_value, term_cap)
 
 
+# the integer dtypes of cached arrays, narrowest first
+_INT_RANGES = [
+    (int(np.iinfo(t).min), int(np.iinfo(t).max), t) for t in (np.int8, np.int16, np.int32, np.int64)
+]
+
+
+def narrowest_dtype(lo: int, hi: int):
+    """The narrowest integer dtype that holds [lo, hi], or object past int64."""
+    for low, high, dtype in _INT_RANGES:
+        if low <= lo and hi <= high:
+            return dtype
+    return object
+
+
 def coefficient_bound(e: int) -> int:
     """The largest |coefficient| of a kernel with ``e`` linear factors.
 
@@ -306,7 +324,10 @@ class StructureConstantTable:
     q**powers[r]``, where the power is the row sum of a and the weight is the
     signed integer ``N(a, b) * (-1)**|a|``, never zero.  Rows are distinct and
     in lexicographic order, which is the (a, b) order since every a has
-    length m.  ``weights`` is int64 when ``coefficient_bound((d-1)*m*n)``
+    length m.  ``exps`` takes the narrowest integer dtype that holds
+    (d-1)*max(m, n), the largest exponent (int8 up to 127), and readers widen
+    it before arithmetic that could leave it; ``powers`` is int64.
+    ``weights`` is int64 when ``coefficient_bound((d-1)*m*n)``
     fits it, and dtype=object otherwise.  ``staged`` holds the row count
     after each folded factor, so a cap can be checked against a cached table
     exactly as a cold build would check it.
@@ -320,7 +341,7 @@ class StructureConstantTable:
     @cached_property
     def powers(self) -> np.ndarray:
         """The power of q of each row: the sum of its first-block exponents."""
-        return self.exps[:, : self.spec.m].sum(axis=1)
+        return self.exps[:, : self.spec.m].sum(axis=1, dtype=np.int64)
 
     def check_cap(self, term_cap: int) -> None:
         """Raise the ResourceLimitError a cold build under ``term_cap`` raises."""
@@ -340,30 +361,41 @@ def structure_constants(
     row with i added to x_t and d-1-i to x_s, and the rows are then grouped.
     A staged weight and every partial sum of its group share one sign and
     stay within the group's sum, so ``coefficient_bound`` certifies them all.
+
+    The rows are folded as packed keys under one ``RowLayout``, so nothing
+    2-D is staged: every low is 0, and in every partial fold a first-block
+    column stays within (d-1)*n and a second-block column within (d-1)*m.
+    Packing is linear, so the row with i added to x_t and d-1-i to x_s has
+    the key plus ``(i << shift_t) + ((d-1-i) << shift_s)``, and each factor
+    stages d such copies of the keys for one ``group_keys``.  The keys are
+    int64, or Python ints past 63 bits (the layout's rule), and are unpacked
+    once, at the end, into the narrowest integer dtype that holds the
+    largest exponent (d-1)*max(m, n).
     """
     if spec.shift != 0:
         raise ValueError("structure constants require an unshifted kernel")
     check_term_cap(term_cap)
     m, n, exp = spec.m, spec.n, spec.d - 1
     dtype = np.int64 if coefficient_bound(exp * m * n) <= _INT64_MAX else object
-    exps = np.zeros((1, m + n), dtype=np.int64)
+    layout = RowLayout([0] * (m + n), [exp * n] * m + [exp * m] * n)
+    keys = np.zeros(1, dtype=layout.dtype)
     weights = np.ones(1, dtype=dtype)
     staged = [1]
     if exp:
-        steps = np.arange(exp + 1)
+        steps = np.arange(exp + 1, dtype=layout.dtype)
         factor = np.array(
             [-comb(exp, i) if i & 1 else comb(exp, i) for i in range(exp + 1)],
             dtype=dtype,
         )
         for s, t in block_pairs(spec):
-            rows = len(weights)
-            _check_projected(rows, exp + 1, term_cap)
-            exps = np.repeat(exps, exp + 1, axis=0)
-            exps[:, t] += np.tile(steps, rows)
-            exps[:, s] += np.tile(exp - steps, rows)
+            _check_projected(len(weights), exp + 1, term_cap)
+            moves = (steps << layout.shifts[t]) + ((exp - steps) << layout.shifts[s])
+            keys = (keys[:, None] + moves).ravel()
             weights = (weights[:, None] * factor).ravel()
-            exps, weights = group_rows(exps, weights)
+            index, weights = group_keys(keys, weights)
+            keys = keys[index]
             staged.append(len(weights))
+    exps = layout.unpack(keys, narrowest_dtype(0, exp * max(m, n)))
     return StructureConstantTable(spec, exps, weights, tuple(staged))
 
 

@@ -13,10 +13,12 @@ There is one product engine, on integer arrays.  A basis product is memoized
 as grouped rows: each row is a sorted key followed by a power of q, rows are
 distinct and in lexicographic order, and each carries one integer
 coefficient.  Rows are grouped on packed 1-D keys (``kernel.RowLayout``,
-``kernel.pack_rows`` and ``kernel.group_keys``): a basis build packs its
-sorted keys and the table's powers straight into one key per row, and only
-the distinct keys that survive grouping are unpacked into rows.  The
-bilinear core packs each cached basis product it needs once; for every term
+``kernel.pack_rows`` and ``kernel.group_keys``): a basis build adds the
+parts to the table's narrow exponents in the product's own row dtype, sorts
+each key there, packs the sorted keys and the table's powers straight into
+one key per row, and only the distinct keys that survive grouping are
+unpacked into rows.  The bilinear core packs each cached basis product it
+needs once; for every term
 c * q**p of the coefficient of a pair of basis keys it adds p to one copy of
 that pair's keys and multiplies c into one copy of its coefficients, and it
 groups the staged keys once per key length.  No 2-D copy of the rows is
@@ -45,7 +47,8 @@ when a bound certifies that no sum can leave int64 range: the sum of
 Fraction coefficients, the same code runs with dtype=object, so the
 arithmetic is always exact.  Keys follow the layout's own rule, int64 or
 Python ints.  A cached basis product is stored in the narrowest of int8,
-int16, int32 and int64 that its certified bounds allow (``_narrowest``):
+int16, int32 and int64 that its certified bounds allow
+(``kernel.narrowest_dtype``, the rule the tables' exponents follow too):
 its rows within the column bounds of ``_row_bounds``, its coefficients within
 ``coefficient_bound``; a build writes its surviving rows straight into that
 dtype.  Readers widen before arithmetic that could leave it: the
@@ -71,6 +74,7 @@ from .kernel import (
     check_term_cap,
     coefficient_bound,
     group_keys,
+    narrowest_dtype,
     pack_rows,
     structure_table,
 )
@@ -124,20 +128,6 @@ def _grouped(layout: RowLayout, keys: np.ndarray, weights: np.ndarray, dtype):
     return layout.unpack(keys[index], dtype), sums
 
 
-# the integer dtypes a cached basis product may take, narrowest first
-_INT_RANGES = [
-    (int(np.iinfo(t).min), int(np.iinfo(t).max), t) for t in (np.int8, np.int16, np.int32, np.int64)
-]
-
-
-def _narrowest(lo: int, hi: int):
-    """The narrowest integer dtype that holds [lo, hi], or object past int64."""
-    for low, high, dtype in _INT_RANGES:
-        if low <= lo and hi <= high:
-            return dtype
-    return object
-
-
 # twice the 6 285 basis products ``verify assoc`` computes at its defaults,
 # its largest working set, so a long batch stays bounded without evicting
 # them; at the defaults those entries hold 9.9 MB of arrays (70.8 MB in int64)
@@ -157,14 +147,16 @@ def _basis_product(mu: Partition, nu: Partition, d: int):
     term cap first and must not mutate the returned arrays.
     """
     lows, spans = _row_bounds((mu, nu), d)
-    row_dtype = _narrowest(min(lows), max(lo + span for lo, span in zip(lows, spans)))
+    row_dtype = narrowest_dtype(min(lows), max(lo + span for lo, span in zip(lows, spans)))
     bound = coefficient_bound((d - 1) * len(mu) * len(nu))
-    coeff_dtype = _narrowest(-bound, bound)
+    coeff_dtype = narrowest_dtype(-bound, bound)
     if not mu or not nu:
         # the other factor's key at power 0
         return np.array([mu + nu + (0,)], dtype=row_dtype), np.ones(1, dtype=coeff_dtype)
     table = structure_table(len(mu), len(nu), d, sys.maxsize)
-    keys = table.exps + _offsets(mu + nu)
+    # re-keyed in the row dtype, which holds the parts, the exponents (within
+    # the power column's bounds) and every part plus its exponent
+    keys = table.exps.astype(row_dtype, copy=False) + np.array(mu + nu, dtype=row_dtype)
     keys.sort(axis=1)
     layout = RowLayout(lows, spans)
     packed = pack_rows(layout, [(keys, table.powers, (0,))])

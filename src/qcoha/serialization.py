@@ -285,8 +285,10 @@ STYLES = {
 
 
 def _rational(value: Rational, style: Style) -> str:
+    # the sign leads, outside the fraction: _render_terms reads it there
     if isinstance(value, Fraction):
-        return style.fraction % (value.numerator, value.denominator)
+        sign = "-" if value < 0 else ""
+        return sign + style.fraction % (abs(value.numerator), value.denominator)
     return str(value)
 
 

@@ -39,6 +39,17 @@ GOLDEN = [
         id="multiply-at-q",
     ),
     pytest.param(
+        ["multiply", "--d", "2", "--left", "0,1", "--right", "0", "--at-q", "3/2"],
+        None,
+        0,
+        {
+            "json": '{"d": 2, "at_q": "3/2", "terms": [{"partition": [0, 1, 2], "value": "7/4"}, {"partition": [1, 1, 1], "value": "-3/2"}]}\n',
+            "text": "7/4·(0, 1, 2) - 3/2·(1, 1, 1)\n",
+            "latex": "\\frac{7}{4}\\cdot (0, 1, 2) - \\frac{3}{2}\\cdot (1, 1, 1)\n",
+        },
+        id="multiply-at-q-negative",
+    ),
+    pytest.param(
         ["multiply", "--d", "3", "--left", "", "--right", "0,2"],
         None,
         0,
@@ -100,7 +111,7 @@ GOLDEN = [
         {
             "json": '{"d": 2, "at_q": "2/3", "terms": [{"partition": [2], "value": "-1"}, {"partition": [0, 1], "value": "-5/4"}]}\n',
             "text": "-(2) - 5/4·(0, 1)\n",
-            "latex": "-(2) + \\frac{-5}{4}\\cdot (0, 1)\n",
+            "latex": "-(2) - \\frac{5}{4}\\cdot (0, 1)\n",
         },
         id="specialize",
     ),

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -572,6 +573,105 @@ def test_tables_past_int64_use_python_ints(m, n, d):
     assert table.weights.dtype == object
     want = {(e[:m], e[m:]): c for e, c in kernel_polynomial(spec).terms.items()}
     assert table_entries(table) == want
+
+
+def reference_fold(m, n, d):
+    # the fold the packed keys replaced: every partial fold staged as an int64
+    # exponent matrix and grouped by np.unique on its rows; (exps, weights,
+    # row count after each factor)
+    exp = d - 1
+    dtype = np.int64 if comb(exp * m * n, exp * m * n // 2) < 2**63 else object
+    exps = np.zeros((1, m + n), dtype=np.int64)
+    weights = np.ones(1, dtype=dtype)
+    staged = [1]
+    steps = np.arange(exp + 1)
+    factor = np.array([(-1) ** i * comb(exp, i) for i in range(exp + 1)], dtype=dtype)
+    for s in range(m, m + n if exp else m):
+        for t in range(m):
+            rows = len(weights)
+            exps = np.repeat(exps, exp + 1, axis=0)
+            exps[:, t] += np.tile(steps, rows)
+            exps[:, s] += np.tile(exp - steps, rows)
+            exps, inverse = np.unique(exps, axis=0, return_inverse=True)
+            sums = np.zeros(len(exps), dtype=dtype)
+            np.add.at(sums, inverse.ravel(), (weights[:, None] * factor).ravel())
+            exps, weights = exps[sums != 0], sums[sums != 0]
+            staged.append(len(weights))
+    return exps, weights, tuple(staged)
+
+
+@pytest.mark.parametrize(
+    "m,n,d,dtype",
+    [
+        (1, 1, 1, np.int8),
+        (2, 3, 1, np.int8),
+        (2, 2, 3, np.int8),
+        (3, 2, 3, np.int8),
+        (3, 1, 5, np.int8),
+        # the largest exponent (d-1)*max(m, n) at 127 and 128
+        (1, 1, 128, np.int8),
+        (1, 1, 129, np.int16),
+        (2, 1, 64, np.int8),
+        (1, 2, 65, np.int16),
+    ],
+)
+def test_packed_fold_matches_the_2d_fold_and_the_expansion(m, n, d, dtype):
+    spec = KernelSpec(m, n, d)
+    table = structure_constants(spec)
+    exps, weights, staged = reference_fold(m, n, d)
+    assert table.exps.dtype == dtype
+    assert table.powers.dtype == np.int64
+    assert table.weights.dtype == weights.dtype
+    assert table.staged == staged
+    assert np.array_equal(table.exps, exps)
+    assert table.weights.tolist() == weights.tolist()
+    g = kernel_polynomial(spec)
+    assert np.array_equal(g.rows, np.column_stack([table.exps, table.powers]))
+    assert g.weights.tolist() == table.weights.tolist()
+
+
+def test_a_fold_on_python_int_keys_matches_the_int64_fold(monkeypatch):
+    # past 63 bits a layout keys on Python ints; a table that needs that many
+    # bits has more than 2**57 rows, so the layout is forced to them here
+    shapes = [(1, 1, 1), (2, 2, 3), (3, 1, 4), (1, 1, 129)]
+    want = [structure_constants(KernelSpec(*shape)) for shape in shapes]
+    key_dtypes = set()
+    group_keys = kernel.group_keys
+
+    def python_int_layout(lows, spans):
+        layout = RowLayout(lows, spans)
+        layout.dtype = object
+        return layout
+
+    def spy(keys, weights):
+        key_dtypes.add(keys.dtype)
+        return group_keys(keys, weights)
+
+    monkeypatch.setattr(kernel, "RowLayout", python_int_layout)
+    monkeypatch.setattr(kernel, "group_keys", spy)
+    for shape, table in zip(shapes, want):
+        got = structure_constants(KernelSpec(*shape))
+        assert got.exps.dtype == table.exps.dtype
+        assert np.array_equal(got.exps, table.exps)
+        assert got.weights.tolist() == table.weights.tolist()
+        assert got.staged == table.staged
+    assert key_dtypes == {np.dtype(object)}
+
+
+def test_a_cold_table_build_peaks_under_5_mb():
+    # only 1-D keys and weights are staged: the traced peak of the 31 780-row
+    # (3, 3, 4) table is about 3.3 MB, against 9.2 MB when every partial
+    # fold was staged as a 2-D int64 matrix
+    spec = KernelSpec(3, 3, 4)
+    structure_constants(spec)
+    tracemalloc.start()
+    try:
+        table = structure_constants(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 31780
+    assert peak < 5_000_000
 
 
 @pytest.mark.parametrize("m,n,d", [(1, 1, 1), (2, 1, 4), (2, 2, 3), (3, 3, 3)])

@@ -184,6 +184,24 @@ def test_basis_products_with_huge_parts_match_the_reference(c, d):
         assert_same(_basis_product(mu, nu, d), reference_basis_product(mu, nu, d))
 
 
+@pytest.mark.parametrize(
+    "edge,dtype", [(127, np.int8), (128, np.int16), (-128, np.int8), (-129, np.int16)]
+)
+def test_basis_products_at_the_int8_row_edge_match_the_reference(edge, dtype):
+    # a build re-keys the table's exponents in the product's row dtype: every
+    # pair below has its row bounds top out at ``edge``, or bottom out there
+    d = 3
+    if edge > 0:
+        pairs = [((0, edge - 2), (1,)), ((edge - 4,), (0, 1)), ((edge - 2,), (edge - 2,))]
+        pairs += [((), (edge,)), ((0, edge), ())]
+    else:
+        pairs = [((edge, 0), (1,)), ((edge,), (edge, 3)), ((), (edge,)), ((edge, 1), ())]
+    for mu, nu in pairs:
+        rows, coeffs = _basis_product(mu, nu, d)
+        assert rows.dtype == dtype, (mu, nu)
+        assert_same((rows, coeffs), reference_basis_product(mu, nu, d))
+
+
 @pytest.mark.parametrize("c", [0, 2**63 - 1, 2**70])
 def test_assoc_sides_match_the_reference(c):
     shift = lambda key: tuple(v + c for v in key)

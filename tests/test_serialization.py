@@ -248,6 +248,12 @@ def test_graded_and_specialized_render():
     assert render_specialized({(0, 1): Fraction(1, 2), (1, 1): -2}, TEXT) == (
         "1/2·(0, 1) - 2·(1, 1)"
     )
+    # a negative fraction's sign leads it in both formats, first term or not
+    values = {(0, 1): Fraction(-1, 2), (1, 1): Fraction(-5, 4), (0, 2): Fraction(7, 3)}
+    assert render_specialized(values, TEXT) == "-1/2·(0, 1) + 7/3·(0, 2) - 5/4·(1, 1)"
+    assert render_specialized(values, LATEX) == (
+        "-\\frac{1}{2}\\cdot (0, 1) + \\frac{7}{3}\\cdot (0, 2) - \\frac{5}{4}\\cdot (1, 1)"
+    )
     assert render_mpoly(MPoly(2, {(0, 1): QL(0, 1), (1, 0): QL(1, -1)}), TEXT) == (
         "x^(0, 1) - q·x^(1, 0)"
     )
