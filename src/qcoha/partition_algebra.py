@@ -13,11 +13,10 @@ There is one product engine, on integer arrays.  A basis product is memoized
 as grouped rows: each row is a sorted key followed by a power of q, rows are
 distinct and in lexicographic order, and each carries one integer
 coefficient.  Rows are grouped on packed 1-D keys (``kernel.RowLayout``,
-``kernel.pack_rows`` and ``kernel.group_keys``): a basis build adds the
-parts to the table's narrow exponents in the product's own row dtype, sorts
-each key there, packs the sorted keys and the table's powers straight into
-one key per row, and only the distinct keys that survive grouping are
-unpacked into rows.  The bilinear core packs each cached basis product it
+``kernel.pack_rows`` and ``kernel.group_keys``): a basis build widens the
+table's narrow exponents to int64, adds the parts, sorts each key, packs the
+sorted keys and the table's powers straight into one key per row, and only
+the distinct keys that survive grouping are unpacked into rows.  The bilinear core packs each cached basis product it
 needs once; for every term
 c * q**p of the coefficient of a pair of basis keys it adds p to one copy of
 that pair's keys and multiplies c into one copy of its coefficients, and it
@@ -154,9 +153,12 @@ def _basis_product(mu: Partition, nu: Partition, d: int):
         # the other factor's key at power 0
         return np.array([mu + nu + (0,)], dtype=row_dtype), np.ones(1, dtype=coeff_dtype)
     table = structure_table(len(mu), len(nu), d, sys.maxsize)
-    # re-keyed in the row dtype, which holds the parts, the exponents (within
-    # the power column's bounds) and every part plus its exponent
-    keys = table.exps.astype(row_dtype, copy=False) + np.array(mu + nu, dtype=row_dtype)
+    # the narrow exponents are widened to the offsets' dtype before the
+    # per-row sort: numpy 2.4 sorts short int8 and int16 rows more slowly
+    # than int64 ones
+    offsets = _offsets(mu + nu)
+    keys = table.exps.astype(offsets.dtype)
+    keys += offsets
     keys.sort(axis=1)
     layout = RowLayout(lows, spans)
     packed = pack_rows(layout, [(keys, table.powers, (0,))])

@@ -188,8 +188,9 @@ def test_basis_products_with_huge_parts_match_the_reference(c, d):
     "edge,dtype", [(127, np.int8), (128, np.int16), (-128, np.int8), (-129, np.int16)]
 )
 def test_basis_products_at_the_int8_row_edge_match_the_reference(edge, dtype):
-    # a build re-keys the table's exponents in the product's row dtype: every
-    # pair below has its row bounds top out at ``edge``, or bottom out there
+    # a build widens the table's narrow exponents and writes its rows in the
+    # narrowest dtype: every pair below has its row bounds top out at
+    # ``edge``, or bottom out there
     d = 3
     if edge > 0:
         pairs = [((0, edge - 2), (1,)), ((edge - 4,), (0, 1)), ((edge - 2,), (edge - 2,))]
