@@ -631,8 +631,9 @@ def test_packed_fold_matches_the_2d_fold_and_the_expansion(m, n, d, dtype):
 
 
 def test_a_fold_on_python_int_keys_matches_the_int64_fold(monkeypatch):
-    # past 63 bits a layout keys on Python ints; a table that needs that many
-    # bits has more than 2**57 rows, so the layout is forced to them here
+    # past 63 bits a layout keys on Python ints; a table needs that many bits
+    # only past 2**31 rows ((1, 1, 2**31 + 1) is the first), so the layout is
+    # forced to them here
     shapes = [(1, 1, 1), (2, 2, 3), (3, 1, 4), (1, 1, 129)]
     want = [structure_constants(KernelSpec(*shape)) for shape in shapes]
     key_dtypes = set()
