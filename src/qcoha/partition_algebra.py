@@ -16,8 +16,8 @@ coefficient.  Rows are grouped on packed 1-D keys (``kernel.RowLayout``,
 ``kernel.pack_rows`` and ``kernel.group_keys``): a basis build widens the
 table's narrow exponents to int64, adds the parts, sorts each key, packs the
 sorted keys and the table's powers straight into one key per row, and only
-the distinct keys that survive grouping are unpacked into rows.  The bilinear core packs each cached basis product it
-needs once; for every term
+the distinct keys that survive grouping are unpacked into rows.  The
+bilinear core packs each cached basis product it needs once; for every term
 c * q**p of the coefficient of a pair of basis keys it adds p to one copy of
 that pair's keys and multiplies c into one copy of its coefficients, and it
 groups the staged keys once per key length.  No 2-D copy of the rows is
