@@ -282,9 +282,17 @@ def _element(field, value):
     return value
 
 
+def _loads(text: str):
+    # nesting past the recursion limit is malformed input, not an engine bug
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def _load_stdin(stdin):
     try:
-        return _element("element", json.load(stdin))
+        return _element("element", _loads(stdin.read()))
     except json.JSONDecodeError as exc:
         raise ValueError("bad element JSON on stdin: %s" % exc) from exc
 
@@ -395,7 +403,7 @@ def run_batch(stdin, stdout) -> int:
         if not line:
             continue
         try:
-            result = run_request(json.loads(line))
+            result = run_request(_loads(line))
             # the bytes of json.dumps({"ok": true, "result": ..., "passed": ...})
             response = '{"ok": true, "result": ' + _encode(result["payload"])
             if "passed" in result:

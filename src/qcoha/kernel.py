@@ -23,9 +23,11 @@ expansions collect like monomials after every factor, which never leaves more
 than the stored terms times the factor's, and a configurable cap on that
 product, checked before each factor, raises ResourceLimitError.
 
-Integer rows group in one place: ``RowLayout`` packs each row within
-certified column bounds into one 1-D sort key, ``pack_rows`` stages blocks
-of rows as keys (one copy per power shift), and ``group_keys`` sums weights
+Integer rows group in one place, and ``RowLayout`` owns their format: it
+packs each row within certified column bounds into one 1-D sort key, and
+unpacks keys into rows of its ``row_dtype``, the narrowest integer dtype
+those bounds allow, so no caller picks one.  ``pack_rows`` stages blocks of
+rows as keys (one copy per power shift), and ``group_keys`` sums weights
 over equal keys.  The table fold, the basis products and the bilinear core
 of ``partition_algebra`` run that core and unpack only the surviving keys.
 ``group_rows`` is the core on a matrix under the column extremes, returning
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from math import comb, factorial
-from operator import mul
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -104,8 +106,10 @@ class RowLayout:
     The key is int64 when those bits fit in 63 and every low fits in int64,
     and a Python int (dtype=object) otherwise.  An int64 key is packed on
     uint64 words: a partial sum may wrap modulo 2**64, the key itself is
-    below 2**63 and exact.  A bound that is too narrow makes fields overlap
-    and merges distinct rows, so pass only bounds that are proven.
+    below 2**63 and exact.  Rows unpack in ``row_dtype``, the narrowest
+    integer dtype that holds every bound (``narrowest_dtype``), or as Python
+    ints past int64.  A bound that is too narrow makes fields overlap and
+    merges distinct rows, so pass only bounds that are proven.
     """
 
     def __init__(self, lows: List[int], spans: List[int]):
@@ -116,6 +120,7 @@ class RowLayout:
         bits = self.shifts[0] + self.widths[0]
         fits = bits <= 63 and _INT64_MIN <= min(lows) and max(lows) <= _INT64_MAX
         self.dtype = np.int64 if fits else object
+        self.row_dtype = narrowest_dtype(min(lows), max(map(add, lows, spans)))
         scale = [1 << shift if width else 0 for shift, width in zip(self.shifts, self.widths)]
         self.base = sum(map(mul, lows, scale))
         self.step = scale[-1]
@@ -134,22 +139,23 @@ class RowLayout:
         # several of its entries as one word
         return values.astype(np.uint64)
 
-    def unpack(self, keys: np.ndarray, dtype) -> np.ndarray:
-        """The rows, of the given dtype, whose packed keys are ``keys``.
+    def unpack(self, keys: np.ndarray) -> np.ndarray:
+        """The rows, in ``row_dtype``, whose packed keys are ``keys``.
 
-        The caller certifies that ``dtype`` holds every row; an integer dtype
-        narrower than the key's is written straight from its fields.
+        An integer dtype narrower than the key's is written straight from
+        its fields.
         """
         if self._fields is None:
             masks = [(1 << width) - 1 for width in self.widths]
             self._fields = [np.array(a, dtype=self.dtype) for a in (self.shifts, masks, self.lows)]
         shifts, masks, lows = self._fields
+        dtype = self.row_dtype
         rows = keys[:, None] >> shifts
         rows &= masks
         if rows.dtype == dtype:
             rows += lows
             return rows
-        if dtype != object and rows.dtype != object:
+        if dtype is not object and rows.dtype != object:
             return np.add(rows, lows, out=np.empty(rows.shape, dtype), casting="unsafe")
         # rows past int64 are summed as Python ints
         return (rows.astype(object) + lows.astype(object)).astype(dtype, copy=False)
@@ -368,8 +374,8 @@ def structure_constants(
     Packing is linear, so the row with i added to x_t and d-1-i to x_s has
     the key plus ``(i << shift_t) + ((d-1-i) << shift_s)``, and each factor
     stages d such copies of the keys for one ``group_keys``.  The keys are
-    int64, or Python ints past 63 bits (the layout's rule), and are unpacked
-    once, at the end, into the narrowest integer dtype that holds the
+    int64, or Python ints past 63 bits, and are unpacked once, at the end,
+    in the layout's row dtype: the narrowest integer dtype that holds the
     largest exponent (d-1)*max(m, n).
     """
     if spec.shift != 0:
@@ -395,7 +401,7 @@ def structure_constants(
             index, weights = group_keys(keys, weights)
             keys = keys[index]
             staged.append(len(weights))
-    exps = layout.unpack(keys, narrowest_dtype(0, exp * max(m, n)))
+    exps = layout.unpack(keys)
     return StructureConstantTable(spec, exps, weights, tuple(staged))
 
 

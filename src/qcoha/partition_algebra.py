@@ -45,22 +45,24 @@ when a bound certifies that no sum can leave int64 range: the sum of
 |coefficients| times that bound, summed over the pairs.  Otherwise, and for
 Fraction coefficients, the same code runs with dtype=object, so the
 arithmetic is always exact.  Keys follow the layout's own rule, int64 or
-Python ints.  A cached basis product is stored in the narrowest of int8,
-int16, int32 and int64 that its certified bounds allow
-(``kernel.narrowest_dtype``, the rule the tables' exponents follow too):
-its rows within the column bounds of ``_row_bounds``, its coefficients within
-``coefficient_bound``; a build writes its surviving rows straight into that
-dtype.  Readers widen before arithmetic that could leave it: the
-bilinear core casts each basis product's coefficients to the staging dtype
-once, and staged rows unpack to int64, or to Python ints past it.
-Packing is handed certified column bounds where the factors give them (see
-``_row_bounds``); ``product_elements`` takes them from each basis product's
-column extremes and its range of power shifts.
+Python ints.  Every packed row lies within certified column bounds: those
+of ``_row_bounds`` for a basis product or a triple, and in
+``product_elements``, per key length, the union of its basis products'
+bounds, the power column widened by each one's range of power shifts.  The
+layout owns the row format: rows unpack in its ``row_dtype``, the narrowest
+of int8, int16, int32 and int64 that its bounds allow
+(``kernel.narrowest_dtype``, the rule the tables' exponents follow too), or
+as Python ints past int64, so a build writes a cached basis product's
+surviving rows straight into that dtype.  Its coefficients take the
+narrowest dtype within ``coefficient_bound``.  Readers widen before
+arithmetic that could leave a narrow dtype: the bilinear core casts each
+basis product's coefficients to the staging dtype once.
 """
 from __future__ import annotations
 
 import sys
 from functools import lru_cache
+from operator import add, sub
 from typing import Dict, List
 
 import numpy as np
@@ -120,11 +122,11 @@ def _row_bounds(blocks, d: int):
     return lows + [0], [hi - lo for hi, lo in zip(tops, lows)] + [(d - 1) * pairs]
 
 
-def _grouped(layout: RowLayout, keys: np.ndarray, weights: np.ndarray, dtype):
-    """Grouped rows of ``dtype`` from packed keys: only the distinct keys
-    that survive grouping are unpacked into rows."""
+def _grouped(layout: RowLayout, keys: np.ndarray, weights: np.ndarray):
+    """Grouped rows from packed keys: only the distinct keys that survive
+    grouping are unpacked into rows."""
     index, sums = group_keys(keys, weights)
-    return layout.unpack(keys[index], dtype), sums
+    return layout.unpack(keys[index]), sums
 
 
 # twice the 6 285 basis products ``verify assoc`` computes at its defaults,
@@ -145,13 +147,12 @@ def _basis_product(mu: Partition, nu: Partition, d: int):
     any arithmetic that could leave that dtype.  Callers check their own
     term cap first and must not mutate the returned arrays.
     """
-    lows, spans = _row_bounds((mu, nu), d)
-    row_dtype = narrowest_dtype(min(lows), max(lo + span for lo, span in zip(lows, spans)))
+    layout = RowLayout(*_row_bounds((mu, nu), d))
     bound = coefficient_bound((d - 1) * len(mu) * len(nu))
     coeff_dtype = narrowest_dtype(-bound, bound)
     if not mu or not nu:
         # the other factor's key at power 0
-        return np.array([mu + nu + (0,)], dtype=row_dtype), np.ones(1, dtype=coeff_dtype)
+        return np.array([mu + nu + (0,)], dtype=layout.row_dtype), np.ones(1, dtype=coeff_dtype)
     table = structure_table(len(mu), len(nu), d, sys.maxsize)
     # the narrow exponents are widened to the offsets' dtype before the
     # per-row sort: numpy 2.4 sorts short int8 and int16 rows more slowly
@@ -160,31 +161,24 @@ def _basis_product(mu: Partition, nu: Partition, d: int):
     keys = table.exps.astype(offsets.dtype)
     keys += offsets
     keys.sort(axis=1)
-    layout = RowLayout(lows, spans)
     packed = pack_rows(layout, [(keys, table.powers, (0,))])
-    rows, coeffs = _grouped(layout, packed, table.weights, row_dtype)
+    rows, coeffs = _grouped(layout, packed, table.weights)
     return rows, coeffs.astype(coeff_dtype, copy=False)
 
 
 @lru_cache(maxsize=256)
-def _check_shape(m: int, n: int, d: int, term_cap: int) -> None:
+def _check_shape(m: int, n: int, d: int, term_cap: int) -> int:
     """Run the checks a product of lengths m and n must pass, once per shape.
 
     They read nothing but the shape, and a check that fails raises and is
     not cached, so whether a request fails never depends on what is cached.
+    Returns the rows a basis product of that shape re-keys, sorts and groups
+    when it is built: its table's rows, or one for an empty factor.
     """
     check_loop_count(d)
     check_term_cap(term_cap)
-    if m and n:
-        # checks the cap against the table's staged row counts, cached or not
-        structure_table(m, n, d, term_cap)
-
-
-@lru_cache(maxsize=256)
-def _table_rows(m: int, n: int, d: int) -> int:
-    """The rows a basis product of lengths m and n re-keys, sorts and groups
-    when it is built: its table's rows, or one for an empty factor."""
-    return len(structure_table(m, n, d, sys.maxsize)) if m and n else 1
+    # checks the cap against the table's staged row counts, cached or not
+    return len(structure_table(m, n, d, term_cap)) if m and n else 1
 
 
 def _capped_basis_product(mu: Partition, nu: Partition, d: int, term_cap: int):
@@ -258,49 +252,29 @@ def specialize(e, value) -> Dict[Partition, object]:
 # -- bilinear product ---------------------------------------------------------
 
 
-def _big(p: int) -> bool:
-    # a power shift this large would overflow int64 powers
-    return p >> 62 not in (-1, 0)
-
-
-def _staged_bounds(group):
-    """Column minima and spans of the rows a group of basis products stages.
-
-    Read from each basis product's column extremes and its range of power
-    shifts, once per basis product rather than once per staged copy.
-    """
-    lows = highs = None
-    for (rows, _), ps, _ in group:
-        lo, hi = rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
-        lo[-1] += min(ps)
-        hi[-1] += max(ps)
-        lows = lo if lows is None else list(map(min, lows, lo))
-        highs = hi if highs is None else list(map(max, highs, hi))
-    return lows, [hi - lo for hi, lo in zip(highs, lows)]
-
-
-def _bilinear_keys(terms, d: int, term_cap: int, layout=None, budget=None):
+def _bilinear_keys(terms, d: int, term_cap: int, layouts, budget=None):
     """Grouped packed keys of a sum of scaled basis products, per key length.
 
     ``terms`` lists (k1, k2, powers, coeffs), the basis product k1 * k2 with
-    the coefficient sum_j coeffs[j] * q**powers[j], nonzero terms only.  Each
-    cached basis product is packed into 1-D keys once, and each coefficient
-    term stages one copy of those keys, its power added, and of the basis
-    coefficients, its coefficient multiplied in.  The keys are grouped once
-    per key length, under ``layout`` when the caller has certified its
-    bounds for staged rows that all share one length, and otherwise under
-    the column extremes of the staged rows.  ``budget``, if given, is
-    charged, in rows times their width, the rows of every basis product's
-    build before any is fetched, cached or not, and then the staged rows
-    before anything is staged.  A staged key takes at most one basis
-    coefficient per coefficient term, so the coefficients are int64 when
-    the sum over the terms of ``sum|coeffs| * coefficient_bound((d-1)*m*n)``
-    fits it, and Python ints otherwise.  Returns {key length: (layout, keys,
-    coeffs, row dtype)}; the row dtype is the one the rows unpack to.
+    the coefficient sum_j coeffs[j] * q**powers[j], nonzero terms only; the
+    caller has run ``_check_shape`` on each term's lengths under
+    ``term_cap``.  Each cached basis product is packed into 1-D keys once,
+    and each coefficient term stages one copy of those keys, its power
+    added, and of the basis coefficients, its coefficient multiplied in.
+    The keys are grouped once per key length, under ``layouts[length]``,
+    whose bounds the caller has certified for every row staged at that
+    length.  ``budget``, if given, is charged, in rows times their width,
+    the rows of every basis product's build before any is fetched, cached or
+    not, and then the staged rows before anything is staged.  A staged key
+    takes at most one basis coefficient per coefficient term, so the
+    coefficients are int64 when the sum over the terms of ``sum|coeffs| *
+    coefficient_bound((d-1)*m*n)`` fits it, and Python ints otherwise.
+    Returns {key length: (keys, coeffs)}; ``layouts[length].unpack`` turns
+    the keys into rows.
     """
     if budget is not None:
         shapes = [(len(k1), len(k2)) for k1, k2, _, _ in terms]
-        budget(sum(_table_rows(m, n, d) * (m + n + 1) for m, n in shapes))
+        budget(sum(_check_shape(m, n, d, term_cap) * (m + n + 1) for m, n in shapes))
     by_len: Dict[int, List] = {}
     staged = 0
     work = 0
@@ -327,29 +301,36 @@ def _bilinear_keys(terms, d: int, term_cap: int, layout=None, budget=None):
     out = {}
     for length, group in by_len.items():
         blocks, coeffs = [], []
-        # the rows are Python ints when a basis product's are, or when a
-        # power shift, its largest or its smallest, would overflow int64
-        wide = False
         for (basis_rows, basis_coeffs), ps, cs in group:
             blocks.append((basis_rows, None, ps))
             # widened once per basis product: a product in its narrow cached
             # dtype would wrap silently
             basis_coeffs = basis_coeffs.astype(dtype, copy=False)
             coeffs += [basis_coeffs * c for c in cs]
-            wide = wide or basis_rows.dtype == object or _big(max(ps)) or _big(min(ps))
-        staging = RowLayout(*_staged_bounds(group)) if layout is None else layout
-        keys = pack_rows(staging, blocks)
-        if len(coeffs) > 1:
-            index, coeffs = group_keys(keys, np.concatenate(coeffs))
-            keys = keys[index]
-        else:
-            # a single shifted and scaled copy of grouped rows is grouped already
-            (coeffs,) = coeffs
+        keys = pack_rows(layouts[length], blocks)
+        index, coeffs = group_keys(keys, np.concatenate(coeffs))
         if not integral:
             # Fraction sums keep an integral result as Fraction(n, 1)
             coeffs = _as_rational(coeffs)
-        out[length] = staging, keys, coeffs, object if wide else np.int64
+        out[length] = keys[index], coeffs
     return out
+
+
+def _certified_layouts(terms, d: int):
+    """One layout per key length for the rows ``_bilinear_keys`` stages from
+    ``terms``: the union of the row bounds of their basis products
+    (``_row_bounds``), the power column widened by each term's powers."""
+    lows: Dict[int, List[int]] = {}
+    highs: Dict[int, List[int]] = {}
+    for k1, k2, ps, _ in terms:
+        lo, span = _row_bounds((k1, k2), d)
+        hi = list(map(add, lo, span))
+        lo[-1] += min(ps)
+        hi[-1] += max(ps)
+        n = len(k1) + len(k2)
+        lows[n] = list(map(min, lows.get(n, lo), lo))
+        highs[n] = list(map(max, highs.get(n, hi), hi))
+    return {n: RowLayout(lo, list(map(sub, highs[n], lo))) for n, lo in lows.items()}
 
 
 def product_elements(
@@ -373,9 +354,10 @@ def product_elements(
             if c:
                 ps, cs = zip(*c.items())
                 terms.append((tuple(k1), tuple(k2), ps, cs))
+    layouts = _certified_layouts(terms, d)
     out: PartitionElement = {}
-    for layout, keys, coeffs, dtype in _bilinear_keys(terms, d, term_cap).values():
-        out.update(_to_element(layout.unpack(keys, dtype), coeffs))
+    for length, (keys, coeffs) in _bilinear_keys(terms, d, term_cap, layouts).items():
+        out.update(_to_element(layouts[length].unpack(keys), coeffs))
     return out
 
 
@@ -424,7 +406,7 @@ def quasi_commutativity_report(mu: Partition, nu: Partition, d: int) -> QuasiCom
     layout = RowLayout(*_row_bounds((nu, mu), d))
     # in int64: the subtraction must not wrap in the rows' narrow dtype
     keys = pack_rows(layout, [(rows[:, :-1], e - rows[:, -1].astype(np.int64), (0,))])
-    rows, coeffs = _grouped(layout, keys, coeffs, rows.dtype)
+    rows, coeffs = _grouped(layout, keys, coeffs)
     return QuasiCommReport(
         mu=mu,
         nu=nu,
@@ -454,24 +436,22 @@ def check_associativity(
     w = tuple(w)
     cap = DEFAULT_TERM_CAP
     layout = RowLayout(*_row_bounds((mu, nu, w), d))
+    layouts = {len(mu) + len(nu) + len(w): layout}
     # each outer product is checked, then fetched and split once per run of
     # triples that share it
     _check_shape(len(mu), len(nu), d, cap)
     _check_shape(len(mu) + len(nu), len(w), d, cap)
     terms = [(k, w, ps, cs) for k, ps, cs in _split_product(mu, nu, d)]
-    (left,) = _bilinear_keys(terms, d, cap, layout, budget).values()
+    (left,) = _bilinear_keys(terms, d, cap, layouts, budget).values()
     _check_shape(len(nu), len(w), d, cap)
     _check_shape(len(mu), len(nu) + len(w), d, cap)
     terms = [(mu, k, ps, cs) for k, ps, cs in _split_product(nu, w, d)]
-    (right,) = _bilinear_keys(terms, d, cap, layout, budget).values()
+    (right,) = _bilinear_keys(terms, d, cap, layouts, budget).values()
     # one layout packs both sides, so equal keys stand for equal rows
-    passed = all(map(np.array_equal, left[1:3], right[1:3]))
+    passed = all(map(np.array_equal, left, right))
     failures = []
     if not passed:
-        left, right = (
-            _to_element(layout.unpack(keys, dtype), coeffs)
-            for _, keys, coeffs, dtype in (left, right)
-        )
+        left, right = (_to_element(layout.unpack(keys), coeffs) for keys, coeffs in (left, right))
         keys = sorted(set(left) | set(right), key=lambda k: (len(k), k))
         for key in keys:
             if left.get(key) != right.get(key):

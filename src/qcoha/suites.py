@@ -184,7 +184,6 @@ def suite_assoc(
     random_max_len: int = 3,
     random_max_part: int = 3,
     seed: int = DEFAULT_SEED,
-    cost_limit: int = DEFAULT_COST_LIMIT,
 ) -> CheckReport:
     """Associativity, exhaustively on a small grid plus seeded random triples.
 
@@ -253,13 +252,13 @@ def suite_assoc(
         if attempts > 1000 * max(1, random_triples):
             raise ResourceLimitError(
                 "could not find %d random triples under cost limit %d"
-                % (random_triples, cost_limit)
+                % (random_triples, DEFAULT_COST_LIMIT)
             )
         d = rng.choice(tuple(d_values))
         mu = _random_partition(rng, random_max_len, random_max_part)
         nu = _random_partition(rng, random_max_len, random_max_part)
         w = _random_partition(rng, random_max_len, random_max_part)
-        if triple_cost(len(mu), len(nu), len(w), d) > cost_limit:
+        if triple_cost(len(mu), len(nu), len(w), d) > DEFAULT_COST_LIMIT:
             continue
         accepted += 1
         sampled.append("random d=%d %r %r %r" % (d, mu, nu, w))

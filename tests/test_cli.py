@@ -297,6 +297,20 @@ def test_unknown_suite_exits_2(capsys):
     assert json.loads(err)["error"]["code"] == "parse"
 
 
+# JSON nested past the recursion limit
+NESTED = "[" * 200000 + "]" * 200000
+
+
+@pytest.mark.parametrize("argv", [["phi"], ["specialize", "--at-q", "1"]])
+def test_nested_stdin_json_is_a_parse_error(capsys, monkeypatch, argv):
+    code, out, err = run(capsys, argv, stdin_text=NESTED, monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload == {"error": {"code": "parse", "message": "JSON nested too deeply"}}
+    validate(payload, "error")
+
+
 # (suite, batch field, value); the argv flag is "--" + the field, with "-"
 UNTAKEN_VERIFY_FIELDS = [
     ("graphs", "d", 7),
@@ -659,6 +673,22 @@ def test_batch_lines(capsys, monkeypatch):
     assert lines[4]["ok"] is False and lines[4]["error"]["code"] == "resource"
     assert lines[5]["ok"] is False and lines[5]["error"]["code"] == "parse"
     assert lines[6]["ok"] is False and lines[6]["error"]["code"] == "parse"
+
+
+def test_batch_answers_the_lines_after_nested_json(capsys, monkeypatch):
+    request = {"cmd": "multiply", "d": 2, "left": [0], "right": [1]}
+    text = NESTED + "\n" + json.dumps(request) + "\n"
+    code, out, err = run(capsys, ["batch"], stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 0 and err == ""
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert len(lines) == 2
+    for line in lines:
+        validate(line, "batch")
+    assert lines[0] == {
+        "ok": False,
+        "error": {"code": "parse", "message": "JSON nested too deeply"},
+    }
+    assert lines[1] == {"ok": True, "result": element_to_json(product((0,), (1,), 2), 2)}
 
 
 def test_batch_term_cap_ignores_cached_tables(capsys, monkeypatch):

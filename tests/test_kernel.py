@@ -509,6 +509,34 @@ def _group_under(bounds, rows, weights):
     return rows[index], sums
 
 
+@pytest.mark.parametrize(
+    "lo,hi,dtype",
+    [
+        (0, 127, np.int8),
+        (0, 128, np.int16),
+        (-128, 0, np.int8),
+        (-129, 0, np.int16),
+        (0, 2**15 - 1, np.int16),
+        (0, 2**15, np.int32),
+        (-(2**15) - 1, 0, np.int32),
+        (0, 2**31 - 1, np.int32),
+        (0, 2**31, np.int64),
+        (-(2**31) - 1, 0, np.int64),
+        (-(2**63), 2**63 - 1, np.int64),
+        (0, 2**63, object),
+        (-(2**63) - 1, 0, object),
+    ],
+)
+def test_a_layout_unpacks_rows_in_the_narrowest_dtype_of_its_bounds(lo, hi, dtype):
+    # the least low and the greatest low + span decide, whatever their columns
+    layout = RowLayout([lo, 0, 1], [-lo, hi, 1])
+    assert layout.row_dtype is dtype
+    rows = np.array([[lo, hi, 2], [0, 0, 1], [lo, 0, 1]], dtype=object)
+    unpacked = layout.unpack(pack_rows(layout, [(rows, None, (0,))]))
+    assert unpacked.dtype == np.dtype(dtype)
+    assert unpacked.tolist() == rows.tolist()
+
+
 @pytest.mark.parametrize("rows", BOUNDARY_ROWS)
 def test_group_rows_takes_true_bounds_at_the_int64_boundary(rows):
     weights = _boundary_weights(rows)

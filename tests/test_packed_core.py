@@ -3,14 +3,15 @@
 The reference keeps, in this file only, the grouping that stages one 2-D copy
 of a basis product's rows per coefficient term and groups the concatenated
 rows by a key packed from their columns.  The packed core must return the
-same rows and coefficients, dtypes included.  A cached basis product is
-stored in the narrowest integer dtype its bounds allow, and the reference
-states that rule apart from the program (``cached_dtypes``).
+same rows and coefficients, dtypes included.  Rows, cached or staged, come
+out in the narrowest integer dtype their certified bounds allow, and the
+reference states that rule apart from the program (``row_range``).
 """
 import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import add
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qcoha.kernel import RowLayout, group_keys, group_rows, pack_rows, structure
 from qcoha.partition_algebra import (
     _basis_product,
     _bilinear_keys,
+    _certified_layouts,
     _offsets,
     _row_bounds,
     _split_keys,
@@ -72,14 +74,21 @@ def narrowest(lo, hi):
     return np.dtype(object)
 
 
-def cached_dtypes(mu, nu, d):
-    # a part grows by at most d-1 per part of the other factor, a power lies
-    # in [0, (d-1)*m*n], and |coefficient| is at most binom(e, e // 2) with
-    # e = (d-1)*m*n: the weights of one power share a sign and sum to
-    # binom(e, power) in absolute value
+def row_range(mu, nu, d, ps=(0,)):
+    # the least and greatest entry of the rows of mu * nu, each power shifted
+    # by one of ps: a part grows by at most d-1 per part of the other factor,
+    # and a power lies in [0, (d-1)*m*n]
     e = (d - 1) * len(mu) * len(nu)
-    hi = max([p + (d - 1) * len(nu) for p in mu] + [p + (d - 1) * len(mu) for p in nu] + [e])
-    return narrowest(min(mu + nu + (0,)), hi), narrowest(-comb(e, e // 2), comb(e, e // 2))
+    hi = [p + (d - 1) * len(nu) for p in mu] + [p + (d - 1) * len(mu) for p in nu]
+    return min(mu + nu + (min(ps),)), max(hi + [e + max(ps)])
+
+
+def cached_dtypes(mu, nu, d):
+    # |coefficient| is at most binom(e, e // 2) with e = (d-1)*m*n: the
+    # weights of one power share a sign and sum to binom(e, power) in
+    # absolute value
+    e = (d - 1) * len(mu) * len(nu)
+    return narrowest(*row_range(mu, nu, d)), narrowest(-comb(e, e // 2), comb(e, e // 2))
 
 
 def reference_basis_product(mu, nu, d):
@@ -94,13 +103,21 @@ def reference_basis_product(mu, nu, d):
 
 
 def reference_bilinear_rows(terms, d, bounds=None):
-    # one 2-D copy of the basis rows per coefficient term, grouped per length
+    # one 2-D copy of the basis rows per coefficient term, grouped per
+    # length; the rows come out in the narrowest dtype of their bounds:
+    # ``bounds`` when given, for rows of one length, and otherwise each
+    # length's ``row_range`` over its terms
     by_len = {}
+    ranges = {}
     bound = 0
     integral = True
     for k1, k2, ps, cs in terms:
         basis = reference_basis_product(k1, k2, d)
-        by_len.setdefault(len(k1) + len(k2), []).append((basis, ps, cs))
+        length = len(k1) + len(k2)
+        by_len.setdefault(length, []).append((basis, ps, cs))
+        lo, hi = row_range(k1, k2, d, ps)
+        was_lo, was_hi = ranges.get(length, (lo, hi))
+        ranges[length] = min(lo, was_lo), max(hi, was_hi)
         if integral and all(type(x) is int for x in cs):
             # a staged row takes at most one basis coefficient per term of cs
             e = (d - 1) * len(k1) * len(k2)
@@ -114,8 +131,8 @@ def reference_bilinear_rows(terms, d, bounds=None):
         for (basis_rows, basis_coeffs), ps, cs in group:
             basis_coeffs = basis_coeffs.astype(dtype, copy=False)
             for p, c in zip(ps, cs):
-                # staged rows are int64, or Python ints when a basis product's
-                # are or when the shift could leave int64
+                # the shift runs in int64, or in Python ints when a basis
+                # product's rows are or when the shift could leave int64
                 big = p >> 62 not in (-1, 0) or basis_rows.dtype == object
                 shifted = basis_rows.astype(object if big else np.int64)
                 shifted[:, -1] += p
@@ -127,15 +144,21 @@ def reference_bilinear_rows(terms, d, bounds=None):
             rows, coeffs = reference_group_rows(rows, coeffs, bounds)
         if not integral:
             coeffs = np.frompyfunc(as_rational, 1, 1)(coeffs)
-        out[length] = rows, coeffs
+        if bounds is None:
+            row_dtype = narrowest(*ranges[length])
+        else:
+            row_dtype = narrowest(min(bounds[0]), max(map(add, *bounds)))
+        out[length] = rows.astype(row_dtype), coeffs
     return out
 
 
 def bilinear_rows(terms, d):
-    # the packed core of product_elements, unpacked per key length
+    # the packed core of product_elements, under its certified layouts,
+    # unpacked per key length
+    layouts = _certified_layouts(terms, d)
     return {
-        length: (layout.unpack(keys, dtype), coeffs)
-        for length, (layout, keys, coeffs, dtype) in _bilinear_keys(terms, d, sys.maxsize).items()
+        length: (layouts[length].unpack(keys), coeffs)
+        for length, (keys, coeffs) in _bilinear_keys(terms, d, sys.maxsize, layouts).items()
     }
 
 
@@ -170,10 +193,10 @@ def assert_sides_match_reference(mu, nu, w, d):
         (_basis_product(nu, w, d), lambda k: (mu, k)),
     ):
         terms = [pair(k) + (ps, cs) for k, ps, cs in _split_keys(*outer)]
-        (side,) = _bilinear_keys(terms, d, sys.maxsize, layout).values()
-        _, keys, coeffs, dtype = side
+        layouts = {len(mu) + len(nu) + len(w): layout}
+        ((keys, coeffs),) = _bilinear_keys(terms, d, sys.maxsize, layouts).values()
         (want,) = reference_bilinear_rows(terms, d, bounds).values()
-        assert_same((layout.unpack(keys, dtype), coeffs), want)
+        assert_same((layout.unpack(keys), coeffs), want)
 
 
 @pytest.mark.parametrize("c", [2**63 - 1, 2**70])
@@ -218,27 +241,29 @@ def test_assoc_sides_match_the_reference(c):
 
 def test_a_layout_wider_than_63_bits_packs_small_parts_as_python_ints():
     # a power spread near 2**62 takes 62 bits on its own, so with the parts
-    # the key is a Python int while every part and the rows stay int64
+    # the key of length 3 is a Python int while every part and its rows stay
+    # int64
     e1 = {(0, 1): q_power(0), (1, 1): q_power(2**62 - 4), (1,): ONE}
     e2 = {(2,): q_power(1) - q_power(3)}
     terms = element_terms(e1, e2)
+    assert _certified_layouts(terms, 2)[3].dtype is object
     got = bilinear_rows(terms, 2)
     want = reference_bilinear_rows(terms, 2)
     assert got.keys() == want.keys()
+    assert got[3][0].dtype == np.int64
     for length in got:
-        assert got[length][0].dtype == np.int64
         assert_same(got[length], want[length])
     # the certified bounds of a triple, loosened past 63 bits
     mu, nu, w, d = (0, 1), (1,), (0, 2), 3
     lows, spans = _row_bounds((mu, nu, w), d)
-    loose = RowLayout(lows, [span + 2**40 for span in spans])
+    bounds = (lows, [span + 2**40 for span in spans])
+    loose = RowLayout(*bounds)
     assert loose.dtype is object
     terms = [(k, w, ps, cs) for k, ps, cs in _split_keys(*_basis_product(mu, nu, d))]
-    (side,) = _bilinear_keys(terms, d, sys.maxsize, loose).values()
-    (want,) = reference_bilinear_rows(terms, d).values()
-    assert_same((loose.unpack(side[1], side[3]), side[2]), want)
+    ((keys, coeffs),) = _bilinear_keys(terms, d, sys.maxsize, {5: loose}).values()
+    (want,) = reference_bilinear_rows(terms, d, bounds).values()
+    assert_same((loose.unpack(keys), coeffs), want)
     rows, weights = want[0], np.ones(len(want[0]), dtype=np.int64)
-    bounds = (lows, [span + 2**40 for span in spans])
     index, sums = group_keys(pack_rows(RowLayout(*bounds), [(rows, None, (0,))]), weights)
     assert_same((rows[index], sums), reference_group_rows(rows, weights, bounds))
 
@@ -258,7 +283,8 @@ def test_fractions_and_negative_powers_match_the_reference():
 
 @pytest.mark.parametrize("p", [2**62, 2**62 + 5, -(2**62) - 1, 2**70])
 def test_power_shifts_past_int64_rows_match_the_reference(p):
-    # a shift this large makes the rows Python ints
+    # shifts near 2**62 keep the rows int64, within their certified bounds,
+    # and a shift past int64 makes the rows of its key length Python ints
     e1 = {(0, 1): q_power(p) + q_power(p + 1), (3,): q_power(p)}
     e2 = {(1,): ONE, (0, 2): q_power(-1)}
     terms = element_terms(e1, e2)
@@ -266,13 +292,14 @@ def test_power_shifts_past_int64_rows_match_the_reference(p):
     want = reference_bilinear_rows(terms, 3)
     assert got.keys() == want.keys()
     for length in got:
-        assert got[length][0].dtype == object
         assert_same(got[length], want[length])
+    assert got[3][0].dtype == (object if p == 2**70 else np.int64)
 
 
 @pytest.mark.parametrize("p", [0, 7, -3, 2**62])
 def test_a_single_copy_side_matches_the_reference(p):
-    # one term of one coefficient: the copy is grouped already
+    # one term of one coefficient: grouping the one sorted, distinct copy
+    # keeps it as it is
     for mu, nu, d in [((0, 1), (1,), 3), ((0,), (0,), 1), ((2,), (0, 1, 1), 2)]:
         terms = [(mu, nu, (p,), (-5,))]
         (got,) = bilinear_rows(terms, d).values()
@@ -325,7 +352,7 @@ def test_pack_rows_stages_one_copy_per_shift():
         want.append(pack_rows(layout, [(shifted[:, :-1], shifted[:, -1], (0,))]))
     assert keys.dtype == np.int64
     assert np.array_equal(keys, np.concatenate(want))
-    assert np.array_equal(layout.unpack(keys[: len(rows)], np.int64), rows)
+    assert np.array_equal(layout.unpack(keys[: len(rows)]), rows)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
@@ -350,8 +377,10 @@ def test_narrow_rows_pack_like_int64_rows(dtype, width):
     ):
         want = pack_rows(layout, blocks(rows))
         assert np.array_equal(pack_rows(layout, blocks(narrow)), want)
-    keys = pack_rows(layout, [(narrow, None, (0,))])
-    unpacked = layout.unpack(keys, dtype)
+    # under the rows' own bounds, the keys unpack straight into the dtype
+    exact = RowLayout(lows, spans)
+    assert exact.row_dtype == dtype
+    unpacked = exact.unpack(pack_rows(exact, [(narrow, None, (0,))]))
     assert unpacked.dtype == dtype and np.array_equal(unpacked, rows)
 
 
@@ -443,15 +472,13 @@ def test_a_run_of_triples_splits_its_outer_product_once(monkeypatch):
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_quasi_commutativity_holds_for_rows_past_int64(c, d):
     # rows near 2**63 are Python ints under a layout whose keys are int64,
-    # so they unpack through Python ints whether the dtype is given as a
-    # type or as a dtype
+    # so they unpack through Python ints
     for mu, nu in [((c,), (0,)), ((0, c), (1,)), ((c,), (c, c))]:
         e = (d - 1) * len(mu) * len(nu)
         rep = quasi_commutativity_report(mu, nu, d)
         assert rep.signed_matches and rep.unsigned_matches == (e % 2 == 0)
     layout = RowLayout([0, 2**63 - 1, 0], [2, 2, 2])
-    assert layout.dtype == np.int64
+    assert layout.dtype == np.int64 and layout.row_dtype is object
     rows = np.array([[0, 2**63 + 1, 2], [2, 2**63 - 1, 0]], dtype=object)
     keys = pack_rows(layout, [(rows, None, (0,))])
-    for dtype in (object, np.dtype(object)):
-        assert_same((layout.unpack(keys, dtype), keys), (rows, keys))
+    assert_same((layout.unpack(keys), keys), (rows, keys))

@@ -312,6 +312,21 @@ def test_keys_and_powers_at_the_int64_boundary(d):
         assert product_elements(e1, e2, d) == reference_product_elements(e1, e2, d)
 
 
+@pytest.mark.parametrize("p", [0, -7, 2**62 - 1, 2**62 + 5, 2**70])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_key_length_reached_from_different_factor_lengths(p, d):
+    # (0,)*(1, 2) and (0, 1)*(2,) both give keys of length 3, staged under one
+    # layout certified from both, with negative powers, powers past 2**62
+    # and Fraction coefficients
+    e1 = {(0,): QLaurent(p, (Fraction(1, 2), 0, -3)), (0, 1): QLaurent(p - 1, (2,))}
+    e2 = {(1, 2): QLaurent(-2, (1, 0, Fraction(-2, 3))), (2,): ONE}
+    got = product_elements(e1, e2, d)
+    assert {len(k) for k in got} == {2, 3, 4}
+    assert got == reference_product_elements(e1, e2, d)
+    e1 = {(0,): q_power(p), (0, 1): QLaurent(p - 1, (2, -5))}
+    assert product_elements(e1, e2, d) == reference_product_elements(e1, e2, d)
+
+
 def test_basis_products_match_shuffle_oracle():
     for d in (1, 2, 3, 4):
         grid = partitions_up_to(2, 2) if d < 4 else partitions_up_to(2, 1)

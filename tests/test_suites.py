@@ -249,7 +249,6 @@ def test_each_product_shape_is_checked_once(monkeypatch):
         partition_algebra, "structure_table", lambda *a: calls.append(a) or real(*a)
     )
     partition_algebra._check_shape.cache_clear()
-    partition_algebra._table_rows.cache_clear()
     for suite in ("assoc", "iso", "quasi", "graphs", "grading"):
         SUITES[suite](**SMALL_GRIDS[suite])
         SUITES[suite](**SMALL_GRIDS[suite])
