@@ -13,7 +13,13 @@ end, into the narrowest integer dtype that holds them.  Every coefficient
 of the kernel is a signed q-monomial ``N(a, b) * (-q)**|a|``, whose power is
 the row sum of the first-block exponents, so integers carry the whole table,
 and ``coefficient_bound`` sizes them here and in ``partition_algebra``.  The
-basis products, the symmetry check and ``g --table`` read the arrays.
+symmetry check and ``g --table`` read the arrays.  A basis product reads
+them merged over the runs of equal parts of its factors (``merged_table``, a
+bounded cache keyed by the run lengths): rows that differ by a permutation
+within a run re-key to one key at one power, so each run's columns are
+sorted within every row and the rows are grouped on the table's own layout,
+into narrow arrays.  At the ``verify assoc`` defaults that halves the rows
+the builds re-key.
 ``pairwise_kernel`` expands the same factors into an ``MPoly`` instead,
 multiplying one factor at a time with the polynomial module's own row
 grouping.  The factorization identity multiplies those expansions, and the
@@ -28,15 +34,16 @@ packs each row within certified column bounds into one 1-D sort key, and
 unpacks keys into rows of its ``row_dtype``, the narrowest integer dtype
 those bounds allow, so no caller picks one.  ``pack_rows`` stages blocks of
 rows as keys (one copy per power shift), and ``group_keys`` sums weights
-over equal keys.  The table fold, the basis products and the bilinear core
-of ``partition_algebra`` run that core and unpack only the surviving keys.
+over equal keys.  The table fold, the merge, the basis products and the
+bilinear core of ``partition_algebra`` run that core and unpack only the surviving keys.
 ``group_rows`` is the core on a matrix under the column extremes, returning
 the first row of each group; only ``verify_symmetry`` uses it.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb, factorial
 from operator import add, mul
@@ -358,6 +365,12 @@ class StructureConstantTable:
         return len(self.weights)
 
 
+def _table_layout(m: int, n: int, exp: int) -> RowLayout:
+    """The layout of a table's exponent rows: every low is 0, a first-block
+    column lies within exp*n and a second-block column within exp*m."""
+    return RowLayout([0] * (m + n), [exp * n] * m + [exp * m] * n)
+
+
 def structure_constants(
     spec: KernelSpec, term_cap: int = DEFAULT_TERM_CAP
 ) -> StructureConstantTable:
@@ -383,7 +396,7 @@ def structure_constants(
     check_term_cap(term_cap)
     m, n, exp = spec.m, spec.n, spec.d - 1
     dtype = np.int64 if coefficient_bound(exp * m * n) <= _INT64_MAX else object
-    layout = RowLayout([0] * (m + n), [exp * n] * m + [exp * m] * n)
+    layout = _table_layout(m, n, exp)
     keys = np.zeros(1, dtype=layout.dtype)
     weights = np.ones(1, dtype=dtype)
     staged = [1]
@@ -435,6 +448,51 @@ def structure_table(
     while len(_TABLE_CACHE) > TABLE_CACHE_SIZE:
         del _TABLE_CACHE[next(iter(_TABLE_CACHE))]
     return hit
+
+
+# about three times the 348 run patterns ``verify assoc`` meets at its
+# defaults, whose merged tables hold 0.9 MB of arrays
+MERGED_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=MERGED_CACHE_SIZE)
+def merged_table(m: int, n: int, d: int, runs: Tuple[int, ...]):
+    """The (m, n, d) table with its rows merged over runs of equal parts.
+
+    ``runs`` are the lengths of the runs of equal parts of a basis product's
+    first factor, then those of its second, and cover the m + n columns in
+    order.  The product re-keys a row (a, b) by the sorted (mu + a, nu + b),
+    so two rows that differ by a permutation within runs give the same key
+    and, since a run never crosses the first block, the same power.  Each
+    run's columns are sorted within every row, and the rows are grouped on
+    the table's packed layout: the weights of a group share the sign of
+    their power, so a merged weight lies within ``coefficient_bound``.
+    This rule reads only equal parts, never the table's symmetry, so
+    ``verify_symmetry`` stays independent of it.
+
+    Returns (exps, powers, weights): distinct rows in lexicographic order,
+    the exponents in the table's dtype, the powers in the narrowest dtype
+    of [0, (d-1)*m*n] and the weights in the narrowest within
+    +-``coefficient_bound((d-1)*m*n)``.  When every run has length 1 these
+    are the table's own arrays, and no copy is kept.  Callers check their
+    own term cap first and must not mutate the returned arrays.
+    """
+    table = structure_table(m, n, d, sys.maxsize)
+    if max(runs) == 1:
+        return table.exps, table.powers, table.weights
+    exps = table.exps.copy()
+    for stop, run in zip(accumulate(runs), runs):
+        if run > 1:
+            exps[:, stop - run : stop].sort(axis=1)
+    keys = pack_rows(_table_layout(m, n, d - 1), [(exps, None, (0,))])
+    index, weights = group_keys(keys, table.weights)
+    e = (d - 1) * m * n
+    bound = coefficient_bound(e)
+    return (
+        exps[index],
+        table.powers[index].astype(narrowest_dtype(0, e)),
+        weights.astype(narrowest_dtype(-bound, bound)),
+    )
 
 
 def verify_symmetry(table: StructureConstantTable) -> CheckReport:

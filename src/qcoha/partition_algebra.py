@@ -7,16 +7,20 @@ elements as immutable values and return fresh dicts.
 The basis product of two partitions re-keys the (m, n, d) coefficient table by
 (mu + a, nu + b) and sorts each key.  Sorting is well-defined: rearranging
 the entries of mu or nu permutes the summands without changing the sorted
-merge.
+merge.  So two rows that differ by a permutation within a run of equal parts
+of mu, or of nu, give the same key and the same power, and a build re-keys
+each such orbit once, its weights summed.
 
 There is one product engine, on integer arrays.  A basis product is memoized
 as grouped rows: each row is a sorted key followed by a power of q, rows are
 distinct and in lexicographic order, and each carries one integer
 coefficient.  Rows are grouped on packed 1-D keys (``kernel.RowLayout``,
-``kernel.pack_rows`` and ``kernel.group_keys``): a basis build widens the
-table's narrow exponents to int64, adds the parts, sorts each key, packs the
-sorted keys and the table's powers straight into one key per row, and only
-the distinct keys that survive grouping are unpacked into rows.  The
+``kernel.pack_rows`` and ``kernel.group_keys``): a basis build takes the
+table merged over the runs of equal parts of mu and of nu
+(``kernel.merged_table``), widens its narrow exponents to int64, adds the
+parts, sorts each key, packs the sorted keys and the merged powers straight
+into one key per row, and only the distinct keys that survive grouping are
+unpacked into rows.  The
 bilinear core packs each cached basis product it needs once; for every term
 c * q**p of the coefficient of a pair of basis keys it adds p to one copy of
 that pair's keys and multiplies c into one copy of its coefficients, and it
@@ -60,8 +64,8 @@ basis product's coefficients to the staging dtype once.
 """
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
+from itertools import groupby
 from operator import add, sub
 from typing import Dict, List
 
@@ -75,6 +79,7 @@ from .kernel import (
     check_term_cap,
     coefficient_bound,
     group_keys,
+    merged_table,
     narrowest_dtype,
     pack_rows,
     structure_table,
@@ -103,6 +108,11 @@ def _offsets(parts: IntVector) -> np.ndarray:
     # parts this large would overflow int64 keys; keep them as Python ints
     big = parts and max(parts) >> 62
     return np.array(parts, dtype=object if big else np.int64)
+
+
+def _runs(parts: IntVector):
+    """The lengths of the runs of equal consecutive parts."""
+    return tuple(len(list(run)) for _, run in groupby(parts))
 
 
 def _row_bounds(blocks, d: int):
@@ -153,16 +163,16 @@ def _basis_product(mu: Partition, nu: Partition, d: int):
     if not mu or not nu:
         # the other factor's key at power 0
         return np.array([mu + nu + (0,)], dtype=layout.row_dtype), np.ones(1, dtype=coeff_dtype)
-    table = structure_table(len(mu), len(nu), d, sys.maxsize)
+    exps, powers, weights = merged_table(len(mu), len(nu), d, _runs(mu) + _runs(nu))
     # the narrow exponents are widened to the offsets' dtype before the
     # per-row sort: numpy 2.4 sorts short int8 and int16 rows more slowly
     # than int64 ones
     offsets = _offsets(mu + nu)
-    keys = table.exps.astype(offsets.dtype)
+    keys = exps.astype(offsets.dtype)
     keys += offsets
     keys.sort(axis=1)
-    packed = pack_rows(layout, [(keys, table.powers, (0,))])
-    rows, coeffs = _grouped(layout, packed, table.weights)
+    packed = pack_rows(layout, [(keys, powers, (0,))])
+    rows, coeffs = _grouped(layout, packed, weights)
     return rows, coeffs.astype(coeff_dtype, copy=False)
 
 
@@ -172,8 +182,9 @@ def _check_shape(m: int, n: int, d: int, term_cap: int) -> int:
 
     They read nothing but the shape, and a check that fails raises and is
     not cached, so whether a request fails never depends on what is cached.
-    Returns the rows a basis product of that shape re-keys, sorts and groups
-    when it is built: its table's rows, or one for an empty factor.
+    Returns the rows a build of that shape is charged for: its table's rows,
+    or one for an empty factor.  A build re-keys fewer when a factor repeats
+    a part, but the charge reads only the shape.
     """
     check_loop_count(d)
     check_term_cap(term_cap)
@@ -357,8 +368,25 @@ def product_elements(
     layouts = _certified_layouts(terms, d)
     out: PartitionElement = {}
     for length, (keys, coeffs) in _bilinear_keys(terms, d, term_cap, layouts).items():
-        out.update(_to_element(layouts[length].unpack(keys), coeffs))
+        rows = layouts[length].unpack(keys)
+        _check_spans(rows, term_cap)
+        out.update(_to_element(rows, coeffs))
     return out
+
+
+def _check_spans(rows, term_cap: int) -> None:
+    """Refuse grouped rows whose coefficient at some key spans more powers
+    than ``term_cap``: ``_to_element`` holds one entry per power from a
+    key's least to its greatest."""
+    _, starts = _key_starts(rows)
+    powers = rows[:, -1]
+    lasts = np.append(starts[1:], len(rows)) - 1
+    # in Python ints: a span may pass int64 when the powers do not
+    span = max(map(sub, powers[lasts].tolist(), powers[starts].tolist()), default=-1) + 1
+    if span > term_cap:
+        raise ResourceLimitError(
+            "a coefficient spans %d powers of q, cap %d" % (span, term_cap)
+        )
 
 
 # -- verification -------------------------------------------------------------

@@ -914,6 +914,8 @@ def _fresh_caches(monkeypatch, basis_size, table_size):
     """Empty product caches holding at most the given numbers of entries."""
     build = partition_algebra._basis_product.__wrapped__
     monkeypatch.setattr(partition_algebra, "_basis_product", lru_cache(maxsize=basis_size)(build))
+    merge = kernel.merged_table.__wrapped__
+    monkeypatch.setattr(partition_algebra, "merged_table", lru_cache(maxsize=basis_size)(merge))
     monkeypatch.setattr(kernel, "_TABLE_CACHE", {})
     monkeypatch.setattr(kernel, "TABLE_CACHE_SIZE", table_size)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 from fractions import Fraction
@@ -19,6 +20,7 @@ from qcoha.kernel import (
     group_keys,
     group_rows,
     kernel_polynomial,
+    merged_table,
     pack_rows,
     pairwise_kernel,
     structure_constants,
@@ -807,3 +809,79 @@ def test_g_table_output_matches_the_folded_rows(capsys, m, n, d):
     for fmt, want in (("json", json.dumps(doc)), ("text", text), ("latex", latex)):
         assert main(argv + [fmt]) == 0
         assert capsys.readouterr().out == want + "\n", fmt
+
+
+def compositions(k):
+    # every tuple of positive run lengths summing to k
+    if k == 0:
+        return [()]
+    return [(first,) + rest for first in range(1, k + 1) for rest in compositions(k - first)]
+
+
+def orbit_size(row, runs):
+    # the distinct rows reached by permuting the entries within each run
+    segments, start = [], 0
+    for run in runs:
+        segments.append(set(itertools.permutations(row[start : start + run])))
+        start += run
+    return len(list(itertools.product(*segments)))
+
+
+def narrowest(lo, hi):
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(object)
+
+
+MERGED_SHAPES = [(1, 2, 3), (2, 1, 4), (2, 2, 2), (2, 2, 3), (3, 1, 3), (1, 3, 4), (3, 2, 2), (2, 1, 35)]
+
+
+@pytest.mark.parametrize("m,n,d", MERGED_SHAPES)
+def test_merged_weights_are_table_weights_times_orbit_sizes(m, n, d):
+    table = structure_table(m, n, d)
+    weight_of = dict(zip(map(tuple, table.exps.tolist()), table.weights.tolist()))
+    e = (d - 1) * m * n
+    for runs in (ra + rb for ra in compositions(m) for rb in compositions(n)):
+        exps, powers, weights = merged_table(m, n, d, runs)
+        rows = list(map(tuple, exps.tolist()))
+        # a merged row is a table row, sorted within each run; its orbit
+        # holds that many table rows, all of one weight
+        for row, weight in zip(rows, weights.tolist()):
+            assert weight == weight_of[row] * orbit_size(row, runs), (runs, row)
+        total = sum(orbit_size(row, runs) for row in rows)
+        assert total == len(table)
+        # powers are the first-block row sums; rows are distinct and in order
+        assert powers.tolist() == [sum(row[:m]) for row in rows]
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+        if max(runs) > 1:
+            assert exps.dtype == table.exps.dtype
+            assert powers.dtype == narrowest(0, e)
+            assert weights.dtype == narrowest(-comb(e, e // 2), comb(e, e // 2))
+
+
+@pytest.mark.parametrize("m,n,d", MERGED_SHAPES)
+def test_merged_tables_with_runs_of_one_are_the_table(m, n, d):
+    # uncached: a cached merge holds the arrays of the table it was built from
+    table = structure_table(m, n, d)
+    exps, powers, weights = merged_table.__wrapped__(m, n, d, (1,) * (m + n))
+    assert exps is table.exps and powers is table.powers and weights is table.weights
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_runs_never_merge_across_the_blocks(d):
+    # mu = nu = (1, 1): runs (2, 2), sorted within each block only
+    table = structure_table(2, 2, d)
+    want = {}
+    for row, weight in zip(table.exps.tolist(), table.weights.tolist()):
+        key = tuple(sorted(row[:2]) + sorted(row[2:]))
+        want[key] = want.get(key, 0) + weight
+    exps, powers, weights = merged_table(2, 2, d, (2, 2))
+    assert dict(zip(map(tuple, exps.tolist()), weights.tolist())) == want
+    # rows whose four entries agree as a multiset but split differently
+    # across the blocks carry different powers, so one run of 4 would be
+    # wrong
+    by_multiset = {}
+    for row, power in zip(exps.tolist(), powers.tolist()):
+        by_multiset.setdefault(tuple(sorted(row)), set()).add(power)
+    assert any(len(found) > 1 for found in by_multiset.values())

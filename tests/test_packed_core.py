@@ -16,7 +16,7 @@ from operator import add
 import numpy as np
 import pytest
 
-from qcoha import partition_algebra
+from qcoha import kernel, partition_algebra
 from qcoha.kernel import RowLayout, group_keys, group_rows, pack_rows, structure_table
 from qcoha.partition_algebra import (
     _basis_product,
@@ -205,6 +205,19 @@ def test_basis_products_with_huge_parts_match_the_reference(c, d):
     # parts this large make the rows, and at 2**70 the keys, Python ints
     for mu, nu in [((c,), (c,)), ((0, c), (c,)), ((c, c), (0, 1)), ((), (c,)), ((c,), ())]:
         assert_same(_basis_product(mu, nu, d), reference_basis_product(mu, nu, d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_basis_products_with_repeated_parts_match_the_reference(d):
+    # builds re-key a table merged over runs of equal parts; the reference
+    # re-keys every row of the full table
+    pairs = [((1, 1), (1, 1)), ((0, 0, 2), (1,)), ((2,), (0, 3, 3)), ((0, 0, 0), (1, 1))]
+    pairs += [((0, 1, 1), (2, 2, 2)), ((1, 2), (0, 0)), ((0, 0), ()), ((), (1, 1, 1))]
+    for c in (2**63 - 1, 2**70):
+        pairs += [((c, c), (c,)), ((0, c, c), (c, c)), ((c, c), ()), ((), (0, c, c))]
+    for mu, nu in pairs:
+        if d < 4 or len(mu) * len(nu) <= 6:
+            assert_same(_basis_product(mu, nu, d), reference_basis_product(mu, nu, d))
 
 
 @pytest.mark.parametrize(
@@ -425,17 +438,26 @@ def test_a_default_assoc_suite_caches_narrow_products(monkeypatch):
     # every basis product the default suite reads is in the narrowest dtype
     # of the rule, and together they hold at most 16 MiB of arrays (about
     # 9.4 MiB, against 67.5 MiB in int64); from empty caches, an outer
-    # product is fetched only when it is split, so every hit is a reuse
+    # product is fetched only when it is split, so every hit is a reuse.
+    # The tables merged over runs of equal parts that the builds re-key
+    # hold at most 1.5 MiB (about 0.9 MiB)
     entries = {}
     cached = lru_cache(maxsize=partition_algebra.BASIS_CACHE_SIZE)(
         partition_algebra._basis_product.__wrapped__
     )
+    merged = {}
+    merge = lru_cache(maxsize=kernel.MERGED_CACHE_SIZE)(kernel.merged_table.__wrapped__)
 
     def spy(mu, nu, d):
         entries[mu, nu, d] = cached(mu, nu, d)
         return entries[mu, nu, d]
 
+    def merge_spy(m, n, d, runs):
+        merged[m, n, d, runs] = merge(m, n, d, runs)
+        return merged[m, n, d, runs]
+
     monkeypatch.setattr(partition_algebra, "_basis_product", spy)
+    monkeypatch.setattr(partition_algebra, "merged_table", merge_spy)
     partition_algebra._split_product.cache_clear()
     assert suite_assoc().passed
     info = cached.cache_info()
@@ -449,6 +471,9 @@ def test_a_default_assoc_suite_caches_narrow_products(monkeypatch):
         assert (rows.dtype, coeffs.dtype) == cached_dtypes(mu, nu, d), (mu, nu, d)
         held += rows.nbytes + coeffs.nbytes
     assert held <= 16 * 2**20
+    # a merge with every run of length 1 holds the table's own arrays
+    copies = [arrays for (_, _, _, runs), arrays in merged.items() if max(runs) > 1]
+    assert sum(a.nbytes for arrays in copies for a in arrays) <= 1.5 * 2**20
 
 
 def test_a_run_of_triples_splits_its_outer_product_once(monkeypatch):

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcoha import partition_algebra
+from qcoha import kernel, partition_algebra
 from qcoha.bipartite import product_via_graphs
 from qcoha.errors import ResourceLimitError
-from qcoha.kernel import structure_table
+from qcoha.kernel import DEFAULT_TERM_CAP, structure_table
 from qcoha.partition_algebra import (
     _basis_product,
     check_associativity,
@@ -367,6 +367,30 @@ def test_staged_row_cap_covers_every_coefficient_type():
             product_elements({(0, 1): c}, {(0, 1): ONE}, 2, term_cap=35)
 
 
+def far_apart_powers(p):
+    # (0,)*(1, 2) at q**p and (0, 1)*(2,) at q**-1 meet at keys of length 3,
+    # whose coefficients then span p + 2 powers of q
+    return {(0,): q_power(p), (0, 1): QL(-p - 1, 2)}, {(1, 2): ONE, (2,): q_power(p)}
+
+
+@pytest.mark.parametrize("p,cap", [(2**62 - 1, DEFAULT_TERM_CAP), (3 * 10**6, 10**6)])
+def test_a_coefficient_spanning_past_the_cap_is_refused(p, cap):
+    # one entry per power in between would be a MemoryError at 2**62 - 1,
+    # and 114 MB for 13 keys at 3 * 10**6
+    message = "^a coefficient spans %d powers of q, cap %d$" % (p + 2, cap)
+    with pytest.raises(ResourceLimitError, match=message):
+        product_elements(*far_apart_powers(p), 2, term_cap=cap)
+
+
+def test_a_coefficient_spanning_the_whole_cap_is_kept():
+    e1, e2 = far_apart_powers(1000)
+    got = product_elements(e1, e2, 2, term_cap=1002)
+    assert got == reference_product_elements(e1, e2, 2)
+    assert max(max(dict(c.items())) - min(dict(c.items())) + 1 for c in got.values()) == 1002
+    with pytest.raises(ResourceLimitError, match="spans 1002 powers of q, cap 1001$"):
+        product_elements(e1, e2, 2, term_cap=1001)
+
+
 @given(small_elements, small_elements, ds)
 @settings(max_examples=15)
 def test_object_engine_handles_fractions(e1, e2, d):
@@ -451,6 +475,20 @@ def _spy_on_bounds(monkeypatch):
     # cached basis products were packed before the spy was in place
     partition_algebra._basis_product.cache_clear()
     return seen
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_build_from_a_cold_merged_table_packs_once(d):
+    # the merge packs its rows in the kernel, never through this module's
+    # pack_rows, so a build is one pack whether its merged table is cached
+    mu, nu = (1, 1, 2), (0, 0)
+    kernel.merged_table.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _spy_on_bounds(mp)
+        product(mu, nu, d)
+        product(nu, mu, d)
+        assert seen == [(6, (d - 1) * 6)] * 2
+    partition_algebra._basis_product.cache_clear()
 
 
 @given(

@@ -187,6 +187,9 @@ def test_default_assoc_spends_well_under_the_limit(monkeypatch):
     rep = suite_assoc()
     assert rep.passed and rep.checked == 3350
     assert len(spent) == 1 and spent[0] < suites.GRID_WORK_LIMIT / 2
+    # the budget charges the full table's rows for every build, whatever
+    # rows a build re-keys
+    assert spent == [218122026]
     # the grid's prediction, before any check, is smaller still
     assert _predicted_work(monkeypatch, "assoc") < spent[0]
 
