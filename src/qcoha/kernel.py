@@ -35,9 +35,10 @@ unpacks keys into rows of its ``row_dtype``, the narrowest integer dtype
 those bounds allow, so no caller picks one.  ``pack_rows`` stages blocks of
 rows as keys (one copy per power shift), and ``group_keys`` sums weights
 over equal keys.  The table fold, the merge, the basis products and the
-bilinear core of ``partition_algebra`` run that core and unpack only the surviving keys.
-``group_rows`` is the core on a matrix under the column extremes, returning
-the first row of each group; only ``verify_symmetry`` uses it.
+bilinear core of ``partition_algebra`` run that core and unpack only the
+surviving keys.  ``group_rows`` is the core on a matrix under the column
+extremes, returning the first row of each group; only ``verify_symmetry``
+uses it.
 """
 from __future__ import annotations
 

@@ -20,13 +20,12 @@ table merged over the runs of equal parts of mu and of nu
 (``kernel.merged_table``), widens its narrow exponents to int64, adds the
 parts, sorts each key, packs the sorted keys and the merged powers straight
 into one key per row, and only the distinct keys that survive grouping are
-unpacked into rows.  The
-bilinear core packs each cached basis product it needs once; for every term
-c * q**p of the coefficient of a pair of basis keys it adds p to one copy of
-that pair's keys and multiplies c into one copy of its coefficients, and it
-groups the staged keys once per key length.  No 2-D copy of the rows is
-staged.  ``product_elements`` is that core, unpacked, with QLaurent dicts at
-its edges.  ``check_associativity`` feeds it the rows of the cached outer
+unpacked into rows.  The bilinear core packs each cached basis product it
+needs once; for every term c * q**p of the coefficient of a pair of basis
+keys it adds p to one copy of that pair's keys and multiplies c into one
+copy of its coefficients, and it groups the staged keys once per key length.
+No 2-D copy of the rows is staged.  ``product_elements`` is that core,
+unpacked, with QLaurent dicts at its edges.  ``check_associativity`` feeds it the rows of the cached outer
 product (mu * nu, or nu * w) directly, packs both parenthesizations under
 the one layout of the triple's certified bounds, and compares their grouped
 keys and coefficients with ``np.array_equal``: grouped keys are canonical,
