@@ -2,7 +2,7 @@ import itertools
 import json
 import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -820,11 +820,8 @@ def compositions(k):
 
 def orbit_size(row, runs):
     # the distinct rows reached by permuting the entries within each run
-    segments, start = [], 0
-    for run in runs:
-        segments.append(set(itertools.permutations(row[start : start + run])))
-        start += run
-    return len(list(itertools.product(*segments)))
+    stops = itertools.accumulate(runs)
+    return prod(len(set(itertools.permutations(row[s - r : s]))) for s, r in zip(stops, runs))
 
 
 def narrowest(lo, hi):
