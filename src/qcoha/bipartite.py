@@ -9,10 +9,10 @@ partition-algebra product, which gives a fully independent oracle for it.
 
 Orientations are taken 2**16 at a time from a bit matrix (``_orientations``).
 ``product_via_graphs`` counts equal (key, edges toward the left) pairs of
-each block through its own packed integer key, into grouped rows in the
-layout of a basis product; it shares no grouping code with the table engine
-it checks.  ``list_orientations`` returns the terms of one block as they are,
-one per orientation, for ``graphs --list``.
+each block through its own packed integer key, into grouped rows split by
+key into the key-major layout of a basis product; it shares no grouping
+code with the table engine it checks.  ``list_orientations`` returns the
+terms of one block as they are, one per orientation, for ``graphs --list``.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .kernel import DEFAULT_TERM_CAP
-from .partition_algebra import _capped_basis_product, _offsets, _to_element
+from .partition_algebra import _capped_basis_product, _key_major, _offsets, _to_element
 from .partitions import Partition, is_partition
 from .reports import CheckReport
 
@@ -61,12 +61,12 @@ def _orientations(parts: np.ndarray, n: int, k: int, start: int, stop: int):
 def product_via_graphs(mu: Partition, nu: Partition, max_bits: int = DEFAULT_BIT_BUDGET):
     """Sum of h over every orientation; the graph-side d = 2 product.
 
-    Returns grouped (rows, coeffs) in the layout of a basis product (sorted
-    key, then power of q; rows in order), a row's coefficient being its
-    orientation count times (-1)**power.  Each block of orientations packs
-    its sorted keys and its left-edge counts into one integer per
-    orientation, in row order, and counts them; the blocks' counts are
-    summed per packed key.
+    Returns (keys, counts, powers, coeffs) in the key-major layout of a
+    basis product, from grouped rows (sorted key, then power of q; rows in
+    order), a row's coefficient being its orientation count times
+    (-1)**power.  Each block of orientations packs its sorted keys and its
+    left-edge counts into one integer per orientation, in row order, and
+    counts them; the blocks' counts are summed per packed key.
     """
     mu = tuple(mu)
     nu = tuple(nu)
@@ -106,7 +106,7 @@ def product_via_graphs(mu: Partition, nu: Partition, max_bits: int = DEFAULT_BIT
         summed = np.zeros(len(first), dtype=np.int64)
         np.add.at(summed, where, np.concatenate(counts))
         rows = np.concatenate(rows)[first]
-    return rows, np.where(rows[:, -1] & 1, -summed, summed)
+    return _key_major(rows, np.where(rows[:, -1] & 1, -summed, summed))
 
 
 def list_orientations(mu: Partition, nu: Partition):
@@ -129,7 +129,7 @@ def list_orientations(mu: Partition, nu: Partition):
 
 def verify_graph_model(mu: Partition, nu: Partition) -> CheckReport:
     """Graph-side product against the structure-constant product at d = 2,
-    as grouped rows: they agree exactly when their arrays are equal."""
+    key-major: they agree exactly when their arrays are equal."""
     mu = tuple(mu)
     nu = tuple(nu)
     graphs = product_via_graphs(mu, nu)

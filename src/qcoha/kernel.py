@@ -32,13 +32,12 @@ product, checked before each factor, raises ResourceLimitError.
 Integer rows group in one place, and ``RowLayout`` owns their format: it
 packs each row within certified column bounds into one 1-D sort key, and
 unpacks keys into rows of its ``row_dtype``, the narrowest integer dtype
-those bounds allow, so no caller picks one.  ``pack_rows`` stages blocks of
-rows as keys (one copy per power shift), and ``group_keys`` sums weights
-over equal keys.  The table fold, the merge, the basis products and the
-bilinear core of ``partition_algebra`` run that core and unpack only the
-surviving keys.  ``group_rows`` is the core on a matrix under the column
-extremes, returning the first row of each group; only ``verify_symmetry``
-uses it.
+those bounds allow, so no caller picks one.  ``pack_rows`` packs rows, or
+only their keys, and ``group_keys`` sums weights over equal keys.  The
+table fold, the merge, the basis products and the bilinear core of
+``partition_algebra`` run that core and keep only the surviving keys.
+``group_rows`` is the core on a matrix under the column extremes, returning
+the first row of each group; only ``verify_symmetry`` uses it.
 """
 from __future__ import annotations
 
@@ -133,7 +132,6 @@ class RowLayout:
         self.base = sum(map(mul, lows, scale))
         self.step = scale[-1]
         self.scale = np.array(scale, dtype=np.uint64 if fits else object)
-        self._fields = None
 
     def words(self, values: np.ndarray) -> np.ndarray:
         """Integers as the key's words: uint64 modulo 2**64, or Python ints."""
@@ -150,48 +148,40 @@ class RowLayout:
     def unpack(self, keys: np.ndarray) -> np.ndarray:
         """The rows, in ``row_dtype``, whose packed keys are ``keys``.
 
-        An integer dtype narrower than the key's is written straight from
-        its fields.
+        One column is unpacked at a time, straight into the rows: an integer
+        dtype takes the shifted key, the mask and the low in its own width,
+        where they agree with the key's fields modulo the width and every
+        entry fits.  Past int64 they are summed as Python ints.
         """
-        if self._fields is None:
-            masks = [(1 << width) - 1 for width in self.widths]
-            self._fields = [np.array(a, dtype=self.dtype) for a in (self.shifts, masks, self.lows)]
-        shifts, masks, lows = self._fields
         dtype = self.row_dtype
-        rows = keys[:, None] >> shifts
-        rows &= masks
-        if rows.dtype == dtype:
-            rows += lows
-            return rows
-        if dtype is not object and rows.dtype != object:
-            return np.add(rows, lows, out=np.empty(rows.shape, dtype), casting="unsafe")
-        # rows past int64 are summed as Python ints
-        return (rows.astype(object) + lows.astype(object)).astype(dtype, copy=False)
+        rows = np.empty((len(keys), len(self.lows)), dtype=dtype)
+        for column, shift, width, low in zip(rows.T, self.shifts, self.widths, self.lows):
+            if dtype is object or keys.dtype == object:
+                column[...] = ((keys >> shift) & ((1 << width) - 1)).astype(object) + low
+                continue
+            np.right_shift(keys, shift, out=column, casting="unsafe")
+            # a mask as wide as the dtype wraps to all ones in it
+            column &= np.array((1 << width) - 1, dtype=np.uint64).astype(dtype)
+            column += dtype(low)
+        return rows
 
 
-def pack_rows(layout: RowLayout, blocks) -> np.ndarray:
-    """Stage blocks of rows as packed keys, concatenated in order.
+def pack_rows(layout: RowLayout, parts: np.ndarray, powers=None, shift: int = 0) -> np.ndarray:
+    """The packed keys of rows, ``shift`` added to every power.
 
-    A block (parts, powers, shifts) holds the rows whose last column is
-    ``powers`` and whose other columns are ``parts``; with ``powers`` None,
-    ``parts`` holds the whole rows.  Each block is packed once, and each s
-    in ``shifts`` stages one copy of its keys: those of its rows with s
-    added to every power.  Every staged row must lie within the layout's
-    bounds.
+    The rows' last column is ``powers`` and their other columns ``parts``;
+    with ``powers`` None, ``parts`` holds the rows' leading columns and
+    every column after them is 0: the whole rows, or only their keys.  Every
+    row, its power shifted, must lie within the layout's bounds.
     """
-    scale, step, base = layout.scale, layout.step, layout.base
-    fixed = layout.dtype is not object
-    keys = []
-    for parts, powers, shifts in blocks:
-        if powers is None:
-            core = layout.words(parts) @ scale
-        else:
-            core = layout.words(parts) @ scale[:-1] + layout.words(powers) * scale[-1]
-        for s in shifts:
-            offset = s * step - base
-            keys.append(core + (np.uint64(offset % (1 << 64)) if fixed else offset))
-    keys = np.concatenate(keys) if len(keys) > 1 else keys[0]
-    return keys.view(np.int64) if fixed else keys
+    if powers is None:
+        keys = layout.words(parts) @ layout.scale[: parts.shape[1]]
+    else:
+        keys = layout.words(parts) @ layout.scale[:-1] + layout.words(powers) * layout.scale[-1]
+    offset = shift * layout.step - layout.base
+    if layout.dtype is object:
+        return keys + offset
+    return (keys + np.uint64(offset % (1 << 64))).view(np.int64)
 
 
 def group_keys(keys: np.ndarray, weights: np.ndarray):
@@ -231,7 +221,7 @@ def group_rows(rows: np.ndarray, weights: np.ndarray):
     # spans in Python ints: an int64 column may range wider than int64
     lows = cols.min(axis=1).tolist()
     spans = [hi - lo for hi, lo in zip(cols.max(axis=1).tolist(), lows)]
-    keys = pack_rows(RowLayout(lows, spans), [(rows, None, (0,))])
+    keys = pack_rows(RowLayout(lows, spans), rows)
     index, sums = group_keys(keys, weights)
     return rows[index], sums
 
@@ -474,18 +464,16 @@ def merged_table(m: int, n: int, d: int, runs: Tuple[int, ...]):
     Returns (exps, powers, weights): distinct rows in lexicographic order,
     the exponents in the table's dtype, the powers in the narrowest dtype
     of [0, (d-1)*m*n] and the weights in the narrowest within
-    +-``coefficient_bound((d-1)*m*n)``.  When every run has length 1 these
-    are the table's own arrays, and no copy is kept.  Callers check their
-    own term cap first and must not mutate the returned arrays.
+    +-``coefficient_bound((d-1)*m*n)``, never the table's own.  A build
+    with every run of length 1 has nothing to merge and reads the table
+    instead.  Callers check their own term cap first.
     """
     table = structure_table(m, n, d, sys.maxsize)
-    if max(runs) == 1:
-        return table.exps, table.powers, table.weights
     exps = table.exps.copy()
     for stop, run in zip(accumulate(runs), runs):
         if run > 1:
             exps[:, stop - run : stop].sort(axis=1)
-    keys = pack_rows(_table_layout(m, n, d - 1), [(exps, None, (0,))])
+    keys = pack_rows(_table_layout(m, n, d - 1), exps)
     index, weights = group_keys(keys, table.weights)
     e = (d - 1) * m * n
     bound = coefficient_bound(e)

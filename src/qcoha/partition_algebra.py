@@ -9,60 +9,31 @@ The basis product of two partitions re-keys the (m, n, d) coefficient table by
 the entries of mu or nu permutes the summands without changing the sorted
 merge.  So two rows that differ by a permutation within a run of equal parts
 of mu, or of nu, give the same key and the same power, and a build re-keys
-each such orbit once, its weights summed.
+each such orbit once, its weights summed (``kernel.merged_table``).
 
 There is one product engine, on integer arrays.  A basis product is memoized
-as grouped rows: each row is a sorted key followed by a power of q, rows are
-distinct and in lexicographic order, and each carries one integer
-coefficient.  Rows are grouped on packed 1-D keys (``kernel.RowLayout``,
-``kernel.pack_rows`` and ``kernel.group_keys``): a basis build takes the
-table merged over the runs of equal parts of mu and of nu
-(``kernel.merged_table``), widens its narrow exponents to int64, adds the
-parts, sorts each key, packs the sorted keys and the merged powers straight
-into one key per row, and only the distinct keys that survive grouping are
-unpacked into rows.  The bilinear core packs each cached basis product it
-needs once; for every term c * q**p of the coefficient of a pair of basis
-keys it adds p to one copy of that pair's keys and multiplies c into one
-copy of its coefficients, and it groups the staged keys once per key length.
-No 2-D copy of the rows is staged.  ``product_elements`` is that core,
-unpacked, with QLaurent dicts at its edges.  ``check_associativity`` feeds it the rows of the cached outer
-product (mu * nu, or nu * w) directly, packs both parenthesizations under
-the one layout of the triple's certified bounds, and compares their grouped
-keys and coefficients with ``np.array_equal``: grouped keys are canonical,
-so on the passing path no row is unpacked and no QLaurent is built.  So do
-``quasi_commutativity_report``, ``bipartite.verify_graph_model``,
-``shuffle_algebra.verify_homomorphism`` and the suites' grading check on
-rows, and JSON ``multiply`` writes the cached rows as text.  ``_split_keys``
-splits grouped rows by key, and ``_split_product`` keeps the last few
-splits of cached products; only ``product`` (and ``product_elements`` at
-its edges), the text and LaTeX renderers and ``--at-q`` fold the split rows
-into QLaurent dicts (``_to_element``).  The caches of basis products and
-tables are bounded, least recently used out, at twice a default suite's
-working set.  The checks a product of a given shape must pass run once per
-shape (``_check_shape``).
+key-major (``_basis_product``): its distinct sorted keys, the row count of
+each, and each row's power of q and coefficient.  The bilinear core
+(``_bilinear_keys``) sorts only the distinct keys of the basis products it
+stages and sums every staged row into the dense vector of powers of its key;
+``check_associativity`` runs it on one side less the other.  Only
+``product``, ``product_elements``, the text and LaTeX renderers and
+``--at-q`` build QLaurent dicts (``_to_element``).  Caches are bounded,
+least recently used out, and a shape's checks run once (``_check_shape``).
 
 Every coefficient bound comes from ``kernel.coefficient_bound``: a basis
 product of lengths m and n has no |coefficient| above
-``coefficient_bound((d-1)*m*n)``.  The staged coefficients are int64 only
-when a bound certifies that no sum can leave int64 range: the sum of
-|coefficients| times that bound, summed over the pairs.  Otherwise, and for
-Fraction coefficients, the same code runs with dtype=object, so the
-arithmetic is always exact.  Keys follow the layout's own rule, int64 or
-Python ints.  Every packed row lies within certified column bounds: those
-of ``_row_bounds`` for a basis product or a triple, and in
-``product_elements``, per key length, the union of its basis products'
-bounds, the power column widened by each one's range of power shifts.  The
-layout owns the row format: rows unpack in its ``row_dtype``, the narrowest
-of int8, int16, int32 and int64 that its bounds allow
-(``kernel.narrowest_dtype``, the rule the tables' exponents follow too), or
-as Python ints past int64, so a build writes a cached basis product's
-surviving rows straight into that dtype.  Its coefficients take the
-narrowest dtype within ``coefficient_bound``.  Readers widen before
-arithmetic that could leave a narrow dtype: the bilinear core casts each
-basis product's coefficients to the staging dtype once.
+``coefficient_bound((d-1)*m*n)``.  Sums are int64 only when a bound
+certifies that none can leave its range; otherwise, and for Fraction
+coefficients, the same code runs with dtype=object, so the arithmetic is
+always exact.  Keys are packed within certified column bounds
+(``_row_bounds``, ``_certified_layouts``), and cached arrays take the
+narrowest integer dtype their bounds allow (``kernel.narrowest_dtype``), or
+Python ints past int64; readers widen before arithmetic that could leave it.
 """
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from itertools import groupby
 from operator import add, sub
@@ -131,38 +102,39 @@ def _row_bounds(blocks, d: int):
     return lows + [0], [hi - lo for hi, lo in zip(tops, lows)] + [(d - 1) * pairs]
 
 
-def _grouped(layout: RowLayout, keys: np.ndarray, weights: np.ndarray):
-    """Grouped rows from packed keys: only the distinct keys that survive
-    grouping are unpacked into rows."""
-    index, sums = group_keys(keys, weights)
-    return layout.unpack(keys[index]), sums
-
-
 # twice the 6 285 basis products ``verify assoc`` computes at its defaults,
 # its largest working set, so a long batch stays bounded without evicting
-# them; at the defaults those entries hold 9.9 MB of arrays (70.8 MB in int64)
+# them; at the defaults those entries hold 5.5 MB of arrays (9.9 MB as rows)
 BASIS_CACHE_SIZE = 1 << 14
 
 
 @lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _basis_product(mu: Partition, nu: Partition, d: int):
-    """Memoized basis product as grouped arrays (rows, coeffs).
+    """Memoized basis product, key-major: (keys, counts, powers, coeffs).
 
-    A row is a sorted key followed by a power of q; rows are distinct and in
-    lexicographic order.  Each array is stored in the narrowest integer
-    dtype its certified bounds allow, or as Python ints past int64: the rows
-    within the column bounds of ``_row_bounds``, the coefficients within
-    +-``coefficient_bound((d-1)*m*n)``.  Readers widen before
-    any arithmetic that could leave that dtype.  Callers check their own
-    term cap first and must not mutate the returned arrays.
+    Key i of ``keys``, distinct and in lexicographic order, carries the next
+    ``counts[i]`` powers of q, increasing, and their nonzero coefficients.
+    Keys take the row dtype of ``_row_bounds``' layout, counts and powers
+    that of [0, (d-1)*m*n + 1], and coefficients that of
+    +-``coefficient_bound((d-1)*m*n)``.  Callers check their own term cap
+    first and must not mutate the returned arrays.
     """
     layout = RowLayout(*_row_bounds((mu, nu), d))
-    bound = coefficient_bound((d - 1) * len(mu) * len(nu))
-    coeff_dtype = narrowest_dtype(-bound, bound)
+    e = (d - 1) * len(mu) * len(nu)
+    coeff_dtype = narrowest_dtype(-coefficient_bound(e), coefficient_bound(e))
+    power_dtype = narrowest_dtype(0, e + 1)
     if not mu or not nu:
         # the other factor's key at power 0
-        return np.array([mu + nu + (0,)], dtype=layout.row_dtype), np.ones(1, dtype=coeff_dtype)
-    exps, powers, weights = merged_table(len(mu), len(nu), d, _runs(mu) + _runs(nu))
+        ones = np.ones(1, dtype=power_dtype)
+        return np.array([mu + nu], dtype=layout.row_dtype), ones, ones - 1, ones.astype(coeff_dtype)
+    m, n = len(mu), len(nu)
+    runs = _runs(mu) + _runs(nu)
+    if max(runs) == 1:
+        # nothing to merge: the table's own arrays, which only its cache keeps
+        table = structure_table(m, n, d, sys.maxsize)
+        exps, powers, weights = table.exps, table.powers, table.weights
+    else:
+        exps, powers, weights = merged_table(m, n, d, runs)
     # the narrow exponents are widened to the offsets' dtype before the
     # per-row sort: numpy 2.4 sorts short int8 and int16 rows more slowly
     # than int64 ones
@@ -170,9 +142,23 @@ def _basis_product(mu: Partition, nu: Partition, d: int):
     keys = exps.astype(offsets.dtype)
     keys += offsets
     keys.sort(axis=1)
-    packed = pack_rows(layout, [(keys, powers, (0,))])
-    rows, coeffs = _grouped(layout, packed, weights)
-    return rows, coeffs.astype(coeff_dtype, copy=False)
+    packed = pack_rows(layout, keys, powers)
+    index, sums = group_keys(packed, weights)
+    # a grouped word is its key's bits above its power's (low 0): a key
+    # starts where those bits change, and only its first row is kept
+    words = packed[index]
+    width = layout.widths[-1]
+    heads = words >> width
+    marks = np.ones(len(words) + 1, dtype=bool)
+    np.not_equal(heads[1:], heads[:-1], out=marks[1:-1])
+    marks = marks.nonzero()[0]
+    starts = marks[:-1]
+    return (
+        keys[index[starts]].astype(layout.row_dtype),
+        (marks[1:] - starts).astype(power_dtype),
+        (words & ((1 << width) - 1)).astype(power_dtype),
+        sums.astype(coeff_dtype, copy=False),
+    )
 
 
 @lru_cache(maxsize=256)
@@ -199,46 +185,49 @@ def _capped_basis_product(mu: Partition, nu: Partition, d: int, term_cap: int):
 
 @lru_cache(maxsize=16)
 def _split_product(mu: Partition, nu: Partition, d: int):
-    """The cached basis product mu * nu split by key (``_split_keys``).
-
-    A run of triples that share an outer product fetches and splits it
-    once.  Callers run the product's checks first (``_check_shape``) and
-    must not mutate the returned list.
-    """
-    return _split_keys(*_basis_product(mu, nu, d))
+    """The cached mu * nu, keys as tuples and counts as a list, split once
+    for a run of triples that share it.  Callers run its checks first."""
+    keys, counts, powers, coeffs = _basis_product(mu, nu, d)
+    return list(map(tuple, keys.tolist())), counts.tolist(), powers, coeffs
 
 
-def _key_starts(rows):
-    """The distinct keys of grouped rows and the index of each one's first row."""
+def _key_major(rows, coeffs):
+    """(keys, counts, powers, coeffs) of grouped (sorted key, power) rows."""
     keys = rows[:, :-1]
-    first = np.empty(len(rows), dtype=bool)
-    first[:1] = True
-    (keys[1:] != keys[:-1]).any(axis=1, out=first[1:])
-    starts = first.nonzero()[0]
-    return keys[starts], starts
+    marks = np.ones(len(rows) + 1, dtype=bool)
+    (keys[1:] != keys[:-1]).any(axis=1, out=marks[1:-1])
+    marks = marks.nonzero()[0]
+    return keys[marks[:-1]], marks[1:] - marks[:-1], rows[:, -1].astype(np.int64), coeffs
 
 
-def _split_keys(rows, coeffs):
-    """(key, powers, coeffs) per distinct key of grouped rows, as lists."""
-    keys, starts = (a.tolist() for a in _key_starts(rows))
-    ps = rows[:, -1].tolist()
-    cs = coeffs.tolist()
-    return [
-        (tuple(key), ps[lo:hi], cs[lo:hi])
-        for key, lo, hi in zip(keys, starts, starts[1:] + [len(ps)])
-    ]
+def _dense(counts, powers, coeffs):
+    """Each key's coefficient as one dense vector, from its least power to
+    its greatest, the vectors laid end to end: (lows, ends, cells), key i
+    taking cells[ends[i-1]:ends[i]] from power lows[i] on."""
+    stops = counts.cumsum()
+    lows = powers[stops - counts].astype(np.int64)
+    widths = powers[stops - 1] - lows + 1
+    ends = widths.cumsum()
+    cells = np.zeros(ends[-1], dtype=coeffs.dtype)
+    cells[np.repeat(ends - widths - lows, counts) + powers] = coeffs
+    return lows, ends, cells
 
 
-def _to_element(rows, coeffs) -> PartitionElement:
-    """Fold grouped rows into QLaurent coefficients."""
+def _fold(keys, lows, ends, cells) -> PartitionElement:
+    """QLaurent coefficients of keys from dense vectors laid end to end,
+    zero ones dropped."""
     out: PartitionElement = {}
-    for key, ps, cs in _split_keys(rows, coeffs):
-        base = ps[0]
-        dense = [0] * (ps[-1] - base + 1)
-        for p, c in zip(ps, cs):
-            dense[p - base] = c
-        out[key] = QLaurent._trimmed(base, dense)
+    cells, ends = cells.tolist(), ends.tolist()
+    for key, low, start, end in zip(keys.tolist(), lows.tolist(), [0] + ends[:-1], ends):
+        coeff = QLaurent._trimmed(low, cells[start:end])
+        if coeff:
+            out[tuple(key)] = coeff
     return out
+
+
+def _to_element(keys, counts, powers, coeffs) -> PartitionElement:
+    """Fold a key-major product into QLaurent coefficients."""
+    return _fold(keys, *_dense(counts, powers, coeffs))
 
 
 def product(
@@ -262,74 +251,116 @@ def specialize(e, value) -> Dict[Partition, object]:
 # -- bilinear product ---------------------------------------------------------
 
 
-def _bilinear_keys(terms, d: int, term_cap: int, layouts, budget=None):
-    """Grouped packed keys of a sum of scaled basis products, per key length.
+def _bilinear_keys(sides, d: int, term_cap: int, layouts, budget=None):
+    """A sum of scaled basis products, per key length, in dense groups.
 
-    ``terms`` lists (k1, k2, powers, coeffs), the basis product k1 * k2 with
-    the coefficient sum_j coeffs[j] * q**powers[j], nonzero terms only; the
-    caller has run ``_check_shape`` on each term's lengths under
-    ``term_cap``.  Each cached basis product is packed into 1-D keys once,
-    and each coefficient term stages one copy of those keys, its power
-    added, and of the basis coefficients, its coefficient multiplied in.
-    The keys are grouped once per key length, under ``layouts[length]``,
-    whose bounds the caller has certified for every row staged at that
-    length.  ``budget``, if given, is charged, in rows times their width,
-    the rows of every basis product's build before any is fetched, cached or
-    not, and then the staged rows before anything is staged.  A staged key
-    takes at most one basis coefficient per coefficient term, so the
-    coefficients are int64 when the sum over the terms of ``sum|coeffs| *
-    coefficient_bound((d-1)*m*n)`` fits it, and Python ints otherwise.
-    Returns {key length: (keys, coeffs)}; ``layouts[length].unpack`` turns
-    the keys into rows.
+    A side is (pairs, counts, powers, coeffs, top): pair i, (k1, k2), stands
+    for k1 * k2 times the next counts[i] terms coeffs[j] * q**powers[j],
+    powers increasing, and ``top`` bounds every |coeffs[j]|, or is None for
+    a Fraction.  The caller has run ``_check_shape`` on every pair.  Each
+    side in turn is checked before anything is staged: ``budget``, if
+    given, is charged the rows of every basis product's build, times their
+    width, before any is fetched; then its staged rows, a basis product's
+    rows once per coefficient term, are held to ``term_cap`` and charged.
+    A cell takes at most one basis coefficient per coefficient term, so it
+    sums in int64 when the sum of ``top * counts[i] *
+    coefficient_bound((d-1)*m*n)`` fits.
+
+    Only the distinct keys at a length are packed, without their powers,
+    and sorted into groups; ``np.add.at`` sums every staged row into its
+    group's dense vector.  A group spans the layout's powers while all the
+    groups fit the cap (and the default cap where a caller lifts it), and
+    otherwise only those its items reach, from a key's first power plus its
+    coefficient's least to its last plus the greatest, refused past the cap
+    before anything is allocated.  Returns {length: (heads, lows, ends,
+    cells)}: the packed keys, each at the layout's least power, each
+    group's least power, and the vectors end to end, group i in
+    cells[ends[i-1]:ends[i]].
     """
-    if budget is not None:
-        shapes = [(len(k1), len(k2)) for k1, k2, _, _ in terms]
-        budget(sum(_check_shape(m, n, d, term_cap) * (m + n + 1) for m, n in shapes))
     by_len: Dict[int, List] = {}
-    staged = 0
-    work = 0
     bound = 0
     integral = True
-    for k1, k2, ps, cs in terms:
-        basis = _basis_product(k1, k2, d)
-        length = len(k1) + len(k2)
-        by_len.setdefault(length, []).append((basis, ps, cs))
-        rows = len(basis[1]) * len(ps)
-        staged += rows
-        work += rows * (length + 1)
-        if integral and all(type(x) is int for x in cs):
-            bound += sum(map(abs, cs)) * coefficient_bound((d - 1) * len(k1) * len(k2))
-        else:
-            integral = False
-    if staged > term_cap:
-        raise ResourceLimitError(
-            "bilinear product stages %d rows, cap %d" % (staged, term_cap)
-        )
-    if budget is not None:
-        budget(work)
+    for pairs, counts, powers, coeffs, top in sides:
+        if budget is not None:
+            budget(sum(_check_shape(len(k1), len(k2), d, term_cap) * (len(k1) + len(k2) + 1) for k1, k2 in pairs))
+        integral = integral and top is not None
+        ps = powers.tolist()
+        staged = work = stop = 0
+        for (k1, k2), n in zip(pairs, counts):
+            basis = _basis_product(k1, k2, d)
+            start, stop = stop, stop + n
+            rows = len(basis[2]) * n
+            staged += rows
+            work += rows * (len(k1) + len(k2) + 1)
+            if integral:
+                bound += top * n * coefficient_bound((d - 1) * len(k1) * len(k2))
+            by_len.setdefault(len(k1) + len(k2), []).append(
+                (basis, ps[start], ps[stop - 1], powers[start:stop], coeffs[start:stop])
+            )
+        if staged > term_cap:
+            raise ResourceLimitError("bilinear product stages %d rows, cap %d" % (staged, term_cap))
+        if budget is not None:
+            budget(work)
     dtype = np.int64 if integral and bound <= _INT64_MAX else object
-    out = {}
-    for length, group in by_len.items():
-        blocks, coeffs = [], []
-        for (basis_rows, basis_coeffs), ps, cs in group:
-            blocks.append((basis_rows, None, ps))
-            # widened once per basis product: a product in its narrow cached
-            # dtype would wrap silently
-            basis_coeffs = basis_coeffs.astype(dtype, copy=False)
-            coeffs += [basis_coeffs * c for c in cs]
-        keys = pack_rows(layouts[length], blocks)
-        index, coeffs = group_keys(keys, np.concatenate(coeffs))
-        if not integral:
-            # Fraction sums keep an integral result as Fraction(n, 1)
-            coeffs = _as_rational(coeffs)
-        out[length] = keys[index], coeffs
-    return out
+    return {n: _summed(group, layouts[n], dtype, term_cap) for n, group in by_len.items()}
+
+
+def _summed(group, layout: RowLayout, dtype, term_cap: int):
+    """The dense groups of one key length (``_bilinear_keys``)."""
+    group.sort(key=lambda term: len(term[3]))
+    bases, firsts, lasts, powers, coeffs = zip(*group)
+    low, span = layout.lows[-1], layout.spans[-1]
+    # powers and cells are int64 while the layout's powers stay well inside it
+    frame = np.int64 if max(-low, low + span) < 1 << 62 else object
+    keys, counts, rows, weights = map(np.concatenate, zip(*bases))
+    words = pack_rows(layout, keys, shift=low)
+    order = words.argsort()
+    ordered = words[order]
+    first = np.empty(len(words), dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    if (span + 1) * len(starts) <= min(term_cap, DEFAULT_TERM_CAP):
+        lows = np.full(len(starts), low, dtype=frame)
+        highs = lows + span
+    else:
+        sizes = [len(basis[1]) for basis in bases]
+        stops = counts.cumsum()
+        least = rows[stops - counts] + np.array(firsts, dtype=frame).repeat(sizes)
+        most = rows[stops - 1] + np.array(lasts, dtype=frame).repeat(sizes)
+        lows = np.minimum.reduceat(least[order], starts)
+        highs = np.maximum.reduceat(most[order], starts)
+    spans = highs - lows
+    widest = int(spans.max()) + 1
+    if widest > term_cap:
+        raise ResourceLimitError("a coefficient spans %d powers of q, cap %d" % (widest, term_cap))
+    ends = (spans + 1).cumsum()
+    heads = ordered[starts]
+    # a basis row's cell at power 0 of its pair's coefficient
+    at = np.repeat((ends - 1 - highs)[heads.searchsorted(words)], counts) + rows
+    ps = np.concatenate(powers).astype(frame, copy=False)
+    cs = np.concatenate(coeffs).astype(dtype, copy=False)
+    cells = np.zeros(int(ends[-1]), dtype=dtype)
+    rows = terms = 0
+    # pairs whose coefficients have equally many terms stage together: the
+    # j-th terms of their coefficients times all their basis rows
+    for width, run in groupby(zip(bases, powers), key=lambda pair: len(pair[1])):
+        sizes = [len(basis[2]) for basis, _ in run]
+        rows, rows_before = rows + sum(sizes), rows
+        terms, terms_before = terms + width * len(sizes), terms
+        shifts, scales = (
+            np.repeat(a[terms_before:terms].reshape(len(sizes), width).T, sizes, axis=1)
+            for a in (ps, cs)
+        )
+        places = (shifts + at[rows_before:rows]).ravel().astype(np.intp, copy=False)
+        np.add.at(cells, places, (scales * weights[rows_before:rows]).ravel())
+    return heads, lows, ends, cells
 
 
 def _certified_layouts(terms, d: int):
-    """One layout per key length for the rows ``_bilinear_keys`` stages from
-    ``terms``: the union of the row bounds of their basis products
-    (``_row_bounds``), the power column widened by each term's powers."""
+    """One layout per key length of ``terms``, (k1, k2, powers, coeffs) each:
+    the union of their basis products' ``_row_bounds``, the power column
+    widened by each term's powers."""
     lows: Dict[int, List[int]] = {}
     highs: Dict[int, List[int]] = {}
     for k1, k2, ps, _ in terms:
@@ -352,8 +383,6 @@ def product_elements(
     """Bilinear extension of the basis product to finite sums."""
     check_loop_count(d)
     check_term_cap(term_cap)
-    if not e1 or not e2:
-        return {}
     for m in {len(k) for k in e1}:
         for n in {len(k) for k in e2}:
             _check_shape(m, n, d, term_cap)
@@ -362,39 +391,36 @@ def product_elements(
         for k2, c2 in e2.items():
             c = c1 * c2
             if c:
-                ps, cs = zip(*c.items())
-                terms.append((tuple(k1), tuple(k2), ps, cs))
-    layouts = _certified_layouts(terms, d)
+                terms.append((tuple(k1), tuple(k2)) + tuple(zip(*c.items())))
+    if not terms:
+        return {}
+    coeffs = [c for _, _, _, cs in terms for c in cs]
+    side = (
+        [term[:2] for term in terms],
+        [len(ps) for _, _, ps, _ in terms],
+        np.array([p for _, _, ps, _ in terms for p in ps], dtype=object),
+        np.array(coeffs, dtype=object),
+        max(map(abs, coeffs)) if all(type(c) is int for c in coeffs) else None,
+    )
+    return _element([side], d, term_cap, _certified_layouts(terms, d))
+
+
+def _element(sides, d: int, term_cap: int, layouts) -> PartitionElement:
+    """``_bilinear_keys`` of the sides, folded into QLaurent coefficients."""
     out: PartitionElement = {}
-    for length, (keys, coeffs) in _bilinear_keys(terms, d, term_cap, layouts).items():
-        rows = layouts[length].unpack(keys)
-        _check_spans(rows, term_cap)
-        out.update(_to_element(rows, coeffs))
+    for n, (heads, lows, ends, cells) in _bilinear_keys(sides, d, term_cap, layouts).items():
+        # Fraction sums keep an integral result as Fraction(n, 1)
+        cells = _as_rational(cells) if cells.dtype == object else cells
+        out.update(_fold(layouts[n].unpack(heads)[:, :-1], lows, ends, cells))
     return out
-
-
-def _check_spans(rows, term_cap: int) -> None:
-    """Refuse grouped rows whose coefficient at some key spans more powers
-    than ``term_cap``: ``_to_element`` holds one entry per power from a
-    key's least to its greatest."""
-    _, starts = _key_starts(rows)
-    powers = rows[:, -1]
-    lasts = np.append(starts[1:], len(rows)) - 1
-    # in Python ints: a span may pass int64 when the powers do not
-    span = max(map(sub, powers[lasts].tolist(), powers[starts].tolist()), default=-1) + 1
-    if span > term_cap:
-        raise ResourceLimitError(
-            "a coefficient spans %d powers of q, cap %d" % (span, term_cap)
-        )
 
 
 # -- verification -------------------------------------------------------------
 
 
-def grading_failures(mu: Partition, nu: Partition, d: int, rows: np.ndarray) -> List[str]:
-    """Check length additivity and the weight rule on the grouped rows of a
-    product, as row sums; only the keys of failing rows are read back."""
-    keys = rows[:, :-1]
+def grading_failures(mu: Partition, nu: Partition, d: int, keys: np.ndarray) -> List[str]:
+    """Check length additivity and the weight rule on the distinct keys of a
+    product, as row sums; only failing keys are read back."""
     want_len = len(mu) + len(nu)
     want_sum = sum(mu) + sum(nu) + (d - 1) * len(mu) * len(nu)
     if keys.shape[1] != want_len:
@@ -422,25 +448,25 @@ def grading_failures(mu: Partition, nu: Partition, d: int, rows: np.ndarray) -> 
 def quasi_commutativity_report(mu: Partition, nu: Partition, d: int) -> QuasiCommReport:
     """Compare mu * nu with both q**e and (-q)**e times bar(nu * mu).
 
-    On the cached rows of nu * mu, bar then q**e maps a power p to e - p,
-    within the same row bounds; (-q)**e also multiplies in (-1)**e.
+    On the cached arrays of nu * mu, bar then q**e maps a power p to e - p
+    at the same key, so each key's powers reverse their order; (-q)**e also
+    multiplies in (-1)**e.
     """
-    mu = tuple(mu)
-    nu = tuple(nu)
+    mu, nu = tuple(mu), tuple(nu)
     e = (d - 1) * len(mu) * len(nu)
     left = _capped_basis_product(mu, nu, d, DEFAULT_TERM_CAP)
-    rows, coeffs = _capped_basis_product(nu, mu, d, DEFAULT_TERM_CAP)
-    layout = RowLayout(*_row_bounds((nu, mu), d))
-    # in int64: the subtraction must not wrap in the rows' narrow dtype
-    keys = pack_rows(layout, [(rows[:, :-1], e - rows[:, -1].astype(np.int64), (0,))])
-    rows, coeffs = _grouped(layout, keys, coeffs)
+    keys, counts, powers, coeffs = _capped_basis_product(nu, mu, d, DEFAULT_TERM_CAP)
+    # row r of key i, which takes rows [start, stop), goes to start + stop - 1 - r
+    stops = counts.cumsum()
+    mirror = np.repeat(2 * stops - counts - 1, counts) - np.arange(len(powers))
+    right = keys, counts, e - powers[mirror].astype(np.int64), coeffs[mirror]
     return QuasiCommReport(
         mu=mu,
         nu=nu,
         d=d,
         exponent=e,
-        unsigned_matches=all(map(np.array_equal, left, (rows, coeffs))),
-        signed_matches=all(map(np.array_equal, left, (rows, -coeffs if e & 1 else coeffs))),
+        unsigned_matches=all(map(np.array_equal, left, right)),
+        signed_matches=all(map(np.array_equal, left, right[:3] + (-right[3] if e & 1 else right[3],))),
     )
 
 
@@ -449,44 +475,37 @@ def check_associativity(
 ) -> CheckReport:
     """Compare the two parenthesizations of a triple product exactly.
 
-    Each side runs on packed keys: every distinct key k of the cached outer
-    product mu * nu (or nu * w) pairs with w (or mu) under the coefficient
-    its rows carry, and the bilinear core stages and groups them, both
-    sides under the one layout of the row bounds of the three blocks.
-    Grouped keys are canonical, so the sides agree exactly when their keys
-    and coefficients are equal, and rows and QLaurent values are built only
-    to report the first differing key.  ``budget``, if given, is charged
-    each side's work before it runs (see ``_bilinear_keys``).
+    Every key k of the cached outer product mu * nu pairs with w under its
+    coefficient there, and every key of nu * w with mu; the bilinear core
+    sums the first side less the second under the layout of the three
+    blocks, and the sides agree exactly when every cell is zero.  ``budget``,
+    if given, is charged each side's work first (``_bilinear_keys``).
     """
-    mu = tuple(mu)
-    nu = tuple(nu)
-    w = tuple(w)
+    mu, nu, w = tuple(mu), tuple(nu), tuple(w)
     cap = DEFAULT_TERM_CAP
-    layout = RowLayout(*_row_bounds((mu, nu, w), d))
-    layouts = {len(mu) + len(nu) + len(w): layout}
-    # each outer product is checked, then fetched and split once per run of
-    # triples that share it
-    _check_shape(len(mu), len(nu), d, cap)
-    _check_shape(len(mu) + len(nu), len(w), d, cap)
-    terms = [(k, w, ps, cs) for k, ps, cs in _split_product(mu, nu, d)]
-    (left,) = _bilinear_keys(terms, d, cap, layouts, budget).values()
-    _check_shape(len(nu), len(w), d, cap)
-    _check_shape(len(mu), len(nu) + len(w), d, cap)
-    terms = [(mu, k, ps, cs) for k, ps, cs in _split_product(nu, w, d)]
-    (right,) = _bilinear_keys(terms, d, cap, layouts, budget).values()
-    # one layout packs both sides, so equal keys stand for equal rows
-    passed = all(map(np.array_equal, left, right))
+    l, m, n = len(mu), len(nu), len(w)
+    layouts = {l + m + n: RowLayout(*_row_bounds((mu, nu, w), d))}
+    for shape in ((l, m), (l + m, n), (m, n), (l, m + n)):
+        _check_shape(*shape, d, cap)
+    left, right = _split_product(mu, nu, d), _split_product(nu, w, d)
+    # an outer coefficient lies within the certificate of its own product
+    tops = coefficient_bound((d - 1) * l * m), coefficient_bound((d - 1) * m * n)
+    sides = [
+        ([(k, w) for k in left[0]], left[1], left[2], left[3], tops[0]),
+        ([(mu, k) for k in right[0]], right[1], right[2], -right[3], tops[1]),
+    ]
+    ((_, _, _, cells),) = _bilinear_keys(sides, d, cap, layouts, budget).values()
+    passed = not cells.any()
     failures = []
     if not passed:
-        left, right = (_to_element(layout.unpack(keys), coeffs) for keys, coeffs in (left, right))
+        sides[1] = sides[1][:3] + (right[3], tops[1])
+        left, right = (_element([side], d, cap, layouts) for side in sides)
         keys = sorted(set(left) | set(right), key=lambda k: (len(k), k))
-        for key in keys:
-            if left.get(key) != right.get(key):
-                failures.append(
-                    "triple %r %r %r (d=%d): key %r has %r vs %r"
-                    % (mu, nu, w, d, key, left.get(key), right.get(key))
-                )
-                break
+        key = next(k for k in keys if left.get(k) != right.get(k))
+        failures.append(
+            "triple %r %r %r (d=%d): key %r has %r vs %r"
+            % (mu, nu, w, d, key, left.get(key), right.get(key))
+        )
     return CheckReport(
         name="associativity %r*%r*%r d=%d" % (mu, nu, w, d),
         passed=passed,

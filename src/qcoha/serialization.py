@@ -5,7 +5,7 @@ are sorted (exponent vectors lexicographically, partition keys by length then
 lexicographically), and zero is always {"offset": 0, "coeffs": []}.  Decoders
 validate shape and reject anything malformed with ValueError so the CLI can
 map it to a parse error.  ``grouped_json_text`` writes a basis product's
-JSON text straight from its cached grouped rows (see ``partition_algebra``):
+JSON text straight from its cached arrays (see ``partition_algebra``):
 the bytes of ``json.dumps(element_to_json(...))`` of its QLaurent dict, with
 no QLaurent, no dict tree and no encoder pass; ``orientations_json_text``
 writes the orientation listing of ``graphs --list`` the same way.
@@ -26,7 +26,7 @@ import numpy as np
 
 from .kernel import StructureConstantTable
 from .mpoly import MPoly
-from .partition_algebra import PartitionElement, _key_starts
+from .partition_algebra import PartitionElement, _dense
 from .partitions import Partition
 from .qlaurent import QLaurent, Rational, as_rational
 from .shuffle_algebra import GradedElement, SymmetricElement
@@ -117,31 +117,19 @@ def element_to_json(e: PartitionElement, d: int) -> dict:
     return {"d": d, "terms": _partition_terms_to_json(e)}
 
 
-def grouped_json_text(rows, coeffs, d: int) -> str:
-    """``json.dumps(element_to_json(e, d))`` for the basis product e given
-    as its grouped rows, or for the orientation sum, in the same layout.
+def grouped_json_text(keys, counts, powers, coeffs, d: int) -> str:
+    """``json.dumps(element_to_json(e, d))`` for the basis product e, or the
+    orientation sum, given key-major (``partition_algebra._basis_product``).
 
-    The rows of one basis product share one key length and come in (key,
-    power) order, so the keys come out in canonical order with no sort.
-    Every key's dense coefficient vector is laid out in one array: a
-    coefficient goes to its key's offset there plus its power less the
-    key's lowest power.  Powers lie in [0, (d-1)*m*n], so that index is
-    int64 even when the keys need Python ints.  Every term is then written
-    by one template, in one format call for the whole element; a key's
-    first and last coefficients are nonzero, so its list is never empty.
+    The keys share one length and come in order, so they come out in
+    canonical order with no sort.  Their dense coefficient vectors
+    (``partition_algebra._dense``) are written by one template, in one
+    format call for the whole element.
     """
-    if not len(coeffs):
-        return '{"d": %d, "terms": []}' % d
-    keys, starts = _key_starts(rows)
-    powers = rows[:, -1].astype(np.int64)
-    stops = np.append(starts[1:], len(powers))
-    lows = powers[starts]
-    widths = powers[stops - 1] - lows + 1
-    ends = np.cumsum(widths)
-    dense = np.zeros(ends[-1], dtype=coeffs.dtype)
-    dense[powers + np.repeat(ends - widths - lows, stops - starts)] = coeffs
+    lows, ends, dense = _dense(counts, powers, coeffs)
     text = list(map(str, dense.tolist()))
-    cells = map(text.__getitem__, map(slice, (ends - widths).tolist(), ends.tolist()))
+    ends = ends.tolist()
+    cells = map(text.__getitem__, map(slice, [0] + ends[:-1], ends))
     # the template's arguments, term by term: the parts, the offset, the coefficients
     n, k = keys.shape
     args = [None] * (n * (k + 2))

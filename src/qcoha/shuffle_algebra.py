@@ -32,7 +32,7 @@ import numpy as np
 from .errors import NotSymmetricError, ResourceLimitError
 from .kernel import DEFAULT_TERM_CAP, check_loop_count, pairwise_kernel
 from .mpoly import MPoly, embed, fixed_by, relabelled_sum
-from .partition_algebra import PartitionElement, _capped_basis_product, _to_element
+from .partition_algebra import PartitionElement, _capped_basis_product, _key_major, _to_element
 from .partitions import (
     Partition,
     distinct_permutations,
@@ -322,19 +322,21 @@ def verify_homomorphism(mu: Partition, nu: Partition, d: int) -> CheckReport:
 
     The image is the cached basis product with each coefficient times the
     multiplicity of its key, and the shuffle product of the augmented
-    monomials keeps its rows with sorted exponents: both are (sorted key,
-    power) rows in order, so they agree exactly when their arrays are equal.
+    monomials keeps its rows with sorted exponents, in (sorted key, power)
+    order: split by key, they are key-major like the image, so the two agree
+    exactly when their arrays are equal.
     """
     mu = tuple(mu)
     nu = tuple(nu)
-    rows, coeffs = _capped_basis_product(mu, nu, d, DEFAULT_TERM_CAP)
-    mults = np.array([multiplicity(key) for key in rows[:, :-1].tolist()], dtype=object)
+    keys, counts, powers, coeffs = table = _capped_basis_product(mu, nu, d, DEFAULT_TERM_CAP)
+    mults = np.array([multiplicity(key) for key in keys.tolist()], dtype=object)
     factors = augmented_monomial(mu), augmented_monomial(nu)
     direct = _shuffle_rows(*factors, d, None, DEFAULT_MAX_SUBSETS, DEFAULT_TERM_CAP)
-    passed = np.array_equal(rows, direct.rows) and np.array_equal(coeffs * mults, direct.weights)
+    image = keys, counts, powers, coeffs * mults.repeat(counts)
+    passed = all(map(np.array_equal, image, _key_major(direct.rows, direct.weights)))
     failures = []
     if not passed:
-        image = to_symmetric_element(_to_element(rows, coeffs)).get(len(mu) + len(nu))
+        image = to_symmetric_element(_to_element(*table)).get(len(mu) + len(nu))
         failures.append(
             "homomorphism fails for mu=%r nu=%r d=%d: %r vs %r"
             % (mu, nu, d, image.terms if image else None, dict(direct.terms))

@@ -3,7 +3,7 @@
 Each suite walks an exhaustive grid of small inputs (plus, for associativity,
 a seeded batch of random triples) and returns one CheckReport.  Every product
 a suite computes is also run through the grading checks, so a grading bug
-cannot hide behind a passing identity.  Products stay grouped rows, folded
+cannot hide behind a passing identity.  Products stay key-major arrays, folded
 into QLaurent values only to word a failed check.
 
 The random triples are drawn at lengths the exhaustive grid does not reach.
@@ -165,10 +165,10 @@ def _product_work(m: int, n: int, d: int) -> int:
 
 
 def _graded_rows(mu: Partition, nu: Partition, d: int, grading_fails: List[str]):
-    """The cached rows of mu * nu, their grading checked on the way."""
-    rows, coeffs = _capped_basis_product(mu, nu, d, DEFAULT_TERM_CAP)
-    grading_fails.extend(grading_failures(mu, nu, d, rows))
-    return rows, coeffs
+    """The cached product mu * nu, its keys' grading checked on the way."""
+    product = _capped_basis_product(mu, nu, d, DEFAULT_TERM_CAP)
+    grading_fails.extend(grading_failures(mu, nu, d, product[0]))
+    return product
 
 
 def _random_partition(rng: random.Random, max_len: int, max_part: int) -> Partition:
@@ -227,9 +227,10 @@ def suite_assoc(
         for mu in parts:
             for nu in parts:
                 budget(CHECK_WORK)
-                rows, coeffs = _graded_rows(mu, nu, d, grading)
-                zero = rows[:, -1] == 0
-                at_zero = dict(zip(map(tuple, rows[zero, :-1].tolist()), coeffs[zero].tolist()))
+                keys, counts, powers, coeffs = _graded_rows(mu, nu, d, grading)
+                firsts = counts.cumsum() - counts  # a power 0 comes first in its key
+                zero = powers[firsts] == 0
+                at_zero = dict(zip(map(tuple, keys[zero].tolist()), coeffs[firsts[zero]].tolist()))
                 want = {shift_sort_product(mu, nu, d): 1}
                 if at_zero != want:
                     failures.append(

@@ -7,6 +7,7 @@ import itertools
 import json
 import time
 
+import numpy as np
 import pytest
 
 from qcoha import (
@@ -36,11 +37,13 @@ def QL(offset, *coeffs):
     return QLaurent(offset, list(coeffs))
 
 
-def fold_rows(rows, coeffs):
-    # grouped (key, power) rows as {key: QLaurent}, this module's own fold
+def fold_rows(keys, counts, powers, coeffs):
+    # a key-major product as {key: QLaurent}, this module's own fold: key i
+    # takes the next counts[i] powers and coefficients
     terms = {}
-    for row, c in zip(rows.tolist(), coeffs.tolist()):
-        terms.setdefault(tuple(row[:-1]), {})[row[-1]] = c
+    rows = zip(np.repeat(keys, counts, axis=0).tolist(), powers.tolist(), coeffs.tolist())
+    for key, p, c in rows:
+        terms.setdefault(tuple(key), {})[p] = c
     return {key: QLaurent.from_dict(t) for key, t in terms.items()}
 
 

@@ -25,16 +25,18 @@ def QL(offset, *coeffs):
     return QLaurent(offset, list(coeffs))
 
 
-def fold_rows(rows, coeffs):
-    # grouped (key, power) rows as {key: QLaurent}, this module's own fold
+def fold_rows(keys, counts, powers, coeffs):
+    # a key-major product as {key: QLaurent}, this module's own fold: key i
+    # takes the next counts[i] powers and coefficients
     terms = {}
-    for row, c in zip(rows.tolist(), coeffs.tolist()):
-        terms.setdefault(tuple(row[:-1]), {})[row[-1]] = c
+    rows = zip(np.repeat(keys, counts, axis=0).tolist(), powers.tolist(), coeffs.tolist())
+    for key, p, c in rows:
+        terms.setdefault(tuple(key), {})[p] = c
     return {key: QLaurent.from_dict(t) for key, t in terms.items()}
 
 
 def assert_same_arrays(got, want):
-    assert len(got) == len(want) == 2
+    assert len(got) == len(want) == 4
     for a, b in zip(got, want):
         assert a.shape == b.shape and np.array_equal(a, b), (a, b)
 
@@ -92,20 +94,21 @@ def test_h_of_graph_single_edge_left():
 
 
 def test_smallest_product():
-    # the sorted key, then the power; the coefficient counts with (-1)**power
-    rows, coeffs = product_via_graphs((0,), (0,))
-    assert rows.tolist() == [[0, 1, 0], [0, 1, 1]]
+    # the sorted key, its powers; the coefficient counts with (-1)**power
+    keys, counts, powers, coeffs = got = product_via_graphs((0,), (0,))
+    assert keys.tolist() == [[0, 1]] and counts.tolist() == [2]
+    assert powers.tolist() == [0, 1]
     assert coeffs.tolist() == [1, -1]
-    assert fold_rows(rows, coeffs) == {(0, 1): QL(0, 1, -1)}
+    assert fold_rows(*got) == {(0, 1): QL(0, 1, -1)}
 
 
 def test_empty_factor():
     for mu, nu in [((), (1, 2)), ((1, 2), ()), ((), ())]:
-        rows, coeffs = product_via_graphs(mu, nu)
+        keys, counts, powers, coeffs = got = product_via_graphs(mu, nu)
         # one orientation, of no edges: the other factor's key at power 0
-        assert rows.tolist() == [[*mu, *nu, 0]]
-        assert coeffs.tolist() == [1]
-        assert_same_arrays((rows, coeffs), _basis_product(mu, nu, 2))
+        assert keys.tolist() == [[*mu, *nu]] and counts.tolist() == [1]
+        assert powers.tolist() == [0] and coeffs.tolist() == [1]
+        assert_same_arrays(got, _basis_product(mu, nu, 2))
 
 
 def test_worked_product_matches_table():
@@ -117,7 +120,7 @@ def test_bit_budget():
     with pytest.raises(ResourceLimitError):
         product_via_graphs((0,) * 5, (0,) * 5)
     # a custom budget admits the same shape
-    assert len(product_via_graphs((0,), (0,), max_bits=1)[1]) == 2
+    assert len(product_via_graphs((0,), (0,), max_bits=1)[2]) == 2
 
 
 def test_rejects_unsorted_input():

@@ -1,7 +1,9 @@
 """Golden CLI output: the exact stdout bytes and exit code of each command in
 every --format, so that a change to the renderers cannot move a byte unseen.
 
-The stdin element has a Fraction coefficient and a q^-1 term.
+The stdin element has a Fraction coefficient and a q^-1 term.  One multiply has
+parts past int64, so its keys are Python ints, and one repeats a part in both
+factors.
 """
 import io
 import sys
@@ -158,6 +160,39 @@ GOLDEN = [
             "latex": "(q^{2}-q+1)\\cdot (0, 1, 2) - q\\cdot (1, 1, 1)\n",
         },
         id="graphs",
+    ),
+    pytest.param(
+        ["multiply", "--d", "3", "--left", "0,0,1", "--right", "9223372036854775808"],
+        None,
+        0,
+        {
+            "json": '{"d": 3, "terms": [{"partition": [0, 0, 1, 9223372036854775814], "coeff": {"offset": 0, "coeffs": ["1"]}}, {"partition": [0, 0, 2, 9223372036854775813], "coeff": {"offset": 1, "coeffs": ["-2"]}}, {"partition": [0, 0, 3, 9223372036854775812], "coeff": {"offset": 2, "coeffs": ["1"]}}, {"partition": [0, 1, 1, 9223372036854775813], "coeff": {"offset": 1, "coeffs": ["-4"]}}, {"partition": [0, 1, 2, 9223372036854775812], "coeff": {"offset": 2, "coeffs": ["10"]}}, {"partition": [0, 1, 3, 9223372036854775811], "coeff": {"offset": 3, "coeffs": ["-4"]}}, {"partition": [0, 2, 2, 9223372036854775811], "coeff": {"offset": 3, "coeffs": ["-4"]}}, {"partition": [0, 2, 3, 9223372036854775810], "coeff": {"offset": 4, "coeffs": ["2"]}}, {"partition": [1, 1, 1, 9223372036854775812], "coeff": {"offset": 2, "coeffs": ["4"]}}, {"partition": [1, 1, 2, 9223372036854775811], "coeff": {"offset": 3, "coeffs": ["-12"]}}, {"partition": [1, 1, 3, 9223372036854775810], "coeff": {"offset": 4, "coeffs": ["4"]}}, {"partition": [1, 2, 2, 9223372036854775810], "coeff": {"offset": 4, "coeffs": ["9"]}}, {"partition": [1, 2, 3, 9223372036854775809], "coeff": {"offset": 5, "coeffs": ["-4"]}}, {"partition": [2, 2, 2, 9223372036854775809], "coeff": {"offset": 5, "coeffs": ["-2"]}}, {"partition": [2, 2, 3, 9223372036854775808], "coeff": {"offset": 6, "coeffs": ["1"]}}]}\n',
+            "text": '(0, 0, 1, 9223372036854775814) - 2q·(0, 0, 2, 9223372036854775813) + q^2·(0, 0, 3, 9223372036854775812) - 4q·(0, 1, 1, 9223372036854775813) + 10q^2·(0, 1, 2, 9223372036854775812) - 4q^3·(0, 1, 3, 9223372036854775811) - 4q^3·(0, 2, 2, 9223372036854775811) + 2q^4·(0, 2, 3, 9223372036854775810) + 4q^2·(1, 1, 1, 9223372036854775812) - 12q^3·(1, 1, 2, 9223372036854775811) + 4q^4·(1, 1, 3, 9223372036854775810) + 9q^4·(1, 2, 2, 9223372036854775810) - 4q^5·(1, 2, 3, 9223372036854775809) - 2q^5·(2, 2, 2, 9223372036854775809) + q^6·(2, 2, 3, 9223372036854775808)\n',
+            "latex": '(0, 0, 1, 9223372036854775814) - 2q\\cdot (0, 0, 2, 9223372036854775813) + q^{2}\\cdot (0, 0, 3, 9223372036854775812) - 4q\\cdot (0, 1, 1, 9223372036854775813) + 10q^{2}\\cdot (0, 1, 2, 9223372036854775812) - 4q^{3}\\cdot (0, 1, 3, 9223372036854775811) - 4q^{3}\\cdot (0, 2, 2, 9223372036854775811) + 2q^{4}\\cdot (0, 2, 3, 9223372036854775810) + 4q^{2}\\cdot (1, 1, 1, 9223372036854775812) - 12q^{3}\\cdot (1, 1, 2, 9223372036854775811) + 4q^{4}\\cdot (1, 1, 3, 9223372036854775810) + 9q^{4}\\cdot (1, 2, 2, 9223372036854775810) - 4q^{5}\\cdot (1, 2, 3, 9223372036854775809) - 2q^{5}\\cdot (2, 2, 2, 9223372036854775809) + q^{6}\\cdot (2, 2, 3, 9223372036854775808)\n',
+        },
+        id="multiply-object-keys",
+    ),
+    pytest.param(
+        ["multiply", "--d", "2", "--left", "0,0", "--right", "1,1"],
+        None,
+        0,
+        {
+            "json": '{"d": 2, "terms": [{"partition": [0, 0, 3, 3], "coeff": {"offset": 0, "coeffs": ["1"]}}, {"partition": [0, 1, 2, 3], "coeff": {"offset": 1, "coeffs": ["-4"]}}, {"partition": [0, 2, 2, 2], "coeff": {"offset": 2, "coeffs": ["2"]}}, {"partition": [1, 1, 1, 3], "coeff": {"offset": 2, "coeffs": ["2"]}}, {"partition": [1, 1, 2, 2], "coeff": {"offset": 2, "coeffs": ["2", "-4", "1"]}}]}\n',
+            "text": '(0, 0, 3, 3) - 4q·(0, 1, 2, 3) + 2q^2·(0, 2, 2, 2) + 2q^2·(1, 1, 1, 3) + (q^4-4q^3+2q^2)·(1, 1, 2, 2)\n',
+            "latex": '(0, 0, 3, 3) - 4q\\cdot (0, 1, 2, 3) + 2q^{2}\\cdot (0, 2, 2, 2) + 2q^{2}\\cdot (1, 1, 1, 3) + (q^{4}-4q^{3}+2q^{2})\\cdot (1, 1, 2, 2)\n',
+        },
+        id="multiply-repeated-parts",
+    ),
+    pytest.param(
+        ["verify", "assoc", "--max-len", "1", "--max-part", "2", "--count", "2"],
+        None,
+        0,
+        {
+            "json": '{"name": "assoc", "passed": true, "checked": 242, "failures": [], "instances": ["random d=3 () (0, 1, 3) (2,)", "random d=3 (1, 2) (3,) ()"]}\n',
+            "text": 'suite: assoc\npassed: yes\nchecked: 242\nnote: random d=3 () (0, 1, 3) (2,)\nnote: random d=3 (1, 2) (3,) ()\n',
+            "latex": 'suite: assoc\npassed: yes\nchecked: 242\nnote: random d=3 () (0, 1, 3) (2,)\nnote: random d=3 (1, 2) (3,) ()\n',
+        },
+        id="verify-assoc-small",
     ),
     pytest.param(
         ["verify", "prop43"],

@@ -1,11 +1,13 @@
-"""The packed-key core against a reference of the 2-D row staging it replaced.
+"""The key-major core against references of the 2-D row staging it replaced.
 
-The reference keeps, in this file only, the grouping that stages one 2-D copy
+The references keep, in this file only, the grouping that stages one 2-D copy
 of a basis product's rows per coefficient term and groups the concatenated
-rows by a key packed from their columns.  The packed core must return the
-same rows and coefficients, dtypes included.  Rows, cached or staged, come
-out in the narrowest integer dtype their certified bounds allow, and the
-reference states that rule apart from the program (``row_range``).
+rows by a key packed from their columns.  A cached basis product must hold
+the same rows, split by key (``key_major``), and the bilinear core must sum
+the same rows and coefficients into its dense groups (``bilinear_rows``
+reads them back), dtypes included.  Cached arrays come out in the narrowest
+integer dtype their certified bounds allow, and the references state that
+rule apart from the program (``row_range``).
 """
 import sys
 from fractions import Fraction
@@ -15,8 +17,10 @@ from operator import add
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcoha import kernel, partition_algebra
+from qcoha import kernel, partition_algebra, suites
 from qcoha.kernel import RowLayout, group_keys, group_rows, pack_rows, structure_table
 from qcoha.partition_algebra import (
     _basis_product,
@@ -24,7 +28,6 @@ from qcoha.partition_algebra import (
     _certified_layouts,
     _offsets,
     _row_bounds,
-    _split_keys,
     check_associativity,
     product_elements,
     quasi_commutativity_report,
@@ -84,47 +87,75 @@ def row_range(mu, nu, d, ps=(0,)):
 
 
 def cached_dtypes(mu, nu, d):
-    # |coefficient| is at most binom(e, e // 2) with e = (d-1)*m*n: the
-    # weights of one power share a sign and sum to binom(e, power) in
-    # absolute value
+    # keys within the row range, counts and powers within [0, e + 1], and
+    # |coefficient| at most binom(e, e // 2) with e = (d-1)*m*n: the weights
+    # of one power share a sign and sum to binom(e, power) in absolute value
     e = (d - 1) * len(mu) * len(nu)
-    return narrowest(*row_range(mu, nu, d)), narrowest(-comb(e, e // 2), comb(e, e // 2))
+    return narrowest(*row_range(mu, nu, d)), narrowest(0, e + 1), narrowest(-comb(e, e // 2), comb(e, e // 2))
+
+
+def key_major(rows, coeffs, key_dtype, count_dtype):
+    # grouped (key, power) rows split by key, in this module's own loop
+    keys, counts = [], []
+    for row in rows.tolist():
+        if keys and keys[-1] == row[:-1]:
+            counts[-1] += 1
+        else:
+            keys.append(row[:-1])
+            counts.append(1)
+    width = rows.shape[1] - 1
+    return (
+        np.array(keys, dtype=key_dtype).reshape(len(keys), width),
+        np.array(counts, dtype=count_dtype),
+        rows[:, -1].astype(count_dtype),
+        coeffs,
+    )
 
 
 def reference_basis_product(mu, nu, d):
-    row_dtype, coeff_dtype = cached_dtypes(mu, nu, d)
+    key_dtype, count_dtype, coeff_dtype = cached_dtypes(mu, nu, d)
     if not mu or not nu:
-        return np.array([mu + nu + (0,)], dtype=row_dtype), np.ones(1, dtype=coeff_dtype)
+        rows, coeffs = np.array([mu + nu + (0,)], dtype=object), np.ones(1, dtype=coeff_dtype)
+        return key_major(rows, coeffs, key_dtype, count_dtype)
     table = structure_table(len(mu), len(nu), d, sys.maxsize)
     keys = np.sort(table.exps + _offsets(mu + nu), axis=1)
     rows = np.column_stack([keys, table.powers])
     rows, coeffs = reference_group_rows(rows, table.weights, _row_bounds((mu, nu), d))
-    return rows.astype(row_dtype), coeffs.astype(coeff_dtype)
+    return key_major(rows, coeffs.astype(coeff_dtype), key_dtype, count_dtype)
+
+
+def split_product(keys, counts, powers, coeffs):
+    # (key, powers, coeffs) per key of a key-major product, as tuples
+    out, start = [], 0
+    for key, count in zip(keys.tolist(), counts.tolist()):
+        out.append((tuple(key), tuple(powers[start : start + count].tolist()), tuple(coeffs[start : start + count].tolist())))
+        start += count
+    return out
 
 
 def reference_bilinear_rows(terms, d, bounds=None):
     # one 2-D copy of the basis rows per coefficient term, grouped per
     # length; the rows come out in the narrowest dtype of their bounds:
     # ``bounds`` when given, for rows of one length, and otherwise each
-    # length's ``row_range`` over its terms
+    # length's ``row_range`` over its terms.  The sums are int64 when the
+    # greatest |coefficient| times the sum over the terms of their count
+    # times binom(e, e // 2) fits it: a staged row takes at most one basis
+    # coefficient per coefficient term
     by_len = {}
     ranges = {}
+    coeffs = [c for _, _, _, cs in terms for c in cs]
+    integral = all(type(c) is int for c in coeffs)
     bound = 0
-    integral = True
     for k1, k2, ps, cs in terms:
-        basis = reference_basis_product(k1, k2, d)
+        basis = reference_rows(k1, k2, d)
         length = len(k1) + len(k2)
         by_len.setdefault(length, []).append((basis, ps, cs))
         lo, hi = row_range(k1, k2, d, ps)
         was_lo, was_hi = ranges.get(length, (lo, hi))
         ranges[length] = min(lo, was_lo), max(hi, was_hi)
-        if integral and all(type(x) is int for x in cs):
-            # a staged row takes at most one basis coefficient per term of cs
-            e = (d - 1) * len(k1) * len(k2)
-            bound += sum(map(abs, cs)) * comb(e, e // 2)
-        else:
-            integral = False
-    dtype = np.int64 if integral and bound <= _INT64_MAX else object
+        e = (d - 1) * len(k1) * len(k2)
+        bound += len(cs) * comb(e, e // 2)
+    dtype = np.int64 if integral and max(map(abs, coeffs)) * bound <= _INT64_MAX else object
     out = {}
     for length, group in by_len.items():
         rows, coeffs = [], []
@@ -142,7 +173,7 @@ def reference_bilinear_rows(terms, d, bounds=None):
         rows, coeffs = np.concatenate(rows), np.concatenate(coeffs)
         if copies > 1:
             rows, coeffs = reference_group_rows(rows, coeffs, bounds)
-        if not integral:
+        if dtype is object:
             coeffs = np.frompyfunc(as_rational, 1, 1)(coeffs)
         if bounds is None:
             row_dtype = narrowest(*ranges[length])
@@ -152,19 +183,54 @@ def reference_bilinear_rows(terms, d, bounds=None):
     return out
 
 
+def reference_rows(mu, nu, d):
+    # the reference basis product as grouped (key, power) rows
+    keys, counts, powers, coeffs = reference_basis_product(mu, nu, d)
+    rows = np.column_stack([np.repeat(keys, counts, axis=0).astype(object), powers.astype(object)])
+    return rows.astype(narrowest(*row_range(mu, nu, d))), coeffs
+
+
+def side_of(terms):
+    # one side of the bilinear core, as product_elements builds it
+    coeffs = [c for _, _, _, cs in terms for c in cs]
+    return (
+        [(k1, k2) for k1, k2, _, _ in terms],
+        [len(ps) for _, _, ps, _ in terms],
+        np.array([p for _, _, ps, _ in terms for p in ps], dtype=object),
+        np.array(coeffs, dtype=object),
+        max(map(abs, coeffs)) if all(type(c) is int for c in coeffs) else None,
+    )
+
+
+def summed_rows(sides, d, layouts, term_cap=sys.maxsize):
+    # the core's dense groups read back as grouped (key, power) rows, only
+    # nonzero cells, in the layout's row dtype
+    out = {}
+    for length, (heads, lows, ends, cells) in _bilinear_keys(sides, d, term_cap, layouts).items():
+        layout = layouts[length]
+        keys = layout.unpack(heads)[:, :-1].tolist()
+        rows, coeffs, start = [], [], 0
+        for key, low, end in zip(keys, lows.tolist(), ends.tolist()):
+            for offset in np.flatnonzero(cells[start:end]).tolist():
+                rows.append(key + [low + offset])
+                coeffs.append(cells[start + offset])
+            start = end
+        rows = np.array(rows, dtype=object).reshape(len(rows), length + 1).astype(layout.row_dtype)
+        coeffs = np.array(coeffs, dtype=cells.dtype)
+        if cells.dtype == object:
+            coeffs = np.frompyfunc(as_rational, 1, 1)(coeffs)
+        out[length] = rows, coeffs
+    return out
+
+
 def bilinear_rows(terms, d):
-    # the packed core of product_elements, under its certified layouts,
-    # unpacked per key length
-    layouts = _certified_layouts(terms, d)
-    return {
-        length: (layouts[length].unpack(keys), coeffs)
-        for length, (keys, coeffs) in _bilinear_keys(terms, d, sys.maxsize, layouts).items()
-    }
+    # the core of product_elements, under its certified layouts
+    return summed_rows([side_of(terms)], d, _certified_layouts(terms, d))
 
 
 def assert_same(got, want):
     # equal arrays of equal dtypes, and equal entry types in object arrays
-    assert len(got) == len(want) == 2
+    assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype, (a.dtype, b.dtype)
         assert a.shape == b.shape and np.array_equal(a, b), (a, b)
@@ -184,19 +250,23 @@ def element_terms(e1, e2):
     return terms
 
 
+def outer_terms(outer, pair):
+    # the terms of one side of a triple: each key of the outer product,
+    # paired by ``pair``, under its coefficient there
+    return [pair(k) + (ps, cs) for k, ps, cs in split_product(*outer)]
+
+
 def assert_sides_match_reference(mu, nu, w, d):
-    # both parenthesizations, staged under the triple's certified layout
+    # both parenthesizations, each summed alone under the triple's layout
     bounds = _row_bounds((mu, nu, w), d)
-    layout = RowLayout(*bounds)
-    for outer, pair in (
-        (_basis_product(mu, nu, d), lambda k: (k, w)),
-        (_basis_product(nu, w, d), lambda k: (mu, k)),
+    layouts = {len(mu) + len(nu) + len(w): RowLayout(*bounds)}
+    for terms in (
+        outer_terms(_basis_product(mu, nu, d), lambda k: (k, w)),
+        outer_terms(_basis_product(nu, w, d), lambda k: (mu, k)),
     ):
-        terms = [pair(k) + (ps, cs) for k, ps, cs in _split_keys(*outer)]
-        layouts = {len(mu) + len(nu) + len(w): layout}
-        ((keys, coeffs),) = _bilinear_keys(terms, d, sys.maxsize, layouts).values()
+        (got,) = summed_rows([side_of(terms)], d, layouts).values()
         (want,) = reference_bilinear_rows(terms, d, bounds).values()
-        assert_same((layout.unpack(keys), coeffs), want)
+        assert_same(got, want)
 
 
 @pytest.mark.parametrize("c", [2**63 - 1, 2**70])
@@ -234,9 +304,9 @@ def test_basis_products_at_the_int8_row_edge_match_the_reference(edge, dtype):
     else:
         pairs = [((edge, 0), (1,)), ((edge,), (edge, 3)), ((), (edge,)), ((edge, 1), ())]
     for mu, nu in pairs:
-        rows, coeffs = _basis_product(mu, nu, d)
-        assert rows.dtype == dtype, (mu, nu)
-        assert_same((rows, coeffs), reference_basis_product(mu, nu, d))
+        got = _basis_product(mu, nu, d)
+        assert got[0].dtype == dtype, (mu, nu)
+        assert_same(got, reference_basis_product(mu, nu, d))
 
 
 @pytest.mark.parametrize("c", [0, 2**63 - 1, 2**70])
@@ -272,12 +342,12 @@ def test_a_layout_wider_than_63_bits_packs_small_parts_as_python_ints():
     bounds = (lows, [span + 2**40 for span in spans])
     loose = RowLayout(*bounds)
     assert loose.dtype is object
-    terms = [(k, w, ps, cs) for k, ps, cs in _split_keys(*_basis_product(mu, nu, d))]
-    ((keys, coeffs),) = _bilinear_keys(terms, d, sys.maxsize, {5: loose}).values()
+    terms = outer_terms(_basis_product(mu, nu, d), lambda k: (k, w))
+    (got,) = summed_rows([side_of(terms)], d, {5: loose}).values()
     (want,) = reference_bilinear_rows(terms, d, bounds).values()
-    assert_same((loose.unpack(keys), coeffs), want)
+    assert_same(got, want)
     rows, weights = want[0], np.ones(len(want[0]), dtype=np.int64)
-    index, sums = group_keys(pack_rows(RowLayout(*bounds), [(rows, None, (0,))]), weights)
+    index, sums = group_keys(pack_rows(RowLayout(*bounds), rows), weights)
     assert_same((rows[index], sums), reference_group_rows(rows, weights, bounds))
 
 
@@ -352,20 +422,22 @@ def test_group_rows_matches_the_reference_on_random_rows():
 
 
 def test_pack_rows_stages_one_copy_per_shift():
+    # a shift adds to every power, as if the rows carried it, and the keys
+    # alone pack as rows at the shift's power
     mu, nu, w, d = (0, 1), (1,), (0, 2), 3
     layout = RowLayout(*_row_bounds((mu, nu, w), d))
-    key = _split_keys(*_basis_product(mu, nu, d))[0][0]
-    rows, _ = _basis_product(key, w, d)
-    shifts = (0, 1, 3)
-    keys = pack_rows(layout, [(rows, None, shifts)])
-    want = []
-    for s in shifts:
-        shifted = rows.copy()
+    key = split_product(*_basis_product(mu, nu, d))[0][0]
+    rows, _ = reference_rows(key, w, d)
+    for s in (0, 1, 3):
+        shifted = rows.astype(np.int64)
         shifted[:, -1] += s
-        want.append(pack_rows(layout, [(shifted[:, :-1], shifted[:, -1], (0,))]))
-    assert keys.dtype == np.int64
-    assert np.array_equal(keys, np.concatenate(want))
-    assert np.array_equal(layout.unpack(keys[: len(rows)]), rows)
+        keys = pack_rows(layout, rows, shift=s)
+        assert keys.dtype == np.int64
+        assert np.array_equal(keys, pack_rows(layout, shifted[:, :-1], shifted[:, -1]))
+        assert np.array_equal(layout.unpack(keys), shifted)
+        alone = pack_rows(layout, rows[:, :-1], shift=s)
+        assert np.array_equal(layout.unpack(alone)[:, :-1], rows[:, :-1])
+        assert set(layout.unpack(alone)[:, -1].tolist()) == {s}
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
@@ -384,16 +456,16 @@ def test_narrow_rows_pack_like_int64_rows(dtype, width):
     layout = RowLayout(lows[:-1] + [lows[-1] - 3], spans[:-1] + [spans[-1] + 10])
     assert layout.dtype == np.int64
     narrow = rows.astype(dtype)
-    for blocks in (
-        lambda r: [(r, None, (0, 7, -3))],
-        lambda r: [(r[:, :-1], r[:, -1], (0, 2))],
+    for pack, shifts in (
+        (lambda r, s: pack_rows(layout, r, shift=s), (0, 7, -3)),
+        (lambda r, s: pack_rows(layout, r[:, :-1], r[:, -1], s), (0, 2)),
     ):
-        want = pack_rows(layout, blocks(rows))
-        assert np.array_equal(pack_rows(layout, blocks(narrow)), want)
+        for s in shifts:
+            assert np.array_equal(pack(narrow, s), pack(rows, s))
     # under the rows' own bounds, the keys unpack straight into the dtype
     exact = RowLayout(lows, spans)
     assert exact.row_dtype == dtype
-    unpacked = exact.unpack(pack_rows(exact, [(narrow, None, (0,))]))
+    unpacked = exact.unpack(pack_rows(exact, narrow))
     assert unpacked.dtype == dtype and np.array_equal(unpacked, rows)
 
 
@@ -402,7 +474,7 @@ def test_products_that_leave_the_cached_dtype_stay_exact(c):
     # basis coefficients stored as int16 and int32, times terms whose
     # products leave both, must widen before they are multiplied
     for mu, nu, d, dtype in [((0, 1), (1, 2), 4, np.int16), ((0, 1), (1, 2), 6, np.int32)]:
-        assert _basis_product(mu, nu, d)[1].dtype == dtype
+        assert _basis_product(mu, nu, d)[3].dtype == dtype
         e1 = {mu: QLaurent(0, (c, 1)), (0,): q_power(2)}
         e2 = {nu: QLaurent(-1, (c, 0, -c)), (1,): ONE}
         terms = element_terms(e1, e2)
@@ -425,9 +497,9 @@ def test_assoc_sides_that_leave_the_cached_dtype_match_the_reference():
     # the outer product's coefficients times int16 and int32 basis
     # coefficients leave int16 on either side
     for mu, nu, w, d in [((0, 1), (1, 2), (0, 2), 4), ((0, 1), (1, 2), (0,), 6)]:
-        dtypes = {_basis_product(mu, nu, d)[1].dtype, _basis_product(nu, w, d)[1].dtype}
+        dtypes = {_basis_product(mu, nu, d)[3].dtype, _basis_product(nu, w, d)[3].dtype}
         assert dtypes <= {np.dtype(np.int16), np.dtype(np.int32)}
-        terms = [(k, w, ps, cs) for k, ps, cs in _split_keys(*_basis_product(mu, nu, d))]
+        terms = outer_terms(_basis_product(mu, nu, d), lambda k: (k, w))
         (want,) = reference_bilinear_rows(terms, d).values()
         assert np.abs(want[1]).max() > np.iinfo(np.int16).max
         assert_sides_match_reference(mu, nu, w, d)
@@ -435,12 +507,11 @@ def test_assoc_sides_that_leave_the_cached_dtype_match_the_reference():
 
 
 def test_a_default_assoc_suite_caches_narrow_products(monkeypatch):
-    # every basis product the default suite reads is in the narrowest dtype
+    # every basis product the default suite reads is in the narrowest dtypes
     # of the rule, and together they hold at most 16 MiB of arrays (about
-    # 9.4 MiB, against 67.5 MiB in int64); from empty caches, an outer
-    # product is fetched only when it is split, so every hit is a reuse.
-    # The tables merged over runs of equal parts that the builds re-key
-    # hold at most 1.5 MiB (about 0.9 MiB)
+    # 5.3 MiB, against 9.4 MiB as rows); from empty caches every hit is a
+    # reuse.  The tables merged over runs of equal parts that the builds
+    # re-key hold at most 1.5 MiB (about 0.9 MiB)
     entries = {}
     cached = lru_cache(maxsize=partition_algebra.BASIS_CACHE_SIZE)(
         partition_algebra._basis_product.__wrapped__
@@ -462,35 +533,67 @@ def test_a_default_assoc_suite_caches_narrow_products(monkeypatch):
     assert suite_assoc().passed
     info = cached.cache_info()
     assert (info.hits, info.misses) == (20243, 6285)
-    # 6 100 outer products, 3 280 of them fetched and split
-    splits = partition_algebra._split_product.cache_info()
-    assert (splits.hits, splits.misses) == (2820, 3280)
     assert len(entries) == 6285
     held = 0
-    for (mu, nu, d), (rows, coeffs) in entries.items():
-        assert (rows.dtype, coeffs.dtype) == cached_dtypes(mu, nu, d), (mu, nu, d)
-        held += rows.nbytes + coeffs.nbytes
+    for (mu, nu, d), arrays in entries.items():
+        keys, counts, powers, coeffs = arrays
+        assert (keys.dtype, counts.dtype, coeffs.dtype) == cached_dtypes(mu, nu, d), (mu, nu, d)
+        assert powers.dtype == counts.dtype
+        held += sum(a.nbytes for a in arrays)
     assert held <= 16 * 2**20
-    # a merge with every run of length 1 holds the table's own arrays
-    copies = [arrays for (_, _, _, runs), arrays in merged.items() if max(runs) > 1]
-    assert sum(a.nbytes for arrays in copies for a in arrays) <= 1.5 * 2**20
+    # a build with every run of length 1 reads the table, and merges nothing
+    assert all(max(runs) > 1 for _, _, _, runs in merged)
+    assert sum(a.nbytes for arrays in merged.values() for a in arrays) <= 1.5 * 2**20
+
+
+def test_a_default_assoc_suite_sorts_only_distinct_keys(monkeypatch):
+    # the bilinear core sorts the distinct keys of the basis products it
+    # stages, 1.20 M at the defaults, never the 9.64 M rows they stage;
+    # the budget and the basis cache read as they did when rows were sorted
+    sorted_keys = []
+    pack = partition_algebra.pack_rows
+
+    def spy(layout, parts, powers=None, shift=0):
+        keys = pack(layout, parts, powers, shift)
+        if powers is None:
+            sorted_keys.append(len(keys))
+        return keys
+
+    spent = []
+
+    class Recording(suites._WorkBudget):
+        def __call__(self, units):
+            spent.append(units)
+            super().__call__(units)
+
+    monkeypatch.setattr(partition_algebra, "pack_rows", spy)
+    monkeypatch.setattr(suites, "_WorkBudget", Recording)
+    cached = lru_cache(maxsize=partition_algebra.BASIS_CACHE_SIZE)(
+        partition_algebra._basis_product.__wrapped__
+    )
+    monkeypatch.setattr(partition_algebra, "_basis_product", cached)
+    partition_algebra._split_product.cache_clear()
+    assert suite_assoc().passed
+    assert sum(sorted_keys) <= 1_250_000
+    assert sum(spent) == 218122026
+    info = cached.cache_info()
+    assert (info.hits, info.misses) == (20243, 6285)
 
 
 def test_a_run_of_triples_splits_its_outer_product_once(monkeypatch):
     # the triples (mu, nu, w) for a run of w share the outer product mu * nu
-    splits = []
-    split_keys = partition_algebra._split_keys
-    monkeypatch.setattr(
-        partition_algebra, "_split_keys", lambda *a: splits.append(len(a[1])) or split_keys(*a)
-    )
+    fetched = []
+    basis = partition_algebra._basis_product
+    monkeypatch.setattr(partition_algebra, "_basis_product", lambda *a: fetched.append(a) or basis(*a))
     partition_algebra._split_product.cache_clear()
     mu, nu, d = (0, 3), (1, 2), 3
     ws = [(0,), (1,), (0, 1), (2, 2)]
     for w in ws:
         assert check_associativity(mu, nu, w, d).passed
     # one split of mu * nu, and one of nu * w for every w
-    assert len(splits) == 1 + len(ws)
-    assert splits[0] == len(_basis_product(mu, nu, d)[1])
+    assert fetched.count((mu, nu, d)) == 1
+    assert all(fetched.count((nu, w, d)) == 1 for w in ws)
+    partition_algebra._split_product.cache_clear()
 
 
 @pytest.mark.parametrize("c", [2**62, 2**63 - 2, 2**63 - 1, 2**70])
@@ -505,5 +608,38 @@ def test_quasi_commutativity_holds_for_rows_past_int64(c, d):
     layout = RowLayout([0, 2**63 - 1, 0], [2, 2, 2])
     assert layout.dtype == np.int64 and layout.row_dtype is object
     rows = np.array([[0, 2**63 + 1, 2], [2, 2**63 - 1, 0]], dtype=object)
-    keys = pack_rows(layout, [(rows, None, (0,))])
+    keys = pack_rows(layout, rows)
     assert_same((layout.unpack(keys), keys), (rows, keys))
+
+
+short_keys = st.lists(st.integers(0, 3), max_size=2).map(lambda v: tuple(sorted(v)))
+coefficients = st.one_of(
+    st.integers(-4, 4),
+    # products with the basis coefficients leave int64
+    st.integers(-(2**62), 2**62),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+).filter(bool)
+coefficient_terms = st.dictionaries(st.integers(-3, 3), coefficients, min_size=1, max_size=3)
+
+
+@given(
+    st.lists(st.tuples(short_keys, short_keys, coefficient_terms), min_size=1, max_size=4),
+    st.integers(1, 3),
+    st.sampled_from([0, 2**62, 2**70]),
+    st.sampled_from([0, -(2**62), 2**70]),
+)
+@settings(max_examples=60, deadline=None)
+def test_the_bilinear_core_matches_the_reference(pairs, d, part, power):
+    # int64 sums, sums past int64 and Fractions; parts and powers near or
+    # past int64, which make the keys and the powers Python ints
+    terms = []
+    for k1, k2, coeff in pairs:
+        k1, k2 = (tuple(v + part for v in k) for k in (k1, k2))
+        if all((k1, k2) != term[:2] for term in terms):
+            ps = sorted(coeff)
+            terms.append((k1, k2, tuple(p + power for p in ps), tuple(coeff[p] for p in ps)))
+    got = bilinear_rows(terms, d)
+    want = reference_bilinear_rows(terms, d)
+    assert got.keys() == want.keys()
+    for length in got:
+        assert_same(got[length], want[length])

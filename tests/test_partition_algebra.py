@@ -178,15 +178,15 @@ def test_grading_failures_empty_on_products():
 
 
 def test_grading_failures_detects_bad_terms():
-    # rows are (key, power); each failing key is worded once
-    bad = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+    # the distinct keys of a product; each failing key is worded once
+    bad = np.array([[0, 0], [0, 1]])
     assert grading_failures((0,), (0,), 2, bad) == [
         "term (0, 0) of (0,) * (0,) (d=2) has weight 0, want 1"
     ]
-    assert grading_failures((0, 1), (), 2, np.array([[0, 1, 2, 0]])) == [
+    assert grading_failures((0, 1), (), 2, np.array([[0, 1, 2]])) == [
         "term (0, 1, 2) of (0, 1) * () (d=2) has length 3, want 2"
     ]
-    huge = np.array([[2**62, 2**62, 0]])
+    huge = np.array([[2**62, 2**62]])
     assert grading_failures((2**62,), (2**62 - 1,), 3, huge)
     assert grading_failures((2**62,), (2**62,), 1, huge) == []
 
@@ -337,10 +337,11 @@ def test_basis_products_match_shuffle_oracle():
 
 def test_basis_products_match_orientation_sum():
     for mu, nu in itertools.product(partitions_up_to(3, 2), repeat=2):
-        rows, coeffs = product_via_graphs(mu, nu)
+        keys, counts, powers, coeffs = product_via_graphs(mu, nu)
         via_graphs = {}
-        for row, c in zip(rows.tolist(), coeffs.tolist()):
-            via_graphs.setdefault(tuple(row[:-1]), {})[row[-1]] = c
+        rows = zip(np.repeat(keys, counts, axis=0).tolist(), powers.tolist(), coeffs.tolist())
+        for key, p, c in rows:
+            via_graphs.setdefault(tuple(key), {})[p] = c
         via_graphs = {key: QLaurent.from_dict(t) for key, t in via_graphs.items()}
         assert product(mu, nu, 2) == via_graphs, (mu, nu)
 
@@ -452,26 +453,39 @@ def test_loop_counts_below_one_are_value_errors(d):
 
 
 def _spy_on_bounds(monkeypatch):
-    """Record every pack of rows after checking each staged row lies inside
-    the layout's bounds, with every power shift of its block applied."""
-    real = partition_algebra.pack_rows
+    """Record every pack of rows after checking each packed row lies inside
+    the layout's bounds, its power shifted, and check that every power a
+    bilinear sum stages lies inside the power bounds of its layout, which
+    frame its dense groups."""
+    real, summed = partition_algebra.pack_rows, partition_algebra._summed
     seen = []
 
-    def spy(layout, blocks):
+    def spy(layout, rows, given=None, shift=0):
         lows, spans = layout.lows, layout.spans
-        for parts, powers, shifts in blocks:
-            if powers is None:
-                parts, powers = parts[:, :-1], parts[:, -1]
-            assert len(lows) == len(spans) == parts.shape[1] + 1
-            assert len(parts) == len(powers) > 0 and len(shifts) > 0
-            bottoms = parts.min(axis=0).tolist() + [min(powers.tolist()) + min(shifts)]
-            tops = parts.max(axis=0).tolist() + [max(powers.tolist()) + max(shifts)]
-            for bottom, top, lo, span in zip(bottoms, tops, lows, spans):
-                assert lo <= bottom and top <= lo + span, (bottom, top, lo, span)
+        parts, powers = rows, given
+        if powers is None and parts.shape[1] == len(lows):
+            parts, powers = parts[:, :-1], parts[:, -1]
+        elif powers is None:
+            # keys alone, each at the power of the shift
+            powers = np.zeros(len(parts), dtype=np.int64)
+        assert len(lows) == len(spans) == parts.shape[1] + 1
+        assert len(parts) == len(powers) > 0
+        bottoms = parts.min(axis=0).tolist() + [min(powers.tolist()) + shift]
+        tops = parts.max(axis=0).tolist() + [max(powers.tolist()) + shift]
+        for bottom, top, lo, span in zip(bottoms, tops, lows, spans):
+            assert lo <= bottom and top <= lo + span, (bottom, top, lo, span)
         seen.append((len(lows), spans[-1]))
-        return real(layout, blocks)
+        return real(layout, rows, given, shift)
+
+    def summed_spy(group, layout, dtype, term_cap):
+        low, span = layout.lows[-1], layout.spans[-1]
+        for (_, _, powers, _), least, most, _, _ in group:
+            assert low <= min(powers.tolist()) + least
+            assert max(powers.tolist()) + most <= low + span
+        return summed(group, layout, dtype, term_cap)
 
     monkeypatch.setattr(partition_algebra, "pack_rows", spy)
+    monkeypatch.setattr(partition_algebra, "_summed", summed_spy)
     # cached basis products were packed before the spy was in place
     partition_algebra._basis_product.cache_clear()
     return seen
@@ -514,10 +528,10 @@ def test_grouped_rows_lie_inside_their_bounds(mu, nu, w, d, c):
         product(mu, nu, d)
         assert seen == ([(m + n + 1, (d - 1) * m * n)] if mu and nu else [])
         assert check_associativity(mu, nu, w, d).passed
-        # each staged side, more than one term when d > 1, is packed with
-        # the power span of the triple; a basis product's span is smaller
+        # the keys of both sides are packed once, under the layout of the
+        # triple, whose power span is larger than a basis product's
         if d > 1 and mu and nu and w:
-            assert seen.count((m + n + l + 1, (d - 1) * (m * n + m * l + n * l))) == 2
+            assert seen.count((m + n + l + 1, (d - 1) * (m * n + m * l + n * l))) == 1
     partition_algebra._basis_product.cache_clear()
 
 
@@ -527,11 +541,11 @@ def test_flipped_coefficient_fails_with_the_fold_message(monkeypatch):
     target = next(iter(product(mu, nu, d)))
 
     def flipped(k1, k2, d):
-        rows, coeffs = real(k1, k2, d)
+        keys, counts, powers, coeffs = real(k1, k2, d)
         if (k1, k2) == (target, w):
             coeffs = coeffs.copy()
             coeffs[0] = -coeffs[0]
-        return rows, coeffs
+        return keys, counts, powers, coeffs
 
     monkeypatch.setattr(partition_algebra, "_basis_product", flipped)
     # a test-local fold of the same (flipped) basis products

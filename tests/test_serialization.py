@@ -152,12 +152,12 @@ def test_grouped_json_is_the_element_json(mu, nu, d, c):
 
 
 def test_grouped_json_examples_reach_object_arrays():
-    # keys past int64 make the rows object arrays, weights past it the
+    # parts past int64 make the keys object arrays, weights past it the
     # coeffs; the other array takes the narrowest dtype that holds it
-    rows, coeffs = _basis_product((0, 2**70), (2**70,), 2)
-    assert rows.dtype == object and coeffs.dtype == np.int8
-    rows, coeffs = _basis_product((0,), (0,), 71)
-    assert rows.dtype == np.int8 and coeffs.dtype == object
+    keys, _, _, coeffs = _basis_product((0, 2**70), (2**70,), 2)
+    assert keys.dtype == object and coeffs.dtype == np.int8
+    keys, _, _, coeffs = _basis_product((0,), (0,), 71)
+    assert keys.dtype == np.int8 and coeffs.dtype == object
 
 
 def test_element_decode_prunes_zero_and_rejects_duplicates():

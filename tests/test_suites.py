@@ -221,14 +221,14 @@ def test_a_budget_of_zero_refuses_before_the_first_side_is_staged(monkeypatch):
     monkeypatch.setattr(partition_algebra, "pack_rows", lambda *a: staged.append(a) or pack(*a))
     monkeypatch.setattr(partition_algebra, "_basis_product", lambda *a: fetched.append(a) or basis(*a))
     monkeypatch.setattr(suites, "GRID_WORK_LIMIT", 0)
-    # the outer product is fetched where it is split, so not from a warm split
+    # the outer products are fetched where they are split, so not from a warm split
     partition_algebra._split_product.cache_clear()
     budget = suites._WorkBudget("assoc")
     message = "^verify assoc: the checks exceed the work limit 0$"
     with pytest.raises(ResourceLimitError, match=message):
         partition_algebra.check_associativity(mu, nu, w, d, budget)
-    # the outer product was fetched, and no product of a side
-    assert fetched == [(mu, nu, d)] and staged == []
+    # the two outer products were fetched, and no product of a side
+    assert fetched == [(mu, nu, d), (nu, w, d)] and staged == []
 
 
 @pytest.mark.parametrize("count", [10**6, 10**30])
@@ -304,24 +304,27 @@ def _corrupt(monkeypatch, how):
     """Make the cached basis product of BROKEN come back corrupted.
 
     ``flip`` negates the coefficient of its first row, ``drop`` drops that
-    row, and ``shift`` adds 1 to the row's first part, so that the key has
-    the wrong weight.
+    row, and its key with it when the key has no other row, and ``shift``
+    adds 1 to the first key's first part, so that the key has the wrong
+    weight.
     """
     real = partition_algebra._basis_product
 
     def corrupted(mu, nu, d):
-        rows, coeffs = real(mu, nu, d)
+        keys, counts, powers, coeffs = real(mu, nu, d)
         if (mu, nu, d) != BROKEN:
-            return rows, coeffs
+            return keys, counts, powers, coeffs
         if how == "flip":
             coeffs = coeffs.copy()
             coeffs[0] = -coeffs[0]
         elif how == "drop":
-            rows, coeffs = rows[1:], coeffs[1:]
+            counts = counts.copy()
+            counts[0] -= 1
+            keys, counts, powers, coeffs = keys[counts > 0], counts[counts > 0], powers[1:], coeffs[1:]
         else:
-            rows = rows.copy()
-            rows[0, 0] += 1
-        return rows, coeffs
+            keys = keys.copy()
+            keys[0, 0] += 1
+        return keys, counts, powers, coeffs
 
     monkeypatch.setattr(partition_algebra, "_basis_product", corrupted)
 
