@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .kernel import DEFAULT_TERM_CAP
-from .partition_algebra import _capped_basis_product, _key_major, _offsets, _to_element
+from .partition_algebra import _capped_basis_product, _offsets, _to_element
 from .partitions import Partition, is_partition
 from .reports import CheckReport
 
@@ -62,17 +62,15 @@ def product_via_graphs(mu: Partition, nu: Partition, max_bits: int = DEFAULT_BIT
     """Sum of h over every orientation; the graph-side d = 2 product.
 
     Returns (keys, counts, powers, coeffs) in the key-major layout of a
-    basis product, from grouped rows (sorted key, then power of q; rows in
-    order), a row's coefficient being its orientation count times
+    basis product, a power's coefficient being its orientation count times
     (-1)**power.  Each block of orientations packs its sorted keys and its
-    left-edge counts into one integer per orientation, in row order, and
-    counts them; the blocks' counts are summed per packed key.
+    left-edge counts into one integer per orientation, key bits above the
+    power's, and counts them; the blocks' counts are summed per packed
+    integer, and a key starts where the key bits change.
     """
-    mu = tuple(mu)
-    nu = tuple(nu)
+    mu, nu = tuple(mu), tuple(nu)
     bits = _check_factors(mu, nu, max_bits)
-    n = len(mu)
-    k = len(nu)
+    n, k = len(mu), len(nu)
     # every grown part less lo lies in [0, 2**width); the power takes the
     # low bits of the packed key
     lo = min(mu + nu, default=0)
@@ -80,14 +78,14 @@ def product_via_graphs(mu: Partition, nu: Partition, max_bits: int = DEFAULT_BIT
     width = (hi - lo).bit_length()
     power_width = bits.bit_length()
     dtype = np.int64 if (n + k) * width + power_width <= 63 else object
-    # the rows hold the grown parts themselves, lo added back
+    # the keys hold the grown parts themselves, lo added back
     row_dtype = dtype if hi < 1 << 63 else object
     parts = np.array([p - lo for p in mu + nu], dtype=dtype)
     scale = np.array(
         [1 << (width * (n + k - 1 - i) + power_width) for i in range(n + k)],
         dtype=dtype,
     )
-    packed, rows, counts = [], [], []
+    packed, grown, counts = [], [], []
     total = 1 << bits
     for start in range(0, total, BLOCK_ORIENTATIONS):
         keys, powers = _orientations(parts, n, k, start, min(start + BLOCK_ORIENTATIONS, total))
@@ -95,18 +93,24 @@ def product_via_graphs(mu: Partition, nu: Partition, max_bits: int = DEFAULT_BIT
             keys @ scale + powers, return_index=True, return_counts=True
         )
         packed.append(distinct)
-        rows.append(np.column_stack([keys[first].astype(row_dtype) + lo, powers[first]]))
+        grown.append(keys[first])
         counts.append(found)
     if len(packed) == 1:
-        (rows,), (summed,) = rows, counts
+        (words,), (grown,), (summed,) = packed, grown, counts
     else:
-        _, first, where = np.unique(
+        words, first, where = np.unique(
             np.concatenate(packed), return_index=True, return_inverse=True
         )
         summed = np.zeros(len(first), dtype=np.int64)
         np.add.at(summed, where, np.concatenate(counts))
-        rows = np.concatenate(rows)[first]
-    return _key_major(rows, np.where(rows[:, -1] & 1, -summed, summed))
+        grown = np.concatenate(grown)[first]
+    heads = words >> power_width
+    marks = np.ones(len(words) + 1, dtype=bool)
+    np.not_equal(heads[1:], heads[:-1], out=marks[1:-1])
+    marks = marks.nonzero()[0]
+    powers = (words & ((1 << power_width) - 1)).astype(np.int64)
+    keys = grown[marks[:-1]].astype(row_dtype) + lo
+    return keys, marks[1:] - marks[:-1], powers, np.where(powers & 1, -summed, summed)
 
 
 def list_orientations(mu: Partition, nu: Partition):

@@ -191,15 +191,6 @@ def _split_product(mu: Partition, nu: Partition, d: int):
     return list(map(tuple, keys.tolist())), counts.tolist(), powers, coeffs
 
 
-def _key_major(rows, coeffs):
-    """(keys, counts, powers, coeffs) of grouped (sorted key, power) rows."""
-    keys = rows[:, :-1]
-    marks = np.ones(len(rows) + 1, dtype=bool)
-    (keys[1:] != keys[:-1]).any(axis=1, out=marks[1:-1])
-    marks = marks.nonzero()[0]
-    return keys[marks[:-1]], marks[1:] - marks[:-1], rows[:, -1].astype(np.int64), coeffs
-
-
 def _dense(counts, powers, coeffs):
     """Each key's coefficient as one dense vector, from its least power to
     its greatest, the vectors laid end to end: (lows, ends, cells), key i
@@ -214,8 +205,7 @@ def _dense(counts, powers, coeffs):
 
 
 def _fold(keys, lows, ends, cells) -> PartitionElement:
-    """QLaurent coefficients of keys from dense vectors laid end to end,
-    zero ones dropped."""
+    """QLaurent coefficients of keys from their dense vectors, zeros dropped."""
     out: PartitionElement = {}
     cells, ends = cells.tolist(), ends.tolist()
     for key, low, start, end in zip(keys.tolist(), lows.tolist(), [0] + ends[:-1], ends):
@@ -316,8 +306,7 @@ def _summed(group, layout: RowLayout, dtype, term_cap: int):
     words = pack_rows(layout, keys, shift=low)
     order = words.argsort()
     ordered = words[order]
-    first = np.empty(len(words), dtype=bool)
-    first[0] = True
+    first = np.ones(len(words), dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     starts = first.nonzero()[0]
     if (span + 1) * len(starts) <= min(term_cap, DEFAULT_TERM_CAP):

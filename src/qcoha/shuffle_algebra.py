@@ -32,7 +32,7 @@ import numpy as np
 from .errors import NotSymmetricError, ResourceLimitError
 from .kernel import DEFAULT_TERM_CAP, check_loop_count, pairwise_kernel
 from .mpoly import MPoly, embed, fixed_by, relabelled_sum
-from .partition_algebra import PartitionElement, _capped_basis_product, _key_major, _to_element
+from .partition_algebra import PartitionElement, _capped_basis_product, _to_element
 from .partitions import (
     Partition,
     distinct_permutations,
@@ -315,6 +315,15 @@ def to_symmetric_element(e: PartitionElement) -> GradedElement:
     for lam, coeff in e.items():
         comps.setdefault(len(lam), {})[tuple(lam)] = coeff * multiplicity(lam)
     return {n: SymmetricElement(n, terms) for n, terms in sorted(comps.items())}
+
+
+def _key_major(rows, coeffs):
+    """(keys, counts, powers, coeffs) of grouped (sorted key, power) rows."""
+    keys = rows[:, :-1]
+    marks = np.ones(len(rows) + 1, dtype=bool)
+    (keys[1:] != keys[:-1]).any(axis=1, out=marks[1:-1])
+    marks = marks.nonzero()[0]
+    return keys[marks[:-1]], marks[1:] - marks[:-1], rows[:, -1].astype(np.int64), coeffs
 
 
 def verify_homomorphism(mu: Partition, nu: Partition, d: int) -> CheckReport:
