@@ -466,7 +466,8 @@ def merged_table(m: int, n: int, d: int, runs: Tuple[int, ...]):
     of [0, (d-1)*m*n] and the weights in the narrowest within
     +-``coefficient_bound((d-1)*m*n)``, never the table's own.  A build
     with every run of length 1 has nothing to merge and reads the table
-    instead.  Callers check their own term cap first.
+    instead.  Callers check their own term cap first and must not mutate
+    the returned arrays.
     """
     table = structure_table(m, n, d, sys.maxsize)
     exps = table.exps.copy()

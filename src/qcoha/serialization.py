@@ -22,8 +22,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
-import numpy as np
-
 from .kernel import StructureConstantTable
 from .mpoly import MPoly
 from .partition_algebra import PartitionElement, _dense

@@ -533,6 +533,9 @@ def test_a_default_assoc_suite_caches_narrow_products(monkeypatch):
     assert suite_assoc().passed
     info = cached.cache_info()
     assert (info.hits, info.misses) == (20243, 6285)
+    # 6 100 outer products, 3 280 of them fetched and split
+    splits = partition_algebra._split_product.cache_info()
+    assert (splits.hits, splits.misses) == (2820, 3280)
     assert len(entries) == 6285
     held = 0
     for (mu, nu, d), arrays in entries.items():
@@ -615,8 +618,8 @@ def test_quasi_commutativity_holds_for_rows_past_int64(c, d):
 short_keys = st.lists(st.integers(0, 3), max_size=2).map(lambda v: tuple(sorted(v)))
 coefficients = st.one_of(
     st.integers(-4, 4),
-    # products with the basis coefficients leave int64
-    st.integers(-(2**62), 2**62),
+    # products with the basis coefficients, or the coefficients, leave int64
+    st.integers(-(2**64), 2**64),
     st.fractions(min_value=-3, max_value=3, max_denominator=6),
 ).filter(bool)
 coefficient_terms = st.dictionaries(st.integers(-3, 3), coefficients, min_size=1, max_size=3)
