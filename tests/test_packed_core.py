@@ -4,7 +4,7 @@ The references keep, in this file only, the grouping that stages one 2-D copy
 of a basis product's rows per coefficient term and groups the concatenated
 rows by a key packed from their columns.  A cached basis product must hold
 the same rows, split by key (``key_major``), and the bilinear core must sum
-the same rows and coefficients into its dense groups (``bilinear_rows``
+the same rows and coefficients into its dense groups (``summed_rows``
 reads them back), dtypes included.  Cached arrays come out in the narrowest
 integer dtype their certified bounds allow, and the references state that
 rule apart from the program (``row_range``).
@@ -551,8 +551,9 @@ def test_a_default_assoc_suite_caches_narrow_products(monkeypatch):
 
 def test_a_default_assoc_suite_sorts_only_distinct_keys(monkeypatch):
     # the bilinear core sorts the distinct keys of the basis products it
-    # stages, 1.20 M at the defaults, never the 9.64 M rows they stage;
-    # the budget and the basis cache read as they did when rows were sorted
+    # stages, 1.20 M at the defaults, never the 9.64 M rows they stage: the
+    # keys it packs without their powers are the one array it argsorts.
+    # The budget and the basis cache read as they did when rows were sorted
     sorted_keys = []
     pack = partition_algebra.pack_rows
 
