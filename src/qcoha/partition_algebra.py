@@ -248,10 +248,10 @@ def _bilinear_keys(sides, d: int, term_cap: int, layouts, budget=None):
     for k1 * k2 times the next counts[i] terms coeffs[j] * q**powers[j],
     powers increasing, and ``top`` bounds every |coeffs[j]|, or is None for
     a Fraction.  The caller has run ``_check_shape`` on every pair.  Each
-    side in turn is checked before anything is staged: ``budget``, if
-    given, is charged the rows of every basis product's build, times their
-    width, before any is fetched; then its staged rows, a basis product's
-    rows once per coefficient term, are held to ``term_cap`` and charged.
+    side in turn is checked before anything is staged or the next side read:
+    ``budget``, if given, is charged the rows of every basis product's build,
+    times their width, before any is fetched; then its staged rows, each
+    basis product's rows times its terms, are held to ``term_cap`` and charged.
     A cell takes at most one basis coefficient per coefficient term, so it
     sums in int64 when the sum of ``top * counts[i] *
     coefficient_bound((d-1)*m*n)`` fits.
@@ -259,13 +259,12 @@ def _bilinear_keys(sides, d: int, term_cap: int, layouts, budget=None):
     Only the distinct keys at a length are packed, without their powers,
     and sorted into groups; ``np.add.at`` sums every staged row into its
     group's dense vector.  A group spans the layout's powers while all the
-    groups fit the cap (and the default cap where a caller lifts it), and
-    otherwise only those its items reach, from a key's first power plus its
-    coefficient's least to its last plus the greatest, refused past the cap
-    before anything is allocated.  Returns {length: (heads, lows, ends,
-    cells)}: the packed keys, each at the layout's least power, each
-    group's least power, and the vectors end to end, group i in
-    cells[ends[i-1]:ends[i]].
+    groups fit the cap and four times the rows staged at their length (3.3
+    at most in a default ``verify assoc``), and otherwise only the powers its
+    items reach, refused past the cap before anything is allocated.  Returns
+    {length: (heads, lows, ends, cells)}: the packed keys, each at the
+    layout's least power, each group's least power, and the vectors end to
+    end, group i in cells[ends[i-1]:ends[i]].
     """
     by_len: Dict[int, List] = {}
     bound = 0
@@ -285,7 +284,7 @@ def _bilinear_keys(sides, d: int, term_cap: int, layouts, budget=None):
             if integral:
                 bound += top * n * coefficient_bound((d - 1) * len(k1) * len(k2))
             by_len.setdefault(len(k1) + len(k2), []).append(
-                (basis, ps[start], ps[stop - 1], powers[start:stop], coeffs[start:stop])
+                (basis, ps[start], ps[stop - 1], powers[start:stop], coeffs[start:stop], rows)
             )
         if staged > term_cap:
             raise ResourceLimitError("bilinear product stages %d rows, cap %d" % (staged, term_cap))
@@ -298,7 +297,7 @@ def _bilinear_keys(sides, d: int, term_cap: int, layouts, budget=None):
 def _summed(group, layout: RowLayout, dtype, term_cap: int):
     """The dense groups of one key length (``_bilinear_keys``)."""
     group.sort(key=lambda term: len(term[3]))
-    bases, firsts, lasts, powers, coeffs = zip(*group)
+    bases, firsts, lasts, powers, coeffs, staged = zip(*group)
     low, span = layout.lows[-1], layout.spans[-1]
     # powers and cells are int64 while the layout's powers stay well inside it
     frame = np.int64 if max(-low, low + span) < 1 << 62 else object
@@ -309,7 +308,7 @@ def _summed(group, layout: RowLayout, dtype, term_cap: int):
     first = np.ones(len(words), dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     starts = first.nonzero()[0]
-    if (span + 1) * len(starts) <= min(term_cap, DEFAULT_TERM_CAP):
+    if (span + 1) * len(starts) <= min(term_cap, 4 * sum(staged)):
         lows = np.full(len(starts), low, dtype=frame)
         highs = lows + span
     else:
@@ -459,16 +458,26 @@ def quasi_commutativity_report(mu: Partition, nu: Partition, d: int) -> QuasiCom
     )
 
 
+def _sides(mu: Partition, nu: Partition, w: Partition, d: int, sign: int):
+    """The sides of a triple for ``_bilinear_keys``, each built only once the
+    core has charged the one before: every key k of the cached mu * nu with
+    w, then every key of nu * w with mu, its coefficients times ``sign``; an
+    outer coefficient lies within the certificate of its own product."""
+    keys, counts, powers, coeffs = _split_product(mu, nu, d)
+    yield [(k, w) for k in keys], counts, powers, coeffs, coefficient_bound((d - 1) * len(mu) * len(nu))
+    keys, counts, powers, coeffs = _split_product(nu, w, d)
+    yield [(mu, k) for k in keys], counts, powers, sign * coeffs, coefficient_bound((d - 1) * len(nu) * len(w))
+
+
 def check_associativity(
     mu: Partition, nu: Partition, w: Partition, d: int, budget=None
 ) -> CheckReport:
     """Compare the two parenthesizations of a triple product exactly.
 
-    Every key k of the cached outer product mu * nu pairs with w under its
-    coefficient there, and every key of nu * w with mu; the bilinear core
-    sums the first side less the second under the layout of the three
-    blocks, and the sides agree exactly when every cell is zero.  ``budget``,
-    if given, is charged each side's work first (``_bilinear_keys``).
+    The bilinear core sums the first side less the second (``_sides``)
+    under the layout of the three blocks, and the sides agree exactly when
+    every cell is zero.  ``budget``, if given, is charged each side's work
+    before that side is staged and before the next is built.
     """
     mu, nu, w = tuple(mu), tuple(nu), tuple(w)
     cap = DEFAULT_TERM_CAP
@@ -476,19 +485,11 @@ def check_associativity(
     layouts = {l + m + n: RowLayout(*_row_bounds((mu, nu, w), d))}
     for shape in ((l, m), (l + m, n), (m, n), (l, m + n)):
         _check_shape(*shape, d, cap)
-    left, right = _split_product(mu, nu, d), _split_product(nu, w, d)
-    # an outer coefficient lies within the certificate of its own product
-    tops = coefficient_bound((d - 1) * l * m), coefficient_bound((d - 1) * m * n)
-    sides = [
-        ([(k, w) for k in left[0]], left[1], left[2], left[3], tops[0]),
-        ([(mu, k) for k in right[0]], right[1], right[2], -right[3], tops[1]),
-    ]
-    ((_, _, _, cells),) = _bilinear_keys(sides, d, cap, layouts, budget).values()
+    ((_, _, _, cells),) = _bilinear_keys(_sides(mu, nu, w, d, -1), d, cap, layouts, budget).values()
     passed = not cells.any()
     failures = []
     if not passed:
-        sides[1] = sides[1][:3] + (right[3], tops[1])
-        left, right = (_element([side], d, cap, layouts) for side in sides)
+        left, right = (_element([side], d, cap, layouts) for side in _sides(mu, nu, w, d, 1))
         keys = sorted(set(left) | set(right), key=lambda k: (len(k), k))
         key = next(k for k in keys if left.get(k) != right.get(k))
         failures.append(

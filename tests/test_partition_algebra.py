@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -327,6 +328,20 @@ def test_a_key_length_reached_from_different_factor_lengths(p, d):
     assert product_elements(e1, e2, d) == reference_product_elements(e1, e2, d)
 
 
+def test_terms_far_apart_in_q_stage_only_the_powers_they_reach():
+    # the layout at key length 2 spans powers 0 to 10**6 + 1, but only a few
+    # rows are staged there: each key's vector spans only its own powers,
+    # where one vector of the layout's powers per key took about 56 MB
+    e1, e2 = {(0,): ONE, (1,): q_power(10**6)}, {(0,): ONE}
+    tracemalloc.start()
+    try:
+        got = product_elements(e1, e2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == reference_product_elements(e1, e2, 2)
+    assert peak < 1_000_000
+
 def test_basis_products_match_shuffle_oracle():
     for d in (1, 2, 3, 4):
         grid = partitions_up_to(2, 2) if d < 4 else partitions_up_to(2, 1)
@@ -479,7 +494,7 @@ def _spy_on_bounds(monkeypatch):
 
     def summed_spy(group, layout, dtype, term_cap):
         low, span = layout.lows[-1], layout.spans[-1]
-        for (_, _, powers, _), least, most, _, _ in group:
+        for (_, _, powers, _), least, most, _, _, _ in group:
             assert low <= min(powers.tolist()) + least
             assert max(powers.tolist()) + most <= low + span
         return summed(group, layout, dtype, term_cap)
