@@ -16,15 +16,23 @@ wide as the column's range needs, first column highest, so key order is row
 order, and equal keys are summed after one sort.  The bounds come from the
 operands (a product's column ranges from the sum of the factors' minima to
 the sum of their maxima), and the keys of a product are the sums of its
-factors' keys.  Products and relabelled sums are staged about STAGE_ROWS
-keys at a time, each chunk is grouped, and the chunks are regrouped before
-the rows are unpacked once, column by column.  Keys are int64 when the
-fields fit in 63 bits and Python ints otherwise.  Weights are int64 only
-while the sum of their absolute values is below 2**63, which a product keeps
-when ``sum|wa| * sum|wb|`` is, and Python ints or Fractions (dtype=object)
-otherwise; rows are int64 while every bound fits.  This module groups on its
-own and shares no code with the table engine in ``kernel``, so the
-polynomial checks stay independent of the engine they check.
+factors' keys.  No operation stages more than STAGE_ROWS keys at once.  A
+relabelled sum groups each staged chunk and regroups the chunks.  A product
+of more than STAGE_ROWS pairs of rows is staged in key order instead: its
+leading field (the first of nonzero width) is cut into slices of consecutive
+values, each staging at most STAGE_ROWS keys unless it is one value.  Both
+factors' keys are sorted and fields add without carry, so each slice is
+grouped once and the slices are joined in order with no final regroup; a
+one-value slice past STAGE_ROWS is chunked and regrouped within itself.
+Keys are int64 when the fields fit in 63 bits and Python ints otherwise.
+Weights are int64 only while the sum of their absolute values is below
+2**63, which a product keeps when ``sum|wa| * sum|wb|`` is, and Python ints
+or Fractions (dtype=object) otherwise.  Rows are unpacked at most STAGE_ROWS
+int64 cells at a time into the narrowest integer dtype of their bounds
+(int8 for every kernel), or dtype=object past int64, so readers widen them
+before scalar arithmetic.  This module groups on its own and shares no code
+with the table engine in ``kernel``, so the polynomial checks stay
+independent of the engine they check.
 
 ``terms`` is a read-only ``{exponent: QLaurent}`` view, built on first use
 for the JSON and text renderers, ``coefficient`` and failure messages.
@@ -43,12 +51,23 @@ Exponent = Tuple[int, ...]
 # keys of one staged chunk of a product or a relabelled sum
 STAGE_ROWS = 1 << 16
 
-_INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
 
-def _fits(lo: Sequence[int], hi: Sequence[int]) -> bool:
-    return min(lo) >= _INT64_MIN and max(hi) <= _INT64_MAX
+# the integer dtypes of rows, narrowest first, with their ranges
+_ROW_DTYPES = [
+    (np.dtype(t), int(np.iinfo(t).min), int(np.iinfo(t).max))
+    for t in (np.int8, np.int16, np.int32, np.int64)
+]
+
+
+def _narrowest(lo: Sequence[int], hi: Sequence[int]) -> np.dtype:
+    """The narrowest integer dtype holding [min(lo), max(hi)], or object past int64."""
+    low, high = min(lo), max(hi)
+    for dtype, least, most in _ROW_DTYPES:
+        if least <= low and high <= most:
+            return dtype
+    return np.dtype(object)
 
 
 def _int_array(values, shape) -> np.ndarray:
@@ -84,13 +103,26 @@ class _Packing:
         return shifted @ np.array(self.scales if scales is None else scales, dtype=self.dtype)
 
     def unpack(self, keys: np.ndarray) -> np.ndarray:
-        """The rows of ``keys``, in column-major order."""
-        fields = keys >> np.array(self.shifts, dtype=keys.dtype)[:, None]
-        fields &= np.array([(1 << w) - 1 for w in self.widths], dtype=keys.dtype)[:, None]
-        dtype = np.int64 if _fits(self.lo, self.hi) else object
-        fields = fields.astype(dtype, copy=False)
-        fields += np.array(self.lo, dtype=dtype)[:, None]
-        return fields.T
+        """The rows of ``keys``, in the narrowest dtype of the bounds and in
+        column-major order.
+
+        The fields are taken apart in blocks of at most STAGE_ROWS int64
+        cells, and each block is written into the narrow rows.
+        """
+        dtype = _narrowest(self.lo, self.hi)
+        cells = object if dtype == object else np.int64
+        shifts = np.array(self.shifts, dtype=keys.dtype)[:, None]
+        masks = np.array([(1 << w) - 1 for w in self.widths], dtype=keys.dtype)[:, None]
+        lo = np.array(self.lo, dtype=cells)[:, None]
+        columns = np.empty((len(lo), len(keys)), dtype=dtype)
+        step = max(1, STAGE_ROWS // len(lo))
+        for i in range(0, len(keys), step):
+            fields = keys[i : i + step] >> shifts
+            fields &= masks
+            fields = fields.astype(cells, copy=False)
+            fields += lo
+            columns[:, i : i + step] = fields
+        return columns.T
 
 
 def _group(keys: np.ndarray, weights: np.ndarray):
@@ -118,6 +150,121 @@ def _group_chunks(chunks: Iterable[Tuple[np.ndarray, np.ndarray]]):
     if len(keys) == 1:
         return keys[0], weights[0]
     return _group(np.concatenate(keys), np.concatenate(weights))
+
+
+def _tiles(a0: int, a1: int, b0: int, b1: int):
+    """Row ranges of two factors tiling [a0, a1) x [b0, b1), each tile at
+    most STAGE_ROWS pairs of rows."""
+    step_b = min(b1 - b0, STAGE_ROWS)
+    step_a = max(1, STAGE_ROWS // step_b)
+    for i in range(a0, a1, step_a):
+        for j in range(b0, b1, step_b):
+            yield i, min(i + step_a, a1), j, min(j + step_b, b1)
+
+
+def _runs(tiles):
+    """Consecutive tiles in runs of at most STAGE_ROWS pairs of rows."""
+    run, size = [], 0
+    for tile in tiles:
+        count = (tile[1] - tile[0]) * (tile[3] - tile[2])
+        if run and size + count > STAGE_ROWS:
+            yield run
+            run, size = [], 0
+        run.append(tile)
+        size += count
+    if run:
+        yield run
+
+
+def _stage(run, ka, wa, kb, wb):
+    """The key sums and weight products of every pair of rows in a run of
+    tiles, each in one array."""
+    counts = [(a1 - a0) * (b1 - b0) for a0, a1, b0, b1 in run]
+    keys = np.empty(sum(counts), dtype=ka.dtype)
+    weights = np.empty(len(keys), dtype=wa.dtype)
+    at = 0
+    for (a0, a1, b0, b1), count in zip(run, counts):
+        shape = (a1 - a0, b1 - b0)
+        np.add(ka[a0:a1, None], kb[b0:b1], out=keys[at : at + count].reshape(shape))
+        np.multiply(wa[a0:a1, None], wb[b0:b1], out=weights[at : at + count].reshape(shape))
+        at += count
+    return keys, weights
+
+
+def _blocks(keys: np.ndarray, shift: int):
+    """The distinct leading fields of sorted keys, and where the block of
+    each starts, with len(keys) last."""
+    lead = keys >> shift
+    starts = np.flatnonzero(np.concatenate([[True], lead[1:] != lead[:-1], [True]]))
+    return lead[starts[:-1]], starts
+
+
+def _slices(staged, lo: int, hi: int):
+    """Ranges [v0, v1] of leading values that cover [lo, hi] in increasing
+    order, each staging at most STAGE_ROWS keys unless it is one value.
+
+    ``staged(v0, v1)`` counts the keys a range stages.  [lo, hi] is halved
+    until each part fits, and consecutive parts are joined while they fit.
+    """
+    pending = [(lo, hi)]
+    joined, size = None, 0
+    while pending:
+        v0, v1 = pending.pop()
+        count = staged(v0, v1)
+        if count > STAGE_ROWS and v0 < v1:
+            mid = (v0 + v1) // 2
+            pending += [(mid + 1, v1), (v0, mid)]
+        elif count:
+            if joined and size + count <= STAGE_ROWS:
+                joined, size = (joined[0], v1), size + count
+            else:
+                if joined:
+                    yield joined
+                joined, size = (v0, v1), count
+    if joined:
+        yield joined
+
+
+def _sliced_product(ka, wa, kb, wb, shift: int):
+    """Grouped keys and weights of the product of two sorted key arrays,
+    staged one slice of the product's leading field at a time.
+
+    Leading fields add without carry, so the keys of a slice of leading
+    values all lie below those of the next one: each slice is grouped on its
+    own, and the slices are joined without a regroup.  A slice takes, from
+    each block of equal leading fields on the side with fewer blocks, one
+    run of rows of the other side.
+    """
+    (lead_a, starts_a), (lead_b, starts_b) = _blocks(ka, shift), _blocks(kb, shift)
+    if len(lead_b) < len(lead_a):
+        ka, wa, lead_a, starts_a, kb, wb, lead_b, starts_b = (
+            kb, wb, lead_b, starts_b, ka, wa, lead_a, starts_a
+        )
+    sizes_a = np.diff(starts_a)
+
+    def rows_b(v0, v1):
+        # per block of a, the rows of b whose leading fields reach [v0, v1]
+        first = starts_b[np.searchsorted(lead_b, v0 - lead_a, "left")]
+        return first, starts_b[np.searchsorted(lead_b, v1 - lead_a, "right")]
+
+    def staged(v0, v1):
+        first, last = rows_b(v0, v1)
+        return int(sizes_a @ (last - first))
+
+    starts = starts_a.tolist()
+    keys, weights = [], []
+    for v0, v1 in _slices(staged, int(lead_a[0] + lead_b[0]), int(lead_a[-1] + lead_b[-1])):
+        first, last = (r.tolist() for r in rows_b(v0, v1))
+        tiles = (
+            tile
+            for x in range(len(first))
+            if last[x] > first[x]
+            for tile in _tiles(starts[x], starts[x + 1], first[x], last[x])
+        )
+        k, w = _group_chunks(_stage(run, ka, wa, kb, wb) for run in _runs(tiles))
+        keys.append(k)
+        weights.append(w)
+    return np.concatenate(keys), np.concatenate(weights)
 
 
 def _weight_dtype(bound):
@@ -180,9 +327,11 @@ class MPoly:
         """Group (exponent..., power) rows, summing the weights of equal rows.
 
         ``rows`` and ``weights`` are lists of Python ints and rationals, or
-        arrays: int64 or dtype=object rows and weights.  Int64 weights stay
-        int64 only while the sum of their absolute values is below 2**63, as
-        every operation on them assumes.
+        arrays: integer or dtype=object rows, int64 or dtype=object weights.
+        Int64 weights stay int64 only while the sum of their absolute values
+        is below 2**63, as every operation on them assumes.  The grouped rows
+        are stored in the narrowest integer dtype of their bounds, or as
+        dtype=object past int64.
         """
         if not len(weights):
             return cls.zero(arity)
@@ -259,7 +408,9 @@ class MPoly:
         if count and len(self) == count and object not in (powers.dtype, weights.dtype):
             # one power of q per exponent, as in every kernel; a kernel has
             # few distinct (power, weight) pairs, so each pair, packed into
-            # one integer when it fits, gets one shared QLaurent
+            # one integer when it fits, gets one shared QLaurent; the
+            # powers are widened from the narrow rows first
+            powers = powers.astype(np.int64)
             p_lo, w_lo = int(powers.min()), int(weights.min())
             radix = int(weights.max()) - w_lo + 1
             if (int(powers.max()) - p_lo + 1) * radix <= _INT64_MAX:
@@ -367,16 +518,11 @@ def multiply(a: MPoly, b: MPoly) -> MPoly:
     kb, wb = packing.pack(b.rows, lo_b), b.weights.astype(dtype)
     if len(ka) > len(kb):
         ka, wa, kb, wb = kb, wb, ka, wa
-    step_b = min(len(kb), STAGE_ROWS)
-    step_a = max(1, STAGE_ROWS // step_b)
-    keys, weights = _group_chunks(
-        (
-            (ka[i : i + step_a, None] + kb[None, j : j + step_b]).ravel(),
-            (wa[i : i + step_a, None] * wb[None, j : j + step_b]).ravel(),
-        )
-        for i in range(0, len(ka), step_a)
-        for j in range(0, len(kb), step_b)
-    )
+    if len(ka) * len(kb) <= STAGE_ROWS:
+        keys, weights = _group((ka[:, None] + kb).ravel(), (wa[:, None] * wb).ravel())
+    else:
+        lead = next(j for j, w in enumerate(packing.widths) if w)
+        keys, weights = _sliced_product(ka, wa, kb, wb, packing.shifts[lead])
     return MPoly._make(a.arity, packing.unpack(keys), weights, (packing.lo, packing.hi))
 
 

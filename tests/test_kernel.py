@@ -304,6 +304,8 @@ def _flip_one_weight(monkeypatch, shape, row):
         (1, 2, 1, 3, (1, 2, 3), 3),
         (2, 1, 2, 2, (2, 3, 2), -1),
         (1, 1, 2, 4, (1, 1, 4), 1),
+        # the largest default table, whose products are staged in slices
+        (2, 2, 2, 3, (4, 2, 3), 1000),
     ],
 )
 def test_flipped_weight_is_a_convolution_mismatch(l, m, n, d, shape, row, monkeypatch):
@@ -703,6 +705,26 @@ def test_a_cold_table_build_peaks_under_5_mb():
         tracemalloc.stop()
     assert len(table) == 31780
     assert peak < 5_000_000
+
+
+def test_both_convolution_sides_at_the_defaults_peak_under_6_mb():
+    # the (2, 2, 2, 3) sides each stage 65 x 2625 pairs of rows: staged one
+    # slice of leading values at a time into int8 rows, both peak at about
+    # 4.2 MB, against 10.4 MB when every chunk was regrouped and the rows
+    # were int64
+    sides = lambda: kernel._factorization_sides(
+        lambda rows, cols: kernel._as_mpoly(structure_table(rows, cols, 3)), 2, 2, 2
+    )
+    sides()
+    tracemalloc.start()
+    try:
+        left, right = sides()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert left == right and len(left.weights) == 63489
+    assert left.rows.dtype == right.rows.dtype == np.int8
+    assert peak < 6_000_000
 
 
 @pytest.mark.parametrize("m,n,d", [(1, 1, 1), (2, 1, 4), (2, 2, 3), (3, 3, 3)])

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qcoha.mpoly as mpoly_mod
@@ -183,9 +183,51 @@ def test_relabelled_sum_matches_dict_reference(a, perms):
     assert dict(relabelled_sum(MPoly(3, a), perms).terms) == want
 
 
+SLICED = dict(
+    max_examples=150,
+    deadline=None,
+    # the fixture only sets STAGE_ROWS, the same for every example
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@settings(**SLICED)
+@given(
+    st.sampled_from([None, 0, 3, 2**63]),
+    ref_polys(2),
+    ref_polys(2),
+    st.integers(min_value=1, max_value=4),
+)
+# exponents at 2**70 (object rows and keys) and Fraction weights
+@example(None, {(2**70, 1): QLaurent.const(Fraction(1, 3)), (0, 0): Q}, {(1, 0): ONE, (2, 5): -Q}, 1)
+# a constant leading column takes no bits: the slices follow the next one
+@example(3, {(0, 1): ONE, (1, 0): Q}, {(0, 0): ONE, (2, 1): ONE}, 1)
+# leading values 0 and 0 make one slice of 2 x 2 pairs, past STAGE_ROWS = 2
+@example(None, {(0, 0): ONE, (0, 1): ONE, (1, 0): ONE}, {(0, 0): ONE, (0, 5): Q, (1, 1): ONE}, 2)
+def test_sliced_products_match_dict_reference(monkeypatch, lead, a, b, stage):
+    # every product of more than ``stage`` pairs of rows is staged in slices
+    # of its leading field; ``lead`` prefixes a constant first column
+    if lead is not None:
+        a, b = ({(lead,) + e: c for e, c in p.items()} for p in (a, b))
+    arity = 2 if lead is None else 3
+    monkeypatch.setattr(mpoly_mod, "STAGE_ROWS", stage)
+    staged = []
+    stage_run = mpoly_mod._stage
+    monkeypatch.setattr(
+        mpoly_mod, "_stage", lambda run, *arrays: staged.append(stage_run(run, *arrays)) or staged[-1]
+    )
+    product = MPoly(arity, a) * MPoly(arity, b)
+    assert all(len(keys) <= stage for keys, _ in staged)
+    assert dict(product.terms) == ref_mul(a, b)
+    # the slices are joined in order: the rows are those of the grouped reference
+    assert product == MPoly(arity, ref_mul(a, b))
+    assert exact_types(w for t in product.terms.values() for _, w in t.items())
+
+
 def test_weights_are_int64_only_under_the_bound():
     a = MPoly(1, {(1,): QLaurent.const(2**31), (0,): QLaurent.const(-(2**31))})
-    assert a.weights.dtype == np.int64 and a.rows.dtype == np.int64
+    # rows take the narrowest dtype of their bounds, weights stay int64
+    assert a.weights.dtype == np.int64 and a.rows.dtype == np.int8
     # sum|w| of each factor is 2**32: the product's bound is 2**64
     square = a * a
     assert square.weights.dtype == object
