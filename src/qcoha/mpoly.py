@@ -235,11 +235,10 @@ def _sliced_product(ka, wa, kb, wb, shift: int):
     each block of equal leading fields on the side with fewer blocks, one
     run of rows of the other side.
     """
-    (lead_a, starts_a), (lead_b, starts_b) = _blocks(ka, shift), _blocks(kb, shift)
-    if len(lead_b) < len(lead_a):
-        ka, wa, lead_a, starts_a, kb, wb, lead_b, starts_b = (
-            kb, wb, lead_b, starts_b, ka, wa, lead_a, starts_a
-        )
+    (ka, wa, lead_a, starts_a), (kb, wb, lead_b, starts_b) = sorted(
+        ((k, w, *_blocks(k, shift)) for k, w in ((ka, wa), (kb, wb))),
+        key=lambda side: len(side[2]),
+    )
     sizes_a = np.diff(starts_a)
 
     def rows_b(v0, v1):
