@@ -183,15 +183,10 @@ def test_relabelled_sum_matches_dict_reference(a, perms):
     assert dict(relabelled_sum(MPoly(3, a), perms).terms) == want
 
 
-SLICED = dict(
-    max_examples=150,
-    deadline=None,
-    # the fixture only sets STAGE_ROWS, the same for every example
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
+# each example undoes its own patches, so the fixture is not shared state
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-
-
-@settings(**SLICED)
 @given(
     st.sampled_from([None, 0, 3, 2**63]),
     ref_polys(2),
@@ -210,13 +205,14 @@ def test_sliced_products_match_dict_reference(monkeypatch, lead, a, b, stage):
     if lead is not None:
         a, b = ({(lead,) + e: c for e, c in p.items()} for p in (a, b))
     arity = 2 if lead is None else 3
-    monkeypatch.setattr(mpoly_mod, "STAGE_ROWS", stage)
     staged = []
     stage_run = mpoly_mod._stage
-    monkeypatch.setattr(
-        mpoly_mod, "_stage", lambda run, *arrays: staged.append(stage_run(run, *arrays)) or staged[-1]
-    )
-    product = MPoly(arity, a) * MPoly(arity, b)
+    with monkeypatch.context() as patch:
+        patch.setattr(mpoly_mod, "STAGE_ROWS", stage)
+        patch.setattr(
+            mpoly_mod, "_stage", lambda run, *arrays: staged.append(stage_run(run, *arrays)) or staged[-1]
+        )
+        product = MPoly(arity, a) * MPoly(arity, b)
     assert all(len(keys) <= stage for keys, _ in staged)
     assert dict(product.terms) == ref_mul(a, b)
     # the slices are joined in order: the rows are those of the grouped reference
