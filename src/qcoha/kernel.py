@@ -54,10 +54,9 @@ import numpy as np
 from .errors import ResourceLimitError
 from .mpoly import MPoly, embed, multiply
 from .partitions import multiplicity
-from .qlaurent import ONE, QLaurent, Rational, as_rational
+from .qlaurent import DEFAULT_TERM_CAP, ONE, QLaurent, Rational, as_rational
 from .reports import CheckReport
 
-DEFAULT_TERM_CAP = 5_000_000
 _INT64_MIN = int(np.iinfo(np.int64).min)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 

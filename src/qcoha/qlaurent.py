@@ -17,7 +17,20 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
+from .errors import ResourceLimitError
+
 Rational = Union[int, Fraction]
+
+# The default term cap of a product.  No value spans more powers of q than
+# this, so its dense coefficient list stays bounded; a sum or a trimmed
+# result that would is refused before its list is built.
+DEFAULT_TERM_CAP = 5_000_000
+
+
+def _span_error(span: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        "a coefficient spans %d powers of q, cap %d" % (span, DEFAULT_TERM_CAP)
+    )
 
 
 def as_rational(value: Union[int, Fraction, str]) -> Rational:
@@ -74,6 +87,8 @@ class QLaurent:
             lo += 1
         while hi > lo and not cs[hi - 1]:
             hi -= 1
+        if hi - lo > DEFAULT_TERM_CAP:
+            raise _span_error(hi - lo)
         self = object.__new__(cls)
         if lo == hi:
             self.offset = 0
@@ -111,6 +126,8 @@ class QLaurent:
             return ZERO
         lo = min(terms)
         hi = max(terms)
+        if hi - lo >= DEFAULT_TERM_CAP:
+            raise _span_error(hi - lo + 1)
         cs = [terms.get(k, 0) for k in range(lo, hi + 1)]
         return cls(lo, cs)
 
@@ -153,6 +170,8 @@ class QLaurent:
             return self
         lo = min(self.offset, other.offset)
         hi = max(self.offset + len(a), other.offset + len(b))
+        if hi - lo > DEFAULT_TERM_CAP:
+            raise _span_error(hi - lo)
         out = [0] * (hi - lo)
         da = self.offset - lo
         out[da : da + len(a)] = a

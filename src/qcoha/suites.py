@@ -22,11 +22,11 @@ also charges them to a budget of the same limit as it runs (see
 from __future__ import annotations
 
 import random
-from itertools import chain
+from itertools import chain, groupby
 from math import comb
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .bipartite import verify_graph_model
+from .bipartite import _graph_model_reports
 from .errors import ResourceLimitError
 from .kernel import DEFAULT_TERM_CAP, check_loop_count, verify_coefficient_identity
 from .partition_algebra import (
@@ -162,6 +162,12 @@ class _WorkBudget:
 def _product_work(m: int, n: int, d: int) -> int:
     """Predicted work of one product of partitions of lengths m and n."""
     return CHECK_WORK + _kernel_terms(m, n, d) * (m + n + 1)
+
+
+def _graph_work(m: int, n: int) -> int:
+    """Predicted work of one orientation sum of lengths m and n: one
+    orientation per subset of the m*n edges, and the table product."""
+    return _product_work(m, n, 2) + 2 ** (m * n) * (m + n + 1)
 
 
 def _graded_rows(mu: Partition, nu: Partition, d: int, grading_fails: List[str]):
@@ -383,30 +389,31 @@ def suite_graphs(
     """Orientation-sum product vs table product at d = 2, pair by pair.
 
     The grid covers all pairs up to the given length and part bounds; the
-    boundary pairs push the edge count to the 12-bit limit of the default
-    orientation budget.
+    boundary pairs push the edge count to 12, half the default 24-bit
+    orientation budget.  Each run of consecutive pairs of one shape has its
+    orientation sums staged together, and the pairs are reported in grid
+    order.
     """
+    boundary = BOUNDARY_GRAPH_PAIRS if boundary_pairs else ()
     _check_grid(
         "graphs",
-        (
-            # one orientation per subset of the m*n edges, and the table product
-            pairs * (_product_work(m, n, 2) + 2 ** (m * n) * (m + n + 1))
-            for m, n, pairs, _ in _length_pairs(max_len, max_part)
+        chain(
+            (pairs * _graph_work(m, n) for m, n, pairs, _ in _length_pairs(max_len, max_part)),
+            (_graph_work(len(mu), len(nu)) for mu, nu in boundary),
         ),
     )
     parts = partitions_up_to(max_len, max_part)
     failures: List[str] = []
     grading: List[str] = []
     checked = 0
-    pairs: List[Tuple[Partition, Partition]] = [
-        (mu, nu) for mu in parts for nu in parts
-    ]
-    if boundary_pairs:
-        pairs.extend(BOUNDARY_GRAPH_PAIRS)
-    for mu, nu in pairs:
-        _graded_rows(mu, nu, 2, grading)
-        checked += 1
-        failures.extend(verify_graph_model(mu, nu).failures)
+    pairs = [(mu, nu) for mu in parts for nu in parts] + list(boundary)
+    # each run of consecutive pairs of one shape is staged together
+    for _, run in groupby(pairs, key=lambda pair: (len(pair[0]), len(pair[1]))):
+        run = list(run)
+        for (mu, nu), report in zip(run, _graph_model_reports(run)):
+            _graded_rows(mu, nu, 2, grading)
+            checked += 1
+            failures.extend(report.failures)
     failures.extend(grading)
     return CheckReport(
         name="graphs", passed=not failures, checked=checked, failures=failures

@@ -1,5 +1,6 @@
 """Orientation model for the d = 2 product."""
 import json
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -197,6 +198,77 @@ def test_orientation_sum_matches_term_fold_on_suite_grid():
 def test_rows_equal_the_basis_product_on_the_suite_grid():
     for mu, nu in SUITE_GRID_PAIRS:
         assert_same_arrays(product_via_graphs(mu, nu), _basis_product(mu, nu, 2))
+
+
+def assert_same_typed(got, want):
+    assert len(got) == len(want) == 4
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), (a, b)
+
+
+def shape_runs(pairs):
+    # consecutive pairs of one shape, in order, as verify graphs stages them
+    return [list(run) for _, run in groupby(pairs, key=lambda p: (len(p[0]), len(p[1])))]
+
+
+def staged_blocks(monkeypatch):
+    # the pair count of each block _graph_products stages, and the chunks of
+    # orientations staged in all
+    sizes, chunks = [], []
+    real_block, real_chunk = bipartite._block_products, bipartite._orientations
+
+    def block(pairs, *args):
+        sizes.append(len(pairs))
+        return real_block(pairs, *args)
+
+    def chunk(*args):
+        chunks.append(args[3:])
+        return real_chunk(*args)
+
+    monkeypatch.setattr(bipartite, "_block_products", block)
+    monkeypatch.setattr(bipartite, "_orientations", chunk)
+    return sizes, chunks
+
+
+# one shape, huge parts beside small: 2**63 - 1 and 2**70 pack past int64
+# alone, (2**70,)*(2**70,) packs small but its keys are Python ints, and
+# (0,)*(2**30,) fills 63 bits alone, so no index fits above it
+HUGE_RUN = [
+    ((0,), (2**63 - 1,)),
+    ((1,), (2,)),
+    ((2**70,), (2**70,)),
+    ((0,), (2**30,)),
+    ((0,), (1,)),
+    ((3,), (2**70,)),
+    ((2,), (2,)),
+]
+
+
+@pytest.mark.parametrize("block", [BLOCK_ORIENTATIONS, 64, 5])
+def test_batched_sums_equal_single_pair_sums(monkeypatch, block):
+    runs = shape_runs(SUITE_GRID_PAIRS) + [HUGE_RUN]
+    want = [[product_via_graphs(mu, nu) for mu, nu in run] for run in runs]
+    monkeypatch.setattr(bipartite, "BLOCK_ORIENTATIONS", block)
+    sizes, chunks = staged_blocks(monkeypatch)
+    for run, alone in zip(runs, want):
+        got = bipartite._graph_products(run)
+        assert len(got) == len(run)
+        for g, w in zip(got, alone):
+            assert_same_typed(g, w)
+    # some block holds several pairs, and each block of the huge run holds
+    # one pair but for the two small ones an index fits above
+    assert max(sizes) > 1 and sum(sizes) == sum(map(len, runs))
+    assert sizes[-6:] == [1, 2, 1, 1, 1, 1]
+    # past 64 orientations a pair is staged in several chunks of one block
+    assert (len(chunks) > len(sizes)) == (block < BLOCK_ORIENTATIONS)
+
+
+def test_batched_pairs_share_one_shape():
+    with pytest.raises(ValueError, match=r"one shape, got \[\(1, 1\), \(2, 1\)\]"):
+        bipartite._graph_products([((0,), (0,)), ((0, 0), (0,))])
+    # every factor is checked first, whatever the shapes
+    with pytest.raises(ValueError, match="weakly increasing"):
+        bipartite._graph_products([((0,), (0,)), ((1, 0), (0,))])
 
 
 def test_orientation_sum_across_blocks():

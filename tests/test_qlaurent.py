@@ -1,10 +1,22 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qcoha.qlaurent import ONE, Q, ZERO, QLaurent, as_rational, q_power, signed_q_power
+import qcoha.qlaurent as qlaurent
+from qcoha import ResourceLimitError
+from qcoha.qlaurent import (
+    DEFAULT_TERM_CAP,
+    ONE,
+    Q,
+    ZERO,
+    QLaurent,
+    as_rational,
+    q_power,
+    signed_q_power,
+)
 from qcoha.serialization import STYLES, render_qlaurent
 
 # small rationals; ints kept plain so both coefficient kinds get exercised
@@ -159,3 +171,44 @@ def test_canonical_form_reconstructs(f):
         assert f.coeffs[0] != 0 and f.coeffs[-1] != 0
     else:
         assert f.offset == 0
+
+
+def test_a_sum_past_two_to_the_62_powers_is_refused():
+    # one list entry per power in between would be a MemoryError
+    message = "^a coefficient spans %d powers of q, cap %d$" % (2**62 + 1, DEFAULT_TERM_CAP)
+    with pytest.raises(ResourceLimitError, match=message):
+        q_power(2**62) + ONE
+    with pytest.raises(ResourceLimitError, match=message):
+        QLaurent.from_dict({0: 1, 2**62: -1})
+
+
+def test_a_sum_just_past_the_cap_is_refused_before_its_list_is_built():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="spans 5000001 powers of q"):
+            ONE + q_power(DEFAULT_TERM_CAP)
+        with pytest.raises(ResourceLimitError, match="spans 5000001 powers of q"):
+            QLaurent.from_dict({-1: 1, DEFAULT_TERM_CAP - 1: 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the refused list would hold 40 MB of entries
+    assert peak < 1 << 20
+
+
+def test_a_value_spanning_the_whole_cap_is_kept(monkeypatch):
+    monkeypatch.setattr(qlaurent, "DEFAULT_TERM_CAP", 100)
+    assert (q_power(99) + ONE).coeffs == (1,) + (0,) * 98 + (1,)
+    assert QLaurent.from_dict({-50: 1, 49: 2}) == q_power(-50) + 2 * q_power(49)
+    # trimming counts the result's span, not the list it was handed
+    assert QLaurent._trimmed(-1, [0] + [1] * 100 + [0]) == QLaurent(0, [1] * 100)
+    message = "^a coefficient spans 101 powers of q, cap 100$"
+    with pytest.raises(ResourceLimitError, match=message):
+        q_power(100) + ONE
+    with pytest.raises(ResourceLimitError, match=message):
+        QLaurent.from_dict({0: 1, 100: 1})
+    with pytest.raises(ResourceLimitError, match=message):
+        QLaurent._trimmed(0, [1] * 101)
+    # a product is trimmed like any other result
+    with pytest.raises(ResourceLimitError, match=message):
+        (ONE + Q) * (ONE + q_power(99))

@@ -165,6 +165,16 @@ def test_default_grids_predict_well_under_the_limit(monkeypatch, name):
     assert _predicted_work(monkeypatch, name) < suites.GRID_WORK_LIMIT / 10
 
 
+def test_graphs_prediction_counts_the_boundary_pairs(monkeypatch):
+    # each boundary pair stages 4096 orientations beside its table product
+    boundary = sum(
+        suites._graph_work(len(mu), len(nu)) for mu, nu in suites.BOUNDARY_GRAPH_PAIRS
+    )
+    assert boundary == 765_504
+    assert _predicted_work(monkeypatch, "graphs", boundary_pairs=False) == 17_047_846
+    assert _predicted_work(monkeypatch, "graphs") == 17_047_846 + boundary
+
+
 def _recording_budgets(monkeypatch):
     """Replace the suites' budget by one that records what each call spends."""
     spent = []
@@ -300,8 +310,8 @@ SMALL_GRIDS = {
 }
 
 
-def _corrupt(monkeypatch, how):
-    """Make the cached basis product of BROKEN come back corrupted.
+def _corrupt(monkeypatch, how, broken=BROKEN):
+    """Make the cached basis product of ``broken`` come back corrupted.
 
     ``flip`` negates the coefficient of its first row, ``drop`` drops that
     row, and its key with it when the key has no other row, and ``shift``
@@ -312,7 +322,7 @@ def _corrupt(monkeypatch, how):
 
     def corrupted(mu, nu, d):
         keys, counts, powers, coeffs = real(mu, nu, d)
-        if (mu, nu, d) != BROKEN:
+        if (mu, nu, d) != broken:
             return keys, counts, powers, coeffs
         if how == "flip":
             coeffs = coeffs.copy()
@@ -365,6 +375,20 @@ def test_a_corrupted_product_fails_the_suite(monkeypatch, name, how, failure):
     rep = SUITES[name](**SMALL_GRIDS[name])
     assert not rep.passed
     assert any(f.startswith(failure) for f in rep.failures), rep.failures
+
+
+@pytest.mark.parametrize(
+    "mu,nu",
+    [((0, 1, 2), (1, 1, 3)), ((1, 1), (0, 2, 3)), ((0,), (2,)), ((0,) * 12, (3,))],
+)
+def test_a_corrupted_pair_in_a_staged_run_is_reported_alone(monkeypatch, mu, nu):
+    # the pair sits inside a run of pairs of its shape whose orientation sums
+    # are staged together; only that pair fails, under its own name
+    _corrupt(monkeypatch, "flip", (mu, nu, 2))
+    rep = suite_graphs()
+    assert rep.checked == 1229 and not rep.passed
+    (failure,) = rep.failures
+    assert failure.startswith("graph model disagrees for mu=%r nu=%r: " % (mu, nu))
 
 
 def test_a_failing_suite_says_so_on_the_command_line(monkeypatch, capsys):
