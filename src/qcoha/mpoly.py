@@ -18,16 +18,18 @@ operands (a product's column ranges from the sum of the factors' minima to
 the sum of their maxima), and the keys of a product are the sums of its
 factors' keys.  No operation stages more than STAGE_ROWS keys at once.  A
 relabelled sum groups each staged chunk and regroups the chunks.  A product
-of more than STAGE_ROWS pairs of rows is staged in key order instead: its
-leading field (the first of nonzero width) is cut into slices of consecutive
-values, each staging at most STAGE_ROWS keys unless it is one value.  Both
-factors' keys are sorted and fields add without carry, so each slice is
-grouped once and the slices are joined in order with no final regroup; a
-one-value slice past STAGE_ROWS is chunked and regrouped within itself.
-Keys are int64 when the fields fit in 63 bits and Python ints otherwise.
-Weights are int64 only while the sum of their absolute values is below
-2**63, which a product keeps when ``sum|wa| * sum|wb|`` is, and Python ints
-or Fractions (dtype=object) otherwise.  Rows are unpacked at most STAGE_ROWS
+of more than STAGE_ROWS pairs of rows is staged in key order instead, one
+range of product keys at a time.  Fields add without carry and both factors'
+keys are sorted, so a range takes one run of the larger factor's keys from
+each row of the smaller one.  Each range stages at most STAGE_ROWS pairs
+unless it is one key, and is grouped once; the ranges are joined in order
+with no final regroup.  A one-key range takes at most one row of the larger
+factor per row of the smaller, so it is staged STAGE_ROWS rows of the
+smaller at a time and regrouped within itself.  Keys are int64 when the
+fields fit in 63 bits and Python ints otherwise.  Weights are int64 only
+while the sum of their absolute values is below 2**63, which a product
+keeps when ``sum|wa| * sum|wb|`` is, and Python ints or Fractions
+(dtype=object) otherwise.  Rows are unpacked at most STAGE_ROWS
 int64 cells at a time into the narrowest integer dtype of their bounds
 (int8 for every kernel), or dtype=object past int64, so readers widen them
 before scalar arithmetic.  This module groups on its own and shares no code
@@ -135,9 +137,12 @@ def _group(keys: np.ndarray, weights: np.ndarray):
     first[0] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     starts = first.nonzero()[0]
+    # the sorted copy goes before the weights are gathered
+    distinct = keys[starts]
+    del keys, first
     sums = np.add.reduceat(weights[order], starts)
     keep = (sums != 0).nonzero()[0]
-    return keys[starts[keep]], sums[keep]
+    return distinct[keep], sums[keep]
 
 
 def _group_chunks(chunks: Iterable[Tuple[np.ndarray, np.ndarray]]):
@@ -152,118 +157,48 @@ def _group_chunks(chunks: Iterable[Tuple[np.ndarray, np.ndarray]]):
     return _group(np.concatenate(keys), np.concatenate(weights))
 
 
-def _tiles(a0: int, a1: int, b0: int, b1: int):
-    """Row ranges of two factors tiling [a0, a1) x [b0, b1), each tile at
-    most STAGE_ROWS pairs of rows."""
-    step_b = min(b1 - b0, STAGE_ROWS)
-    step_a = max(1, STAGE_ROWS // step_b)
-    for i in range(a0, a1, step_a):
-        for j in range(b0, b1, step_b):
-            yield i, min(i + step_a, a1), j, min(j + step_b, b1)
+def _slices(ka: np.ndarray, kb: np.ndarray):
+    """The pairs of rows of two sorted key arrays, cut into ranges [v0, v1]
+    of product keys that cover every key sum in increasing order.
 
-
-def _runs(tiles):
-    """Consecutive tiles in runs of at most STAGE_ROWS pairs of rows."""
-    run, size = [], 0
-    for tile in tiles:
-        count = (tile[1] - tile[0]) * (tile[3] - tile[2])
-        if run and size + count > STAGE_ROWS:
-            yield run
-            run, size = [], 0
-        run.append(tile)
-        size += count
-    if run:
-        yield run
-
-
-def _stage(run, ka, wa, kb, wb):
-    """The key sums and weight products of every pair of rows in a run of
-    tiles, each in one array."""
-    counts = [(a1 - a0) * (b1 - b0) for a0, a1, b0, b1 in run]
-    keys = np.empty(sum(counts), dtype=ka.dtype)
-    weights = np.empty(len(keys), dtype=wa.dtype)
-    at = 0
-    for (a0, a1, b0, b1), count in zip(run, counts):
-        shape = (a1 - a0, b1 - b0)
-        np.add(ka[a0:a1, None], kb[b0:b1], out=keys[at : at + count].reshape(shape))
-        np.multiply(wa[a0:a1, None], wb[b0:b1], out=weights[at : at + count].reshape(shape))
-        at += count
-    return keys, weights
-
-
-def _blocks(keys: np.ndarray, shift: int):
-    """The distinct leading fields of sorted keys, and where the block of
-    each starts, with len(keys) last."""
-    lead = keys >> shift
-    starts = np.flatnonzero(np.concatenate([[True], lead[1:] != lead[:-1], [True]]))
-    return lead[starts[:-1]], starts
-
-
-def _slices(staged, lo: int, hi: int):
-    """Ranges [v0, v1] of leading values that cover [lo, hi] in increasing
-    order, each staging at most STAGE_ROWS keys unless it is one value.
-
-    ``staged(v0, v1)`` counts the keys a range stages.  [lo, hi] is halved
-    until each part fits, and consecutive parts are joined while they fit.
+    Each range is yielded as ``(first, last)``: row i of ``ka`` takes the rows
+    first[i]:last[i] of ``kb``.  Keys add without carry, so the keys of
+    ``kb`` that one key of ``ka`` sends into a range are one run of them.
+    The key range is halved until each part stages at most STAGE_ROWS pairs
+    unless it is one key, and consecutive parts are joined while they fit.
     """
-    pending = [(lo, hi)]
+    pending = [(int(ka[0] + kb[0]), int(ka[-1] + kb[-1]))]
     joined, size = None, 0
     while pending:
         v0, v1 = pending.pop()
-        count = staged(v0, v1)
+        first = np.searchsorted(kb, v0 - ka, "left")
+        last = np.searchsorted(kb, v1 - ka, "right")
+        count = int((last - first).sum())
         if count > STAGE_ROWS and v0 < v1:
             mid = (v0 + v1) // 2
             pending += [(mid + 1, v1), (v0, mid)]
         elif count:
             if joined and size + count <= STAGE_ROWS:
-                joined, size = (joined[0], v1), size + count
+                joined, size = (joined[0], last), size + count
             else:
                 if joined:
                     yield joined
-                joined, size = (v0, v1), count
+                joined, size = (first, last), count
     if joined:
         yield joined
 
 
-def _sliced_product(ka, wa, kb, wb, shift: int):
-    """Grouped keys and weights of the product of two sorted key arrays,
-    staged one slice of the product's leading field at a time.
-
-    Leading fields add without carry, so the keys of a slice of leading
-    values all lie below those of the next one: each slice is grouped on its
-    own, and the slices are joined without a regroup.  A slice takes, from
-    each block of equal leading fields on the side with fewer blocks, one
-    run of rows of the other side.
-    """
-    (ka, wa, lead_a, starts_a), (kb, wb, lead_b, starts_b) = sorted(
-        ((k, w, *_blocks(k, shift)) for k, w in ((ka, wa), (kb, wb))),
-        key=lambda side: len(side[2]),
-    )
-    sizes_a = np.diff(starts_a)
-
-    def rows_b(v0, v1):
-        # per block of a, the rows of b whose leading fields reach [v0, v1]
-        first = starts_b[np.searchsorted(lead_b, v0 - lead_a, "left")]
-        return first, starts_b[np.searchsorted(lead_b, v1 - lead_a, "right")]
-
-    def staged(v0, v1):
-        first, last = rows_b(v0, v1)
-        return int(sizes_a @ (last - first))
-
-    starts = starts_a.tolist()
-    keys, weights = [], []
-    for v0, v1 in _slices(staged, int(lead_a[0] + lead_b[0]), int(lead_a[-1] + lead_b[-1])):
-        first, last = (r.tolist() for r in rows_b(v0, v1))
-        tiles = (
-            tile
-            for x in range(len(first))
-            if last[x] > first[x]
-            for tile in _tiles(starts[x], starts[x + 1], first[x], last[x])
-        )
-        k, w = _group_chunks(_stage(run, ka, wa, kb, wb) for run in _runs(tiles))
-        keys.append(k)
-        weights.append(w)
-    return np.concatenate(keys), np.concatenate(weights)
+def _stage(ka, wa, kb, wb, first, last):
+    """The key sums and weight products of row i of ``ka`` with the rows
+    first[i]:last[i] of ``kb``, for every i, each in one array."""
+    counts = last - first
+    index = np.repeat(first - (counts.cumsum() - counts), counts)
+    index += np.arange(len(index))
+    keys, weights = kb[index], wb[index]
+    del index
+    keys += np.repeat(ka, counts)
+    weights *= np.repeat(wa, counts)
+    return keys, weights
 
 
 def _weight_dtype(bound):
@@ -504,7 +439,9 @@ def multiply(a: MPoly, b: MPoly) -> MPoly:
     """The product of two polynomials of one arity.
 
     Every row of ``a`` is summed with every row of ``b``: as packed keys, the
-    sum of the two rows' keys under the product's column bounds.
+    sum of the two rows' keys under the product's column bounds.  At most
+    STAGE_ROWS pairs are staged in one chunk; more are staged one range of
+    product keys at a time (see ``_slices``).
     """
     a._check_arity(b)
     if not a or not b:
@@ -520,8 +457,17 @@ def multiply(a: MPoly, b: MPoly) -> MPoly:
     if len(ka) * len(kb) <= STAGE_ROWS:
         keys, weights = _group((ka[:, None] + kb).ravel(), (wa[:, None] * wb).ravel())
     else:
-        lead = next(j for j, w in enumerate(packing.widths) if w)
-        keys, weights = _sliced_product(ka, wa, kb, wb, packing.shifts[lead])
+        keys, weights = [], []
+        chunks = [slice(i, i + STAGE_ROWS) for i in range(0, len(ka), STAGE_ROWS)]
+        for first, last in _slices(ka, kb):
+            # a slice of one key past STAGE_ROWS takes at most one row of kb
+            # per row of ka, so STAGE_ROWS rows of ka stage at most as many
+            k, w = _group_chunks(
+                _stage(ka[c], wa[c], kb, wb, first[c], last[c]) for c in chunks
+            )
+            keys.append(k)
+            weights.append(w)
+        keys, weights = np.concatenate(keys), np.concatenate(weights)
     return MPoly._make(a.arity, packing.unpack(keys), weights, (packing.lo, packing.hi))
 
 

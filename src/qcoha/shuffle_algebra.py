@@ -165,16 +165,21 @@ def _side_by_side(p1: MPoly, p2: MPoly) -> MPoly:
     return embed(p1, arity, range(p1.arity)) * embed(p2, arity, range(p1.arity, arity))
 
 
-def _shuffle_rows(p1: MPoly, p2: MPoly, d: int, q_value, max_subsets, term_cap) -> MPoly:
-    """The shuffle product of two expanded factors, as its sorted rows."""
+def _check_subsets(n1: int, n2: int, d: int, max_subsets: int) -> None:
+    """Refuse a loop count below 1, then more than ``max_subsets`` splits."""
     check_loop_count(d)
-    n1 = p1.arity
-    n2 = p2.arity
     count = comb(n1 + n2, n1)
     if count > max_subsets:
         raise ResourceLimitError(
             "%d subsets exceed the configured maximum %d" % (count, max_subsets)
         )
+
+
+def _shuffle_rows(p1: MPoly, p2: MPoly, d: int, q_value, max_subsets, term_cap) -> MPoly:
+    """The shuffle product of two expanded factors, as its sorted rows."""
+    n1 = p1.arity
+    n2 = p2.arity
+    _check_subsets(n1, n2, d, max_subsets)
     q_value = None if q_value is None else as_rational(q_value)
     term = _side_by_side(p1, p2) * _block_kernel(n1, n2, d, q_value, term_cap)
     return _sorted_rows(relabelled_sum(term, _splits(n1, n2)))
@@ -197,6 +202,8 @@ def shuffle_product(
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> SymmetricElement:
     """Kernel-weighted sum over all splits of the ambient variables."""
+    # before either factor is expanded
+    _check_subsets(f1.arity, f2.arity, d, max_subsets)
     rows = _shuffle_rows(expand(f1), expand(f2), d, q_value, max_subsets, term_cap)
     return SymmetricElement(rows.arity, dict(rows.terms))
 

@@ -208,14 +208,14 @@ def suite_assoc(
     ``_bilinear_keys``).
     """
     k = _kernel_terms
-    lengths = list(_lengths(max_len, max_part))
 
     def grid_work(d: int):
-        for l, pl, _ in lengths:
-            for m, pm, _ in lengths:
+        # lengths are taken lazily: a huge max_len passes the limit early
+        for l, pl, _ in _lengths(max_len, max_part):
+            for m, pm, _ in _lengths(max_len, max_part):
                 # the q = 0 checks of the pairs, then the triples
                 yield pl * pm * CHECK_WORK
-                for n, pn, _ in lengths:
+                for n, pn, _ in _lengths(max_len, max_part):
                     tables = k(l + m, n, d) + k(l, m + n, d)
                     yield pl * pm * pn * (CHECK_WORK + tables * (l + m + n + 1))
 

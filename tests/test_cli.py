@@ -892,6 +892,50 @@ def test_oversized_verify_assoc_is_a_resource_error(capsys, monkeypatch, flags):
     assert time.monotonic() - start < 5
 
 
+@pytest.mark.parametrize("max_len", [10**8, 10**21])
+def test_a_huge_assoc_max_len_is_refused_quickly(capsys, monkeypatch, max_len):
+    # both ran past 15 s when every length was listed before the limit
+    message = "verify assoc: the grid is predicted to exceed the work limit %d" % (
+        suites.GRID_WORK_LIMIT
+    )
+    start = time.monotonic()
+    code, out, err = run(capsys, ["verify", "assoc", "--max-len", str(max_len)])
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": {"code": "resource", "message": message}}
+    assert time.monotonic() - start < 2
+    requests = [
+        {"cmd": "verify", "suite": "assoc", "max_len": max_len},
+        {"cmd": "multiply", "d": 2, "left": [0], "right": [0]},
+    ]
+    start = time.monotonic()
+    text = "".join(json.dumps(r) + "\n" for r in requests)
+    code, out, _ = run(capsys, ["batch"], stdin_text=text, monkeypatch=monkeypatch)
+    assert time.monotonic() - start < 2
+    refused, answered = map(json.loads, out.splitlines())
+    assert code == 0
+    assert refused == {"ok": False, "error": {"code": "resource", "message": message}}
+    assert answered["ok"] is True
+
+
+def test_shuffle_refuses_too_many_subsets_before_expanding(capsys, monkeypatch):
+    # 184 756 subsets; it ran past 15 s when both factors' 10! rearrangements
+    # were expanded before the subset check
+    def refuse(*args, **kwargs):
+        raise AssertionError("a factor was expanded")
+
+    monkeypatch.setattr("qcoha.shuffle_algebra.expand", refuse)
+    parts = ",".join(map(str, range(10)))
+    start = time.monotonic()
+    code, out, err = run(capsys, ["shuffle", "--d", "2", "--left", parts, "--right", parts])
+    assert time.monotonic() - start < 1
+    assert (code, out) == (3, "")
+    message = "184756 subsets exceed the configured maximum 10000"
+    assert json.loads(err) == {"error": {"code": "resource", "message": message}}
+    # a loop count below 1 is still reported first
+    code, _, err = run(capsys, ["shuffle", "--d", "0", "--left", parts, "--right", parts])
+    assert code == 2 and json.loads(err)["error"]["code"] == "parse"
+
+
 def test_graphs_list_is_refused_past_one_block(capsys, monkeypatch):
     # 20 edges: 2**20 orientations, refused before any is built or summed
     message = "listing 2**20 orientations exceeds the limit of 65536"

@@ -709,7 +709,7 @@ def test_a_cold_table_build_peaks_under_5_mb():
 
 def test_both_convolution_sides_at_the_defaults_peak_under_6_mb():
     # the (2, 2, 2, 3) sides each stage 65 x 2625 pairs of rows: staged one
-    # slice of leading values at a time into int8 rows, both peak at about
+    # range of product keys at a time into int8 rows, both peak at about
     # 4.2 MB, against 10.4 MB when every chunk was regrouped and the rows
     # were int64
     sides = lambda: kernel._factorization_sides(

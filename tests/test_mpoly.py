@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 import pytest
@@ -130,11 +131,17 @@ def ref_add(a, b):
 
 
 def ref_mul(a, b):
+    # summed as {exponent: {power: rational}}, then read back as QLaurents
     out = {}
+    b = [(e, list(c.items())) for e, c in b.items()]
     for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            out = ref_add(out, {tuple(u + v for u, v in zip(e1, e2)): c1 * c2})
-    return out
+        c1 = list(c1.items())
+        for e2, c2 in b:
+            terms = out.setdefault(tuple(map(add, e1, e2)), {})
+            for p1, w1 in c1:
+                for p2, w2 in c2:
+                    terms[p1 + p2] = terms.get(p1 + p2, 0) + w1 * w2
+    return {e: c for e, c in ((e, QLaurent.from_dict(t)) for e, t in out.items()) if c}
 
 
 def ref_embed(a, arity, positions):
@@ -199,9 +206,11 @@ def test_relabelled_sum_matches_dict_reference(a, perms):
 @example(3, {(0, 1): ONE, (1, 0): Q}, {(0, 0): ONE, (2, 1): ONE}, 1)
 # leading values 0 and 0 make one slice of 2 x 2 pairs, past STAGE_ROWS = 2
 @example(None, {(0, 0): ONE, (0, 1): ONE, (1, 0): ONE}, {(0, 0): ONE, (0, 5): Q, (1, 1): ONE}, 2)
+# the key of q collects two pairs, past STAGE_ROWS = 1: a one-key slice
+@example(None, {(0, 0): ONE + Q}, {(0, 0): ONE + Q}, 1)
 def test_sliced_products_match_dict_reference(monkeypatch, lead, a, b, stage):
     # every product of more than ``stage`` pairs of rows is staged in slices
-    # of its leading field; ``lead`` prefixes a constant first column
+    # of product keys; ``lead`` prefixes a constant first column
     if lead is not None:
         a, b = ({(lead,) + e: c for e, c in p.items()} for p in (a, b))
     arity = 2 if lead is None else 3
@@ -218,6 +227,27 @@ def test_sliced_products_match_dict_reference(monkeypatch, lead, a, b, stage):
     # the slices are joined in order: the rows are those of the grouped reference
     assert product == MPoly(arity, ref_mul(a, b))
     assert exact_types(w for t in product.terms.values() for _, w in t.items())
+
+
+# a 1 000-term univariate square and a 900-term bivariate square with 300
+# leading values: many distinct leading fields with few rows each
+@pytest.mark.parametrize(
+    "arity,terms",
+    [
+        (1, {(i,): QLaurent.term(1 + i % 3, i % 2) for i in range(1000)}),
+        (2, {(i, j): QLaurent.term((-1) ** i * (j + 1), i % 2) for i in range(300) for j in range(3)}),
+    ],
+)
+def test_large_products_are_staged_in_key_range_slices(monkeypatch, arity, terms):
+    staged = []
+    stage_run = mpoly_mod._stage
+    monkeypatch.setattr(
+        mpoly_mod, "_stage", lambda *arrays: staged.append(stage_run(*arrays)) or staged[-1]
+    )
+    p = MPoly(arity, terms)
+    assert p * p == MPoly(arity, ref_mul(terms, terms))
+    assert len(staged) > 1
+    assert all(len(keys) <= mpoly_mod.STAGE_ROWS for keys, _ in staged)
 
 
 def test_weights_are_int64_only_under_the_bound():
