@@ -225,6 +225,11 @@ def group_rows(rows: np.ndarray, weights: np.ndarray):
     return rows[index], sums
 
 
+def _check_pair(arity: int, s: int, t: int) -> None:
+    if not (0 <= s < arity and 0 <= t < arity) or s == t:
+        raise ValueError("bad variable pair (%d, %d)" % (s, t))
+
+
 def pairwise_kernel(
     arity: int,
     pairs: Sequence[Tuple[int, int]],
@@ -246,6 +251,10 @@ def pairwise_kernel(
     acc = MPoly.constant(arity, ONE)
     if exp == 0 or not pairs:
         return acc
+    # the first factor is checked before any coefficient is built, so a huge
+    # d is refused at once, and a bad first pair still before it
+    _check_pair(arity, *pairs[0])
+    _check_projected(1, exp + 1, term_cap)
     # one factor: sum_i binom(exp, i) * (-q)**i * x_t**i * x_s**(exp - i)
     if q_value is None:
         factor_coeffs = [
@@ -258,8 +267,7 @@ def pairwise_kernel(
             QLaurent.const(comb(exp, i) * (-qv) ** i) for i in range(exp + 1)
         ]
     for s, t in pairs:
-        if not (0 <= s < arity and 0 <= t < arity) or s == t:
-            raise ValueError("bad variable pair (%d, %d)" % (s, t))
+        _check_pair(arity, s, t)
         _check_projected(len(acc), exp + 1, term_cap)
         factor = {}
         for i, coeff in enumerate(factor_coeffs):
@@ -385,6 +393,10 @@ def structure_constants(
         raise ValueError("structure constants require an unshifted kernel")
     check_term_cap(term_cap)
     m, n, exp = spec.m, spec.n, spec.d - 1
+    if exp:
+        # the first factor's check, before the coefficient bound and the
+        # layout, whose sizes grow with d and with m + n
+        _check_projected(1, exp + 1, term_cap)
     dtype = np.int64 if coefficient_bound(exp * m * n) <= _INT64_MAX else object
     layout = _table_layout(m, n, exp)
     keys = np.zeros(1, dtype=layout.dtype)

@@ -8,8 +8,10 @@ product of factorials of the part multiplicities), so
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import Iterable, List, Tuple
+from itertools import chain
+from typing import Iterable, Iterator, List, Tuple
 
 Partition = Tuple[int, ...]
 IntVector = Tuple[int, ...]
@@ -86,20 +88,40 @@ def parse_partition(text: str) -> Partition:
     return parts
 
 
+def distinct_permutation_count(partition: Partition) -> int:
+    """``len(distinct_permutations(p))``: a product of binomials, one per run of
+    equal parts, each run found by bisection, so no factorial is taken."""
+    count, start = 1, 0
+    while start < len(partition):
+        stop = bisect_right(partition, partition[start], start)
+        count *= math.comb(stop, stop - start)
+        start = stop
+    return count
+
+
+def partitions_of_length(length: int, max_part: int) -> Iterator[Partition]:
+    """Every partition of ``length`` parts <= max_part, lazily, in lex order.
+
+    The next one raises the last part below max_part, found by bisection,
+    and sets every part after it to the raised value.
+    """
+    p = (0,) * length
+    while True:
+        yield p
+        i = bisect_left(p, max_part) - 1
+        if i < 0:
+            return
+        p = p[:i] + (p[i] + 1,) * (length - i)
+
+
+def iter_partitions(max_len: int, max_part: int) -> Iterator[Partition]:
+    """``partitions_up_to`` lazily: no length is built before it is walked."""
+    return chain.from_iterable(partitions_of_length(n, max_part) for n in range(max_len + 1))
+
+
 def partitions_up_to(max_len: int, max_part: int) -> List[Partition]:
     """Every partition with length <= max_len and parts <= max_part.
 
     Ordered by (length, lex); includes the empty partition.
     """
-    out: List[Partition] = [()]
-    level: List[Partition] = [()]
-    for _ in range(max_len):
-        nxt: List[Partition] = []
-        for p in level:
-            lo = p[-1] if p else 0
-            for part in range(lo, max_part + 1):
-                nxt.append(p + (part,))
-        nxt.sort()
-        out.extend(nxt)
-        level = nxt
-    return out
+    return list(iter_partitions(max_len, max_part))

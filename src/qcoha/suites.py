@@ -12,9 +12,14 @@ triple is admitted only when a lattice-point count predicts that all four
 tables it needs stay within a fixed cost limit; rejected draws are skipped
 deterministically and the sampling continues from the same seeded stream.
 
-Every suite predicts the work of its whole grid from its bounds alone,
-before it computes anything, and raises ResourceLimitError when the
-prediction passes GRID_WORK_LIMIT (see ``_check_grid``).  The rows an
+Each suite describes its grid once, in three pieces: a lazy stream of
+cases, the predicted work of one case, and the checks, which walk a stream
+of cases and yield the failures of each check they run.  ``_run`` does the
+rest.  Before any check it sums the work of every case in the stream and
+raises ResourceLimitError once the sum passes GRID_WORK_LIMIT (see
+``_check_grid``); then it walks the same stream again through the checks
+and reports.  So the prediction counts exactly the cases that are checked,
+and a huge bound is refused after a bounded walk.  The rows an
 associativity check stages are not known from its lengths, so that suite
 also charges them to a budget of the same limit as it runs (see
 ``suite_assoc``).
@@ -22,9 +27,10 @@ also charges them to a budget of the same limit as it runs (see
 from __future__ import annotations
 
 import random
-from itertools import chain, groupby
+from functools import partial
+from itertools import chain, groupby, product, starmap
 from math import comb
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
 from .bipartite import _graph_model_reports
 from .errors import ResourceLimitError
@@ -36,7 +42,12 @@ from .partition_algebra import (
     quasi_commutativity_report,
     shift_sort_product,
 )
-from .partitions import Partition, partitions_up_to
+from .partitions import (
+    Partition,
+    distinct_permutation_count,
+    iter_partitions,
+    partitions_of_length,
+)
 from .reports import CheckReport
 from .shuffle_algebra import (
     verify_augmented_rule,
@@ -102,28 +113,15 @@ def _kernel_terms(m: int, n: int, d: int) -> int:
     return (n * (d - 1) + 1) ** (m - 1) * (m * (d - 1) + 1) ** n
 
 
-def _lengths(max_len: int, max_part: int):
-    """(length, partitions, their rearrangements) for each length of a grid."""
-    for n in range(max_len + 1):
-        yield n, comb(n + max_part, n), (max_part + 1) ** n
-
-
-def _length_pairs(max_len: int, max_part: int):
-    """(m, n, pairs, rearrangement pairs) for the grid pairs of lengths (m, n)."""
-    for m, pm, wm in _lengths(max_len, max_part):
-        for n, pn, wn in _lengths(max_len, max_part):
-            yield m, n, pm * pn, wm * wn
-
-
 def _check_grid(suite: str, work: Iterable[int], d_values: Sequence[int] = ()) -> None:
     """Raise ResourceLimitError, before any check runs, if a grid is too large.
 
-    ``work`` yields the predicted work of the grid's checks, a group at a
-    time: each check counts CHECK_WORK plus, for each term its polynomials
-    or orientations stage, one unit per column.  Each group is at least
-    CHECK_WORK, so the running sum passes the limit after a bounded number
-    of groups however large the bounds are.  A loop count below 1 is
-    reported first, as the checks themselves would.
+    ``work`` yields the predicted work of a grid's cases, one case at a time,
+    after any work the cases do not show: each check counts CHECK_WORK plus,
+    for each term its polynomials or orientations stage, one unit per
+    column.  Every case runs at least one check, so the running sum passes
+    the limit after a bounded number of cases however large the bounds are.
+    A loop count below 1 is reported first, as the checks themselves would.
     """
     for d in d_values:
         check_loop_count(d)
@@ -135,6 +133,35 @@ def _check_grid(suite: str, work: Iterable[int], d_values: Sequence[int] = ()) -
                 "verify %s: the grid is predicted to exceed the work limit %d"
                 % (suite, GRID_WORK_LIMIT)
             )
+
+
+def _run(
+    suite: str,
+    cases: Callable[[], Iterator[tuple]],
+    work: Callable[..., int],
+    checks: Callable[[Iterator[tuple]], Iterator[List[str]]],
+    d_values: Sequence[int] = (),
+    fixed: int = 0,
+    grading: Sequence[str] = (),
+    instances: Sequence[str] = (),
+) -> CheckReport:
+    """Predict a grid's work, refuse it or check it, and report.
+
+    ``cases()`` starts a fresh walk of the grid's cases, tuples that
+    ``work`` takes as its arguments.  ``fixed``, the work the stream does
+    not show, and then the work of every case go to ``_check_grid``.
+    ``checks`` walks the same stream and yields the failures of each check
+    it runs; it adds grading failures to ``grading``, reported after every
+    check failure, and notes to ``instances``.
+    """
+    _check_grid(suite, chain([fixed], starmap(work, cases())), d_values)
+    failures: List[str] = []
+    checked = 0
+    for found in checks(cases()):
+        failures.extend(found)
+        checked += 1
+    failures.extend(grading)
+    return CheckReport(suite, not failures, checked, failures, list(instances))
 
 
 class _WorkBudget:
@@ -168,6 +195,22 @@ def _graph_work(m: int, n: int) -> int:
     """Predicted work of one orientation sum of lengths m and n: one
     orientation per subset of the m*n edges, and the table product."""
     return _product_work(m, n, 2) + 2 ** (m * n) * (m + n + 1)
+
+
+def _words(mu: Partition, nu: Partition) -> int:
+    """The pairs of a rearrangement of mu and one of nu."""
+    return distinct_permutation_count(mu) * distinct_permutation_count(nu)
+
+
+def _grid_pairs(max_len: int, max_part: int) -> Iterator[Tuple[Partition, Partition]]:
+    """Every pair of grid partitions, lazily, in grid order."""
+    walk = partial(iter_partitions, max_len, max_part)
+    return ((mu, nu) for mu in walk() for nu in walk())
+
+
+def _loop_pairs(d_values: Sequence[int], max_len: int, max_part: int):
+    """Cases (d, mu, nu): every grid pair at each loop count, lazily."""
+    return ((d, mu, nu) for d in d_values for mu, nu in _grid_pairs(max_len, max_part))
 
 
 def _graded_rows(mu: Partition, nu: Partition, d: int, grading_fails: List[str]):
@@ -207,111 +250,85 @@ def suite_assoc(
     GRID_WORK_LIMIT, each charged before that work runs (see
     ``_bilinear_keys``).
     """
-    k = _kernel_terms
 
-    def grid_work(d: int):
-        # lengths are taken lazily: a huge max_len passes the limit early
-        for l, pl, _ in _lengths(max_len, max_part):
-            for m, pm, _ in _lengths(max_len, max_part):
-                # the q = 0 checks of the pairs, then the triples
-                yield pl * pm * CHECK_WORK
-                for n, pn, _ in _lengths(max_len, max_part):
-                    tables = k(l + m, n, d) + k(l, m + n, d)
-                    yield pl * pm * pn * (CHECK_WORK + tables * (l + m + n + 1))
+    def cases():
+        # a pair's q = 0 check (w None), then its triples
+        for d, mu, nu in _loop_pairs(d_values, max_len, max_part):
+            yield d, mu, nu, None
+            for w in iter_partitions(max_len, max_part):
+                yield d, mu, nu, w
 
-    _check_grid(
-        "assoc",
-        chain([random_triples * CHECK_WORK], *map(grid_work, d_values)),
-        d_values,
-    )
-    budget = _WorkBudget("assoc")
-    parts = partitions_up_to(max_len, max_part)
-    failures: List[str] = []
+    def work(d, mu, nu, w) -> int:
+        if w is None:
+            return CHECK_WORK
+        l, m, n = len(mu), len(nu), len(w)
+        tables = _kernel_terms(l + m, n, d) + _kernel_terms(l, m + n, d)
+        return CHECK_WORK + tables * (l + m + n + 1)
+
     grading: List[str] = []
-    checked = 0
-    for d in d_values:
-        for mu in parts:
-            for nu in parts:
-                budget(CHECK_WORK)
-                keys, counts, powers, coeffs = _graded_rows(mu, nu, d, grading)
-                firsts = counts.cumsum() - counts  # a power 0 comes first in its key
-                zero = powers[firsts] == 0
-                at_zero = dict(zip(map(tuple, keys[zero].tolist()), coeffs[firsts[zero]].tolist()))
-                want = {shift_sort_product(mu, nu, d): 1}
-                if at_zero != want:
-                    failures.append(
-                        "q=0 of %r * %r (d=%d) is %r, want %r"
-                        % (mu, nu, d, at_zero, want)
-                    )
-                checked += 1
-                for w in parts:
-                    budget(CHECK_WORK)
-                    rep = check_associativity(mu, nu, w, d, budget)
-                    checked += 1
-                    if not rep.passed:
-                        failures.extend(rep.failures)
-    rng = random.Random(seed)
-    accepted = 0
-    attempts = 0
     sampled: List[str] = []
-    while accepted < random_triples:
-        attempts += 1
-        if attempts > 1000 * max(1, random_triples):
-            raise ResourceLimitError(
-                "could not find %d random triples under cost limit %d"
-                % (random_triples, DEFAULT_COST_LIMIT)
-            )
-        d = rng.choice(tuple(d_values))
-        mu = _random_partition(rng, random_max_len, random_max_part)
-        nu = _random_partition(rng, random_max_len, random_max_part)
-        w = _random_partition(rng, random_max_len, random_max_part)
-        if triple_cost(len(mu), len(nu), len(w), d) > DEFAULT_COST_LIMIT:
-            continue
-        accepted += 1
-        sampled.append("random d=%d %r %r %r" % (d, mu, nu, w))
-        budget(CHECK_WORK)
-        _graded_rows(mu, nu, d, grading)
-        rep = check_associativity(mu, nu, w, d, budget)
-        checked += 1
-        if not rep.passed:
-            failures.extend(rep.failures)
-    failures.extend(grading)
-    return CheckReport(
-        name="assoc",
-        passed=not failures,
-        checked=checked,
-        failures=failures,
-        instances=sampled,
-    )
+
+    def checks(grid):
+        budget = _WorkBudget("assoc")
+        for d, mu, nu, w in grid:
+            budget(CHECK_WORK)
+            if w is not None:
+                yield check_associativity(mu, nu, w, d, budget).failures
+                continue
+            keys, counts, powers, coeffs = _graded_rows(mu, nu, d, grading)
+            firsts = counts.cumsum() - counts  # a power 0 comes first in its key
+            zero = powers[firsts] == 0
+            at_zero = dict(zip(map(tuple, keys[zero].tolist()), coeffs[firsts[zero]].tolist()))
+            want = {shift_sort_product(mu, nu, d): 1}
+            yield [] if at_zero == want else [
+                "q=0 of %r * %r (d=%d) is %r, want %r" % (mu, nu, d, at_zero, want)
+            ]
+        rng = random.Random(seed)
+        accepted = 0
+        attempts = 0
+        while accepted < random_triples:
+            attempts += 1
+            if attempts > 1000 * max(1, random_triples):
+                raise ResourceLimitError(
+                    "could not find %d random triples under cost limit %d"
+                    % (random_triples, DEFAULT_COST_LIMIT)
+                )
+            d = rng.choice(tuple(d_values))
+            mu = _random_partition(rng, random_max_len, random_max_part)
+            nu = _random_partition(rng, random_max_len, random_max_part)
+            w = _random_partition(rng, random_max_len, random_max_part)
+            if triple_cost(len(mu), len(nu), len(w), d) > DEFAULT_COST_LIMIT:
+                continue
+            accepted += 1
+            sampled.append("random d=%d %r %r %r" % (d, mu, nu, w))
+            budget(CHECK_WORK)
+            _graded_rows(mu, nu, d, grading)
+            yield check_associativity(mu, nu, w, d, budget).failures
+
+    fixed = random_triples * CHECK_WORK
+    return _run("assoc", cases, work, checks, d_values, fixed, grading, sampled)
 
 
 def suite_iso(
     d_values: Sequence[int] = (1, 2, 3), max_len: int = 2, max_part: int = 2
 ) -> CheckReport:
     """Image of every table product equals the brute-force shuffle product."""
-    _check_grid(
-        "iso",
-        (
-            # the shuffle stages every rearrangement pair with the kernel, once per split
-            pairs * _product_work(m, n, d)
-            + comb(m + n, m) * words * _kernel_terms(m, n, d) * (m + n + 1)
-            for d in d_values
-            for m, n, pairs, words in _length_pairs(max_len, max_part)
-        ),
-        d_values,
-    )
-    parts = partitions_up_to(max_len, max_part)
-    failures: List[str] = []
+
+    def work(d, mu, nu) -> int:
+        m, n = len(mu), len(nu)
+        # the shuffle stages every rearrangement pair with the kernel, once per split
+        shuffled = comb(m + n, m) * _words(mu, nu) * _kernel_terms(m, n, d) * (m + n + 1)
+        return _product_work(m, n, d) + shuffled
+
     grading: List[str] = []
-    checked = 0
-    for d in d_values:
-        for mu in parts:
-            for nu in parts:
-                _graded_rows(mu, nu, d, grading)
-                checked += 1
-                failures.extend(verify_homomorphism(mu, nu, d).failures)
-    failures.extend(grading)
-    return CheckReport(name="iso", passed=not failures, checked=checked, failures=failures)
+
+    def checks(cases):
+        for d, mu, nu in cases:
+            _graded_rows(mu, nu, d, grading)
+            yield verify_homomorphism(mu, nu, d).failures
+
+    cases = partial(_loop_pairs, d_values, max_len, max_part)
+    return _run("iso", cases, work, checks, d_values, grading=grading)
 
 
 def suite_quasi(
@@ -323,56 +340,39 @@ def suite_quasi(
     exactly the pairs whose exponent (d-1)|mu||nu| is odd, and every such
     pair is listed in the report's instances.
     """
-    _check_grid(
-        "quasi",
-        (
-            # mu * nu and nu * mu
-            2 * pairs * _product_work(m, n, d)
-            for d in d_values
-            for m, n, pairs, _ in _length_pairs(max_len, max_part)
-        ),
-        d_values,
-    )
-    parts = partitions_up_to(max_len, max_part)
-    failures: List[str] = []
+
+    def work(d, mu, nu) -> int:
+        # mu * nu and nu * mu
+        return 2 * _product_work(len(mu), len(nu), d)
+
     grading: List[str] = []
     flagged: List[str] = []
-    checked = 0
-    for d in d_values:
-        for mu in parts:
-            for nu in parts:
-                rep = quasi_commutativity_report(mu, nu, d)
-                _graded_rows(mu, nu, d, grading)
-                checked += 1
-                if not rep.signed_matches:
-                    failures.append(
-                        "signed relation fails for %r %r d=%d" % (mu, nu, d)
+
+    def checks(cases):
+        for d, mu, nu in cases:
+            rep = quasi_commutativity_report(mu, nu, d)
+            _graded_rows(mu, nu, d, grading)
+            found = []
+            if not rep.signed_matches:
+                found.append("signed relation fails for %r %r d=%d" % (mu, nu, d))
+            # products are never zero, so at odd exponent the unsigned
+            # and signed candidates cannot both match
+            should_differ = rep.exponent % 2 == 1
+            if rep.unsigned_matches and should_differ:
+                found.append("unsigned form unexpectedly holds for %r %r d=%d" % (mu, nu, d))
+            if not rep.unsigned_matches:
+                if rep.exponent % 2 == 0:
+                    found.append(
+                        "unsigned form fails at even exponent for %r %r d=%d" % (mu, nu, d)
                     )
-                # products are never zero, so at odd exponent the unsigned
-                # and signed candidates cannot both match
-                should_differ = rep.exponent % 2 == 1
-                if rep.unsigned_matches and should_differ:
-                    failures.append(
-                        "unsigned form unexpectedly holds for %r %r d=%d" % (mu, nu, d)
-                    )
-                if not rep.unsigned_matches:
-                    if rep.exponent % 2 == 0:
-                        failures.append(
-                            "unsigned form fails at even exponent for %r %r d=%d"
-                            % (mu, nu, d)
-                        )
-                    flagged.append(
-                        "unsigned differs: mu=%r nu=%r d=%d exponent=%d"
-                        % (mu, nu, d, rep.exponent)
-                    )
-    failures.extend(grading)
-    return CheckReport(
-        name="quasi",
-        passed=not failures,
-        checked=checked,
-        failures=failures,
-        instances=flagged,
-    )
+                flagged.append(
+                    "unsigned differs: mu=%r nu=%r d=%d exponent=%d"
+                    % (mu, nu, d, rep.exponent)
+                )
+            yield found
+
+    cases = partial(_loop_pairs, d_values, max_len, max_part)
+    return _run("quasi", cases, work, checks, d_values, grading=grading, instances=flagged)
 
 
 BOUNDARY_GRAPH_PAIRS: Tuple[Tuple[Partition, Partition], ...] = (
@@ -392,68 +392,48 @@ def suite_graphs(
     boundary pairs push the edge count to 12, half the default 24-bit
     orientation budget.  Each run of consecutive pairs of one shape has its
     orientation sums staged together, and the pairs are reported in grid
-    order.
+    order.  The cases are the pairs, not the runs, so no run is built
+    before its work has been counted.
     """
     boundary = BOUNDARY_GRAPH_PAIRS if boundary_pairs else ()
-    _check_grid(
-        "graphs",
-        chain(
-            (pairs * _graph_work(m, n) for m, n, pairs, _ in _length_pairs(max_len, max_part)),
-            (_graph_work(len(mu), len(nu)) for mu, nu in boundary),
-        ),
-    )
-    parts = partitions_up_to(max_len, max_part)
-    failures: List[str] = []
     grading: List[str] = []
-    checked = 0
-    pairs = [(mu, nu) for mu in parts for nu in parts] + list(boundary)
-    # each run of consecutive pairs of one shape is staged together
-    for _, run in groupby(pairs, key=lambda pair: (len(pair[0]), len(pair[1]))):
-        run = list(run)
-        for (mu, nu), report in zip(run, _graph_model_reports(run)):
-            _graded_rows(mu, nu, 2, grading)
-            checked += 1
-            failures.extend(report.failures)
-    failures.extend(grading)
-    return CheckReport(
-        name="graphs", passed=not failures, checked=checked, failures=failures
-    )
+
+    def checks(pairs):
+        for _, run in groupby(pairs, key=lambda pair: (len(pair[0]), len(pair[1]))):
+            run = list(run)
+            for (mu, nu), report in zip(run, _graph_model_reports(run)):
+                _graded_rows(mu, nu, 2, grading)
+                yield report.failures
+
+    def cases():
+        return chain(_grid_pairs(max_len, max_part), boundary)
+
+    def work(mu, nu) -> int:
+        return _graph_work(len(mu), len(nu))
+
+    return _run("graphs", cases, work, checks, grading=grading)
 
 
 def suite_kernel_identity(
     block_range: Sequence[int] = (1, 2), d_values: Sequence[int] = (2, 3)
 ) -> CheckReport:
     """Structure-constant convolution identity over all small block triples."""
-    k = _kernel_terms
-    _check_grid(
-        "lemma31",
-        (
-            # each side convolves two tables, once as arrays and once as polynomials
-            CHECK_WORK
-            + 2 * (k(l, m, d) * k(l + m, n, d) + k(l, m + n, d) * k(m, n, d)) * (l + m + n + 1)
-            for d in d_values
-            for l in block_range
-            for m in block_range
-            for n in block_range
-        ),
-        d_values,
-    )
-    failures: List[str] = []
-    checked = 0
-    for d in d_values:
-        for l in block_range:
-            for m in block_range:
-                for n in block_range:
-                    rep = verify_coefficient_identity(l, m, n, d)
-                    checked += 1
-                    if not rep.passed:
-                        failures.append(
-                            "identity fails at l=%d m=%d n=%d d=%d" % (l, m, n, d)
-                        )
-                        failures.extend(rep.failures)
-    return CheckReport(
-        name="lemma31", passed=not failures, checked=checked, failures=failures
-    )
+
+    def work(d, l, m, n) -> int:
+        k = partial(_kernel_terms, d=d)
+        # each side convolves two tables, once as arrays and once as polynomials
+        tables = k(l, m) * k(l + m, n) + k(l, m + n) * k(m, n)
+        return CHECK_WORK + 2 * tables * (l + m + n + 1)
+
+    def checks(cases):
+        for d, l, m, n in cases:
+            rep = verify_coefficient_identity(l, m, n, d)
+            yield [] if rep.passed else [
+                "identity fails at l=%d m=%d n=%d d=%d" % (l, m, n, d)
+            ] + rep.failures
+
+    cases = partial(product, d_values, block_range, block_range, block_range)
+    return _run("lemma31", cases, work, checks, d_values)
 
 
 def suite_augmented_rule(max_len: int = 4, max_part: int = 3) -> CheckReport:
@@ -462,84 +442,59 @@ def suite_augmented_rule(max_len: int = 4, max_part: int = 3) -> CheckReport:
     Covers the augmented-times-monomial rule and the rational monomial rule
     on every equal-length pair up to the bounds.
     """
-    _check_grid(
-        "prop41",
-        (
-            # two rules per pair, each multiplying the rearrangements of both
-            # and reading the product back through n - 1 transpositions
-            2 * (count * count * CHECK_WORK + words * words * (n + 1) * n)
-            for n, count, words in _lengths(max_len, max_part)
-        ),
-    )
-    failures: List[str] = []
-    checked = 0
-    by_len: Dict[int, List[Partition]] = {}
-    for p in partitions_up_to(max_len, max_part):
-        by_len.setdefault(len(p), []).append(p)
-    for _, group in sorted(by_len.items()):
-        for lam in group:
-            for mu in group:
-                rep = verify_augmented_rule(lam, mu)
-                checked += 1
-                if not rep.passed:
-                    failures.extend(rep.failures)
-                rep = verify_monomial_rule(lam, mu)
-                checked += 1
-                if not rep.passed:
-                    failures.extend(rep.failures)
-    return CheckReport(
-        name="prop41", passed=not failures, checked=checked, failures=failures
-    )
+
+    def cases():
+        for n in range(max_len + 1):
+            for lam in partitions_of_length(n, max_part):
+                for mu in partitions_of_length(n, max_part):
+                    yield lam, mu
+
+    def work(lam, mu) -> int:
+        n = len(lam)
+        # two rules, each multiplying the rearrangements of both and reading
+        # the product back through n - 1 transpositions
+        return 2 * (CHECK_WORK + _words(lam, mu) * (n + 1) * n)
+
+    def checks(cases):
+        for lam, mu in cases:
+            yield verify_augmented_rule(lam, mu).failures
+            yield verify_monomial_rule(lam, mu).failures
+
+    return _run("prop41", cases, work, checks)
 
 
 def suite_subset_sum(max_len: int = 3, max_part: int = 3) -> CheckReport:
     """The variable-splitting identity on every pair up to the bounds."""
-    _check_grid(
-        "prop43",
-        (
-            # the rearrangement pairs, once per split of the variables
-            pairs * CHECK_WORK + comb(m + n, m) * words * (m + n + 1)
-            for m, n, pairs, words in _length_pairs(max_len, max_part)
-        ),
-    )
-    failures: List[str] = []
-    checked = 0
-    parts = partitions_up_to(max_len, max_part)
-    for lam in parts:
-        for mu in parts:
-            rep = verify_subset_sum_identity(lam, mu)
-            checked += 1
-            if not rep.passed:
-                failures.extend(rep.failures)
-    return CheckReport(
-        name="prop43", passed=not failures, checked=checked, failures=failures
-    )
+
+    def work(lam, mu) -> int:
+        m, n = len(lam), len(mu)
+        # the rearrangement pairs, once per split of the variables
+        return CHECK_WORK + comb(m + n, m) * _words(lam, mu) * (m + n + 1)
+
+    def checks(cases):
+        for lam, mu in cases:
+            yield verify_subset_sum_identity(lam, mu).failures
+
+    return _run("prop43", partial(_grid_pairs, max_len, max_part), work, checks)
 
 
 def suite_grading(
     d_values: Sequence[int] = (1, 2, 3), max_len: int = 2, max_part: int = 2
 ) -> CheckReport:
     """Length and weight grading of every term of every grid product."""
-    _check_grid(
-        "grading",
-        (
-            pairs * _product_work(m, n, d)
-            for d in d_values
-            for m, n, pairs, _ in _length_pairs(max_len, max_part)
-        ),
-        d_values,
-    )
-    parts = partitions_up_to(max_len, max_part)
-    failures: List[str] = []
-    checked = 0
-    for d in d_values:
-        for mu in parts:
-            for nu in parts:
-                _graded_rows(mu, nu, d, failures)
-                checked += 1
-    return CheckReport(
-        name="grading", passed=not failures, checked=checked, failures=failures
-    )
+
+    def work(d, mu, nu) -> int:
+        return _product_work(len(mu), len(nu), d)
+
+    grading: List[str] = []
+
+    def checks(cases):
+        for d, mu, nu in cases:
+            _graded_rows(mu, nu, d, grading)
+            yield []
+
+    cases = partial(_loop_pairs, d_values, max_len, max_part)
+    return _run("grading", cases, work, checks, d_values, grading=grading)
 
 
 SUITES = {

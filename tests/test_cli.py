@@ -846,11 +846,10 @@ OVERSIZED_GRIDS = [("iso", 4, 4), ("prop41", 7, 7)]
 
 
 @pytest.mark.parametrize("suite,max_len,max_part", OVERSIZED_GRIDS)
-def test_oversized_verify_grid_is_a_resource_error(capsys, monkeypatch, suite, max_len, max_part):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the grid started")
-
-    monkeypatch.setattr(suites, "partitions_up_to", refuse)
+def test_oversized_verify_grid_is_a_resource_error(
+    capsys, monkeypatch, refuse_checks, suite, max_len, max_part
+):
+    refuse_checks("the grid started")
     message = "verify %s: the grid is predicted to exceed the work limit %d" % (
         suite,
         suites.GRID_WORK_LIMIT,
@@ -868,12 +867,9 @@ def test_oversized_verify_grid_is_a_resource_error(capsys, monkeypatch, suite, m
 
 
 @pytest.mark.parametrize("flags", [["--max-len", "3", "--count", "0"], ["--count", str(10**12)]])
-def test_oversized_verify_assoc_is_a_resource_error(capsys, monkeypatch, flags):
+def test_oversized_verify_assoc_is_a_resource_error(capsys, monkeypatch, refuse_checks, flags):
     # both ran past 25 s before the limit; each is refused before any check
-    def refuse(*args, **kwargs):
-        raise AssertionError("the grid started")
-
-    monkeypatch.setattr(suites, "partitions_up_to", refuse)
+    refuse_checks("the grid started")
     message = "verify assoc: the grid is predicted to exceed the work limit %d" % (
         suites.GRID_WORK_LIMIT
     )
@@ -914,6 +910,54 @@ def test_a_huge_assoc_max_len_is_refused_quickly(capsys, monkeypatch, max_len):
     refused, answered = map(json.loads, out.splitlines())
     assert code == 0
     assert refused == {"ok": False, "error": {"code": "resource", "message": message}}
+    assert answered["ok"] is True
+
+
+# each built its first factor, or its coefficient bound and table layout,
+# before the cap refused it: the first two ran past 20 s, the third ended in
+# an OverflowError traceback and the last was killed
+HUGE_FIRST_FACTORS = [
+    (
+        ["g", "--d", str(10**30), "--m", "1", "--n", "1"],
+        {"cmd": "g", "d": 10**30, "m": 1, "n": 1},
+        "projected term count %d exceeds cap 5000000" % 10**30,
+    ),
+    (
+        ["g", "--d", str(10**8), "--m", "1", "--n", "1", "--term-cap", "1"],
+        {"cmd": "g", "d": 10**8, "m": 1, "n": 1, "term_cap": 1},
+        "projected term count 100000000 exceeds cap 1",
+    ),
+    (
+        ["multiply", "--left", "0", "--right", "0", "--d", str(10**30)],
+        {"cmd": "multiply", "d": 10**30, "left": [0], "right": [0]},
+        "projected term count %d exceeds cap 5000000" % 10**30,
+    ),
+    (
+        ["g", "--table", "--d", "2", "--m", str(10**6), "--n", "1", "--term-cap", "1"],
+        {"cmd": "g", "table": True, "d": 2, "m": 10**6, "n": 1, "term_cap": 1},
+        "projected term count 2 exceeds cap 1",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,request_,message", HUGE_FIRST_FACTORS)
+def test_a_huge_first_factor_is_refused_before_it_is_built(
+    capsys, monkeypatch, argv, request_, message
+):
+    error = {"code": "resource", "message": message}
+    start = time.monotonic()
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": error}
+    assert time.monotonic() - start < 1
+    requests = [request_, {"cmd": "multiply", "d": 2, "left": [0], "right": [0]}]
+    text = "".join(json.dumps(r) + "\n" for r in requests)
+    start = time.monotonic()
+    code, out, _ = run(capsys, ["batch"], stdin_text=text, monkeypatch=monkeypatch)
+    assert time.monotonic() - start < 1
+    refused, answered = map(json.loads, out.splitlines())
+    assert code == 0
+    assert refused == {"ok": False, "error": error}
     assert answered["ok"] is True
 
 

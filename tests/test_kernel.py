@@ -212,6 +212,25 @@ def test_pairwise_kernel_rejects_loop_counts_below_one(d):
             pairwise_kernel(2, pairs, d)
 
 
+def test_the_first_factor_is_checked_before_anything_is_built(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the first factor was checked")
+
+    for name in ("comb", "coefficient_bound", "_table_layout"):
+        monkeypatch.setattr(kernel, name, refuse)
+    huge = 10**30
+    # a bad first pair is still reported before the cap
+    with pytest.raises(ValueError, match=r"^bad variable pair \(0, 0\)$"):
+        pairwise_kernel(2, [(0, 0)], huge, term_cap=1)
+    message = "^projected term count %d exceeds cap 5000000$" % huge
+    with pytest.raises(ResourceLimitError, match=message):
+        pairwise_kernel(2, [(1, 0)], huge)
+    with pytest.raises(ResourceLimitError, match=message):
+        structure_constants(KernelSpec(1, 1, huge))
+    with pytest.raises(ResourceLimitError, match="^projected term count 2 exceeds cap 1$"):
+        structure_constants(KernelSpec(10**6, 1, 2), term_cap=1)
+
+
 def test_term_cap_raises():
     with pytest.raises(ResourceLimitError):
         kernel_polynomial(KernelSpec(3, 3, 4), term_cap=50)

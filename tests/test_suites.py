@@ -1,5 +1,6 @@
 """Verification suite drivers: small-bound runs, determinism, the cost gates."""
 import sys
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -8,7 +9,12 @@ from qcoha.bipartite import verify_graph_model
 from qcoha.errors import NotSymmetricError, ResourceLimitError
 from qcoha.kernel import DEFAULT_TERM_CAP, structure_table
 from qcoha.mpoly import MPoly
-from qcoha.partitions import distinct_permutations, partitions_up_to
+from qcoha.partitions import (
+    distinct_permutation_count,
+    distinct_permutations,
+    iter_partitions,
+    partitions_up_to,
+)
 from qcoha.qlaurent import ONE
 from qcoha.shuffle_algebra import DEFAULT_MAX_SUBSETS, _shuffle_rows, verify_homomorphism
 from qcoha.suites import (
@@ -149,12 +155,8 @@ def _predicted_work(monkeypatch, name, **kwargs):
 
 
 @pytest.mark.parametrize("name", GRID_SUITES)
-def test_grid_suites_refuse_before_any_work(monkeypatch, name):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the grid ran past its work limit")
-
-    monkeypatch.setattr(suites, "partitions_up_to", refuse)
-    monkeypatch.setattr(suites, "verify_coefficient_identity", refuse)
+def test_grid_suites_refuse_before_any_work(monkeypatch, refuse_checks, name):
+    refuse_checks("the grid ran past its work limit")
     monkeypatch.setattr(suites, "GRID_WORK_LIMIT", 0)
     with pytest.raises(ResourceLimitError, match="verify %s: .* work limit 0$" % name):
         SUITES[name]()
@@ -173,6 +175,55 @@ def test_graphs_prediction_counts_the_boundary_pairs(monkeypatch):
     assert boundary == 765_504
     assert _predicted_work(monkeypatch, "graphs", boundary_pairs=False) == 17_047_846
     assert _predicted_work(monkeypatch, "graphs") == 17_047_846 + boundary
+
+
+# (suite, grid, predicted work): every default grid and some smaller and
+# larger ones, each sum equal to the per-length formulas the cases replaced
+PREDICTIONS = [
+    ("assoc", {}, 62_521_172),
+    ("iso", {}, 3_414_420),
+    ("quasi", {}, 6_060_882),
+    ("graphs", {}, 17_813_350),
+    ("lemma31", {}, 29_303_240),
+    ("prop41", {}, 37_562_880),
+    ("prop43", {}, 12_966_497),
+    ("grading", {}, 3_030_441),
+    ("assoc", dict(d_values=(2, 3), max_len=2, max_part=1, random_triples=3), 8_864_394),
+    ("assoc", dict(d_values=(2,), max_len=1, max_part=1, random_triples=0), 360_466),
+    ("iso", dict(d_values=(2,), max_len=1, max_part=1), 90_090),
+    ("iso", dict(max_len=3, max_part=3), 10_461_644_958),
+    ("prop41", dict(max_len=5, max_part=2), 20_063_884),
+    ("prop43", dict(max_len=2, max_part=1), 360_729),
+    ("lemma31", dict(block_range=(1, 2, 3), d_values=(2,)), 12_071_173_944),
+    ("quasi", dict(d_values=(4,), max_len=3, max_part=1), 25_650_636),
+    ("graphs", dict(max_len=2, max_part=2, boundary_pairs=False), 1_009_242),
+]
+
+
+@pytest.mark.parametrize("name,grid,want", PREDICTIONS)
+def test_predicted_work_is_pinned(monkeypatch, name, grid, want):
+    assert _predicted_work(monkeypatch, name, **grid) == want
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_the_checks_walk_exactly_the_predicted_cases(monkeypatch, name):
+    predicted, walked = [], []
+    run = suites._run
+
+    def spy(suite, cases, work, checks, *args, **kwargs):
+        def counted(*case):
+            predicted.append(case)
+            return work(*case)
+
+        def walking(stream):
+            return checks(walked.append(case) or case for case in stream)
+
+        return run(suite, cases, counted, walking, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "_run", spy)
+    rep = SUITES[name](**GUARD_GRIDS[name])
+    assert rep.passed, rep.failures
+    assert predicted and walked == predicted
 
 
 def _recording_budgets(monkeypatch):
@@ -242,12 +293,8 @@ def test_a_budget_of_zero_refuses_before_the_first_side_is_staged(monkeypatch):
 
 
 @pytest.mark.parametrize("count", [10**6, 10**30])
-def test_a_huge_random_count_is_refused_before_any_work(monkeypatch, count):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the grid started")
-
-    monkeypatch.setattr(suites, "partitions_up_to", refuse)
-    monkeypatch.setattr(suites, "_random_partition", refuse)
+def test_a_huge_random_count_is_refused_before_any_work(refuse_checks, count):
+    refuse_checks("the grid started")
     limit = suites.GRID_WORK_LIMIT
     message = "^verify assoc: the grid is predicted to exceed the work limit %d$" % limit
     with pytest.raises(ResourceLimitError, match=message):
@@ -282,12 +329,25 @@ def test_a_loop_count_below_one_is_still_a_parse_error(monkeypatch, name):
 
 
 @pytest.mark.parametrize("max_len,max_part", [(0, 0), (3, 0), (2, 3), (4, 2)])
-def test_grid_lengths_count_the_partitions_and_their_rearrangements(max_len, max_part):
-    parts = partitions_up_to(max_len, max_part)
-    for n, count, words in suites._lengths(max_len, max_part):
-        of_length = [p for p in parts if len(p) == n]
-        assert count == len(of_length)
-        assert words == sum(len(distinct_permutations(p)) for p in of_length)
+def test_the_partition_walk_is_the_grid_in_length_lex_order(max_len, max_part):
+    # the weakly increasing tuples of each length, in lex order, shortest first
+    want = [
+        p
+        for n in range(max_len + 1)
+        for p in combinations_with_replacement(range(max_part + 1), n)
+    ]
+    assert list(iter_partitions(max_len, max_part)) == want
+    assert partitions_up_to(max_len, max_part) == want
+    for p in want:
+        assert distinct_permutation_count(p) == len(distinct_permutations(p))
+
+
+def test_the_partition_walk_builds_nothing_before_it_is_walked():
+    walk = iter_partitions(10**18, 10**18)
+    assert [next(walk) for _ in range(4)] == [(), (0,), (1,), (2,)]
+    # a long run of equal parts is counted without its factorial
+    assert distinct_permutation_count((0,) * 10**6) == 1
+    assert distinct_permutation_count((0,) * 10**6 + (1,)) == 10**6 + 1
 
 
 @pytest.mark.parametrize(
