@@ -21,23 +21,25 @@ sorted within every row and the rows are grouped on the table's own layout,
 into narrow arrays.  At the ``verify assoc`` defaults that halves the rows
 the builds re-key.
 ``pairwise_kernel`` expands the same factors into an ``MPoly`` instead,
-multiplying one factor at a time with the polynomial module's own row
-grouping.  The factorization identity multiplies those expansions, and the
-convolution identity runs the same product on the four tables lifted into
-``MPoly``, so no check of the tables shares grouping code with them.  Both
-expansions collect like monomials after every factor, which never leaves more
-than the stored terms times the factor's, and a configurable cap on that
-product, checked before each factor, raises ResourceLimitError.
+multiplying one factor at a time.  The factorization identity multiplies
+those expansions, and the convolution identity runs the same product on the
+four tables lifted into ``MPoly``, so they check the fold and the merge
+apart from the table code; what they share with it is the packed row
+format of ``packed``, checked against a dict on its own by
+``tests/test_packed.py``.  Both expansions collect like monomials after
+every factor, which never leaves more than the stored terms times the
+factor's, and a configurable cap on that product, checked before each
+factor, raises ResourceLimitError.
 
-Integer rows group in one place, and ``RowLayout`` owns their format: it
-packs each row within certified column bounds into one 1-D sort key, and
-unpacks keys into rows of its ``row_dtype``, the narrowest integer dtype
-those bounds allow, so no caller picks one.  ``pack_rows`` packs rows, or
-only their keys, and ``group_keys`` sums weights over equal keys.  The
-table fold, the merge, the basis products and the bilinear core of
-``partition_algebra`` run that core and keep only the surviving keys.
-``group_rows`` is the core on a matrix under the column extremes, returning
-the first row of each group; only ``verify_symmetry`` uses it.
+Integer rows are packed, grouped and unpacked by ``packed``: a certified
+``RowLayout`` gives each row one 1-D sort key and unpacks keys into rows of
+its ``row_dtype``, the narrowest integer dtype its bounds allow, so no
+caller picks one.  The table fold, the merge, the basis products and the
+bilinear core of ``partition_algebra`` group on keys (``group_keys``) and
+keep only the surviving keys; ``verify_symmetry`` groups whole rows
+(``group_rows``).  The orientation sum (``bipartite``), the shuffle
+oracle's ``_key_major`` split and the brute force in ``perfbench/checks.py``
+share none of it.
 """
 from __future__ import annotations
 
@@ -46,18 +48,17 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb, factorial
-from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .mpoly import MPoly, embed, multiply
+from .packed import RowLayout, group_keys, group_rows, narrowest_dtype, pack_rows
 from .partitions import multiplicity
 from .qlaurent import DEFAULT_TERM_CAP, ONE, QLaurent, Rational, as_rational
 from .reports import CheckReport
 
-_INT64_MIN = int(np.iinfo(np.int64).min)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -99,130 +100,6 @@ def _check_projected(rows: int, width: int, term_cap: int) -> None:
         raise ResourceLimitError(
             "projected term count %d exceeds cap %d" % (rows * width, term_cap)
         )
-
-
-class RowLayout:
-    """The packed sort key of integer rows whose columns lie within bounds.
-
-    ``lows`` and ``spans`` are two lists of Python ints, one entry per
-    column: every entry of column c lies in [lows[c], lows[c] + spans[c]].
-    Each column, less its low, takes the bits its span needs, first column
-    highest, and a column of span 0 takes none, so the key of a row is the
-    row times ``scale`` less ``base``, and it orders rows lexicographically.
-    The key is int64 when those bits fit in 63 and every low fits in int64,
-    and a Python int (dtype=object) otherwise.  An int64 key is packed on
-    uint64 words: a partial sum may wrap modulo 2**64, the key itself is
-    below 2**63 and exact.  Rows unpack in ``row_dtype``, the narrowest
-    integer dtype that holds every bound (``narrowest_dtype``), or as Python
-    ints past int64.  A bound that is too narrow makes fields overlap and
-    merges distinct rows, so pass only bounds that are proven.
-    """
-
-    def __init__(self, lows: List[int], spans: List[int]):
-        self.lows = lows
-        self.spans = spans
-        self.widths = [span.bit_length() for span in spans]
-        self.shifts = list(accumulate(self.widths[:0:-1], initial=0))[::-1]
-        bits = self.shifts[0] + self.widths[0]
-        fits = bits <= 63 and _INT64_MIN <= min(lows) and max(lows) <= _INT64_MAX
-        self.dtype = np.int64 if fits else object
-        self.row_dtype = narrowest_dtype(min(lows), max(map(add, lows, spans)))
-        scale = [1 << shift if width else 0 for shift, width in zip(self.shifts, self.widths)]
-        self.base = sum(map(mul, lows, scale))
-        self.step = scale[-1]
-        self.scale = np.array(scale, dtype=np.uint64 if fits else object)
-
-    def words(self, values: np.ndarray) -> np.ndarray:
-        """Integers as the key's words: uint64 modulo 2**64, or Python ints."""
-        if self.dtype is object:
-            return values.astype(object, copy=False)
-        if values.dtype == object:
-            return (values % (1 << 64)).astype(np.uint64)
-        if values.dtype == np.int64:
-            return values.view(np.uint64)
-        # a narrower integer is widened, not reinterpreted: a view would read
-        # several of its entries as one word
-        return values.astype(np.uint64)
-
-    def unpack(self, keys: np.ndarray) -> np.ndarray:
-        """The rows, in ``row_dtype``, whose packed keys are ``keys``.
-
-        One column is unpacked at a time, straight into the rows: an integer
-        dtype takes the shifted key, the mask and the low in its own width,
-        where they agree with the key's fields modulo the width and every
-        entry fits.  Past int64 they are summed as Python ints.
-        """
-        dtype = self.row_dtype
-        rows = np.empty((len(keys), len(self.lows)), dtype=dtype)
-        for column, shift, width, low in zip(rows.T, self.shifts, self.widths, self.lows):
-            if dtype is object or keys.dtype == object:
-                column[...] = ((keys >> shift) & ((1 << width) - 1)).astype(object) + low
-                continue
-            np.right_shift(keys, shift, out=column, casting="unsafe")
-            # a mask as wide as the dtype wraps to all ones in it
-            column &= np.array((1 << width) - 1, dtype=np.uint64).astype(dtype)
-            column += dtype(low)
-        return rows
-
-
-def pack_rows(layout: RowLayout, parts: np.ndarray, powers=None, shift: int = 0) -> np.ndarray:
-    """The packed keys of rows, ``shift`` added to every power.
-
-    The rows' last column is ``powers`` and their other columns ``parts``;
-    with ``powers`` None, ``parts`` holds the rows' leading columns and
-    every column after them is 0: the whole rows, or only their keys.  Every
-    row, its power shifted, must lie within the layout's bounds.
-    """
-    if powers is None:
-        keys = layout.words(parts) @ layout.scale[: parts.shape[1]]
-    else:
-        keys = layout.words(parts) @ layout.scale[:-1] + layout.words(powers) * layout.scale[-1]
-    offset = shift * layout.step - layout.base
-    if layout.dtype is object:
-        return keys + offset
-    return (keys + np.uint64(offset % (1 << 64))).view(np.int64)
-
-
-def group_keys(keys: np.ndarray, weights: np.ndarray):
-    """Sum ``weights`` over equal packed keys.
-
-    Returns the index in ``keys`` of the first of each distinct key, in
-    increasing key order, with its sum, and drops keys whose sum is zero.
-    ``weights`` may be int64 or object; the caller certifies that int64
-    sums cannot overflow.
-    """
-    order = keys.argsort()
-    ordered = keys[order]
-    first = np.empty(len(keys), dtype=bool)
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    starts = first.nonzero()[0]
-    sums = np.add.reduceat(weights[order], starts)
-    keep = sums != 0
-    return order[starts[keep]], sums[keep]
-
-
-def group_rows(rows: np.ndarray, weights: np.ndarray):
-    """Sum ``weights`` over equal rows of an integer matrix.
-
-    Returns the distinct rows in lexicographic order with their sums, and
-    drops rows whose sum is zero.  It is the packing core on whole rows:
-    each row is packed into one 1-D key (``RowLayout``, ``pack_rows``) under
-    the column minima and ranges, the keys are grouped (``group_keys``), and
-    the first row of each group is returned, so rows of any length and size
-    group exactly.
-    """
-    if not len(weights):
-        return rows, weights
-    # one contiguous row per column: column reductions are several times
-    # faster on it than along axis 0 of a tall matrix
-    cols = np.array(rows.T)
-    # spans in Python ints: an int64 column may range wider than int64
-    lows = cols.min(axis=1).tolist()
-    spans = [hi - lo for hi, lo in zip(cols.max(axis=1).tolist(), lows)]
-    keys = pack_rows(RowLayout(lows, spans), rows)
-    index, sums = group_keys(keys, weights)
-    return rows[index], sums
 
 
 def _check_pair(arity: int, s: int, t: int) -> None:
@@ -292,20 +169,6 @@ def kernel_polynomial(
 ) -> MPoly:
     """The expanded kernel for a spec, homogeneous of degree (d-1)*m*n."""
     return pairwise_kernel(spec.arity, block_pairs(spec), spec.d, q_value, term_cap)
-
-
-# the integer dtypes of cached arrays, narrowest first
-_INT_RANGES = [
-    (int(np.iinfo(t).min), int(np.iinfo(t).max), t) for t in (np.int8, np.int16, np.int32, np.int64)
-]
-
-
-def narrowest_dtype(lo: int, hi: int):
-    """The narrowest integer dtype that holds [lo, hi], or object past int64."""
-    for low, high, dtype in _INT_RANGES:
-        if low <= lo and hi <= high:
-            return dtype
-    return object
 
 
 def coefficient_bound(e: int) -> int:
@@ -416,7 +279,8 @@ def structure_constants(
             index, weights = group_keys(keys, weights)
             keys = keys[index]
             staged.append(len(weights))
-    exps = layout.unpack(keys)
+    # row-major: a basis build sorts copies of the rows within each row
+    exps = np.ascontiguousarray(layout.unpack(keys))
     return StructureConstantTable(spec, exps, weights, tuple(staged))
 
 
@@ -510,10 +374,10 @@ def verify_symmetry(table: StructureConstantTable) -> CheckReport:
     exps = table.exps
     orbits = np.concatenate([np.sort(exps[:, :m], axis=1), np.sort(exps[:, m:], axis=1)], axis=1)
     ones = np.ones(len(exps), dtype=np.int64)
-    keys, sizes = group_rows(orbits, ones)
+    keys, sizes, _ = group_rows(orbits, ones)
     # the distinct weights of each orbit: its distinct (orbit, weight) rows
-    pairs, _ = group_rows(np.column_stack([orbits, table.weights]), ones)
-    _, weight_counts = group_rows(pairs[:, :-1], ones[: len(pairs)])
+    pairs, _, _ = group_rows(np.column_stack([orbits, table.weights]), ones)
+    _, weight_counts, _ = group_rows(pairs[:, :-1], ones[: len(pairs)])
     split = lambda row: (tuple(row[:m]), tuple(row[m:]))
     failures: List[str] = []
     for key, size, count in zip(keys.tolist(), sizes.tolist(), weight_counts.tolist()):

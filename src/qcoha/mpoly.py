@@ -10,66 +10,49 @@ polynomial.
 
 Arithmetic acts on the columns.  A product sums every row of one factor with
 every row of the other and groups equal rows; a sum concatenates and groups;
-relabelling variables permutes the exponent columns.  Rows are grouped
-through one packed key: each column, less its lower bound, is a bit field as
-wide as the column's range needs, first column highest, so key order is row
-order, and equal keys are summed after one sort.  The bounds come from the
-operands (a product's column ranges from the sum of the factors' minima to
-the sum of their maxima), and the keys of a product are the sums of its
-factors' keys.  No operation stages more than STAGE_ROWS keys at once.  A
-relabelled sum groups each staged chunk and regroups the chunks.  A product
-of more than STAGE_ROWS pairs of rows is staged in key order instead, one
-range of product keys at a time.  Fields add without carry and both factors'
-keys are sorted, so a range takes one run of the larger factor's keys from
-each row of the smaller one.  Each range stages at most STAGE_ROWS pairs
-unless it is one key, and is grouped once; the ranges are joined in order
-with no final regroup.  A one-key range takes at most one row of the larger
-factor per row of the smaller, so it is staged STAGE_ROWS rows of the
-smaller at a time and regrouped within itself.  Keys are int64 when the
-fields fit in 63 bits and Python ints otherwise.  Weights are int64 only
-while the sum of their absolute values is below 2**63, which a product
-keeps when ``sum|wa| * sum|wb|`` is, and Python ints or Fractions
-(dtype=object) otherwise.  Rows are unpacked at most STAGE_ROWS
-int64 cells at a time into the narrowest integer dtype of their bounds
+relabelling variables permutes the exponent columns.  Rows are grouped on
+the packed keys of ``packed``, the row format this module shares with the
+table engine.  The bounds come from the operands: a product's column ranges
+from the sum of the factors' minima to the sum of their maxima, and each
+factor packs less its own minima, so the keys of a product are the sums of
+its factors' keys; a relabelling packs with a matrix of field scales.  No
+operation stages more than STAGE_ROWS keys at once.  A relabelled sum groups
+each staged chunk and regroups the chunks.  A product of more than
+STAGE_ROWS pairs of rows is staged in key order instead, one range of
+product keys at a time.  Fields add without carry and both factors' keys are
+sorted, so a range takes one run of the larger factor's keys from each row
+of the smaller one.  Each range stages at most STAGE_ROWS pairs unless it
+is one key, and is grouped once; the ranges are joined in order with no
+final regroup.  A one-key range takes at most one row of the larger factor
+per row of the smaller, so it is staged STAGE_ROWS rows of the smaller at a
+time and regrouped within itself.  Weights are int64 only while the sum of
+their absolute values is below 2**63, which a product keeps when
+``sum|wa| * sum|wb|`` is, and Python ints or Fractions (dtype=object)
+otherwise.  Rows are stored in the narrowest integer dtype of their bounds
 (int8 for every kernel), or dtype=object past int64, so readers widen them
-before scalar arithmetic.  This module groups on its own and shares no code
-with the table engine in ``kernel``, so the polynomial checks stay
-independent of the engine they check.
+before scalar arithmetic.  The polynomial checks share only ``packed`` with
+the engine they check, and ``tests/test_packed.py`` checks it against a
+dict on its own; the orientation sum (``bipartite``), the shuffle oracle's
+``_key_major`` split and the brute force in ``perfbench/checks.py`` share
+nothing with either.
 
 ``terms`` is a read-only ``{exponent: QLaurent}`` view, built on first use
 for the JSON and text renderers, ``coefficient`` and failure messages.
 """
 from __future__ import annotations
 
+from operator import add
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from .packed import STAGE_ROWS, RowLayout, group_chunks, group_rows, pack_rows
 from .qlaurent import ONE, ZERO, QLaurent
 
 Exponent = Tuple[int, ...]
 
-# keys of one staged chunk of a product or a relabelled sum
-STAGE_ROWS = 1 << 16
-
 _INT64_MAX = (1 << 63) - 1
-
-
-# the integer dtypes of rows, narrowest first, with their ranges
-_ROW_DTYPES = [
-    (np.dtype(t), int(np.iinfo(t).min), int(np.iinfo(t).max))
-    for t in (np.int8, np.int16, np.int32, np.int64)
-]
-
-
-def _narrowest(lo: Sequence[int], hi: Sequence[int]) -> np.dtype:
-    """The narrowest integer dtype holding [min(lo), max(hi)], or object past int64."""
-    low, high = min(lo), max(hi)
-    for dtype, least, most in _ROW_DTYPES:
-        if least <= low and high <= most:
-            return dtype
-    return np.dtype(object)
 
 
 def _int_array(values, shape) -> np.ndarray:
@@ -78,84 +61,6 @@ def _int_array(values, shape) -> np.ndarray:
         return np.array(values, dtype=np.int64).reshape(shape)
     except OverflowError:
         return np.array(values, dtype=object).reshape(shape)
-
-
-class _Packing:
-    """Bit-field packing of rows whose columns lie in [lo, hi].
-
-    Each column, less its lower bound, takes the bits its span needs, first
-    column highest; a column whose range holds one value takes none and
-    packs with scale 0.
-    """
-
-    def __init__(self, lo: Iterable[int], hi: Iterable[int]):
-        self.lo, self.hi = list(lo), list(hi)
-        self.widths = [(h - l).bit_length() for l, h in zip(self.lo, self.hi)]
-        self.shifts = [sum(self.widths[j + 1 :]) for j in range(len(self.widths))]
-        self.scales = [1 << k if w else 0 for k, w in zip(self.shifts, self.widths)]
-        self.dtype = np.int64 if sum(self.widths) <= 63 else object
-
-    def pack(self, rows: np.ndarray, lo: Sequence[int], scales=None) -> np.ndarray:
-        """Keys of ``rows`` less ``lo``; ``scales`` (one column per key
-        vector) defaults to the field scales."""
-        if rows.dtype == object or self.dtype == object:
-            shifted = (rows.astype(object) - np.array(lo, dtype=object)).astype(self.dtype)
-        else:
-            shifted = rows - np.array(lo, dtype=np.int64)
-        return shifted @ np.array(self.scales if scales is None else scales, dtype=self.dtype)
-
-    def unpack(self, keys: np.ndarray) -> np.ndarray:
-        """The rows of ``keys``, in the narrowest dtype of the bounds and in
-        column-major order.
-
-        The fields are taken apart in blocks of at most STAGE_ROWS int64
-        cells, and each block is written into the narrow rows.
-        """
-        dtype = _narrowest(self.lo, self.hi)
-        cells = object if dtype == object else np.int64
-        shifts = np.array(self.shifts, dtype=keys.dtype)[:, None]
-        masks = np.array([(1 << w) - 1 for w in self.widths], dtype=keys.dtype)[:, None]
-        lo = np.array(self.lo, dtype=cells)[:, None]
-        columns = np.empty((len(lo), len(keys)), dtype=dtype)
-        step = max(1, STAGE_ROWS // len(lo))
-        for i in range(0, len(keys), step):
-            fields = keys[i : i + step] >> shifts
-            fields &= masks
-            fields = fields.astype(cells, copy=False)
-            fields += lo
-            columns[:, i : i + step] = fields
-        return columns.T
-
-
-def _group(keys: np.ndarray, weights: np.ndarray):
-    """Distinct keys in increasing order with their weight sums, zeros dropped."""
-    if len(keys) == 0:
-        return keys, weights
-    order = keys.argsort()
-    keys = keys[order]
-    first = np.empty(len(keys), dtype=bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = first.nonzero()[0]
-    # free the sorted copy before the weights are gathered: it lowers the
-    # peak of a full staged slice
-    distinct = keys[starts]
-    del keys, first
-    sums = np.add.reduceat(weights[order], starts)
-    keep = (sums != 0).nonzero()[0]
-    return distinct[keep], sums[keep]
-
-
-def _group_chunks(chunks: Iterable[Tuple[np.ndarray, np.ndarray]]):
-    """Group each staged (keys, weights) chunk, then regroup the results."""
-    keys, weights = [], []
-    for k, w in chunks:
-        k, w = _group(k, w)
-        keys.append(k)
-        weights.append(w)
-    if len(keys) == 1:
-        return keys[0], weights[0]
-    return _group(np.concatenate(keys), np.concatenate(weights))
 
 
 def _slices(ka: np.ndarray, kb: np.ndarray):
@@ -221,7 +126,7 @@ def _certified(weights: np.ndarray) -> np.ndarray:
 
 
 class MPoly:
-    __slots__ = ("arity", "rows", "weights", "_bounds", "_terms")
+    __slots__ = ("arity", "rows", "weights", "_layout", "_terms")
 
     def __init__(self, arity: int, terms: Mapping[Exponent, QLaurent] | None = None):
         if arity < 0:
@@ -240,21 +145,22 @@ class MPoly:
                 rows.append(list(e) + [power])
                 weights.append(c)
         grouped = MPoly.from_rows(arity, rows, weights)
-        self._set(arity, grouped.rows, grouped.weights, grouped._bounds)
+        self._set(arity, grouped.rows, grouped.weights, grouped._layout)
 
-    def _set(self, arity: int, rows: np.ndarray, weights: np.ndarray, bounds):
+    def _set(self, arity: int, rows: np.ndarray, weights: np.ndarray, layout):
         self.arity = arity
         self.rows = rows
         self.weights = weights
-        self._bounds = bounds
+        self._layout = layout
         self._terms = None
 
     @classmethod
-    def _make(cls, arity: int, rows: np.ndarray, weights: np.ndarray, bounds=None):
+    def _make(cls, arity: int, rows: np.ndarray, weights: np.ndarray, layout=None):
         # trusted constructor: rows already grouped and sorted, no zero
-        # weight; ``bounds`` (lo, hi) may be wider than the rows
+        # weight; ``layout`` packs the rows, within bounds that may be wider
+        # than they reach, and only the zero polynomial has none
         self = object.__new__(cls)
-        self._set(arity, rows, weights, bounds)
+        self._set(arity, rows, weights, layout)
         return self
 
     @classmethod
@@ -278,12 +184,7 @@ class MPoly:
             weights = _certified(weights)
         if not isinstance(rows, np.ndarray):
             rows = _int_array(rows, (len(weights), arity + 1))
-        packing = _Packing(rows.min(axis=0).tolist(), rows.max(axis=0).tolist())
-        keys, weights = _group_chunks(
-            (packing.pack(rows[i : i + STAGE_ROWS], packing.lo), weights[i : i + STAGE_ROWS])
-            for i in range(0, len(weights), STAGE_ROWS)
-        )
-        return cls._make(arity, packing.unpack(keys), weights, (packing.lo, packing.hi))
+        return cls._make(arity, *group_rows(rows, weights))
 
     @classmethod
     def zero(cls, arity: int) -> "MPoly":
@@ -312,16 +213,6 @@ class MPoly:
             return len(self.weights)
         exps = self.rows[:, :-1]
         return 1 + int(np.any(exps[1:] != exps[:-1], axis=1).sum())
-
-    def _column_bounds(self) -> Tuple[List[int], List[int]]:
-        """Per-column (lower, upper) bounds of the rows, power column last.
-
-        They are the column minima and maxima, or the wider bounds of the
-        operation that made the rows.
-        """
-        if self._bounds is None:
-            self._bounds = (self.rows.min(axis=0).tolist(), self.rows.max(axis=0).tolist())
-        return self._bounds
 
     def _abs_weight(self):
         """Sum of |weights| when they are int64 (it is then below 2**63), else None."""
@@ -368,7 +259,7 @@ class MPoly:
 
     def rows_where(self, mask: np.ndarray) -> "MPoly":
         """The polynomial made of the rows where ``mask`` holds."""
-        return MPoly._make(self.arity, self.rows[mask], self.weights[mask])
+        return MPoly._make(self.arity, self.rows[mask], self.weights[mask], self._layout)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -386,18 +277,14 @@ class MPoly:
             return self
         if not self:
             return other
-        (lo_a, hi_a), (lo_b, hi_b) = self._column_bounds(), other._column_bounds()
-        packing = _Packing(map(min, lo_a, lo_b), map(max, hi_a, hi_b))
         sa, sb = self._abs_weight(), other._abs_weight()
         dtype = _weight_dtype(None if sa is None or sb is None else sa + sb)
-        keys, weights = _group(
-            np.concatenate([packing.pack(p.rows, packing.lo) for p in (self, other)]),
-            np.concatenate([p.weights.astype(dtype) for p in (self, other)]),
-        )
-        return MPoly._make(self.arity, packing.unpack(keys), weights, (packing.lo, packing.hi))
+        rows = np.concatenate([self.rows, other.rows])
+        weights = np.concatenate([p.weights.astype(dtype) for p in (self, other)])
+        return MPoly._make(self.arity, *group_rows(rows, weights))
 
     def __neg__(self):
-        return MPoly._make(self.arity, self.rows, -self.weights, self._bounds)
+        return MPoly._make(self.arity, self.rows, -self.weights, self._layout)
 
     def __sub__(self, other):
         if not isinstance(other, MPoly):
@@ -447,33 +334,33 @@ def multiply(a: MPoly, b: MPoly) -> MPoly:
     a._check_arity(b)
     if not a or not b:
         return MPoly.zero(a.arity)
-    (lo_a, hi_a), (lo_b, hi_b) = a._column_bounds(), b._column_bounds()
-    packing = _Packing(map(int.__add__, lo_a, lo_b), map(int.__add__, hi_a, hi_b))
+    la, lb = a._layout, b._layout
+    layout = RowLayout(list(map(add, la.lows, lb.lows)), list(map(add, la.spans, lb.spans)))
     sa, sb = a._abs_weight(), b._abs_weight()
     dtype = _weight_dtype(None if sa is None or sb is None else sa * sb)
-    ka, wa = packing.pack(a.rows, lo_a), a.weights.astype(dtype)
-    kb, wb = packing.pack(b.rows, lo_b), b.weights.astype(dtype)
+    ka, wa = pack_rows(layout, a.rows, lows=la.lows), a.weights.astype(dtype)
+    kb, wb = pack_rows(layout, b.rows, lows=lb.lows), b.weights.astype(dtype)
     if len(ka) > len(kb):
         ka, wa, kb, wb = kb, wb, ka, wa
     if len(ka) * len(kb) <= STAGE_ROWS:
-        keys, weights = _group((ka[:, None] + kb).ravel(), (wa[:, None] * wb).ravel())
+        keys, weights = group_chunks([((ka[:, None] + kb).ravel(), (wa[:, None] * wb).ravel())])
     else:
         keys, weights = [], []
         chunks = [slice(i, i + STAGE_ROWS) for i in range(0, len(ka), STAGE_ROWS)]
         for first, last in _slices(ka, kb):
             # a slice of one key past STAGE_ROWS takes at most one row of kb
             # per row of ka, so STAGE_ROWS rows of ka stage at most as many
-            k, w = _group_chunks(
+            k, w = group_chunks(
                 _stage(ka[c], wa[c], kb, wb, first[c], last[c]) for c in chunks
             )
             keys.append(k)
             weights.append(w)
         keys, weights = np.concatenate(keys), np.concatenate(weights)
-    return MPoly._make(a.arity, packing.unpack(keys), weights, (packing.lo, packing.hi))
+    return MPoly._make(a.arity, layout.unpack(keys), weights, layout)
 
 
 def _relabelling(p: MPoly, relabellings: Sequence[Sequence[int]]):
-    """A packing under which any relabelled row of p packs, and its scales.
+    """A layout under which any relabelled row of p packs, and its scales.
 
     Column i of the scale matrix holds, in row k, the field scale of the
     column where relabelling i sends variable k (the power stays last).  So
@@ -485,14 +372,12 @@ def _relabelling(p: MPoly, relabellings: Sequence[Sequence[int]]):
     for perm in perms:
         if sorted(perm) != list(range(n)):
             raise ValueError("%r is not a permutation of %d variables" % (perm, n))
-    lo, hi = p._column_bounds()
+    lows, spans = p._layout.lows, p._layout.spans
     # any exponent column may land in any position
-    lo_e, hi_e = min(lo[:-1], default=0), max(hi[:-1], default=0)
-    packing = _Packing([lo_e] * n + lo[-1:], [hi_e] * n + hi[-1:])
-    scales = np.array(
-        [[packing.scales[j] for j in perm + (n,)] for perm in perms], dtype=object
-    ).T.astype(packing.dtype)
-    return packing, scales
+    lo = min(lows[:-1], default=0)
+    hi = max(map(add, lows[:-1], spans[:-1]), default=0)
+    layout = RowLayout([lo] * n + lows[-1:], [hi - lo] * n + spans[-1:])
+    return layout, layout.scale[np.array([perm + (n,) for perm in perms]).T]
 
 
 def relabelled_sum(p: MPoly, relabellings: Sequence[Sequence[int]]) -> MPoly:
@@ -503,19 +388,19 @@ def relabelled_sum(p: MPoly, relabellings: Sequence[Sequence[int]]) -> MPoly:
     """
     if not p or not relabellings:
         return MPoly.zero(p.arity)
-    packing, scales = _relabelling(p, relabellings)
+    layout, scales = _relabelling(p, relabellings)
     count = scales.shape[1]
     sw = p._abs_weight()
     weights = p.weights.astype(_weight_dtype(None if sw is None else sw * count))
     step = max(1, STAGE_ROWS // len(weights))
-    keys, weights = _group_chunks(
+    keys, weights = group_chunks(
         (
-            packing.pack(p.rows, packing.lo, scales[:, i : i + step]).ravel(),
+            pack_rows(layout, p.rows, scale=scales[:, i : i + step]).ravel(),
             np.repeat(weights, min(step, count - i)),
         )
         for i in range(0, count, step)
     )
-    return MPoly._make(p.arity, packing.unpack(keys), weights, (packing.lo, packing.hi))
+    return MPoly._make(p.arity, layout.unpack(keys), weights, layout)
 
 
 def fixed_by(p: MPoly, relabellings: Sequence[Sequence[int]]) -> List[bool]:
@@ -528,10 +413,10 @@ def fixed_by(p: MPoly, relabellings: Sequence[Sequence[int]]) -> List[bool]:
         return []
     if not p:
         return [True] * len(relabellings)
-    packing, scales = _relabelling(p, relabellings)
+    layout, scales = _relabelling(p, relabellings)
     # p's rows are in order, and so are their keys
-    own = packing.pack(p.rows, packing.lo)
-    moved = packing.pack(p.rows, packing.lo, scales)
+    own = pack_rows(layout, p.rows)
+    moved = pack_rows(layout, p.rows, scale=scales)
     order = np.argsort(moved, axis=0)
     moved = np.take_along_axis(moved, order, axis=0)
     return [

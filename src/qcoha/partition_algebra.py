@@ -27,9 +27,13 @@ product of lengths m and n has no |coefficient| above
 certifies that none can leave its range; otherwise, and for Fraction
 coefficients, the same code runs with dtype=object, so the arithmetic is
 always exact.  Keys are packed within certified column bounds
-(``_row_bounds``, ``_certified_layouts``), and cached arrays take the
-narrowest integer dtype their bounds allow (``kernel.narrowest_dtype``), or
-Python ints past int64; readers widen before arithmetic that could leave it.
+(``_row_bounds``, ``_certified_layouts``) in the row format of ``packed``,
+which ``kernel`` and ``mpoly`` share and ``tests/test_packed.py`` checks
+against a dict, and cached arrays take the narrowest integer dtype their
+bounds allow (``packed.narrowest_dtype``), or Python ints past int64;
+readers widen before arithmetic that could leave it.  The oracles that
+share none of it are the orientation sum (``bipartite``), the shuffle
+oracle's ``_key_major`` split and the brute force in ``perfbench/checks.py``.
 """
 from __future__ import annotations
 
@@ -44,16 +48,13 @@ import numpy as np
 from .errors import ResourceLimitError
 from .kernel import (
     DEFAULT_TERM_CAP,
-    RowLayout,
     check_loop_count,
     check_term_cap,
     coefficient_bound,
-    group_keys,
     merged_table,
-    narrowest_dtype,
-    pack_rows,
     structure_table,
 )
+from .packed import RowLayout, group_keys, narrowest_dtype, pack_rows
 from .partitions import IntVector, Partition, sort_ascending
 from .qlaurent import QLaurent, as_rational
 from .reports import CheckReport, QuasiCommReport

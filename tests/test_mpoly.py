@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qcoha.mpoly as mpoly_mod
+import qcoha.packed as packed
 from qcoha.kernel import structure_table
 from qcoha.mpoly import MPoly, embed, relabelled_sum
 from qcoha.qlaurent import ONE, Q, ZERO, QLaurent
@@ -218,6 +219,7 @@ def test_sliced_products_match_dict_reference(monkeypatch, lead, a, b, stage):
     stage_run = mpoly_mod._stage
     with monkeypatch.context() as patch:
         patch.setattr(mpoly_mod, "STAGE_ROWS", stage)
+        patch.setattr(packed, "STAGE_ROWS", stage)
         patch.setattr(
             mpoly_mod, "_stage", lambda run, *arrays: staged.append(stage_run(run, *arrays)) or staged[-1]
         )
@@ -314,6 +316,7 @@ def test_products_staged_in_small_chunks(monkeypatch):
     )
     g = f * f - f
     monkeypatch.setattr(mpoly_mod, "STAGE_ROWS", 7)
+    monkeypatch.setattr(packed, "STAGE_ROWS", 7)
     assert f * f - f == g
     assert relabelled_sum(g, [(0, 1, 2), (2, 0, 1)]) == relabelled_sum(g, [(2, 0, 1)]) + g
 

@@ -418,7 +418,10 @@ def test_group_rows_matches_the_reference_on_random_rows():
             rows = rng.integers(0, 4, size=(n, k)).astype(object) + 2**70
         rows = rows[rng.integers(0, n, size=n)]
         weights = rng.integers(-2, 3, size=n)
-        assert_same(group_rows(rows, weights), reference_group_rows(rows, weights))
+        # the grouped rows come out in the narrowest dtype of the columns' bounds
+        want_rows, want_sums = reference_group_rows(rows, weights)
+        dtype = narrowest(min(rows.ravel().tolist()), max(rows.ravel().tolist()))
+        assert_same(group_rows(rows, weights)[:2], (want_rows.astype(dtype), want_sums))
 
 
 def test_pack_rows_stages_one_copy_per_shift():
