@@ -931,9 +931,10 @@ def test_runs_never_merge_across_the_blocks(d):
 
 
 def test_a_table_unpacks_one_column_at_a_time():
-    # the (3, 3, 4) table's exponents unpack straight into int8, one column
-    # at a time, so the peak stays under twice the 0.19 MB result (1.85 MB
-    # when every field was shifted and masked at once in int64)
+    # the (3, 3, 4) table's exponents unpack straight into int8, in blocks
+    # of columns with nothing staged in int64, so the peak stays under twice
+    # the 0.19 MB result (1.85 MB when every field was shifted and masked at
+    # once in int64)
     table = structure_table(3, 3, 4)
     layout = kernel._table_layout(3, 3, 3)
     keys = pack_rows(layout, table.exps)

@@ -289,6 +289,15 @@ def test_from_rows_keeps_int64_weight_arrays_only_below_2_63(weights, dtype):
     assert p.weights.tolist() == weights
 
 
+def test_rows_spanning_all_of_int64_stay_int64():
+    # the power column spans 2**64 - 1: 64 bits of fields make Python-int
+    # keys, whose fields unpack exactly into int64 rows
+    rows = np.array([[0, -(2**63)], [0, 2**63 - 1], [0, -(2**63)]], dtype=np.int64)
+    p = MPoly.from_rows(1, rows, np.array([1, 1, 2], dtype=np.int64))
+    assert p.rows.dtype == np.int64
+    assert p.rows.tolist() == [[0, -(2**63)], [0, 2**63 - 1]] and p.weights.tolist() == [3, 1]
+
+
 def test_from_rows_on_int64_table_arrays_whose_sum_passes_int64():
     # the (2, 1) kernel table at d = 33 is int64, but its |weights| sum to 2**64
     table = structure_table(2, 1, 33)

@@ -144,16 +144,19 @@ def test_keys_less_their_own_lows_add_up_to_the_key_of_the_sum(case):
             st.lists(st.lists(st.integers(0, 5), min_size=n, max_size=n), min_size=1, max_size=8),
             st.lists(st.integers(-9, 9), min_size=1, max_size=8),
             st.sampled_from([0, -(2**63), 2**63]),
+            st.booleans(),
         )
     )
 )
 @settings(max_examples=100)
 def test_a_relabelling_scale_matrix_packs_the_relabelled_rows(case):
-    perms, exps, powers, low = case
+    perms, exps, powers, low, wide = case
     n = len(perms[0])
     rows = [e + [p] for e, p in zip(exps, powers)]
-    # every exponent column within one range, so any of them may land anywhere
-    layout = RowLayout([low] * n + [-9], [5 + 2**61 * (low != 0)] * n + [18])
+    # every exponent column within one range, so any of them may land
+    # anywhere; wide columns take past 63 bits, and so Python-int keys
+    span = 2**61 + 5 if wide else 5
+    layout = RowLayout([low] * n + [-9], [span] * n + [18])
     scale = layout.scale[np.array([list(perm) + [n] for perm in perms]).T]
     matrix = as_array([[x + low if i < n else x for i, x in enumerate(r)] for r in rows], False)
     keys = pack_rows(layout, matrix, scale=scale)
