@@ -134,6 +134,16 @@ def pack_rows(layout: RowLayout, parts: np.ndarray, powers=None, shift: int = 0,
     return (keys + np.uint64(offset % (1 << 64))).view(np.int64)
 
 
+def key_runs(keys: np.ndarray):
+    """The order that sorts ``keys``, the sorted keys, and the start of each
+    run of equal keys among them."""
+    order = keys.argsort()
+    ordered = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return order, ordered, first.nonzero()[0]
+
+
 def group_keys(keys: np.ndarray, weights: np.ndarray):
     """Sum ``weights`` over equal packed keys.
 
@@ -144,15 +154,10 @@ def group_keys(keys: np.ndarray, weights: np.ndarray):
     """
     if not len(keys):
         return np.zeros(0, dtype=np.intp), weights
-    order = keys.argsort()
-    ordered = keys[order]
-    first = np.empty(len(keys), dtype=bool)
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    starts = first.nonzero()[0]
+    order, ordered, starts = key_runs(keys)
     # free the sorted copy before the weights are gathered: it lowers the
     # peak of a full staged slice
-    del ordered, first
+    del ordered
     sums = np.add.reduceat(weights[order], starts)
     keep = sums != 0
     return order[starts[keep]], sums[keep]

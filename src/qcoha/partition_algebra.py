@@ -54,7 +54,7 @@ from .kernel import (
     merged_table,
     structure_table,
 )
-from .packed import RowLayout, group_keys, narrowest_dtype, pack_rows
+from .packed import RowLayout, group_keys, key_runs, narrowest_dtype, pack_rows
 from .partitions import IntVector, Partition, sort_ascending
 from .qlaurent import QLaurent, as_rational
 from .reports import CheckReport, QuasiCommReport
@@ -304,11 +304,7 @@ def _summed(group, layout: RowLayout, dtype, term_cap: int):
     frame = np.int64 if max(-low, low + span) < 1 << 62 else object
     keys, counts, rows, weights = map(np.concatenate, zip(*bases))
     words = pack_rows(layout, keys, shift=low)
-    order = words.argsort()
-    ordered = words[order]
-    first = np.ones(len(words), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    starts = first.nonzero()[0]
+    order, ordered, starts = key_runs(words)
     if (span + 1) * len(starts) <= min(term_cap, 4 * sum(staged)):
         lows = np.full(len(starts), low, dtype=frame)
         highs = lows + span
