@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from itertools import groupby
-from operator import add, sub
+from itertools import chain, groupby
+from operator import add, eq, mul, sub
 from typing import Dict, List
 
 import numpy as np
@@ -54,7 +54,7 @@ from .kernel import (
     merged_table,
     structure_table,
 )
-from .packed import RowLayout, group_keys, key_runs, narrowest_dtype, pack_rows
+from .packed import RowLayout, key_runs, narrowest_dtype, pack_rows
 from .partitions import IntVector, Partition, sort_ascending
 from .qlaurent import QLaurent, as_rational
 from .reports import CheckReport, QuasiCommReport
@@ -96,17 +96,28 @@ def _row_bounds(blocks, d: int):
     and the c-th smallest of (part + its largest gain).  The power of q lies
     in [0, (d-1) * the sum of the block-pair products].
     """
-    size = sum(map(len, blocks))
-    lows = sorted(p for block in blocks for p in block)
-    tops = sorted(p + (d - 1) * (size - len(block)) for block in blocks for p in block)
-    pairs = (size * size - sum(len(block) ** 2 for block in blocks)) // 2
-    return lows + [0], [hi - lo for hi, lo in zip(tops, lows)] + [(d - 1) * pairs]
+    sizes = list(map(len, blocks))
+    size = sum(sizes)
+    lows = sorted(chain(*blocks))
+    tops = sorted([p + (d - 1) * (size - len(block)) for block in blocks for p in block])
+    spans = list(map(sub, tops, lows))
+    lows.append(0)
+    spans.append((d - 1) * ((size * size - sum(map(mul, sizes, sizes))) // 2))
+    return lows, spans
 
 
 # twice the 6 285 basis products ``verify assoc`` computes at its defaults,
 # its largest working set, so a long batch stays bounded without evicting
 # them; at the defaults those entries hold 5.5 MB of arrays (9.9 MB as rows)
 BASIS_CACHE_SIZE = 1 << 14
+
+
+@lru_cache(maxsize=256)
+def _product_dtypes(e: int):
+    """The dtypes of a basis product with ``e`` linear factors: that of its
+    counts and powers, [0, e + 1], and that of its coefficients."""
+    bound = coefficient_bound(e)
+    return narrowest_dtype(0, e + 1), narrowest_dtype(-bound, bound)
 
 
 @lru_cache(maxsize=BASIS_CACHE_SIZE)
@@ -117,48 +128,51 @@ def _basis_product(mu: Partition, nu: Partition, d: int):
     ``counts[i]`` powers of q, increasing, and their nonzero coefficients.
     Keys take the row dtype of ``_row_bounds``' layout, counts and powers
     that of [0, (d-1)*m*n + 1], and coefficients that of
-    +-``coefficient_bound((d-1)*m*n)``.  Callers check their own term cap
-    first and must not mutate the returned arrays.
+    +-``coefficient_bound((d-1)*m*n)`` (``_product_dtypes``).  Callers check
+    their own term cap first and must not mutate the returned arrays.
+
+    The rows are grouped in one sort: ``key_runs`` of the packed (key,
+    power) words gives the runs of equal words, whose summed weights are
+    the coefficients, zeros dropped.  A word is its key's bits above its
+    power's, so among the kept words, in sorted order, a key starts where
+    the bits above the power change.
     """
     layout = RowLayout(*_row_bounds((mu, nu), d))
-    e = (d - 1) * len(mu) * len(nu)
-    coeff_dtype = narrowest_dtype(-coefficient_bound(e), coefficient_bound(e))
-    power_dtype = narrowest_dtype(0, e + 1)
+    power_dtype, coeff_dtype = _product_dtypes((d - 1) * len(mu) * len(nu))
     if not mu or not nu:
         # the other factor's key at power 0
         ones = np.ones(1, dtype=power_dtype)
         return np.array([mu + nu], dtype=layout.row_dtype), ones, ones - 1, ones.astype(coeff_dtype)
     m, n = len(mu), len(nu)
-    runs = _runs(mu) + _runs(nu)
-    if max(runs) == 1:
+    if any(map(eq, mu[1:], mu)) or any(map(eq, nu[1:], nu)):
+        exps, powers, weights = merged_table(m, n, d, _runs(mu) + _runs(nu))
+    else:
         # nothing to merge: the table's own arrays, which only its cache keeps
         table = structure_table(m, n, d, sys.maxsize)
         exps, powers, weights = table.exps, table.powers, table.weights
-    else:
-        exps, powers, weights = merged_table(m, n, d, runs)
     # the narrow exponents are widened to the offsets' dtype before the
     # per-row sort: numpy 2.4 sorts short int8 and int16 rows more slowly
     # than int64 ones
     offsets = _offsets(mu + nu)
-    keys = exps.astype(offsets.dtype)
-    keys += offsets
+    keys = np.add(exps, offsets, dtype=offsets.dtype)
     keys.sort(axis=1)
-    packed = pack_rows(layout, keys, powers)
-    index, sums = group_keys(packed, weights)
-    # a grouped word is its key's bits above its power's (low 0): a key
-    # starts where those bits change, and only its first row is kept
-    words = packed[index]
+    order, words, starts = key_runs(pack_rows(layout, keys, powers))
+    sums = np.add.reduceat(weights[order], starts)
+    kept = sums != 0
+    starts = starts[kept]
+    words = words[starts]
     width = layout.widths[-1]
     heads = words >> width
-    marks = np.ones(len(words) + 1, dtype=bool)
+    marks = np.empty(len(words) + 1, dtype=bool)
+    marks[0] = marks[-1] = True
     np.not_equal(heads[1:], heads[:-1], out=marks[1:-1])
     marks = marks.nonzero()[0]
-    starts = marks[:-1]
+    firsts = marks[:-1]
     return (
-        keys[index[starts]].astype(layout.row_dtype),
-        (marks[1:] - starts).astype(power_dtype),
+        keys[order[starts[firsts]]].astype(layout.row_dtype),
+        (marks[1:] - firsts).astype(power_dtype),
         (words & ((1 << width) - 1)).astype(power_dtype),
-        sums.astype(coeff_dtype, copy=False),
+        sums[kept].astype(coeff_dtype, copy=False),
     )
 
 
@@ -201,7 +215,7 @@ def _dense(counts, powers, coeffs):
     widths = powers[stops - 1] - lows + 1
     ends = widths.cumsum()
     cells = np.zeros(ends[-1], dtype=coeffs.dtype)
-    cells[np.repeat(ends - widths - lows, counts) + powers] = coeffs
+    cells[(ends - widths - lows).repeat(counts) + powers] = coeffs
     return lows, ends, cells
 
 
@@ -271,20 +285,25 @@ def _bilinear_keys(sides, d: int, term_cap: int, layouts, budget=None):
     bound = 0
     integral = True
     for pairs, counts, powers, coeffs, top in sides:
+        # a pair's build charge, its key length and its coefficient bound
+        # read only its shape, so each is taken once per shape of the side
+        shapes = [(len(k1), len(k2)) for k1, k2 in pairs]
+        fixed = {(m, n): (m + n, coefficient_bound((d - 1) * m * n)) for m, n in set(shapes)}
         if budget is not None:
-            budget(sum(_check_shape(len(k1), len(k2), d, term_cap) * (len(k1) + len(k2) + 1) for k1, k2 in pairs))
+            budget(sum(_check_shape(m, n, d, term_cap) * (m + n + 1) * shapes.count((m, n)) for m, n in fixed))
         integral = integral and top is not None
         ps = powers.tolist()
         staged = work = stop = 0
-        for (k1, k2), n in zip(pairs, counts):
+        for (k1, k2), shape, n in zip(pairs, shapes, counts):
+            length, most = fixed[shape]
             basis = _basis_product(k1, k2, d)
             start, stop = stop, stop + n
             rows = len(basis[2]) * n
             staged += rows
-            work += rows * (len(k1) + len(k2) + 1)
+            work += rows * (length + 1)
             if integral:
-                bound += top * n * coefficient_bound((d - 1) * len(k1) * len(k2))
-            by_len.setdefault(len(k1) + len(k2), []).append(
+                bound += top * n * most
+            by_len.setdefault(length, []).append(
                 (basis, ps[start], ps[stop - 1], powers[start:stop], coeffs[start:stop], rows)
             )
         if staged > term_cap:
@@ -306,8 +325,10 @@ def _summed(group, layout: RowLayout, dtype, term_cap: int):
     words = pack_rows(layout, keys, shift=low)
     order, ordered, starts = key_runs(words)
     if (span + 1) * len(starts) <= min(term_cap, 4 * sum(staged)):
+        # every group spans the layout's powers, and so all fit the cap
         lows = np.full(len(starts), low, dtype=frame)
-        highs = lows + span
+        ends = np.arange(span + 1, (span + 1) * (len(starts) + 1), span + 1, dtype=frame)
+        origins = ends - (low + span + 1)
     else:
         sizes = [len(basis[1]) for basis in bases]
         stops = counts.cumsum()
@@ -315,14 +336,16 @@ def _summed(group, layout: RowLayout, dtype, term_cap: int):
         most = rows[stops - 1] + np.array(lasts, dtype=frame).repeat(sizes)
         lows = np.minimum.reduceat(least[order], starts)
         highs = np.maximum.reduceat(most[order], starts)
-    spans = highs - lows
-    widest = int(spans.max()) + 1
-    if widest > term_cap:
-        raise ResourceLimitError("a coefficient spans %d powers of q, cap %d" % (widest, term_cap))
-    ends = (spans + 1).cumsum()
+        spans = highs - lows
+        widest = int(spans.max()) + 1
+        if widest > term_cap:
+            raise ResourceLimitError("a coefficient spans %d powers of q, cap %d" % (widest, term_cap))
+        ends = (spans + 1).cumsum()
+        origins = ends - 1 - highs
     heads = ordered[starts]
-    # a basis row's cell at power 0 of its pair's coefficient
-    at = np.repeat((ends - 1 - highs)[heads.searchsorted(words)], counts) + rows
+    # a basis row's cell at power 0 of its pair's coefficient: its group's
+    # origin (the group's cell of power 0) plus the row's own power
+    at = origins[heads.searchsorted(words)].repeat(counts) + rows
     ps = np.concatenate(powers).astype(frame, copy=False)
     cs = np.concatenate(coeffs).astype(dtype, copy=False)
     cells = np.zeros(int(ends[-1]), dtype=dtype)
@@ -333,10 +356,8 @@ def _summed(group, layout: RowLayout, dtype, term_cap: int):
         sizes = [len(basis[2]) for basis, _ in run]
         rows, rows_before = rows + sum(sizes), rows
         terms, terms_before = terms + width * len(sizes), terms
-        shifts, scales = (
-            np.repeat(a[terms_before:terms].reshape(len(sizes), width).T, sizes, axis=1)
-            for a in (ps, cs)
-        )
+        shifts = ps[terms_before:terms].reshape(len(sizes), width).T.repeat(sizes, axis=1)
+        scales = cs[terms_before:terms].reshape(len(sizes), width).T.repeat(sizes, axis=1)
         places = (shifts + at[rows_before:rows]).ravel().astype(np.intp, copy=False)
         np.add.at(cells, places, (scales * weights[rows_before:rows]).ravel())
     return heads, lows, ends, cells

@@ -8,14 +8,16 @@ the same nonzero sums.  Layouts reach lows at and past +-2**63 and fields of
 63 bits (int64 keys) and 64 bits (Python-int keys).
 """
 import ast
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcoha.packed as packed
-from qcoha.packed import RowLayout, group_chunks, group_keys, group_rows, pack_rows
+from qcoha.packed import RowLayout, group_chunks, group_keys, group_rows, key_runs, pack_rows
 
 LOWS = [0, -3, 5, 2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 2**70]
 
@@ -165,6 +167,89 @@ def test_a_relabelling_scale_matrix_packs_the_relabelled_rows(case):
         moved = np.empty_like(matrix)
         moved[:, list(perm) + [n]] = matrix
         assert keys[:, i].tolist() == pack_rows(layout, moved).tolist()
+
+
+def eager_fields(lows, spans):
+    # every field of a layout as the constructor once made them all up
+    # front, one formula each
+    widths = [span.bit_length() for span in spans]
+    shifts = list(accumulate(widths[:0:-1], initial=0))[::-1]
+    bits = shifts[0] + widths[0]
+    fits = bits <= 63 and -(2**63) <= min(lows) and max(lows) <= 2**63 - 1
+    scale = [1 << shift if width else 0 for shift, width in zip(shifts, widths)]
+    return {
+        "widths": widths,
+        "shifts": shifts,
+        "dtype": np.int64 if fits else object,
+        "row_dtype": narrowest(min(lows), max(lo + span for lo, span in zip(lows, spans))),
+        "base": sum(lo * sc for lo, sc in zip(lows, scale)),
+        "step": scale[-1],
+        "scale": (scale, np.dtype(np.uint64 if fits else object)),
+    }
+
+
+@given(st.integers(1, 5).flatmap(bounds), st.booleans())
+@settings(max_examples=300)
+# every span 0: no column takes a bit, and every key is 0
+@example(([5, -3, 2**70], [0, 0, 0]), False)
+# 63 bits on lows at both ends of int64: int64 keys
+@example(([-(2**63), 2**63 - 1], [2**62, 2**62 - 1]), True)
+# 64 bits: Python-int keys, though every low fits int64
+@example(([0, 0], [2**63, 1]), False)
+# a low past int64 with a few bits: Python-int keys
+@example(([2**63, 0], [3, 0]), True)
+def test_fields_made_on_demand_equal_the_eager_formulas(case, unpack_first):
+    lows, spans = case
+    want = eager_fields(lows, spans)
+    layout = RowLayout(lows, spans)
+    # the row dtype is made only when it is read
+    assert "row_dtype" not in vars(layout)
+    if unpack_first:
+        assert np.dtype(layout.row_dtype) == want["row_dtype"]
+    assert layout.widths == want["widths"] and layout.shifts == want["shifts"]
+    assert layout.dtype is want["dtype"]
+    assert layout.base == want["base"] and type(layout.base) is int
+    assert layout.step == want["step"] and type(layout.step) is int
+    assert (layout.scale.tolist(), layout.scale.dtype) == want["scale"]
+    assert all(type(x) is int for x in layout.scale.tolist())
+    assert layout.row_dtype in (np.int8, np.int16, np.int32, np.int64, object)
+    assert np.dtype(layout.row_dtype) == want["row_dtype"]
+    # read once, it is kept
+    assert vars(layout)["row_dtype"] is layout.row_dtype
+
+
+def starts_of_runs(values):
+    return [i for i, v in enumerate(values) if i == 0 or v != values[i - 1]]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("keys", [[], [7], [4, 4, 4], [3, -1, 3, 2**62, -1]])
+def test_key_runs_of_no_one_equal_and_mixed_keys(keys, dtype):
+    array = np.array(keys, dtype=dtype)
+    order, ordered, starts = key_runs(array)
+    assert ordered.tolist() == sorted(keys) == array[order].tolist()
+    assert starts.tolist() == starts_of_runs(sorted(keys))
+    assert order.dtype == starts.dtype == np.intp
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize(
+    "keys, weights",
+    [
+        ([], []),
+        ([7], [3]),
+        ([7], [0]),
+        ([4, 4, 4], [1, 2, -1]),
+        ([4, 4, 4], [1, -2, 1]),
+        # every sum zero, over several keys
+        ([5, 2, 5, 2, 9], [1, 4, -1, -4, 0]),
+    ],
+)
+def test_group_keys_of_no_one_equal_and_cancelling_keys(keys, weights, dtype):
+    index, sums = group_keys(np.array(keys, dtype=np.int64), np.array(weights, dtype=dtype))
+    want = reference([[k] for k in keys], weights)
+    assert [([keys[i]], s) for i, s in zip(index.tolist(), sums.tolist())] == want
+    assert sums.dtype == np.dtype(dtype) and index.dtype == np.intp
 
 
 def test_the_packed_module_imports_no_qcoha_module():

@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 from qcoha import kernel, partition_algebra
 from qcoha.bipartite import product_via_graphs
 from qcoha.errors import ResourceLimitError
-from qcoha.kernel import DEFAULT_TERM_CAP, structure_table
+from qcoha.kernel import DEFAULT_TERM_CAP, coefficient_bound, structure_table
 from qcoha.partition_algebra import (
     _basis_product,
+    _bilinear_keys,
+    _certified_layouts,
+    _check_shape,
     check_associativity,
     grading_failures,
     product,
@@ -22,7 +25,7 @@ from qcoha.partition_algebra import (
     specialize,
 )
 from qcoha.partitions import partitions_up_to, sort_ascending
-from qcoha.qlaurent import ONE, Q, QLaurent, q_power
+from qcoha.qlaurent import ONE, Q, ZERO, QLaurent, q_power
 from qcoha.shuffle_algebra import verify_homomorphism
 
 
@@ -253,6 +256,82 @@ def reference_product_elements(e1, e2, d):
 @settings(max_examples=25)
 def test_bilinear_matches_reference_fold(e1, e2, d):
     assert product_elements(e1, e2, d) == reference_product_elements(e1, e2, d)
+
+
+# one side of six pair shapes, most of them met by several pairs: e1 keys
+# of lengths 0, 1 and 2, e2 keys of lengths 1 and 3, and coefficients of
+# one to three terms
+MIXED_E1 = {(): QL(0, 2, 1), (1,): QL(-1, 1, 0, -3), (3,): ONE, (0, 2): QL(2, 1), (1, 1): QL(1, -1)}
+MIXED_E2 = {(0,): QL(0, 1, -1), (2,): Q, (1, 1, 2): QL(2, 5)}
+
+
+def mixed_side(d, top=None):
+    # the side product_elements stages for MIXED_E1 * MIXED_E2, with its
+    # certified layouts; ``top`` replaces the bound of its coefficients
+    terms = [
+        (k1, k2) + tuple(zip(*(c1 * c2).items()))
+        for k1, c1 in MIXED_E1.items()
+        for k2, c2 in MIXED_E2.items()
+    ]
+    coeffs = [c for _, _, _, cs in terms for c in cs]
+    side = (
+        [(k1, k2) for k1, k2, _, _ in terms],
+        [len(ps) for _, _, ps, _ in terms],
+        np.array([p for _, _, ps, _ in terms for p in ps], dtype=object),
+        np.array(coeffs, dtype=object),
+        max(map(abs, coeffs)) if top is None else top,
+    )
+    return side, _certified_layouts(terms, d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_side_of_mixed_pair_shapes_is_the_sum_of_its_pairs(d):
+    want = {}
+    for k1, c1 in MIXED_E1.items():
+        for k2, c2 in MIXED_E2.items():
+            for key, c in product(k1, k2, d).items():
+                want[key] = want.get(key, ZERO) + c1 * c2 * c
+    assert product_elements(MIXED_E1, MIXED_E2, d) == {k: c for k, c in want.items() if c}
+    assert len({(len(k1), len(k2)) for k1, k2 in mixed_side(d)[0][0]}) == 6
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_side_of_mixed_pair_shapes_is_charged_per_pair(d):
+    # each build charged the rows of its shape's table times its width,
+    # summed over the pairs, then the staged rows times their width
+    side, layouts = mixed_side(d)
+    pairs, counts = side[0], side[1]
+    for k1, k2 in pairs:
+        _check_shape(len(k1), len(k2), d, DEFAULT_TERM_CAP)
+    builds = sum(
+        _check_shape(len(k1), len(k2), d, DEFAULT_TERM_CAP) * (len(k1) + len(k2) + 1) for k1, k2 in pairs
+    )
+    staged = sum(
+        len(_basis_product(k1, k2, d)[2]) * n * (len(k1) + len(k2) + 1)
+        for (k1, k2), n in zip(pairs, counts)
+    )
+    charged = []
+    _bilinear_keys([side], d, DEFAULT_TERM_CAP, layouts, charged.append)
+    assert charged == [builds, staged]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_int64_staging_ends_at_the_bound_summed_over_pairs(d):
+    # cells sum in int64 while top * counts[i] * coefficient_bound of pair
+    # i, summed over the pairs, fits int64, and in Python ints past it
+    side, layouts = mixed_side(d)
+    pairs, counts = side[0], side[1]
+    per_top = sum(
+        n * coefficient_bound((d - 1) * len(k1) * len(k2)) for (k1, k2), n in zip(pairs, counts)
+    )
+    edge = (2**63 - 1) // per_top
+    sums = []
+    for top, dtype in ((edge, np.int64), (edge + 1, object)):
+        side, _ = mixed_side(d, top)
+        got = _bilinear_keys([side], d, DEFAULT_TERM_CAP, layouts)
+        assert {cells.dtype for _, _, _, cells in got.values()} == {np.dtype(dtype)}
+        sums.append({n: cells.tolist() for n, (_, _, _, cells) in got.items()})
+    assert sums[0] == sums[1]
 
 
 def test_cancelling_terms_are_dropped():
