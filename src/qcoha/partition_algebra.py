@@ -285,27 +285,29 @@ def _bilinear_keys(sides, d: int, term_cap: int, layouts, budget=None):
     bound = 0
     integral = True
     for pairs, counts, powers, coeffs, top in sides:
-        # a pair's build charge, its key length and its coefficient bound
-        # read only its shape, so each is taken once per shape of the side
+        # a pair's build charge, its width, its coefficient bound and its
+        # group read only its shape, so each is taken once per shape, in the
+        # order the shapes first appear
         shapes = [(len(k1), len(k2)) for k1, k2 in pairs]
-        fixed = {(m, n): (m + n, coefficient_bound((d - 1) * m * n)) for m, n in set(shapes)}
+        fixed = {
+            (m, n): (m + n + 1, coefficient_bound((d - 1) * m * n), by_len.setdefault(m + n, []))
+            for m, n in dict.fromkeys(shapes)
+        }
         if budget is not None:
             budget(sum(_check_shape(m, n, d, term_cap) * (m + n + 1) * shapes.count((m, n)) for m, n in fixed))
         integral = integral and top is not None
         ps = powers.tolist()
         staged = work = stop = 0
         for (k1, k2), shape, n in zip(pairs, shapes, counts):
-            length, most = fixed[shape]
+            width, most, group = fixed[shape]
             basis = _basis_product(k1, k2, d)
             start, stop = stop, stop + n
             rows = len(basis[2]) * n
             staged += rows
-            work += rows * (length + 1)
+            work += rows * width
             if integral:
                 bound += top * n * most
-            by_len.setdefault(length, []).append(
-                (basis, ps[start], ps[stop - 1], powers[start:stop], coeffs[start:stop], rows)
-            )
+            group.append((basis, ps[start], ps[stop - 1], powers[start:stop], coeffs[start:stop], rows))
         if staged > term_cap:
             raise ResourceLimitError("bilinear product stages %d rows, cap %d" % (staged, term_cap))
         if budget is not None:
