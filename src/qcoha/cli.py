@@ -32,6 +32,7 @@ from .errors import NotSymmetricError, ResourceLimitError
 from .kernel import (
     DEFAULT_TERM_CAP,
     KernelSpec,
+    check_kernel_size,
     check_term_cap,
     kernel_polynomial,
     structure_constants,
@@ -144,6 +145,10 @@ def run_g(
     """kernel polynomial or its structure constants"""
     check_term_cap(term_cap)
     spec = KernelSpec(m=m, n=n, d=d, shift=shift)
+    # a shifted table is malformed whatever its size: structure_constants
+    # refuses it as such
+    if not (table and shift):
+        check_kernel_size(spec, term_cap)
     if table:
         tab = structure_constants(spec, term_cap)
         return {

@@ -29,7 +29,8 @@ format of ``packed``, checked against a dict on its own by
 ``tests/test_packed.py``.  Both expansions collect like monomials after
 every factor, which never leaves more than the stored terms times the
 factor's, and a configurable cap on that product, checked before each
-factor, raises ResourceLimitError.
+factor, raises ResourceLimitError.  ``check_kernel_size`` refuses a kernel
+that cannot fit the cap before anything of its size is built.
 
 Integer rows are packed, grouped and unpacked by ``packed``: a certified
 ``RowLayout`` gives each row one 1-D sort key and unpacks keys into rows of
@@ -100,6 +101,37 @@ def _check_projected(rows: int, width: int, term_cap: int) -> None:
         raise ResourceLimitError(
             "projected term count %d exceeds cap %d" % (rows * width, term_cap)
         )
+
+
+def check_kernel_size(spec: KernelSpec, term_cap: int) -> None:
+    """Refuse a kernel too large for ``term_cap`` before anything of its
+    size is built: its pairs, its rows, its coefficient bound or its layout.
+
+    While the leading factors, in ``block_pairs`` order, form a forest, no
+    two of their terms share a monomial (a leaf's exponent gives its edge's
+    term), so a fold stages exactly d**j rows after j of them; those are
+    checked as the fold checks them, with its message.  They are the first
+    m + 1 factors, or all of them when m or n is 1.  Past them, terms of one
+    power of q never cancel (``coefficient_bound``), so the kernel has at
+    least (d-1)*m*n + 1 terms, one per power, and each of its rows holds
+    ``spec.arity`` cells; either past the cap is refused.  At d = 1 nothing
+    is folded and the cap has never applied, so the kernel's one row is
+    refused only past the larger of the cap and DEFAULT_TERM_CAP.
+    """
+    check_term_cap(term_cap)
+    m, n, d = spec.m, spec.n, spec.d
+    limit = term_cap
+    if d > 1:
+        rows = 1
+        # ends within log_d(term_cap) + 1 steps, however many factors
+        for _ in range(m * n if min(m, n) == 1 else m + 1):
+            _check_projected(rows, d, term_cap)
+            rows *= d
+        _check_projected(1, (d - 1) * m * n + 1, term_cap)
+    else:
+        limit = max(term_cap, DEFAULT_TERM_CAP)
+    if spec.arity > limit:
+        raise ResourceLimitError("kernel arity %d exceeds cap %d" % (spec.arity, limit))
 
 
 def _check_pair(arity: int, s: int, t: int) -> None:

@@ -7,8 +7,12 @@ validate shape and reject anything malformed with ValueError so the CLI can
 map it to a parse error.  ``grouped_json_text`` writes a basis product's
 JSON text straight from its cached arrays (see ``partition_algebra``):
 the bytes of ``json.dumps(element_to_json(...))`` of its QLaurent dict, with
-no QLaurent, no dict tree and no encoder pass; ``orientations_json_text``
-writes the orientation listing of ``graphs --list`` the same way.
+no QLaurent, no dict tree and no encoder pass.  Three scatters lay every
+term's parts, offset and dense coefficients into one flat integer array, and
+one format call writes it through a template joined from one term template
+per coefficient width, built for that element only, so nothing is cached
+between requests.  ``orientations_json_text`` writes the orientation listing
+of ``graphs --list`` with one template per orientation.
 
 Text and LaTeX come from one renderer per kind of value (``render_qlaurent``,
 ``render_element`` and so on), each given a ``Style``: the spellings of one
@@ -22,9 +26,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
+import numpy as np
+
 from .kernel import StructureConstantTable
 from .mpoly import MPoly
-from .partition_algebra import PartitionElement, _dense
+from .partition_algebra import PartitionElement
 from .partitions import Partition
 from .qlaurent import QLaurent, Rational, as_rational
 from .shuffle_algebra import GradedElement, SymmetricElement
@@ -119,24 +125,34 @@ def grouped_json_text(keys, counts, powers, coeffs, d: int) -> str:
     """``json.dumps(element_to_json(e, d))`` for the basis product e, or the
     orientation sum, given key-major (``partition_algebra._basis_product``).
 
-    The keys share one length and come in order, so they come out in
-    canonical order with no sort.  Their dense coefficient vectors
-    (``partition_algebra._dense``) are written by one template, in one
-    format call for the whole element.
+    The keys share one length k and come in order, so they come out in
+    canonical order with no sort.  Term i is k + 1 + w fields of one flat
+    array: its parts, its offset (its least power) and the w coefficients
+    from that power to its greatest, zeros in the gaps.  The array is int64,
+    or object when the keys or the coefficients are; the offsets and every
+    position are int64 whatever the powers' dtype.  The template joins, in
+    key order, one term template per distinct size k + 1 + w of this
+    element, and one format call writes the whole element.
     """
-    lows, ends, dense = _dense(counts, powers, coeffs)
-    text = list(map(str, dense.tolist()))
-    ends = ends.tolist()
-    cells = map(text.__getitem__, map(slice, [0] + ends[:-1], ends))
-    # the template's arguments, term by term: the parts, the offset, the coefficients
     n, k = keys.shape
-    args = [None] * (n * (k + 2))
-    for j, column in enumerate(keys.T.tolist()):
-        args[j :: k + 2] = column
-    args[k :: k + 2] = lows.tolist()
-    args[k + 1 :: k + 2] = map('", "'.join, cells)
-    term = '{"partition": [' + ", ".join(["%d"] * k) + '], "coeff": {"offset": %d, "coeffs": ["%s"]}}'
-    return ('{"d": %d, "terms": [' % d + ", ".join([term] * n) + "]}") % tuple(args)
+    stops = counts.cumsum()
+    lows = powers[stops - counts].astype(np.int64)
+    highs = powers[stops - 1]
+    sizes = highs - lows + (k + 2)
+    ends = sizes.cumsum()
+    # the position of each term's power 0, and of its offset
+    zeros = ends - highs - 1
+    offsets = zeros + lows - 1
+    flat = np.zeros(ends[-1], dtype=object if object in (keys.dtype, coeffs.dtype) else np.int64)
+    flat[offsets[:, None] - np.arange(k, 0, -1)] = keys
+    flat[offsets] = lows
+    flat[zeros.repeat(counts) + powers] = coeffs
+    sizes = sizes.tolist()
+    # parts and offsets as %d writes them, coefficients as str does
+    head = '{"partition": [' + ", ".join(["%d"] * k) + '], "coeff": {"offset": %d, "coeffs": ["'
+    terms = {s: head + '", "'.join(["%s"] * (s - k - 1)) + '"]}}' for s in set(sizes)}
+    template = '{"d": %d, "terms": [' + ", ".join(map(terms.__getitem__, sizes)) + "]}"
+    return template % (d, *flat.tolist())
 
 
 def orientations_json_text(keys, powers) -> str:

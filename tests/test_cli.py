@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import os
+import random
 import re
 import select
 import subprocess
@@ -18,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcoha.cli as cli_mod
-from qcoha import kernel, partition_algebra, product, serialization, specialize, suites
+from qcoha import MPoly, kernel, partition_algebra, product, serialization, specialize, suites
 from qcoha.cli import main
-from qcoha.errors import NotSymmetricError
+from qcoha.errors import NotSymmetricError, ResourceLimitError
 from qcoha.reports import CheckReport
 from qcoha.serialization import (
     STYLES,
@@ -187,6 +188,15 @@ def test_graphs_with_orientations(capsys):
         "coeff": {"offset": 1, "coeffs": ["-1"]},
     }
     validate(payload, "graphs")
+
+
+def test_graphs_list_bytes_are_the_element_json_and_its_orientations(capsys):
+    code, out, err = run(capsys, ["graphs", "--left", "0,1", "--right", "0,2", "--list"])
+    assert (code, err) == (0, "")
+    listed = json.loads(out)["orientations"]
+    assert len(listed) == 16
+    want = dict(element_to_json(product((0, 1), (0, 2), 2), 2), orientations=listed)
+    assert out == json.dumps(want) + "\n"
 
 
 def test_specialize_pipe(capsys, monkeypatch):
@@ -789,6 +799,40 @@ def test_batch_matches_the_library_on_the_bench_requests(monkeypatch):
     assert re.fullmatch(r"projected term count \d+ exceeds cap 1", capped["error"]["message"])
 
 
+def _seeded_multiply_requests(seed, count):
+    """Multiply requests at d = 2, 3, 4 of shapes up to (3, 2), some with
+    parts past int64, drawn from ``seed``."""
+    rng = random.Random(seed)
+    requests = []
+    for _ in range(count):
+        base = rng.choice([0, 0, 0, 50, 2**63])
+        mu, nu = (
+            sorted(base + rng.randint(0, 6) for _ in range(rng.randint(0, top)))
+            for top in (3, 2)
+        )
+        requests.append({"cmd": "multiply", "d": rng.randint(2, 4), "left": mu, "right": nu})
+    return requests
+
+
+def test_batch_lines_are_the_element_json_cold_and_warm(monkeypatch):
+    requests = _seeded_multiply_requests(2801, 300)
+    text = "".join(json.dumps(r) + "\n" for r in requests)
+    _fresh_caches(monkeypatch, partition_algebra.BASIS_CACHE_SIZE, kernel.TABLE_CACHE_SIZE)
+    answers = []
+    for _ in range(2):
+        out = io.StringIO()
+        assert cli_mod.run_batch(io.StringIO(text), out) == 0
+        answers.append(out.getvalue().splitlines())
+    info = partition_algebra._basis_product.cache_info()
+    assert info.hits >= len(requests) and info.misses > 100
+    want = [
+        json.dumps({"ok": True, "result": element_to_json(product(r["left"], r["right"], r["d"]), r["d"])})
+        for r in requests
+    ]
+    cold, warm = answers
+    assert cold == want and warm == want
+
+
 # int64 rows, keys past int64, an empty factor, and coefficients past int64
 CANONICAL_PRODUCTS = GROUPED_PRODUCTS + [(71, (0,), (0,))]
 
@@ -938,6 +982,67 @@ HUGE_FIRST_FACTORS = [
         "projected term count 2 exceeds cap 1",
     ),
 ]
+
+
+# the first two ended a batch session with a traceback, in MPoly.constant
+# and in coefficient_bound, and the next three ran out of memory or did the
+# same.  A fold of m = 10**30 factors fails at its 23rd, which is named; with
+# m = 2 its leading factors pass, and the least term count is named.  The
+# last two were answered, or refused by a later factor, under a small cap
+KERNELS_TOO_LARGE = [
+    (
+        {"cmd": "g", "d": 2, "m": 1, "n": 1, "shift": 10**30},
+        "kernel arity %d exceeds cap 5000000" % (10**30 + 2),
+    ),
+    (
+        {"cmd": "g", "d": 2, "m": 10**30, "n": 1, "table": True},
+        "projected term count %d exceeds cap 5000000" % 2**23,
+    ),
+    (
+        {"cmd": "g", "d": 2, "m": 10**30, "n": 1},
+        "projected term count %d exceeds cap 5000000" % 2**23,
+    ),
+    (
+        {"cmd": "g", "d": 2, "m": 2, "n": 10**30, "table": True},
+        "projected term count %d exceeds cap 5000000" % (2 * 10**30 + 1),
+    ),
+    (
+        {"cmd": "g", "d": 1, "m": 1, "n": 1, "shift": 10**30},
+        "kernel arity %d exceeds cap 5000000" % (10**30 + 2),
+    ),
+    (
+        {"cmd": "g", "d": 1, "m": 10**30, "n": 1, "table": True, "term_cap": 10**7},
+        "kernel arity %d exceeds cap 10000000" % (10**30 + 1),
+    ),
+    (
+        {"cmd": "g", "d": 2, "m": 1, "n": 1, "shift": 1, "term_cap": 2},
+        "kernel arity 3 exceeds cap 2",
+    ),
+    (
+        {"cmd": "g", "d": 2, "m": 2, "n": 4, "term_cap": 8},
+        "projected term count 9 exceeds cap 8",
+    ),
+]
+
+
+@pytest.mark.parametrize("request_,message", KERNELS_TOO_LARGE)
+def test_a_kernel_too_large_is_refused_before_it_is_built(capsys, monkeypatch, request_, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the kernel's size was checked")
+
+    with monkeypatch.context() as patched:
+        for name in ("block_pairs", "coefficient_bound", "_table_layout"):
+            patched.setattr(kernel, name, refuse)
+        patched.setattr(MPoly, "constant", refuse)
+        with pytest.raises(ResourceLimitError, match="^%s$" % message):
+            cli_mod.run_request(request_)
+    requests = [request_, {"cmd": "multiply", "d": 2, "left": [0], "right": [0]}]
+    text = "".join(json.dumps(r) + "\n" for r in requests)
+    code, out, _ = run(capsys, ["batch"], stdin_text=text, monkeypatch=monkeypatch)
+    refused, answered = map(json.loads, out.splitlines())
+    assert code == 0
+    assert refused == {"ok": False, "error": {"code": "resource", "message": message}}
+    assert answered["ok"] is True
 
 
 @pytest.mark.parametrize("argv,request_,message", HUGE_FIRST_FACTORS)

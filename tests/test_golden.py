@@ -217,3 +217,25 @@ def test_golden_output(capsys, monkeypatch, argv, stdin, code, outputs, fmt):
     captured = capsys.readouterr()
     assert captured.out == outputs[fmt]
     assert captured.err == ""
+
+
+# each of the two g requests ended a batch session with a traceback, in
+# MPoly.constant and in coefficient_bound, so the multiply was never answered
+BATCH_STDIN = (
+    '{"cmd": "g", "d": 2, "m": 1, "n": 1, "shift": 1000000000000000000000000000000}\n'
+    '{"cmd": "g", "d": 2, "m": 1000000000000000000000000000000, "n": 1, "table": true}\n'
+    '{"cmd": "multiply", "d": 2, "left": [0, 1], "right": [1]}\n'
+)
+BATCH_STDOUT = (
+    '{"ok": false, "error": {"code": "resource", "message": "kernel arity 1000000000000000000000000000002 exceeds cap 5000000"}}\n'
+    '{"ok": false, "error": {"code": "resource", "message": "projected term count 8388608 exceeds cap 5000000"}}\n'
+    '{"ok": true, "result": {"d": 2, "terms": [{"partition": [0, 1, 3], "coeff": {"offset": 0, "coeffs": ["1"]}}, {"partition": [0, 2, 2], "coeff": {"offset": 1, "coeffs": ["-1"]}}, {"partition": [1, 1, 2], "coeff": {"offset": 1, "coeffs": ["-1", "1"]}}]}}\n'
+)
+
+
+def test_golden_batch(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(BATCH_STDIN))
+    assert main(["batch"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == BATCH_STDOUT
+    assert captured.err == ""

@@ -232,6 +232,37 @@ def test_the_first_factor_is_checked_before_anything_is_built(monkeypatch):
         structure_constants(KernelSpec(10**6, 1, 2), term_cap=1)
 
 
+def _refusal(build):
+    """The message of the ResourceLimitError ``build()`` raises, or None."""
+    try:
+        build()
+    except ResourceLimitError as exc:
+        return str(exc)
+    return None
+
+
+def test_kernel_size_refuses_only_what_the_folds_refuse():
+    # unshifted, so the arity never decides: a refusal names the folds' own
+    # first failing step, or else the least term count (d-1)*m*n + 1
+    named = {"fold": 0, "least": 0}
+    for d, m, n in itertools.product([2, 3, 4], range(1, 5), range(1, 7)):
+        spec = KernelSpec(m, n, d)
+        least = "projected term count %d exceeds cap" % ((d - 1) * m * n + 1)
+        for cap in (0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 16, 27, 30, 64, 81, 100):
+            checked = _refusal(lambda: kernel.check_kernel_size(spec, cap))
+            if checked is None:
+                continue
+            folded = {_refusal(lambda: build(spec, cap)) for build in (kernel_polynomial, structure_constants)}
+            (folded,) = folded
+            assert folded is not None
+            if checked == folded:
+                named["fold"] += 1
+            else:
+                assert checked.startswith(least + " ")
+                named["least"] += 1
+    assert named["fold"] > 700 and named["least"] > 5
+
+
 def test_term_cap_raises():
     with pytest.raises(ResourceLimitError):
         kernel_polynomial(KernelSpec(3, 3, 4), term_cap=50)

@@ -143,6 +143,9 @@ short_partitions = st.lists(
 @example((), (0, 2), 3, 2**40)
 @example((0, 1, 3), (1, 2), 4, 2**70)
 @example((0,), (0,), 71, 0)
+@example((0,), (0,), 71, 2**70)
+@example((0,), (0,), 126, 0)
+@example((), (), 126, 2**70)
 @settings(max_examples=60, deadline=None)
 def test_grouped_json_is_the_element_json(mu, nu, d, c):
     mu, nu = tuple(v + c for v in mu), tuple(v + c for v in nu)
@@ -158,6 +161,63 @@ def test_grouped_json_examples_reach_object_arrays():
     assert keys.dtype == object and coeffs.dtype == np.int8
     keys, _, _, coeffs = _basis_product((0,), (0,), 71)
     assert keys.dtype == np.int8 and coeffs.dtype == object
+    keys, _, _, coeffs = _basis_product((2**70,), (2**70,), 71)
+    assert keys.dtype == object and coeffs.dtype == object
+
+
+def test_grouped_json_examples_pass_the_range_of_their_powers():
+    # at d = 126 the powers are int8, and key (0, 125) carries powers 0 and
+    # 125 with 124 zeros between: its term's 2 + 1 + 126 fields pass 127
+    keys, counts, powers, _ = _basis_product((0,), (0,), 126)
+    assert powers.dtype == np.int8 and keys.tolist()[0] == [0, 125]
+    assert powers[: counts[0]].tolist() == [0, 125]
+    keys, counts, powers, coeffs = _basis_product((), (), 126)
+    assert keys.shape == (1, 0) and counts.tolist() == [1] and coeffs.tolist() == [1]
+
+
+_INT_RANGES = {np.int8: 127, np.int16: 2**15 - 1, np.int64: 2**63 - 1, object: 2**80}
+
+
+@st.composite
+def key_major_elements(draw):
+    """Distinct keys of one length, in order, each with {power: nonzero
+    coefficient}, and the dtypes to write them in."""
+    k = draw(st.integers(min_value=0, max_value=3))
+    key_dtype, power_dtype, coeff_dtype = (
+        draw(st.sampled_from(dtypes))
+        for dtypes in ([np.int8, np.int64, object], [np.int8, np.int16], [np.int8, np.int64, object])
+    )
+    parts = st.integers(min_value=0, max_value=_INT_RANGES[key_dtype])
+    keys = draw(
+        st.lists(
+            st.lists(parts, min_size=k, max_size=k).map(lambda v: tuple(sorted(v))),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        )
+    )
+    bound = _INT_RANGES[coeff_dtype]
+    coeffs = st.integers(min_value=-bound, max_value=bound).filter(bool)
+    # powers up to 126 with gaps: interior zeros, and terms past 127 fields
+    powers = st.dictionaries(st.integers(min_value=0, max_value=126), coeffs, min_size=1, max_size=5)
+    return {key: draw(powers) for key in sorted(keys)}, key_dtype, power_dtype, coeff_dtype
+
+
+@given(key_major_elements(), st.integers(min_value=1, max_value=2**70))
+@settings(max_examples=150, deadline=None)
+def test_grouped_json_of_any_key_major_arrays(case, d):
+    terms, key_dtype, power_dtype, coeff_dtype = case
+    rows = [sorted(terms[key].items()) for key in terms]
+    k = len(next(iter(terms)))
+    text = grouped_json_text(
+        np.array(list(terms), dtype=key_dtype).reshape(len(terms), k),
+        np.array(list(map(len, rows)), dtype=power_dtype),
+        np.array([p for row in rows for p, _ in row], dtype=power_dtype),
+        np.array([c for row in rows for _, c in row], dtype=coeff_dtype),
+        d,
+    )
+    element = {key: QLaurent.from_dict(powers) for key, powers in terms.items()}
+    assert text == json.dumps(element_to_json(element, d))
 
 
 def test_element_decode_prunes_zero_and_rejects_duplicates():
