@@ -148,10 +148,10 @@ def grouped_json_text(keys, counts, powers, coeffs, d: int) -> str:
     flat[offsets] = lows
     flat[zeros.repeat(counts) + powers] = coeffs
     sizes = sizes.tolist()
-    # parts and offsets as %d writes them, coefficients as str does
-    head = '{"partition": [' + ", ".join(["%d"] * k) + '], "coeff": {"offset": %d, "coeffs": ["'
+    # every field as str writes it: %s formats an int slightly faster than %d
+    head = '{"partition": [' + ", ".join(["%s"] * k) + '], "coeff": {"offset": %s, "coeffs": ["'
     terms = {s: head + '", "'.join(["%s"] * (s - k - 1)) + '"]}}' for s in set(sizes)}
-    template = '{"d": %d, "terms": [' + ", ".join(map(terms.__getitem__, sizes)) + "]}"
+    template = '{"d": %s, "terms": [' + ", ".join(map(terms.__getitem__, sizes)) + "]}"
     return template % (d, *flat.tolist())
 
 
