@@ -32,7 +32,9 @@ from .errors import NotSymmetricError, ResourceLimitError
 from .kernel import (
     DEFAULT_TERM_CAP,
     KernelSpec,
+    check_coefficient_digits,
     check_kernel_size,
+    check_leading_factors,
     check_term_cap,
     kernel_polynomial,
     structure_constants,
@@ -89,6 +91,9 @@ def run_multiply(
 ) -> Dict[str, object]:
     """product of two partitions"""
     check_term_cap(term_cap)
+    # the fold's own leading checks first, then coefficients too long to write
+    check_leading_factors(len(left), len(right), d, term_cap)
+    check_coefficient_digits((d - 1) * len(left) * len(right))
     if at_q is None:
         # JSON text straight from the cached grouped rows; text and LaTeX fold them
         grouped = _capped_basis_product(left, right, d, term_cap)
@@ -149,6 +154,7 @@ def run_g(
     # refuses it as such
     if not (table and shift):
         check_kernel_size(spec, term_cap)
+        check_coefficient_digits((d - 1) * m * n)
     if table:
         tab = structure_constants(spec, term_cap)
         return {

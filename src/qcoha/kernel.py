@@ -103,35 +103,51 @@ def _check_projected(rows: int, width: int, term_cap: int) -> None:
         )
 
 
-def check_kernel_size(spec: KernelSpec, term_cap: int) -> None:
-    """Refuse a kernel too large for ``term_cap`` before anything of its
-    size is built: its pairs, its rows, its coefficient bound or its layout.
+def check_leading_factors(m: int, n: int, d: int, term_cap: int) -> None:
+    """Check the leading factors of the (m, n) kernel's fold as the fold
+    checks them, with its message, before anything is built.
 
     While the leading factors, in ``block_pairs`` order, form a forest, no
     two of their terms share a monomial (a leaf's exponent gives its edge's
-    term), so a fold stages exactly d**j rows after j of them; those are
-    checked as the fold checks them, with its message.  They are the first
-    m + 1 factors, or all of them when m or n is 1.  Past them, terms of one
-    power of q never cancel (``coefficient_bound``), so the kernel has at
-    least (d-1)*m*n + 1 terms, one per power, and each of its rows holds
-    ``spec.arity`` cells; either past the cap is refused.  At d = 1 nothing
-    is folded and the cap has never applied, so the kernel's one row is
-    refused only past the larger of the cap and DEFAULT_TERM_CAP.
+    term), so a fold stages exactly d**j rows after j of them.  They are the
+    first m + 1 factors, or all of them when m or n is 1.  A kernel of an
+    empty block has no factor.
     """
-    check_term_cap(term_cap)
-    m, n, d = spec.m, spec.n, spec.d
-    limit = term_cap
-    if d > 1:
+    if d > 1 and m and n:
         rows = 1
         # ends within log_d(term_cap) + 1 steps, however many factors
         for _ in range(m * n if min(m, n) == 1 else m + 1):
             _check_projected(rows, d, term_cap)
             rows *= d
+
+
+def check_kernel_size(spec: KernelSpec, term_cap: int) -> None:
+    """Refuse a kernel too large for ``term_cap`` before anything of its
+    size is built: its pairs, its rows, its coefficient bound or its layout.
+
+    The fold's leading forest is checked first (``check_leading_factors``).
+    Past it, terms of one power of q never cancel (``coefficient_bound``),
+    so the kernel has at least (d-1)*m*n + 1 terms, one per power, and each
+    of its rows holds ``spec.arity`` cells; either past the cap is refused.
+    At d = 1 nothing is folded and the cap has never applied, so the
+    kernel's one row is refused only past the larger of the cap and
+    DEFAULT_TERM_CAP.  Under any cap a row of more than ``sys.maxsize``
+    cells is refused: no index reaches its cells.
+    """
+    check_term_cap(term_cap)
+    m, n, d = spec.m, spec.n, spec.d
+    limit = term_cap
+    check_leading_factors(m, n, d, term_cap)
+    if d > 1:
         _check_projected(1, (d - 1) * m * n + 1, term_cap)
     else:
         limit = max(term_cap, DEFAULT_TERM_CAP)
     if spec.arity > limit:
         raise ResourceLimitError("kernel arity %d exceeds cap %d" % (spec.arity, limit))
+    if spec.arity > sys.maxsize:
+        raise ResourceLimitError(
+            "kernel arity %d exceeds the index limit %d" % (spec.arity, sys.maxsize)
+        )
 
 
 def _check_pair(arity: int, s: int, t: int) -> None:
@@ -219,6 +235,28 @@ def coefficient_bound(e: int) -> int:
     factors.
     """
     return comb(e, e // 2)
+
+
+def check_coefficient_digits(e: int) -> None:
+    """Refuse a kernel of ``e`` linear factors whose ``coefficient_bound``
+    has more decimal digits than CPython writes, without computing it for a
+    huge e.
+
+    CPython writes no integer of more than ``sys.get_int_max_str_digits()``
+    digits (0 for no limit; Pythons without the function have none), so a
+    product of such coefficients would be computed in full and then fail.
+    The bound lies in [2**e / (e + 1), 2**e].  For low = floor(limit *
+    3.3219280948), a rounding of log2(10) down, 10**limit lies in [2**low,
+    2**(low + 2)) for every limit below 10**10.  So the bound itself is
+    computed only for an e within ``(e + 1).bit_length() + 2`` of low.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    low = limit * 33219280948 // 10**10
+    if limit and e >= low:
+        if e - (e + 1).bit_length() >= low + 2 or coefficient_bound(e) >= 10**limit:
+            raise ResourceLimitError(
+                "coefficient bound exceeds the %d-digit limit of integer output" % limit
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,8 +36,9 @@ dict on its own; the orientation sum (``bipartite``), the shuffle oracle's
 ``_key_major`` split and the brute force in ``perfbench/checks.py`` share
 nothing with either.
 
-``terms`` is a read-only ``{exponent: QLaurent}`` view, built on first use
-for the JSON and text renderers, ``coefficient`` and failure messages.
+``terms`` is a read-only ``{exponent: QLaurent}`` view for the JSON and
+text renderers, ``coefficient`` and failure messages, built on each read: a
+caller that looks up many exponents reads it once.
 """
 from __future__ import annotations
 
@@ -126,7 +127,7 @@ def _certified(weights: np.ndarray) -> np.ndarray:
 
 
 class MPoly:
-    __slots__ = ("arity", "rows", "weights", "_layout", "_terms")
+    __slots__ = ("arity", "rows", "weights", "_layout")
 
     def __init__(self, arity: int, terms: Mapping[Exponent, QLaurent] | None = None):
         if arity < 0:
@@ -152,7 +153,6 @@ class MPoly:
         self.rows = rows
         self.weights = weights
         self._layout = layout
-        self._terms = None
 
     @classmethod
     def _make(cls, arity: int, rows: np.ndarray, weights: np.ndarray, layout=None):
@@ -223,9 +223,7 @@ class MPoly:
     @property
     def terms(self) -> Mapping[Exponent, QLaurent]:
         """Read-only {exponent: QLaurent} view, in lexicographic exponent order."""
-        if self._terms is None:
-            self._terms = MappingProxyType(self._as_terms())
-        return self._terms
+        return MappingProxyType(self._as_terms())
 
     def _as_terms(self) -> Dict[Exponent, QLaurent]:
         count = len(self.weights)

@@ -33,26 +33,6 @@ def narrowest_dtype(lo: int, hi: int):
     return object
 
 
-class _on_demand:
-    """A field made the first time an instance reads it, then kept in the
-    instance's ``__dict__``, which shadows this descriptor from then on.
-
-    ``functools.cached_property`` does the same, but before Python 3.12 it
-    takes a lock on every first read: about 0.8 us more per layout on Python
-    3.11 and a 2-CPU Xeon, a fifth of a six-column layout's construction.
-    """
-
-    def __init__(self, make):
-        self.make = make
-        self.name = make.__name__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.make(instance)
-        return value
-
-
 class RowLayout:
     """The packed sort key of integer rows whose columns lie within bounds.
 
@@ -69,10 +49,8 @@ class RowLayout:
     ints past int64.  A bound that is too narrow makes fields overlap and
     merges distinct rows, so pass only bounds that are proven.
 
-    The constructor makes only what every packing reads, each from the
-    widths once: the shifts, ``dtype``, ``scale``, ``step`` and ``base``.
-    ``row_dtype``, read only to unpack, is made the first time it is read
-    and then kept (``_on_demand``).
+    The constructor makes every field from the widths once: the shifts,
+    ``dtype``, ``row_dtype``, ``scale``, ``step`` and ``base``.
     """
 
     def __init__(self, lows: List[int], spans: List[int]):
@@ -84,15 +62,12 @@ class RowLayout:
         self.shifts = shifts = list(accumulate(widths, sub, initial=bits))[1:]
         fits = bits <= 63 and _INT64_MIN <= min(lows) and max(lows) <= _INT64_MAX
         self.dtype = np.int64 if fits else object
+        self.row_dtype = narrowest_dtype(min(lows), max(map(add, lows, spans)))
         # a width of 0 is False, which scales its column by 0
         scale = list(map(lshift, map(bool, widths), shifts))
         self.base = sum(map(mul, lows, scale))
         self.step = scale[-1]
         self.scale = np.array(scale, dtype=np.uint64 if fits else object)
-
-    @_on_demand
-    def row_dtype(self):
-        return narrowest_dtype(min(self.lows), max(map(add, self.lows, self.spans)))
 
     def words(self, values: np.ndarray) -> np.ndarray:
         """Integers as the key's words: uint64 modulo 2**64, or Python ints."""

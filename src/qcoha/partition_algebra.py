@@ -112,14 +112,6 @@ def _row_bounds(blocks, d: int):
 BASIS_CACHE_SIZE = 1 << 14
 
 
-@lru_cache(maxsize=256)
-def _product_dtypes(e: int):
-    """The dtypes of a basis product with ``e`` linear factors: that of its
-    counts and powers, [0, e + 1], and that of its coefficients."""
-    bound = coefficient_bound(e)
-    return narrowest_dtype(0, e + 1), narrowest_dtype(-bound, bound)
-
-
 @lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _basis_product(mu: Partition, nu: Partition, d: int):
     """Memoized basis product, key-major: (keys, counts, powers, coeffs).
@@ -128,8 +120,8 @@ def _basis_product(mu: Partition, nu: Partition, d: int):
     ``counts[i]`` powers of q, increasing, and their nonzero coefficients.
     Keys take the row dtype of ``_row_bounds``' layout, counts and powers
     that of [0, (d-1)*m*n + 1], and coefficients that of
-    +-``coefficient_bound((d-1)*m*n)`` (``_product_dtypes``).  Callers check
-    their own term cap first and must not mutate the returned arrays.
+    +-``coefficient_bound((d-1)*m*n)``.  Callers check their own term cap
+    first and must not mutate the returned arrays.
 
     The rows are grouped in one sort: ``key_runs`` of the packed (key,
     power) words gives the runs of equal words, whose summed weights are
@@ -138,7 +130,9 @@ def _basis_product(mu: Partition, nu: Partition, d: int):
     the bits above the power change.
     """
     layout = RowLayout(*_row_bounds((mu, nu), d))
-    power_dtype, coeff_dtype = _product_dtypes((d - 1) * len(mu) * len(nu))
+    e = (d - 1) * len(mu) * len(nu)
+    bound = coefficient_bound(e)
+    power_dtype, coeff_dtype = narrowest_dtype(0, e + 1), narrowest_dtype(-bound, bound)
     if not mu or not nu:
         # the other factor's key at power 0
         ones = np.ones(1, dtype=power_dtype)
@@ -196,14 +190,6 @@ def _capped_basis_product(mu: Partition, nu: Partition, d: int, term_cap: int):
     """The cached basis product, after the checks a request for it must pass."""
     _check_shape(len(mu), len(nu), d, term_cap)
     return _basis_product(mu, nu, d)
-
-
-@lru_cache(maxsize=16)
-def _split_product(mu: Partition, nu: Partition, d: int):
-    """The cached mu * nu, keys as tuples and counts as a list, split once
-    for a run of triples that share it.  Callers run its checks first."""
-    keys, counts, powers, coeffs = _basis_product(mu, nu, d)
-    return list(map(tuple, keys.tolist())), counts.tolist(), powers, coeffs
 
 
 def _dense(counts, powers, coeffs):
@@ -483,10 +469,12 @@ def _sides(mu: Partition, nu: Partition, w: Partition, d: int, sign: int):
     core has charged the one before: every key k of the cached mu * nu with
     w, then every key of nu * w with mu, its coefficients times ``sign``; an
     outer coefficient lies within the certificate of its own product."""
-    keys, counts, powers, coeffs = _split_product(mu, nu, d)
-    yield [(k, w) for k in keys], counts, powers, coeffs, coefficient_bound((d - 1) * len(mu) * len(nu))
-    keys, counts, powers, coeffs = _split_product(nu, w, d)
-    yield [(mu, k) for k in keys], counts, powers, sign * coeffs, coefficient_bound((d - 1) * len(nu) * len(w))
+    keys, counts, powers, coeffs = _basis_product(mu, nu, d)
+    top = coefficient_bound((d - 1) * len(mu) * len(nu))
+    yield [(k, w) for k in map(tuple, keys.tolist())], counts.tolist(), powers, coeffs, top
+    keys, counts, powers, coeffs = _basis_product(nu, w, d)
+    top = coefficient_bound((d - 1) * len(nu) * len(w))
+    yield [(mu, k) for k in map(tuple, keys.tolist())], counts.tolist(), powers, sign * coeffs, top
 
 
 def check_associativity(

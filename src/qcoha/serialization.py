@@ -345,7 +345,8 @@ def render_symmetric(se: SymmetricElement, style: Style) -> str:
 
 
 def render_mpoly(p: MPoly, style: Style) -> str:
-    return _render_keyed(p.terms, sorted(p.terms), style.exponent, style)
+    terms = p.terms
+    return _render_keyed(terms, sorted(terms), style.exponent, style)
 
 
 def render_specialized(values: Mapping[Partition, Rational], style: Style) -> str:

@@ -30,11 +30,19 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import NotSymmetricError, ResourceLimitError
-from .kernel import DEFAULT_TERM_CAP, check_loop_count, pairwise_kernel
+from .kernel import (
+    DEFAULT_TERM_CAP,
+    _check_projected,
+    check_coefficient_digits,
+    check_leading_factors,
+    check_loop_count,
+    pairwise_kernel,
+)
 from .mpoly import MPoly, embed, fixed_by, relabelled_sum
 from .partition_algebra import PartitionElement, _capped_basis_product, _to_element
 from .partitions import (
     Partition,
+    distinct_permutation_count,
     distinct_permutations,
     is_partition,
     multiplicity,
@@ -130,9 +138,10 @@ def _sorted_rows(p: MPoly) -> MPoly:
     for i, fixed in enumerate(fixed_by(p, swaps)):
         if fixed:
             continue
-        for e, c in p.terms.items():
+        terms = p.terms
+        for e, c in terms.items():
             swapped = e[:i] + (e[i + 1], e[i]) + e[i + 2 :]
-            if e[i] != e[i + 1] and p.terms.get(swapped) != c:
+            if e[i] != e[i + 1] and terms.get(swapped) != c:
                 raise NotSymmetricError(
                     "not symmetric: terms at %r and %r differ" % (e, swapped)
                 )
@@ -175,14 +184,32 @@ def _check_subsets(n1: int, n2: int, d: int, max_subsets: int) -> None:
         )
 
 
+def _stage_limit(d: int, term_cap: int) -> int:
+    # at d = 1 no kernel factor is folded and the cap has never applied, so
+    # the stages are held to the larger of the cap and DEFAULT_TERM_CAP
+    return term_cap if d > 1 else max(term_cap, DEFAULT_TERM_CAP)
+
+
 def _shuffle_rows(p1: MPoly, p2: MPoly, d: int, q_value, max_subsets, term_cap) -> MPoly:
-    """The shuffle product of two expanded factors, as its sorted rows."""
+    """The shuffle product of two expanded factors, as its sorted rows.
+
+    Before each stage runs, its staged rows, the rows of its two inputs
+    multiplied, are held to the cap (``_stage_limit``): the side-by-side
+    product, its product with the block kernel, and the relabelled sum over
+    the splits.
+    """
     n1 = p1.arity
     n2 = p2.arity
     _check_subsets(n1, n2, d, max_subsets)
-    q_value = None if q_value is None else as_rational(q_value)
-    term = _side_by_side(p1, p2) * _block_kernel(n1, n2, d, q_value, term_cap)
-    return _sorted_rows(relabelled_sum(term, _splits(n1, n2)))
+    kernel = _block_kernel(n1, n2, d, q_value, term_cap)
+    limit = _stage_limit(d, term_cap)
+    splits = _splits(n1, n2)
+    _check_projected(len(p1.weights), len(p2.weights), limit)
+    side = _side_by_side(p1, p2)
+    _check_projected(len(side.weights), len(kernel.weights), limit)
+    term = side * kernel
+    _check_projected(len(term.weights), len(splits), limit)
+    return _sorted_rows(relabelled_sum(term, splits))
 
 
 @lru_cache(maxsize=64)
@@ -201,9 +228,28 @@ def shuffle_product(
     max_subsets: int = DEFAULT_MAX_SUBSETS,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> SymmetricElement:
-    """Kernel-weighted sum over all splits of the ambient variables."""
-    # before either factor is expanded
-    _check_subsets(f1.arity, f2.arity, d, max_subsets)
+    """Kernel-weighted sum over all splits of the ambient variables.
+
+    The splits, the kernel's leading factors and its coefficient bound are
+    checked first, then the kernel is built under its own cap checks, and
+    only then is each factor's expansion, its terms' distinct rearrangements
+    times their coefficients' powers, held to the cap before it is built.
+    At q = 0 every kernel factor keeps one term, so only the first one is
+    checked as the fold checks it.
+    """
+    n1, n2 = f1.arity, f2.arity
+    _check_subsets(n1, n2, d, max_subsets)
+    q_value = None if q_value is None else as_rational(q_value)
+    if q_value == 0:
+        check_leading_factors(min(n1, 1), min(n2, 1), d, term_cap)
+    else:
+        check_leading_factors(n1, n2, d, term_cap)
+    check_coefficient_digits((d - 1) * n1 * n2)
+    # built, or refused under its own checks, before any factor is expanded
+    _block_kernel(n1, n2, d, q_value, term_cap)
+    for f in (f1, f2):
+        rows = sum(distinct_permutation_count(lam) * len(list(c.items())) for lam, c in f.terms.items())
+        _check_projected(rows, 1, _stage_limit(d, term_cap))
     rows = _shuffle_rows(expand(f1), expand(f2), d, q_value, max_subsets, term_cap)
     return SymmetricElement(rows.arity, dict(rows.terms))
 

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import resource
 import select
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcoha.cli as cli_mod
@@ -1192,12 +1193,16 @@ with open(SCHEMAS / "batch.schema.json") as fh:
     _BATCH_SCHEMA = json.load(fh)
 _BATCH_VALIDATOR = jsonschema.validators.validator_for(_BATCH_SCHEMA)(_BATCH_SCHEMA)
 
+# integers past every bound a request checks: past the term cap and int64,
+# and one below int64
+_HUGE = st.sampled_from([10**30, 2**63, -(2**63) - 1])
+
 _VALUES = st.one_of(
     st.none(),
     st.booleans(),
-    st.integers(-2, 3),
+    st.integers(-2, 3) | _HUGE,
     st.sampled_from(["1", "-1/2", "x", "", "prop43", "assoc"]),
-    st.lists(st.integers(-1, 3), max_size=3),
+    st.lists(st.integers(-1, 3) | _HUGE, max_size=3),
     st.just(ELEMENT),
     st.dictionaries(st.sampled_from(["d", "terms"]), st.integers(0, 2), max_size=2),
 )
@@ -1211,13 +1216,13 @@ _REQUESTS = st.builds(
 # a well-typed value for each field, so that requests also reach the handlers
 _TYPED = {
     **{
-        field: st.integers(-1, 3)
+        field: st.integers(-1, 3) | _HUGE
         for field, (read, _) in cli_mod.FIELDS.items()
         if read is cli_mod._integer
     },
-    "left": st.lists(st.integers(0, 3), max_size=3).map(sorted),
-    "right": st.lists(st.integers(0, 3), max_size=3).map(sorted),
-    "partition": st.lists(st.integers(0, 3), max_size=3).map(sorted),
+    "left": st.lists(st.integers(0, 3) | _HUGE, max_size=3).map(sorted),
+    "right": st.lists(st.integers(0, 3) | _HUGE, max_size=3).map(sorted),
+    "partition": st.lists(st.integers(0, 3) | _HUGE, max_size=3).map(sorted),
     "at_q": st.sampled_from(["0", "1", "-1/2", "2"]),
     "table": st.booleans(),
     "list": st.booleans(),
@@ -1248,8 +1253,22 @@ def _batch(lines):
     return out.getvalue().splitlines()
 
 
+# a huge d under a huge term cap passes the first factor's check, and is
+# refused by its coefficient bound before anything is built
+_HUGE_D_AND_CAP = [
+    json.dumps({"cmd": cmd, "d": 2**63, "term_cap": 10**30, **fields})
+    for cmd, fields in (
+        ("multiply", {"left": [0], "right": [0]}),
+        ("g", {"m": 1, "n": 1}),
+        ("g", {"m": 1, "n": 1, "table": True}),
+        ("shuffle", {"left": [0], "right": [0]}),
+    )
+]
+
+
 @settings(max_examples=200)
 @given(st.lists(_LINES, min_size=1, max_size=6))
+@example(_HUGE_D_AND_CAP)
 def test_batch_fuzz_answers_every_line_once(lines):
     stub = lambda **kwargs: CheckReport("stub", True, 0)
     with pytest.MonkeyPatch.context() as mp:
@@ -1284,6 +1303,42 @@ def test_batch_answers_before_stdin_closes():
         proc.stdin.close()
         proc.wait(timeout=10)
         proc.stdout.close()
+
+
+def test_shuffle_lines_that_ran_out_of_memory_are_answered_under_1_gb():
+    # the 13-part line died in expand and the 8-part one in relabelled_sum,
+    # each with a MemoryError under 2 GB, which ended the session
+    lines = [
+        {"cmd": "multiply", "d": 2, "left": [0], "right": [0]},
+        {"cmd": "shuffle", "d": 2, "left": list(range(13)), "right": []},
+        {"cmd": "shuffle", "d": 2, "left": list(range(8)), "right": [0]},
+        {"cmd": "multiply", "d": 2, "left": [0, 1], "right": [1]},
+    ]
+    limit = 1 << 30
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qcoha", "batch"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    replies = []
+    try:
+        for i, line in enumerate(lines):
+            proc.stdin.write(json.dumps(line).encode() + b"\n")
+            proc.stdin.flush()
+            # the first line waits for the interpreter and the imports
+            ready, _, _ = select.select([proc.stdout], [], [], 10.0 if i == 0 else 1.0)
+            assert ready, "line %d was not answered within its time" % i
+            replies.append(json.loads(proc.stdout.readline()))
+    finally:
+        proc.stdin.close()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+    assert [r["ok"] for r in replies] == [True, False, False, True]
+    assert [r["error"]["message"] for r in replies[1:3]] == [
+        "projected term count 6227020800 exceeds cap 5000000",
+        "projected term count 10321920 exceeds cap 5000000",
+    ]
 
 
 def test_batch_stops_nothing_on_empty_input(capsys, monkeypatch):

@@ -239,3 +239,112 @@ def test_golden_batch(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == BATCH_STDOUT
     assert captured.err == ""
+
+
+# -- changed answers: refusals that used to come after the work, or never ------
+
+DIGITS = '"coefficient bound exceeds the 4300-digit limit of integer output"'
+
+# each of these was computed in full and then answered "parse" with CPython's
+# own message about writing an integer past 4300 digits, after 47-102 s; the
+# --at-q one was answered after 71 s; the term-cap one gave 2 terms
+REFUSED = [
+    pytest.param(["multiply", "--d", "15000", "--left", "0", "--right", "0"], DIGITS, id="multiply"),
+    pytest.param(["multiply", "--d", "20000", "--left", "0", "--right", "0"], DIGITS, id="multiply-20000"),
+    pytest.param(
+        ["multiply", "--d", "15000", "--left", "0", "--right", "0", "--at-q", "1"], DIGITS, id="multiply-at-q"
+    ),
+    pytest.param(["g", "--d", "20000", "--m", "1", "--n", "1"], DIGITS, id="g"),
+    pytest.param(["g", "--d", "20000", "--m", "1", "--n", "1", "--table"], DIGITS, id="g-table"),
+    pytest.param(["shuffle", "--d", "15000", "--left", "0", "--right", "0"], DIGITS, id="shuffle"),
+    pytest.param(
+        ["shuffle", "--d", "2", "--left", "0", "--right", "0", "--term-cap", "2"],
+        '"projected term count 4 exceeds cap 2"',
+        id="shuffle-relabelled-sum",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSED)
+def test_golden_refusals(capsys, argv, message):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == '{"error": {"code": "resource", "message": %s}}\n' % message
+
+
+# a huge d under a huge cap ran past 20 s in each command, and the two shuffle
+# lines ended the session with a MemoryError in expand and in relabelled_sum
+REFUSED_BATCH_STDIN = (
+    '{"cmd": "multiply", "d": 9223372036854775808, "left": [0], "right": [0], "term_cap": 1000000000000000000000000000000}\n'
+    '{"cmd": "g", "d": 9223372036854775808, "m": 1, "n": 1, "term_cap": 1000000000000000000000000000000}\n'
+    '{"cmd": "g", "d": 9223372036854775808, "m": 1, "n": 1, "table": true, "term_cap": 1000000000000000000000000000000}\n'
+    '{"cmd": "shuffle", "d": 9223372036854775808, "left": [0], "right": [0], "term_cap": 1000000000000000000000000000000}\n'
+    '{"cmd": "shuffle", "d": 2, "left": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12], "right": []}\n'
+    '{"cmd": "shuffle", "d": 2, "left": [0, 1, 2, 3, 4, 5, 6, 7], "right": [0]}\n'
+    '{"cmd": "multiply", "d": 2, "left": [0, 1], "right": [1]}\n'
+)
+REFUSED_BATCH_STDOUT = (
+    '{"ok": false, "error": {"code": "resource", "message": %s}}\n' % DIGITS * 4
+    + '{"ok": false, "error": {"code": "resource", "message": "projected term count 6227020800 exceeds cap 5000000"}}\n'
+    '{"ok": false, "error": {"code": "resource", "message": "projected term count 10321920 exceeds cap 5000000"}}\n'
+    '{"ok": true, "result": {"d": 2, "terms": [{"partition": [0, 1, 3], "coeff": {"offset": 0, "coeffs": ["1"]}}, {"partition": [0, 2, 2], "coeff": {"offset": 1, "coeffs": ["-1"]}}, {"partition": [1, 1, 2], "coeff": {"offset": 1, "coeffs": ["-1", "1"]}}]}}\n'
+)
+
+
+def test_golden_refusals_in_batch(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(REFUSED_BATCH_STDIN))
+    assert main(["batch"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == REFUSED_BATCH_STDOUT
+    assert captured.err == ""
+
+
+# -- request errors: answers only an error path writes -------------------------
+
+PARSE = '{"ok": false, "error": {"code": "parse", "message": "%s"}}\n'
+NOT_A_PARTITION = "partition must be a list of non-negative integers"
+REQUEST_ERRORS = [
+    (
+        '{"cmd": "verify", "suite": "nope"}',
+        "unknown suite 'nope' (choose from assoc, grading, graphs, iso, lemma31, prop41, prop43, quasi)",
+    ),
+    ('{"cmd": "multiply", "d": 2, "left": [-1], "right": [0]}', NOT_A_PARTITION),
+    ('{"cmd": "multiply", "d": 2, "left": [0], "right": [true]}', NOT_A_PARTITION),
+    ('{"cmd": "phi", "partition": [false]}', NOT_A_PARTITION),
+    ('{"cmd": "phi", "partition": [-3]}', NOT_A_PARTITION),
+    ('{"cmd": "phi", "element": {"d": 2}}', "element must be {d, terms}"),
+    ('{"cmd": "phi", "element": {"d": 2, "terms": {}}}', "terms must be a list"),
+    ('{"cmd": "phi", "element": {"d": 2, "terms": [{"partition": [0]}]}}', "element term must be {partition, coeff}"),
+    (
+        '{"cmd": "specialize", "element": {"d": 2, "terms": [[0]]}, "at_q": "1"}',
+        "element term must be {partition, coeff}",
+    ),
+]
+
+
+def test_golden_request_errors(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(line + "\n" for line, _ in REQUEST_ERRORS)))
+    assert main(["batch"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "".join(PARSE % message for _, message in REQUEST_ERRORS)
+    assert captured.err == ""
+
+
+BAD_STDIN = '{"error": {"code": "parse", "message": "bad element JSON on stdin: Expecting value: line 2 column 1 (char 20)"}}\n'
+
+
+@pytest.mark.parametrize(
+    "argv,stdin,code,out,err",
+    [
+        (["phi"], '{"d": 2, "terms": [\n', 2, "", BAD_STDIN),
+        (["specialize", "--at-q", "1"], '{"d": 2, "terms": [\n', 2, "", BAD_STDIN),
+        # the zero element
+        (["phi", "--format", "text"], '{"d": 2, "terms": []}\n', 0, "0\n", ""),
+    ],
+)
+def test_golden_stdin_elements(capsys, monkeypatch, argv, stdin, code, out, err):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import comb, prod
@@ -997,3 +998,52 @@ def test_no_merged_table_shares_the_arrays_of_a_table(monkeypatch):
     tables = [a for t in kernel._TABLE_CACHE.values() for a in (t.exps, t.powers, t.weights)]
     for arrays in merged:
         assert not any(np.shares_memory(a, t) for a in arrays for t in tables)
+
+
+@pytest.mark.parametrize("limit", [640, 4300, 5000])
+def test_coefficient_digits_are_refused_exactly_past_the_output_limit(limit):
+    # CPython's own int-to-str limit is the reference: every e around the
+    # point where the bound passes it is refused exactly when str() fails
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        low = limit * 33219280948 // 10**10
+        refused = []
+        for e in [0, 1, 100, *range(low - 40, low + 60)]:
+            try:
+                fits = len(str(kernel.coefficient_bound(e))) <= limit
+            except ValueError:
+                fits = False
+            try:
+                kernel.check_coefficient_digits(e)
+            except ResourceLimitError as exc:
+                assert str(exc) == "coefficient bound exceeds the %d-digit limit of integer output" % limit
+                refused.append(e)
+            assert (e in refused) != fits, e
+        assert refused and refused == list(range(refused[0], low + 60))
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_a_huge_coefficient_bound_is_refused_without_computing_it(monkeypatch):
+    def refuse(e):
+        raise AssertionError("the bound of %d factors was computed" % e)
+
+    monkeypatch.setattr(kernel, "coefficient_bound", refuse)
+    for e in (20_000, 2**63, 10**30 * 3):
+        with pytest.raises(ResourceLimitError):
+            kernel.check_coefficient_digits(e)
+    # a loop count below 1 is left to its own check
+    kernel.check_coefficient_digits(-(2**63))
+    # no limit, nothing refused
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        kernel.check_coefficient_digits(2**63)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("m,n", [(0, 3), (3, 0), (0, 0)])
+def test_a_kernel_of_an_empty_block_has_no_leading_factor_to_check(m, n):
+    kernel.check_leading_factors(m, n, 10**30, 0)

@@ -334,4 +334,5 @@ def test_terms_view_is_read_only():
     p = x(2, 0) + x(2, 1)
     with pytest.raises(TypeError):
         p.terms[(1, 1)] = ONE
-    assert p.terms is p.terms
+    # each read builds a fresh view of the same terms
+    assert p.terms == p.terms and (1, 1) not in p.terms

