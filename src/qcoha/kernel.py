@@ -30,7 +30,8 @@ format of ``packed``, checked against a dict on its own by
 every factor, which never leaves more than the stored terms times the
 factor's, and a configurable cap on that product, checked before each
 factor, raises ResourceLimitError.  ``check_kernel_size`` refuses a kernel
-that cannot fit the cap before anything of its size is built.
+that cannot fit the cap before anything of its size is built, and
+``check_coefficient_digits`` one whose coefficients could not be written.
 
 Integer rows are packed, grouped and unpacked by ``packed``: a certified
 ``RowLayout`` gives each row one 1-D sort key and unpacks keys into rows of
@@ -103,6 +104,13 @@ def _check_projected(rows: int, width: int, term_cap: int) -> None:
         )
 
 
+def effective_cap(d: int, term_cap: int) -> int:
+    """The cap that work on a kernel of loop count d is held to: at d = 1
+    nothing is folded and the cap has never applied, so the larger of the
+    cap and DEFAULT_TERM_CAP, and ``term_cap`` itself otherwise."""
+    return term_cap if d > 1 else max(term_cap, DEFAULT_TERM_CAP)
+
+
 def check_leading_factors(m: int, n: int, d: int, term_cap: int) -> None:
     """Check the leading factors of the (m, n) kernel's fold as the fold
     checks them, with its message, before anything is built.
@@ -128,20 +136,16 @@ def check_kernel_size(spec: KernelSpec, term_cap: int) -> None:
     The fold's leading forest is checked first (``check_leading_factors``).
     Past it, terms of one power of q never cancel (``coefficient_bound``),
     so the kernel has at least (d-1)*m*n + 1 terms, one per power, and each
-    of its rows holds ``spec.arity`` cells; either past the cap is refused.
-    At d = 1 nothing is folded and the cap has never applied, so the
-    kernel's one row is refused only past the larger of the cap and
-    DEFAULT_TERM_CAP.  Under any cap a row of more than ``sys.maxsize``
-    cells is refused: no index reaches its cells.
+    of its rows holds ``spec.arity`` cells; either past the cap is refused,
+    the arity past ``effective_cap``.  Under any cap a row of more than
+    ``sys.maxsize`` cells is refused: no index reaches its cells.
     """
     check_term_cap(term_cap)
     m, n, d = spec.m, spec.n, spec.d
-    limit = term_cap
     check_leading_factors(m, n, d, term_cap)
     if d > 1:
         _check_projected(1, (d - 1) * m * n + 1, term_cap)
-    else:
-        limit = max(term_cap, DEFAULT_TERM_CAP)
+    limit = effective_cap(d, term_cap)
     if spec.arity > limit:
         raise ResourceLimitError("kernel arity %d exceeds cap %d" % (spec.arity, limit))
     if spec.arity > sys.maxsize:

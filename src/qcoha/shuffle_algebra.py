@@ -36,6 +36,7 @@ from .kernel import (
     check_coefficient_digits,
     check_leading_factors,
     check_loop_count,
+    effective_cap,
     pairwise_kernel,
 )
 from .mpoly import MPoly, embed, fixed_by, relabelled_sum
@@ -184,17 +185,11 @@ def _check_subsets(n1: int, n2: int, d: int, max_subsets: int) -> None:
         )
 
 
-def _stage_limit(d: int, term_cap: int) -> int:
-    # at d = 1 no kernel factor is folded and the cap has never applied, so
-    # the stages are held to the larger of the cap and DEFAULT_TERM_CAP
-    return term_cap if d > 1 else max(term_cap, DEFAULT_TERM_CAP)
-
-
 def _shuffle_rows(p1: MPoly, p2: MPoly, d: int, q_value, max_subsets, term_cap) -> MPoly:
     """The shuffle product of two expanded factors, as its sorted rows.
 
     Before each stage runs, its staged rows, the rows of its two inputs
-    multiplied, are held to the cap (``_stage_limit``): the side-by-side
+    multiplied, are held to the cap (``effective_cap``): the side-by-side
     product, its product with the block kernel, and the relabelled sum over
     the splits.
     """
@@ -202,7 +197,7 @@ def _shuffle_rows(p1: MPoly, p2: MPoly, d: int, q_value, max_subsets, term_cap) 
     n2 = p2.arity
     _check_subsets(n1, n2, d, max_subsets)
     kernel = _block_kernel(n1, n2, d, q_value, term_cap)
-    limit = _stage_limit(d, term_cap)
+    limit = effective_cap(d, term_cap)
     splits = _splits(n1, n2)
     _check_projected(len(p1.weights), len(p2.weights), limit)
     side = _side_by_side(p1, p2)
@@ -249,7 +244,7 @@ def shuffle_product(
     _block_kernel(n1, n2, d, q_value, term_cap)
     for f in (f1, f2):
         rows = sum(distinct_permutation_count(lam) * len(list(c.items())) for lam, c in f.terms.items())
-        _check_projected(rows, 1, _stage_limit(d, term_cap))
+        _check_projected(rows, 1, effective_cap(d, term_cap))
     rows = _shuffle_rows(expand(f1), expand(f2), d, q_value, max_subsets, term_cap)
     return SymmetricElement(rows.arity, dict(rows.terms))
 

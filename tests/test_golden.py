@@ -257,6 +257,20 @@ REFUSED = [
     pytest.param(["g", "--d", "20000", "--m", "1", "--n", "1"], DIGITS, id="g"),
     pytest.param(["g", "--d", "20000", "--m", "1", "--n", "1", "--table"], DIGITS, id="g-table"),
     pytest.param(["shuffle", "--d", "15000", "--left", "0", "--right", "0"], DIGITS, id="shuffle"),
+    # answered: at q = 0 the kernel's coefficients are 1, but its bound is read
+    pytest.param(["shuffle", "--d", "15000", "--left", "0", "--right", "0", "--at-q", "0"], DIGITS, id="shuffle-at-q"),
+    # past its leading forest the fold said "projected term count 16 exceeds cap 8"
+    pytest.param(
+        ["multiply", "--d", "2", "--left", "0,0", "--right", ",".join(["0"] * 7146), "--term-cap", "8"],
+        DIGITS,
+        id="multiply-past-the-forest",
+    ),
+    # ended the session with an OverflowError in MPoly.constant
+    pytest.param(
+        ["g", "--d", "3", "--m", "1", "--n", "1", "--shift", str(2**63), "--term-cap", str(10**30)],
+        '"kernel arity 9223372036854775810 exceeds the index limit 9223372036854775807"',
+        id="g-arity-past-an-index",
+    ),
     pytest.param(
         ["shuffle", "--d", "2", "--left", "0", "--right", "0", "--term-cap", "2"],
         '"projected term count 4 exceeds cap 2"',
