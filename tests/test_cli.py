@@ -1307,7 +1307,7 @@ def test_batch_answers_before_stdin_closes():
 
 def test_shuffle_lines_that_ran_out_of_memory_are_answered_under_1_gb():
     # the 13-part line died in expand and the 8-part one in relabelled_sum,
-    # each with a MemoryError under 2 GB, which ended the session
+    # each with a MemoryError under 2 GB, which ended the batch session
     lines = [
         {"cmd": "multiply", "d": 2, "left": [0], "right": [0]},
         {"cmd": "shuffle", "d": 2, "left": list(range(13)), "right": []},

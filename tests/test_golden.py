@@ -265,7 +265,7 @@ REFUSED = [
         DIGITS,
         id="multiply-past-the-forest",
     ),
-    # ended the session with an OverflowError in MPoly.constant
+    # ended the batch session with an OverflowError in MPoly.constant
     pytest.param(
         ["g", "--d", "3", "--m", "1", "--n", "1", "--shift", str(2**63), "--term-cap", str(10**30)],
         '"kernel arity 9223372036854775810 exceeds the index limit 9223372036854775807"',
@@ -288,7 +288,7 @@ def test_golden_refusals(capsys, argv, message):
 
 
 # a huge d under a huge cap ran past 20 s in each command, and the two shuffle
-# lines ended the session with a MemoryError in expand and in relabelled_sum
+# lines ended the batch session with a MemoryError in expand and in relabelled_sum
 REFUSED_BATCH_STDIN = (
     '{"cmd": "multiply", "d": 9223372036854775808, "left": [0], "right": [0], "term_cap": 1000000000000000000000000000000}\n'
     '{"cmd": "g", "d": 9223372036854775808, "m": 1, "n": 1, "term_cap": 1000000000000000000000000000000}\n'
