@@ -29,16 +29,7 @@ from typing import Dict, Optional, Sequence
 
 from .bipartite import list_orientations, product_via_graphs
 from .errors import NotSymmetricError, ResourceLimitError
-from .kernel import (
-    DEFAULT_TERM_CAP,
-    KernelSpec,
-    check_coefficient_digits,
-    check_kernel_size,
-    check_leading_factors,
-    check_term_cap,
-    kernel_polynomial,
-    structure_constants,
-)
+from .kernel import DEFAULT_TERM_CAP, KernelSpec, kernel_polynomial, structure_constants
 from .partition_algebra import _capped_basis_product, _to_element, product, specialize
 from .partitions import parse_partition
 from .qlaurent import ONE, Rational
@@ -90,10 +81,6 @@ def run_multiply(
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> Dict[str, object]:
     """product of two partitions"""
-    check_term_cap(term_cap)
-    # the fold's own leading checks first, then coefficients too long to write
-    check_leading_factors(len(left), len(right), d, term_cap)
-    check_coefficient_digits((d - 1) * len(left) * len(right))
     if at_q is None:
         # JSON text straight from the cached grouped rows; text and LaTeX fold them
         grouped = _capped_basis_product(left, right, d, term_cap)
@@ -116,7 +103,6 @@ def run_shuffle(
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> Dict[str, object]:
     """kernel-weighted product of two basis images"""
-    check_term_cap(term_cap)
     se = shuffle_product(
         partition_image(left), partition_image(right), d, q_value=at_q, term_cap=term_cap
     )
@@ -148,13 +134,7 @@ def run_g(
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> Dict[str, object]:
     """kernel polynomial or its structure constants"""
-    check_term_cap(term_cap)
     spec = KernelSpec(m=m, n=n, d=d, shift=shift)
-    # a shifted table is malformed whatever its size: structure_constants
-    # refuses it as such
-    if not (table and shift):
-        check_kernel_size(spec, term_cap)
-        check_coefficient_digits((d - 1) * m * n)
     if table:
         tab = structure_constants(spec, term_cap)
         return {

@@ -29,9 +29,11 @@ format of ``packed``, checked against a dict on its own by
 ``tests/test_packed.py``.  Both expansions collect like monomials after
 every factor, which never leaves more than the stored terms times the
 factor's, and a configurable cap on that product, checked before each
-factor, raises ResourceLimitError.  ``check_kernel_size`` refuses a kernel
-that cannot fit the cap before anything of its size is built, and
-``check_coefficient_digits`` one whose coefficients could not be written.
+factor, raises ResourceLimitError.
+
+Every kernel passes one gate, ``admit``, before anything of its size is
+built: ``kernel_polynomial``, ``structure_constants`` and ``structure_table``
+(before its cache is read) run it.  Builds past it use ``_cached_table``.
 
 Integer rows are packed, grouped and unpacked by ``packed``: a certified
 ``RowLayout`` gives each row one 1-D sort key and unpacks keys into rows of
@@ -58,7 +60,7 @@ from .errors import ResourceLimitError
 from .mpoly import MPoly, embed, multiply
 from .packed import RowLayout, group_keys, group_rows, narrowest_dtype, pack_rows
 from .partitions import multiplicity
-from .qlaurent import DEFAULT_TERM_CAP, ONE, QLaurent, Rational, as_rational
+from .qlaurent import DEFAULT_TERM_CAP, ONE, QLaurent, Rational, as_rational, check_digits
 from .reports import CheckReport
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -111,47 +113,45 @@ def effective_cap(d: int, term_cap: int) -> int:
     return term_cap if d > 1 else max(term_cap, DEFAULT_TERM_CAP)
 
 
-def check_leading_factors(m: int, n: int, d: int, term_cap: int) -> None:
-    """Check the leading factors of the (m, n) kernel's fold as the fold
-    checks them, with its message, before anything is built.
+def admit(m: int, n: int, d: int, term_cap: int, shift: int = 0, q=None) -> None:
+    """The one gate of the (m, n, d) kernel, run before anything of its size
+    is built (its pairs, rows, coefficient bound or layout).  ``q`` is the
+    value q is specialized to, None for generic q.  In order:
 
-    While the leading factors, in ``block_pairs`` order, form a forest, no
-    two of their terms share a monomial (a leaf's exponent gives its edge's
-    term), so a fold stages exactly d**j rows after j of them.  They are the
-    first m + 1 factors, or all of them when m or n is 1.  A kernel of an
-    empty block has no factor.
-    """
-    if d > 1 and m and n:
-        rows = 1
-        # ends within log_d(term_cap) + 1 steps, however many factors
-        for _ in range(m * n if min(m, n) == 1 else m + 1):
-            _check_projected(rows, d, term_cap)
-            rows *= d
-
-
-def check_kernel_size(spec: KernelSpec, term_cap: int) -> None:
-    """Refuse a kernel too large for ``term_cap`` before anything of its
-    size is built: its pairs, its rows, its coefficient bound or its layout.
-
-    The fold's leading forest is checked first (``check_leading_factors``).
-    Past it, terms of one power of q never cancel (``coefficient_bound``),
-    so the kernel has at least (d-1)*m*n + 1 terms, one per power, and each
-    of its rows holds ``spec.arity`` cells; either past the cap is refused,
-    the arity past ``effective_cap``.  Under any cap a row of more than
-    ``sys.maxsize`` cells is refused: no index reaches its cells.
+    1. the cap's sign and the loop count; a kernel of an empty block is the
+       constant 1, and nothing more is checked;
+    2. the fold's leading forest, with its message: while the leading
+       factors in ``block_pairs`` order form a forest (the first m + 1, or
+       all when m or n is 1), no two terms share a monomial, so the fold
+       stages exactly d**j rows after j of them.  At q = 0 each factor keeps
+       one term, and only the first is checked;
+    3. at generic q, the least term count (d-1)*m*n + 1: terms of one power
+       of q never cancel (``coefficient_bound``);
+    4. the arity ``shift + m + n``, the cells of a row, against the cap (the
+       larger of it and DEFAULT_TERM_CAP for a kernel of one term, at d = 1
+       or q = 0), then against ``sys.maxsize``, past which no index reaches;
+    5. the coefficient digits (``check_coefficient_digits``).
     """
     check_term_cap(term_cap)
-    m, n, d = spec.m, spec.n, spec.d
-    check_leading_factors(m, n, d, term_cap)
+    check_loop_count(d)
+    if not (m and n):
+        return
+    one_term = d == 1 or (q is not None and as_rational(q) == 0)
     if d > 1:
-        _check_projected(1, (d - 1) * m * n + 1, term_cap)
-    limit = effective_cap(d, term_cap)
-    if spec.arity > limit:
-        raise ResourceLimitError("kernel arity %d exceeds cap %d" % (spec.arity, limit))
-    if spec.arity > sys.maxsize:
-        raise ResourceLimitError(
-            "kernel arity %d exceeds the index limit %d" % (spec.arity, sys.maxsize)
-        )
+        rows = 1
+        # ends within log_d(term_cap) + 1 steps, however many factors
+        for _ in range(1 if one_term else m * n if min(m, n) == 1 else m + 1):
+            _check_projected(rows, d, term_cap)
+            rows *= d
+        if q is None:
+            _check_projected(1, (d - 1) * m * n + 1, term_cap)
+    arity = shift + m + n
+    limit = max(term_cap, DEFAULT_TERM_CAP) if one_term else term_cap
+    if arity > limit:
+        raise ResourceLimitError("kernel arity %d exceeds cap %d" % (arity, limit))
+    if arity > sys.maxsize:
+        raise ResourceLimitError("kernel arity %d exceeds the index limit %d" % (arity, sys.maxsize))
+    check_coefficient_digits((d - 1) * m * n)
 
 
 def _check_pair(arity: int, s: int, t: int) -> None:
@@ -219,7 +219,9 @@ def kernel_polynomial(
     term_cap: int = DEFAULT_TERM_CAP,
     q_value: Optional[Rational] = None,
 ) -> MPoly:
-    """The expanded kernel for a spec, homogeneous of degree (d-1)*m*n."""
+    """The expanded kernel for a spec, homogeneous of degree (d-1)*m*n,
+    after the gate (``admit``)."""
+    admit(spec.m, spec.n, spec.d, term_cap, spec.shift, q_value)
     return pairwise_kernel(spec.arity, block_pairs(spec), spec.d, q_value, term_cap)
 
 
@@ -244,23 +246,10 @@ def coefficient_bound(e: int) -> int:
 def check_coefficient_digits(e: int) -> None:
     """Refuse a kernel of ``e`` linear factors whose ``coefficient_bound``
     has more decimal digits than CPython writes, without computing it for a
-    huge e.
-
-    CPython writes no integer of more than ``sys.get_int_max_str_digits()``
-    digits (0 for no limit; Pythons without the function have none), so a
-    product of such coefficients would be computed in full and then fail.
-    The bound lies in [2**e / (e + 1), 2**e].  For low = floor(limit *
-    3.3219280948), a rounding of log2(10) down, 10**limit lies in [2**low,
-    2**(low + 2)) for every limit below 10**10.  So the bound itself is
-    computed only for an e within ``(e + 1).bit_length() + 2`` of low.
-    """
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    low = limit * 33219280948 // 10**10
-    if limit and e >= low:
-        if e - (e + 1).bit_length() >= low + 2 or coefficient_bound(e) >= 10**limit:
-            raise ResourceLimitError(
-                "coefficient bound exceeds the %d-digit limit of integer output" % limit
-            )
+    huge e: the bound lies in [2**e / (e + 1), 2**e], so it is computed only
+    for an e within ``(e + 1).bit_length() + 2`` bits of the limit
+    (``qlaurent.check_digits``)."""
+    check_digits("coefficient bound", e - (e + 1).bit_length(), e + 1, lambda: coefficient_bound(e))
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,11 +279,6 @@ class StructureConstantTable:
     def powers(self) -> np.ndarray:
         """The power of q of each row: the sum of its first-block exponents."""
         return self.exps[:, : self.spec.m].sum(axis=1, dtype=np.int64)
-
-    def check_cap(self, term_cap: int) -> None:
-        """Raise the ResourceLimitError a cold build under ``term_cap`` raises."""
-        for before in self.staged[:-1]:
-            _check_projected(before, self.spec.d, term_cap)
 
     def __len__(self):
         return len(self.weights)
@@ -328,12 +312,13 @@ def structure_constants(
     """
     if spec.shift != 0:
         raise ValueError("structure constants require an unshifted kernel")
-    check_term_cap(term_cap)
+    admit(spec.m, spec.n, spec.d, term_cap)
+    return _fold_table(spec, term_cap)
+
+
+def _fold_table(spec: KernelSpec, term_cap: int) -> StructureConstantTable:
+    """``structure_constants`` without the gate, for a kernel it admitted."""
     m, n, exp = spec.m, spec.n, spec.d - 1
-    if exp:
-        # the first factor's check, before the coefficient bound and the
-        # layout, whose sizes grow with d and with m + n
-        _check_projected(1, exp + 1, term_cap)
     dtype = np.int64 if coefficient_bound(exp * m * n) <= _INT64_MAX else object
     layout = _table_layout(m, n, exp)
     keys = np.zeros(1, dtype=layout.dtype)
@@ -370,17 +355,27 @@ def structure_table(
     """Memoized table per (m, n, d), least recently used first out.
 
     The cache is idempotent: a race at worst recomputes the same value, and
-    entries are never mutated after construction.  The cap is checked on
-    every call, against the staged row counts of a cached table, so whether
-    the table was cached (or evicted) never changes which requests fail.
+    entries are never mutated after construction.  The gate (``admit``) runs
+    before the cache is read, and the cap is checked on every call, against
+    the staged row counts of a cached table, so whether the table was cached
+    (or evicted) never changes which requests fail.
     """
-    check_term_cap(term_cap)
+    admit(m, n, d, term_cap)
+    return _cached_table(m, n, d, term_cap)
+
+
+def _cached_table(m: int, n: int, d: int, term_cap: int = sys.maxsize) -> StructureConstantTable:
+    """``structure_table`` past its gate, for a build whose request has
+    passed it; a basis build, whose request has also checked its cap here,
+    reads it without one."""
     key = (m, n, d)
     hit = _TABLE_CACHE.get(key)
     if hit is None:
-        hit = structure_constants(KernelSpec(m=m, n=n, d=d), term_cap)
+        hit = _fold_table(KernelSpec(m=m, n=n, d=d), term_cap)
     else:
-        hit.check_cap(term_cap)
+        # the ResourceLimitError a cold build under term_cap raises
+        for before in hit.staged[:-1]:
+            _check_projected(before, d, term_cap)
         del _TABLE_CACHE[key]
     # a dict keeps insertion order: re-inserted, the key is the most recently
     # used, and the first key is the least
@@ -418,7 +413,7 @@ def merged_table(m: int, n: int, d: int, runs: Tuple[int, ...]):
     instead.  Callers check their own term cap first and must not mutate
     the returned arrays.
     """
-    table = structure_table(m, n, d, sys.maxsize)
+    table = _cached_table(m, n, d)
     exps = table.exps.copy()
     for stop, run in zip(accumulate(runs), runs):
         if run > 1:

@@ -37,7 +37,6 @@ oracle's ``_key_major`` split and the brute force in ``perfbench/checks.py``.
 """
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
 from itertools import chain, groupby
 from operator import add, eq, mul, sub
@@ -48,8 +47,8 @@ import numpy as np
 from .errors import ResourceLimitError
 from .kernel import (
     DEFAULT_TERM_CAP,
-    check_loop_count,
-    check_term_cap,
+    _cached_table,
+    admit,
     coefficient_bound,
     merged_table,
     structure_table,
@@ -142,7 +141,7 @@ def _basis_product(mu: Partition, nu: Partition, d: int):
         exps, powers, weights = merged_table(m, n, d, _runs(mu) + _runs(nu))
     else:
         # nothing to merge: the table's own arrays, which only its cache keeps
-        table = structure_table(m, n, d, sys.maxsize)
+        table = _cached_table(m, n, d)
         exps, powers, weights = table.exps, table.powers, table.weights
     # the narrow exponents are widened to the offsets' dtype before the
     # per-row sort: numpy 2.4 sorts short int8 and int16 rows more slowly
@@ -180,10 +179,12 @@ def _check_shape(m: int, n: int, d: int, term_cap: int) -> int:
     or one for an empty factor.  A build re-keys fewer when a factor repeats
     a part, but the charge reads only the shape.
     """
-    check_loop_count(d)
-    check_term_cap(term_cap)
-    # checks the cap against the table's staged row counts, cached or not
-    return len(structure_table(m, n, d, term_cap)) if m and n else 1
+    if not (m and n):
+        # no kernel: the gate checks the cap's sign and the loop count only
+        admit(m, n, d, term_cap)
+        return 1
+    # the gate, then the cap against the table's staged row counts, cached or not
+    return len(structure_table(m, n, d, term_cap))
 
 
 def _capped_basis_product(mu: Partition, nu: Partition, d: int, term_cap: int):
@@ -375,8 +376,8 @@ def product_elements(
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> PartitionElement:
     """Bilinear extension of the basis product to finite sums."""
-    check_loop_count(d)
-    check_term_cap(term_cap)
+    # the cap's sign and the loop count, even for an empty factor
+    admit(0, 0, d, term_cap)
     for m in {len(k) for k in e1}:
         for n in {len(k) for k in e2}:
             _check_shape(m, n, d, term_cap)

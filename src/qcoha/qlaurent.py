@@ -14,6 +14,7 @@ equality, and hashing.
 """
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -25,6 +26,23 @@ Rational = Union[int, Fraction]
 # this, so its dense coefficient list stays bounded; a sum or a trimmed
 # result that would is refused before its list is built.
 DEFAULT_TERM_CAP = 5_000_000
+
+
+def check_digits(what: str, low: int, high=None, exact=None) -> None:
+    """Refuse an integer x, 2**low <= |x| < 2**high (None: unbounded), of
+    more decimal digits than CPython writes (``sys.get_int_max_str_digits()``,
+    0 for none), without computing it where its bits decide.
+
+    For bits = floor(limit * 3.3219280948), log2(10) rounded down, 10**limit
+    lies in [2**bits, 2**(bits + 2)) for every limit below 10**10.  Within
+    those two bits ``exact()``, |x|, decides; without it only an x that
+    certainly cannot be written is refused.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    bits = limit * 33219280948 // 10**10
+    if limit and (high is None or high > bits):
+        if low >= bits + 2 or exact is not None and exact() >= 10**limit:
+            raise ResourceLimitError("%s exceeds the %d-digit limit of integer output" % (what, limit))
 
 
 def _span_error(span: int) -> ResourceLimitError:
@@ -259,8 +277,16 @@ class QLaurent:
         acc: Rational = 0
         for c in reversed(self.coeffs):
             acc = acc * v + c
-        if self.offset:
-            acc = acc * Fraction(v) ** self.offset if v != 0 else 0
+        if self.offset and acc:
+            if v == 0:
+                return 0
+            # v = p/r and acc = a/b reduced: the value has a numerator or a
+            # denominator of at least max(|p|, r)**|offset| / max(|a|, b)
+            v, acc = Fraction(v), Fraction(acc)
+            base = max(abs(v.numerator), v.denominator).bit_length() - 1
+            size = max(abs(acc.numerator), acc.denominator).bit_length()
+            check_digits("rational", abs(self.offset) * base - size)
+            acc *= v**self.offset
         return as_rational(acc)
 
     # -- comparison and hashing --------------------------------------------

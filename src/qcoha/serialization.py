@@ -32,7 +32,7 @@ from .kernel import StructureConstantTable
 from .mpoly import MPoly
 from .partition_algebra import PartitionElement
 from .partitions import Partition
-from .qlaurent import QLaurent, Rational, as_rational
+from .qlaurent import QLaurent, Rational, as_rational, check_digits
 from .shuffle_algebra import GradedElement, SymmetricElement
 
 
@@ -43,11 +43,18 @@ def partition_sort_key(key: Partition) -> Tuple[int, Partition]:
 # -- rationals -------------------------------------------------------------------
 
 
+def _written(value: int) -> int:
+    """``value``, refused with ResourceLimitError if CPython cannot write it."""
+    bits = value.bit_length()
+    check_digits("rational", bits - 1, bits, lambda: abs(value))
+    return value
+
+
 def rational_to_json(value: Rational) -> str:
     value = as_rational(value)
     if isinstance(value, Fraction):
-        return "%d/%d" % (value.numerator, value.denominator)
-    return str(value)
+        return "%d/%d" % (_written(value.numerator), _written(value.denominator))
+    return str(_written(value))
 
 
 def rational_from_json(text) -> Rational:
@@ -290,8 +297,8 @@ def _rational(value: Rational, style: Style) -> str:
     # the sign leads, outside the fraction: _render_terms reads it there
     if isinstance(value, Fraction):
         sign = "-" if value < 0 else ""
-        return sign + style.fraction % (abs(value.numerator), value.denominator)
-    return str(value)
+        return sign + style.fraction % (abs(_written(value.numerator)), _written(value.denominator))
+    return str(_written(value))
 
 
 def render_qlaurent(f: QLaurent, style: Style) -> str:

@@ -30,15 +30,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import NotSymmetricError, ResourceLimitError
-from .kernel import (
-    DEFAULT_TERM_CAP,
-    _check_projected,
-    check_coefficient_digits,
-    check_leading_factors,
-    check_loop_count,
-    effective_cap,
-    pairwise_kernel,
-)
+from .kernel import DEFAULT_TERM_CAP, KernelSpec, _check_projected, admit, effective_cap, kernel_polynomial
 from .mpoly import MPoly, embed, fixed_by, relabelled_sum
 from .partition_algebra import PartitionElement, _capped_basis_product, _to_element
 from .partitions import (
@@ -50,7 +42,7 @@ from .partitions import (
     sort_ascending,
     vec_add,
 )
-from .qlaurent import QLaurent, Rational, as_rational
+from .qlaurent import ONE, QLaurent, Rational, as_rational
 from .reports import CheckReport
 
 DEFAULT_MAX_SUBSETS = 10_000
@@ -175,9 +167,8 @@ def _side_by_side(p1: MPoly, p2: MPoly) -> MPoly:
     return embed(p1, arity, range(p1.arity)) * embed(p2, arity, range(p1.arity, arity))
 
 
-def _check_subsets(n1: int, n2: int, d: int, max_subsets: int) -> None:
-    """Refuse a loop count below 1, then more than ``max_subsets`` splits."""
-    check_loop_count(d)
+def _check_subsets(n1: int, n2: int, max_subsets: int) -> None:
+    """Refuse more than ``max_subsets`` splits."""
     count = comb(n1 + n2, n1)
     if count > max_subsets:
         raise ResourceLimitError(
@@ -195,7 +186,7 @@ def _shuffle_rows(p1: MPoly, p2: MPoly, d: int, q_value, max_subsets, term_cap) 
     """
     n1 = p1.arity
     n2 = p2.arity
-    _check_subsets(n1, n2, d, max_subsets)
+    _check_subsets(n1, n2, max_subsets)
     kernel = _block_kernel(n1, n2, d, q_value, term_cap)
     limit = effective_cap(d, term_cap)
     splits = _splits(n1, n2)
@@ -210,9 +201,11 @@ def _shuffle_rows(p1: MPoly, p2: MPoly, d: int, q_value, max_subsets, term_cap) 
 @lru_cache(maxsize=64)
 def _block_kernel(n1: int, n2: int, d: int, q_value, term_cap: int) -> MPoly:
     # shared by every product of one shape, as an MPoly is never mutated; 64
-    # is twice the 27 shapes of ``verify iso`` at its defaults
-    pairs = [(s, t) for s in range(n1, n1 + n2) for t in range(n1)]
-    return pairwise_kernel(n1 + n2, pairs, d, q_value, term_cap)
+    # is twice the 27 shapes of ``verify iso`` at its defaults.  The kernel
+    # of an empty block is the constant 1
+    if not (n1 and n2):
+        return MPoly.constant(n1 + n2, ONE)
+    return kernel_polynomial(KernelSpec(n1, n2, d), term_cap, q_value)
 
 
 def shuffle_product(
@@ -225,21 +218,15 @@ def shuffle_product(
 ) -> SymmetricElement:
     """Kernel-weighted sum over all splits of the ambient variables.
 
-    The splits, the kernel's leading factors and its coefficient bound are
-    checked first, then the kernel is built under its own cap checks, and
-    only then is each factor's expansion, its terms' distinct rearrangements
-    times their coefficients' powers, held to the cap before it is built.
-    At q = 0 every kernel factor keeps one term, so only the first one is
-    checked as the fold checks it.
+    The kernel's gate (``kernel.admit``) and the splits are checked first,
+    then the kernel is built under its fold's own checks, and only then is
+    each factor's expansion, its terms' distinct rearrangements times their
+    coefficients' powers, held to the cap before it is built.
     """
     n1, n2 = f1.arity, f2.arity
-    _check_subsets(n1, n2, d, max_subsets)
     q_value = None if q_value is None else as_rational(q_value)
-    if q_value == 0:
-        check_leading_factors(min(n1, 1), min(n2, 1), d, term_cap)
-    else:
-        check_leading_factors(n1, n2, d, term_cap)
-    check_coefficient_digits((d - 1) * n1 * n2)
+    admit(n1, n2, d, term_cap, q=q_value)
+    _check_subsets(n1, n2, max_subsets)
     # built, or refused under its own checks, before any factor is expanded
     _block_kernel(n1, n2, d, q_value, term_cap)
     for f in (f1, f2):

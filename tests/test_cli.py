@@ -1307,12 +1307,16 @@ def test_batch_answers_before_stdin_closes():
 
 def test_shuffle_lines_that_ran_out_of_memory_are_answered_under_1_gb():
     # the 13-part line died in expand and the 8-part one in relabelled_sum,
-    # each with a MemoryError under 2 GB, which ended the batch session
+    # each with a MemoryError under 2 GB, which ended the batch session; the
+    # specialize line died in Fraction.__pow__ under 1 GB after 5.7 s
+    huge_power = {"d": 2, "terms": [{"partition": [0], "coeff": {"offset": 10**12, "coeffs": ["1"]}}]}
     lines = [
         {"cmd": "multiply", "d": 2, "left": [0], "right": [0]},
         {"cmd": "shuffle", "d": 2, "left": list(range(13)), "right": []},
         {"cmd": "shuffle", "d": 2, "left": list(range(8)), "right": [0]},
         {"cmd": "multiply", "d": 2, "left": [0, 1], "right": [1]},
+        {"cmd": "specialize", "element": huge_power, "at_q": "2"},
+        {"cmd": "multiply", "d": 3, "left": [0], "right": [1]},
     ]
     limit = 1 << 30
     proc = subprocess.Popen(
@@ -1334,10 +1338,11 @@ def test_shuffle_lines_that_ran_out_of_memory_are_answered_under_1_gb():
         proc.stdin.close()
         proc.wait(timeout=10)
         proc.stdout.close()
-    assert [r["ok"] for r in replies] == [True, False, False, True]
-    assert [r["error"]["message"] for r in replies[1:3]] == [
+    assert [r["ok"] for r in replies] == [True, False, False, True, False, True]
+    assert [r["error"]["message"] for r in replies if not r["ok"]] == [
         "projected term count 6227020800 exceeds cap 5000000",
         "projected term count 10321920 exceeds cap 5000000",
+        "rational exceeds the 4300-digit limit of integer output",
     ]
 
 

@@ -259,11 +259,26 @@ REFUSED = [
     pytest.param(["shuffle", "--d", "15000", "--left", "0", "--right", "0"], DIGITS, id="shuffle"),
     # answered: at q = 0 the kernel's coefficients are 1, but its bound is read
     pytest.param(["shuffle", "--d", "15000", "--left", "0", "--right", "0", "--at-q", "0"], DIGITS, id="shuffle-at-q"),
-    # past its leading forest the fold said "projected term count 16 exceeds cap 8"
+    # past its leading forest the fold said "projected term count 16 exceeds
+    # cap 8"; the digit check came next, and now the least term count does
     pytest.param(
         ["multiply", "--d", "2", "--left", "0,0", "--right", ",".join(["0"] * 7146), "--term-cap", "8"],
-        DIGITS,
+        '"projected term count 14293 exceeds cap 8"',
         id="multiply-past-the-forest",
+    ),
+    # the fold said "projected term count 16 exceeds cap 8": the gate names
+    # the least term count (d-1)*m*n + 1, as g has since it was added
+    pytest.param(
+        ["multiply", "--d", "2", "--left", "0,0", "--right", "0,1,2,3", "--term-cap", "8"],
+        '"projected term count 9 exceeds cap 8"',
+        id="multiply-least-term-count",
+    ),
+    # said "12870 subsets exceed the configured maximum 10000": the kernel's
+    # gate now runs before the splits are counted
+    pytest.param(
+        ["shuffle", "--d", "2", "--left", "0,1,2,3,4,5,6,7", "--right", "0,1,2,3,4,5,6,7", "--term-cap", "0"],
+        '"projected term count 2 exceeds cap 0"',
+        id="shuffle-gate-before-splits",
     ),
     # ended the batch session with an OverflowError in MPoly.constant
     pytest.param(
@@ -285,6 +300,34 @@ def test_golden_refusals(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == '{"error": {"code": "resource", "message": %s}}\n' % message
+
+
+# each was computed and then answered "parse" with CPython's own message
+# about writing an integer past 4300 digits
+RATIONAL = '"rational exceeds the 4300-digit limit of integer output"'
+TOO_LONG_TO_WRITE = [
+    pytest.param(
+        ["specialize", "--at-q", "2"],
+        '{"d": 2, "terms": [{"partition": [0], "coeff": {"offset": 20000, "coeffs": ["1"]}}]}',
+        id="specialize",
+    ),
+    pytest.param(["shuffle", "--d", "3000", "--left", "0", "--right", "0", "--at-q", "100000"], None, id="shuffle"),
+    pytest.param(
+        ["multiply", "--d", "3000", "--left", "0", "--right", "0", "--at-q", "100000", "--format", "text"],
+        None,
+        id="multiply-text",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,stdin", TOO_LONG_TO_WRITE)
+def test_golden_rationals_too_long_to_write(capsys, monkeypatch, argv, stdin):
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == '{"error": {"code": "resource", "message": %s}}\n' % RATIONAL
 
 
 # a huge d under a huge cap ran past 20 s in each command, and the two shuffle
@@ -334,6 +377,9 @@ REQUEST_ERRORS = [
         '{"cmd": "specialize", "element": {"d": 2, "terms": [[0]]}, "at_q": "1"}',
         "element term must be {partition, coeff}",
     ),
+    # malformed in two fields: the term cap was named first, and now the block
+    # size is, as the spec is read before the kernel's gate runs
+    ('{"cmd": "g", "d": 2, "m": 0, "n": 1, "term_cap": -1}', "block sizes must be at least 1"),
 ]
 
 

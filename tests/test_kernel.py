@@ -1,6 +1,7 @@
 import itertools
 import json
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from math import comb, prod
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import qcoha.kernel as kernel
 import qcoha.mpoly as mpoly_mod
 import qcoha.packed as packed
+from qcoha import check_associativity, partition_image, product, product_elements, shuffle_product
 from qcoha.cli import main
 from qcoha.errors import ResourceLimitError
 from qcoha.kernel import (
@@ -34,6 +36,7 @@ from qcoha.mpoly import MPoly, embed
 from qcoha.partitions import distinct_permutations, vec_add
 from qcoha.qlaurent import ONE, Q, ZERO, QLaurent, q_power, signed_q_power
 from qcoha.serialization import STYLES, qlaurent_to_json, render_qlaurent, table_to_json
+from qcoha.shuffle_algebra import SymmetricElement
 
 TEXT, LATEX = STYLES["text"], STYLES["latex"]
 
@@ -243,25 +246,34 @@ def _refusal(build):
 
 
 def test_kernel_size_refuses_only_what_the_folds_refuse():
-    # unshifted, so the arity never decides: a refusal names the folds' own
-    # first failing step, or else the least term count (d-1)*m*n + 1
-    named = {"fold": 0, "least": 0}
-    for d, m, n in itertools.product([2, 3, 4], range(1, 5), range(1, 7)):
-        spec = KernelSpec(m, n, d)
-        least = "projected term count %d exceeds cap" % ((d - 1) * m * n + 1)
-        for cap in (0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 16, 27, 30, 64, 81, 100):
-            checked = _refusal(lambda: kernel.check_kernel_size(spec, cap))
-            if checked is None:
-                continue
-            folded = {_refusal(lambda: build(spec, cap)) for build in (kernel_polynomial, structure_constants)}
-            (folded,) = folded
-            assert folded is not None
-            if checked == folded:
-                named["fold"] += 1
-            else:
-                assert checked.startswith(least + " ")
-                named["least"] += 1
-    assert named["fold"] > 700 and named["least"] > 5
+    # the gate against the bare folds it runs before, at generic q, at q = 0,
+    # where only the first factor is checked, and at q = 1/3, where the least
+    # term count is not; unshifted, so the arity never decides: a refusal
+    # names the folds' own first failing step, or else, at generic q, the
+    # least term count (d-1)*m*n + 1
+    named = {q: {"fold": 0, "least": 0} for q in (None, 0, Fraction(1, 3))}
+    for q, counts in named.items():
+        for d, m, n in itertools.product([2, 3, 4], range(1, 5), range(1, 7)):
+            spec = KernelSpec(m, n, d)
+            folds = [lambda cap: pairwise_kernel(spec.arity, kernel.block_pairs(spec), d, q, cap)]
+            if q is None:
+                folds.append(lambda cap: kernel._fold_table(spec, cap))
+            least = "projected term count %d exceeds cap" % ((d - 1) * m * n + 1)
+            for cap in (0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 16, 27, 30, 64, 81, 100):
+                checked = _refusal(lambda: kernel.admit(m, n, d, cap, q=q))
+                if checked is None:
+                    continue
+                (folded,) = {_refusal(lambda: fold(cap)) for fold in folds}
+                assert folded is not None
+                if checked == folded:
+                    counts["fold"] += 1
+                else:
+                    assert q is None and checked.startswith(least + " ")
+                    counts["least"] += 1
+    assert named[None] == {"fold": 865, "least": 7}
+    # at q = 0 exactly the caps below d refuse, 2 + 3 + 4 of them per shape
+    assert named[0] == {"fold": 9 * 24, "least": 0}
+    assert named[Fraction(1, 3)] == {"fold": 865, "least": 0}
 
 
 def test_term_cap_raises():
@@ -1046,4 +1058,53 @@ def test_a_huge_coefficient_bound_is_refused_without_computing_it(monkeypatch):
 
 @pytest.mark.parametrize("m,n", [(0, 3), (3, 0), (0, 0)])
 def test_a_kernel_of_an_empty_block_has_no_leading_factor_to_check(m, n):
-    kernel.check_leading_factors(m, n, 10**30, 0)
+    kernel.admit(m, n, 10**30, 0)
+
+
+def _library_calls(h, cap):
+    """The library calls of the engine with ``h`` in one integer argument."""
+    yield from (
+        lambda: kernel_polynomial(KernelSpec(h, 1, 2), cap),
+        lambda: kernel_polynomial(KernelSpec(1, h, 2), cap),
+        lambda: kernel_polynomial(KernelSpec(1, 1, h), cap),
+        lambda: kernel_polynomial(KernelSpec(1, 1, 2, h), cap),
+        lambda: kernel_polynomial(KernelSpec(1, 1, 2, h), cap, 0),
+        lambda: kernel_polynomial(KernelSpec(1, 1, 2), cap, h),
+        lambda: structure_constants(KernelSpec(h, 1, 2), cap),
+        lambda: structure_constants(KernelSpec(1, h, 2), cap),
+        lambda: structure_constants(KernelSpec(1, 1, h), cap),
+        lambda: structure_constants(KernelSpec(1, 1, 2, h), cap),
+        lambda: structure_table(h, 1, 2, cap),
+        lambda: structure_table(1, h, 2, cap),
+        lambda: structure_table(1, 1, h, cap),
+        lambda: product((h,), (0,), 2, cap),
+        lambda: product((0,), (0, h), 2, cap),
+        lambda: product((0,), (0,), h, cap),
+        lambda: product_elements({(h,): ONE}, {(0,): ONE}, 2, cap),
+        lambda: product_elements({(0,): q_power(h)}, {(0,): ONE}, 2, cap),
+        lambda: product_elements({(0,): QLaurent.const(h)}, {(0, 1): Q}, 2, cap),
+        lambda: product_elements({(0,): ONE}, {(0,): ONE}, h, cap),
+        lambda: check_associativity((h,), (0,), (1,), 2),
+        lambda: check_associativity((0,), (0,), (1, h), 2),
+        lambda: check_associativity((0,), (0,), (1,), h),
+        lambda: shuffle_product(partition_image((0, 1)), partition_image((0,)), h, term_cap=cap),
+        lambda: shuffle_product(partition_image((0, 1)), partition_image((0,)), 2, q_value=h, term_cap=cap),
+        lambda: shuffle_product(partition_image((0, 1)), partition_image((0,)), 2, max_subsets=h, term_cap=cap),
+        lambda: shuffle_product(partition_image((h,)), partition_image((0, 1)), 2, term_cap=cap),
+        lambda: shuffle_product(SymmetricElement(1, {(0,): q_power(h)}), partition_image((0,)), 2, term_cap=cap),
+    )
+
+
+@pytest.mark.parametrize("cap", [0, kernel.DEFAULT_TERM_CAP, 10**30])
+@pytest.mark.parametrize("h", [10**30, 2**63])
+def test_library_calls_with_huge_integers_answer_or_refuse_within_a_second(h, cap):
+    # kernel_polynomial and structure_constants ran out of memory on a huge m
+    # or n, and raised OverflowError on a huge shift or in comb: now each
+    # call answers, or raises ResourceLimitError or ValueError, within 1 s
+    for call in _library_calls(h, cap):
+        start = time.monotonic()
+        try:
+            call()
+        except (ResourceLimitError, ValueError):
+            pass
+        assert time.monotonic() - start < 1

@@ -1,3 +1,5 @@
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -212,3 +214,30 @@ def test_a_value_spanning_the_whole_cap_is_kept(monkeypatch):
     # a product is trimmed like any other result
     with pytest.raises(ResourceLimitError, match=message):
         (ONE + Q) * (ONE + q_power(99))
+
+
+@pytest.mark.parametrize("v", [2, 3, Fraction(1, 2), Fraction(-3, 7), -1])
+def test_a_power_is_refused_only_when_its_value_cannot_be_written(v):
+    # a value whose numerator or denominator has more digits than CPython
+    # writes is refused before the power is taken, and only such a value
+    limit = sys.get_int_max_str_digits()
+    refused = 0
+    for offset in (-15000, -14000, 100, 14000, 14286, 14300, 15000):
+        for coeffs in ([1], [3, 0, -5], [Fraction(1, 9), 2]):
+            f = QLaurent(offset, coeffs)
+            exact = sum(Fraction(c) * Fraction(v) ** i for i, c in enumerate(coeffs)) * Fraction(v) ** offset
+            try:
+                assert f.eval_at(v) == exact
+            except ResourceLimitError as exc:
+                assert str(exc) == "rational exceeds the %d-digit limit of integer output" % limit
+                assert max(abs(exact.numerator), exact.denominator) >= 10**limit
+                refused += 1
+    assert (refused > 0) == (v != -1)
+    # a power that could never be computed is refused at once
+    start = time.monotonic()
+    for offset in (10**12, -(10**12)):
+        try:
+            QLaurent(offset, [1]).eval_at(v)
+        except ResourceLimitError:
+            assert v != -1
+    assert time.monotonic() - start < 1

@@ -1,5 +1,6 @@
 """Wire formats: canonical JSON, decoding validation, text and LaTeX output."""
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcoha import MPoly, QLaurent, product, structure_table
+from qcoha import MPoly, QLaurent, ResourceLimitError, product, structure_table
 from qcoha.partition_algebra import _basis_product
 from qcoha.serialization import (
     element_from_json,
@@ -317,3 +318,17 @@ def test_graded_and_specialized_render():
     assert render_mpoly(MPoly(2, {(0, 1): QL(0, 1), (1, 0): QL(1, -1)}), TEXT) == (
         "x^(0, 1) - q·x^(1, 0)"
     )
+
+
+def test_rationals_past_the_digit_limit_are_refused_where_they_are_written():
+    # CPython writes no integer of more digits than its limit: a numerator or
+    # a denominator past it is refused with ResourceLimitError, in JSON and
+    # in text alike, and one at the limit is written
+    edge = 10 ** sys.get_int_max_str_digits()
+    for value in (edge - 1, 1 - edge, Fraction(-1, edge - 1), Fraction(edge - 1, 7)):
+        assert rational_to_json(value) == str(value)
+        assert render_specialized({(0,): value}, STYLES["text"]) == "%s·(0)" % value
+    for value in (edge, -edge, Fraction(1, edge + 1), Fraction(edge + 1, 3)):
+        for write in (rational_to_json, lambda v: render_specialized({(0,): v}, STYLES["latex"])):
+            with pytest.raises(ResourceLimitError, match="^rational exceeds the 4300-digit limit of integer output$"):
+                write(value)

@@ -343,7 +343,7 @@ def test_shuffle_checks_subsets_before_any_work(monkeypatch):
         raise AssertionError("kernel expanded before the subset check")
 
     monkeypatch.setattr(kernel_mod, "pairwise_kernel", refuse)
-    monkeypatch.setattr("qcoha.shuffle_algebra.pairwise_kernel", refuse)
+    monkeypatch.setattr("qcoha.shuffle_algebra.kernel_polynomial", refuse)
     f = partition_image((0, 1, 2))
     with pytest.raises(ResourceLimitError):
         shuffle_product(f, f, 2, max_subsets=19)
